@@ -33,8 +33,7 @@ from .perron import PerronError, convention_residuals, cylinder_measure, perron,
 from .providers import classical_rep
 from .relations import free_unitary_relations, magic_relations, qaut_relations
 from .report import CheckResult, SuiteReport, text_digest
-from .rewrite import is_zero
-from .verdict import PROVED_ZERO
+from .verdict import PROVED_ZERO, UNKNOWN
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -55,7 +54,6 @@ class RunConfig:
     t_values: tuple[float, ...] = (0.5, 1.0, 2.0)
     convention: str = "auto"
     flavor: str = "both"
-    providers: tuple[str, ...] = ()
     out_path: str | None = None
     theta_csv: str | None = None
     measure_depth: int = 3
@@ -197,10 +195,8 @@ def cmd_spectral(config: RunConfig) -> SuiteReport:
 
 def _verification_context(config: RunConfig, g, pf, convention) -> VerificationContext:
     rels = qaut_relations(g, pf)
-    providers = [classical_rep(g, rels)]
-    if config.providers:
-        providers = [p for p in providers if p.name in config.providers] or providers
-    return VerificationContext(g, pf, rels, VERTEX_PAIR, convention, providers, config.n_cap)
+    return VerificationContext(g, pf, rels, VERTEX_PAIR, convention,
+                               [classical_rep(g, rels)], config.n_cap)
 
 
 def cmd_verify(config: RunConfig) -> SuiteReport:
@@ -290,9 +286,10 @@ def cmd_reduce(config: RunConfig, expression: str) -> SuiteReport:
     from .rewrite import ReductionTrace, normal_form
     trace = ReductionTrace()
     nf = normal_form(poly, rels, trace)
-    verdict = is_zero(nf, rels)
+    # normal_form already ran the zero search: a nonzero form is unproved
+    verdict = PROVED_ZERO if nf.is_zero() else UNKNOWN
     checks = [CheckResult(
-        "reduce", {"expression": expression}, True, verdict.kind,
+        "reduce", {"expression": expression}, True, verdict,
         {}, trace.count, trace.digest(),
         (time.monotonic() - started) * 1000.0,
         detail={"input": repr(poly), "normal_form": repr(nf),
@@ -331,7 +328,6 @@ def build_parser() -> argparse.ArgumentParser:
                        choices=("auto",) + CONVENTIONS)
         p.add_argument("--flavor", default="both",
                        choices=("both", FREE_UNITARY, MAGIC))
-        p.add_argument("--provider", action="append", dest="providers", default=[])
         p.add_argument("--out", dest="out_path", help="report JSON path")
         p.add_argument("--theta-csv", dest="theta_csv")
         p.add_argument("--measure-depth", type=int, default=3)
@@ -363,7 +359,6 @@ def _config_from_args(args) -> RunConfig:
         t_values=tuple(args.t_values) if args.t_values else (0.5, 1.0, 2.0),
         convention=args.convention,
         flavor=args.flavor,
-        providers=tuple(args.providers),
         out_path=args.out_path,
         theta_csv=args.theta_csv,
         measure_depth=args.measure_depth,

@@ -30,7 +30,7 @@ from .graphs import (
 from .hilbert import dirac, embedding_gram_residual
 from .ncpoly import Generator, NCPoly, TensorPoly, Word, comultiply
 from .perron import PerronData, cylinder_intersection_measure
-from .providers import RepresentationProvider
+from .providers import RepresentationProvider, matrix_point_provider
 from .relations import RelationSet
 from .report import CheckResult
 from .rewrite import ReductionTrace, is_zero, tensor_reduce
@@ -443,33 +443,21 @@ def check_kms_invariance(ctx: VerificationContext, lam: Path, mu: Path) -> Check
 
 def evaluate_corep_matrix(ctx: VerificationContext, k: int,
                           provider: RepresentationProvider) -> np.ndarray:
-    """Block matrix of the level-k corepresentation under a provider:
-    entry (eta, lam) becomes a dim x dim block."""
+    """The level-k corepresentation under a provider, one level matrix
+    per one-dimensional summand: shape (dim, paths, paths), with entry
+    [s, eta, lam] the value of Q[eta, lam] on summand s."""
     basis = enumerate_paths(ctx.g, k)
-    p = len(basis)
-    d = provider.dim
-    out = np.zeros((p * d, p * d), dtype=complex)
+    out = np.zeros((provider.dim, len(basis), len(basis)), dtype=complex)
     for i, eta in enumerate(basis):
         for j, lam in enumerate(basis):
-            out[i * d:(i + 1) * d, j * d:(j + 1) * d] = \
-                provider.value(ctx.entry_poly(eta, lam))
+            out[:, i, j] = provider.value(ctx.entry_poly(eta, lam))
     return out
 
 
-def scalar_corep_matrix(ctx: VerificationContext, k: int, mat: np.ndarray) -> np.ndarray:
-    """Level-k matrix obtained by substituting a concrete scalar matrix
-    for the generator family; the negative control feeds a non-magic
-    unitary through this."""
-    basis = enumerate_paths(ctx.g, k)
-    index = {v: i for i, v in enumerate(ctx.rels.universe)}
-    out = np.zeros((len(basis), len(basis)), dtype=complex)
-    for i, eta in enumerate(basis):
-        for j, lam in enumerate(basis):
-            val = 1.0 + 0j
-            for gen in ctx.entry(eta, lam):
-                val *= mat[index[gen.row], index[gen.col]]
-            out[i, j] = val
-    return out
+def _max_norm(stack: np.ndarray) -> float:
+    """Operator 2-norm of the direct sum of a stack of matrices: the
+    largest norm among them."""
+    return float(np.linalg.norm(stack, 2, axis=(1, 2)).max())
 
 
 def check_dirac_commutation(ctx: VerificationContext, n_cap: int | None = None,
@@ -478,45 +466,40 @@ def check_dirac_commutation(ctx: VerificationContext, n_cap: int | None = None,
     compatible with every embedding (well-definedness for all l < k).
     Numeric: under each provider the evaluated top-level matrix is
     Gram-unitary and commutes with every eigenprojection of the
-    truncated Dirac operator.
+    truncated Dirac operator.  Providers are direct sums of
+    one-dimensional representations, so both norms are taken per
+    summand and the largest is kept, which is the norm of the sum.
 
-    *scalar_override* replaces the generator family by a concrete
-    matrix (negative control: a non-magic unitary must fail).
+    *scalar_override* replaces the providers by the point evaluation at
+    a concrete matrix (negative control: a non-magic unitary must fail).
     """
     started = time.monotonic()
     n_cap = n_cap if n_cap is not None else ctx.n_cap
     trace = ReductionTrace()
     structural_ok = True
+    providers = ctx.providers
     if scalar_override is None:
         for k in range(1, n_cap + 1):
             for l in range(k):
                 structural_ok = structural_ok and check_welldefined(ctx, l, k).passed
                 trace.add(f"welldefined:{l}->{k}")
+    else:
+        providers = [matrix_point_provider("scalar-override", ctx.rels.universe,
+                                           scalar_override, kind=ctx.kind)]
 
     triple = dirac(ctx.g, ctx.pf, n_cap, convention=ctx.convention)
-    gram = np.array([float(x) for x in triple.space.gram])
+    gmat = np.diag([float(x) for x in triple.space.gram])
     hats = [np.array([[float(x) for x in row] for row in m]) for m in triple.xi_hat]
     hats.append(np.array([[float(x) for x in row] for row in triple.constants_projection]))
 
     worst_comm = 0.0
     worst_unitary = 0.0
-    if scalar_override is not None:
-        u_mat = scalar_corep_matrix(ctx, n_cap, scalar_override)
-        gmat = np.diag(gram)
-        worst_unitary = float(np.linalg.norm(u_mat.conj().T @ gmat @ u_mat - gmat, 2))
+    for provider in providers:
+        u = evaluate_corep_matrix(ctx, n_cap, provider)
+        u_adj = u.conj().transpose(0, 2, 1)
+        worst_unitary = max(worst_unitary, _max_norm(u_adj @ gmat @ u - gmat))
         for hat in hats:
-            worst_comm = max(worst_comm, float(np.linalg.norm(u_mat @ hat - hat @ u_mat, 2)))
-    else:
-        for provider in ctx.providers:
-            d = provider.dim
-            u_mat = evaluate_corep_matrix(ctx, n_cap, provider)
-            gmat = np.diag(np.kron(gram, np.ones(d)))
-            worst_unitary = max(worst_unitary, float(
-                np.linalg.norm(u_mat.conj().T @ gmat @ u_mat - gmat, 2)))
-            for hat in hats:
-                big = np.kron(hat, np.eye(d))
-                worst_comm = max(worst_comm, float(
-                    np.linalg.norm(u_mat @ big - big @ u_mat, 2)))
+            worst_comm = max(worst_comm, _max_norm(u @ hat - hat @ u))
 
     passed = structural_ok and worst_comm < ctx.numeric_tol and worst_unitary < ctx.numeric_tol
     verdict = PROVED_ZERO if passed else UNKNOWN

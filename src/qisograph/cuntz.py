@@ -23,8 +23,7 @@ from .graphs import DirectedGraph, SOURCE_APPEND, SPECTRAL_TRIPLE, validate
 from .ncpoly import FORMAL_UNITARY, FORMAL_UNITARY_STAR, Generator, NCPoly
 from .perron import PerronData, perron
 from .providers import (
-    RepresentationProvider, loop_permutation_rep, matrix_point_provider,
-    identity_unitary, rotation_unitary, fourier_unitary, register, witness_nonzero,
+    RepresentationProvider, loop_permutation_rep, unitary_provider_portfolio, witness_nonzero,
 )
 from .relations import RelationSet, free_unitary_relations, magic_relations, with_formal_unitary
 from .report import CheckResult
@@ -151,12 +150,7 @@ def cuntz_provider_portfolio(setup: CuntzSetup) -> list[RepresentationProvider]:
     generic rotation and the Fourier-type matrix."""
     if setup.flavor == MAGIC:
         return [loop_permutation_rep(setup.loop_ids, setup.rels)]
-    providers = [
-        matrix_point_provider("identity", setup.loop_ids, identity_unitary(setup.n)),
-        matrix_point_provider("rotation", setup.loop_ids, rotation_unitary(setup.n)),
-        matrix_point_provider("fourier", setup.loop_ids, fourier_unitary(setup.n)),
-    ]
-    return [register(p, setup.rels) for p in providers]
+    return unitary_provider_portfolio(setup.loop_ids, setup.rels)
 
 
 @dataclass

@@ -1,13 +1,18 @@
-"""Numeric representation providers: concrete matrix assignments for the
+"""Numeric representation providers: concrete assignments for the
 abstract generators, validated against their relation set at
 registration, used as nonzero-ness oracles and as cross-checks for the
 symbolic prover.
 
-The classical provider for a graph diagonalizes over its automorphism
-group: q[i,j] maps to diag_sigma(delta_{i, sigma(j)}).  Point providers
-evaluate free-unitary generators at the entries of a concrete unitary
-matrix, which is a genuine one-dimensional *-representation of the
-universal relations, so a nonzero value there is a sound disproof.
+Every provider is a direct sum of one-dimensional representations, so a
+generator is stored as its value vector of shape (dim,), one entry per
+summand.  A polynomial evaluates entrywise, and the operator norm of the
+direct sum is the largest |value| over the summands.
+
+The classical provider for a graph sums over its automorphism group:
+q[i,j] takes the value delta_{i, sigma(j)} on the summand sigma.  Point
+providers evaluate free-unitary generators at the entries of a concrete
+unitary matrix, which is a genuine one-dimensional *-representation of
+the universal relations, so a nonzero value there is a sound disproof.
 """
 
 from __future__ import annotations
@@ -30,62 +35,63 @@ class ProviderValidationError(ValueError):
 
 @dataclass
 class RepresentationProvider:
+    """Direct sum of *dim* one-dimensional representations; *assignment*
+    maps each generator to its values on the summands, shape (dim,)."""
+
     name: str
     dim: int
     assignment: dict[Generator, np.ndarray]
     tol: float = 1e-10
 
-    def matrix(self, gen: Generator) -> np.ndarray:
+    def values(self, gen: Generator) -> np.ndarray:
         if gen.kind == WKIND or gen.kind == WSTAR:
-            return np.eye(self.dim, dtype=complex)
+            return np.ones(self.dim, dtype=complex)
         try:
             return self.assignment[gen]
         except KeyError:
-            raise KeyError(f"provider {self.name} has no matrix for {gen}") from None
+            raise KeyError(f"provider {self.name} has no values for {gen}") from None
 
     def value(self, p: NCPoly) -> np.ndarray:
-        total = np.zeros((self.dim, self.dim), dtype=complex)
+        total = np.zeros(self.dim, dtype=complex)
         for word, coeff in p.items():
-            m = np.eye(self.dim, dtype=complex)
+            v = np.ones(self.dim, dtype=complex)
             for gen in word:
-                m = m @ self.matrix(gen)
-            total += float(coeff) * m
+                v = v * self.values(gen)
+            total += float(coeff) * v
         return total
 
     def norm(self, p: NCPoly) -> float:
-        return float(np.linalg.norm(self.value(p), 2))
+        return float(np.abs(self.value(p)).max())
 
 
-def _check_close(name: str, label: str, actual: np.ndarray, expected: np.ndarray, tol: float):
-    err = float(np.linalg.norm(actual - expected, 2))
+def _check_close(name: str, label: str, actual: np.ndarray,
+                 expected: np.ndarray | float, tol: float):
+    err = float(np.abs(actual - expected).max())
     if err > tol:
         raise ProviderValidationError(
             f"provider {name} violates {label} (residual {err:.3g})")
 
 
 def register(provider: RepresentationProvider, rels: RelationSet) -> RepresentationProvider:
-    """Validate every relation of *rels* under the provider's matrices."""
-    n = provider.dim
-    eye = np.eye(n, dtype=complex)
-    zero = np.zeros((n, n), dtype=complex)
+    """Validate every relation of *rels* under the provider's values."""
     for (g1, g2), rhs in rels.pair_rules.items():
-        lhs = provider.matrix(g1) @ provider.matrix(g2)
+        lhs = provider.values(g1) * provider.values(g2)
         if rhs is None:
-            _check_close(provider.name, f"rule {g1}{g2}->0", lhs, zero, provider.tol)
+            _check_close(provider.name, f"rule {g1}{g2}->0", lhs, 0.0, provider.tol)
         else:
-            m = eye.copy()
+            v = np.ones(provider.dim, dtype=complex)
             for g in rhs:
-                m = m @ provider.matrix(g)
-            _check_close(provider.name, f"rule {g1}{g2}", lhs, m, provider.tol)
+                v = v * provider.values(g)
+            _check_close(provider.name, f"rule {g1}{g2}", lhs, v, provider.tol)
     for schema in rels.sum_schemas:
         for fixed in rels.universe:
-            total = zero.copy()
+            total = np.zeros(provider.dim, dtype=complex)
             for var in rels.universe:
                 gen = (Generator(rels.gen_kind, var, fixed) if schema.varying_axis == "row"
                        else Generator(rels.gen_kind, fixed, var))
                 w = rels.weight_of(schema, var)
-                total = total + float(w) * provider.matrix(gen)
-            target = float(rels.weight_of(schema, fixed)) * eye if schema.weighted else eye
+                total = total + float(w) * provider.values(gen)
+            target = float(rels.weight_of(schema, fixed)) if schema.weighted else 1.0
             _check_close(provider.name, f"schema {schema.tag}@{fixed}", total, target,
                          provider.tol)
     for schema in rels.unitary_schemas:
@@ -93,34 +99,34 @@ def register(provider: RepresentationProvider, rels: RelationSet) -> Representat
         ax1, ax2 = schema.shared_axes
         for i in rels.universe:
             for j in rels.universe:
-                total = zero.copy()
+                total = np.zeros(provider.dim, dtype=complex)
                 for k in rels.universe:
                     g1 = Generator(kind1, k, i) if ax1 == "row" else Generator(kind1, i, k)
                     g2 = Generator(kind2, k, j) if ax2 == "row" else Generator(kind2, j, k)
-                    total = total + provider.matrix(g1) @ provider.matrix(g2)
-                target = eye if i == j else zero
+                    total = total + provider.values(g1) * provider.values(g2)
+                target = 1.0 if i == j else 0.0
                 _check_close(provider.name, f"schema {schema.tag}@({i},{j})", total, target,
                              provider.tol)
     for idx, p in enumerate(rels.linear_relations):
-        _check_close(provider.name, f"linear relation #{idx}", provider.value(p), zero,
+        _check_close(provider.name, f"linear relation #{idx}", provider.value(p), 0.0,
                      provider.tol)
     for gen in sorted(rels.vanishing):
-        _check_close(provider.name, f"vanishing generator {gen}", provider.matrix(gen),
-                     zero, provider.tol)
+        _check_close(provider.name, f"vanishing generator {gen}", provider.values(gen),
+                     0.0, provider.tol)
     return provider
 
 
 def permutation_diag_rep(name: str, ids, permutations, kind: str = QKIND,
                          tol: float = 1e-10) -> RepresentationProvider:
-    """Diagonal representation over a list of permutations (dicts):
-    g[i,j] -> diag_sigma(delta_{i, sigma(j)})."""
+    """Direct sum over a list of permutations (dicts): g[i,j] takes the
+    value delta_{i, sigma(j)} on the summand sigma."""
     ids = tuple(ids)
     dim = len(permutations)
     assignment: dict[Generator, np.ndarray] = {}
     for i in ids:
         for j in ids:
-            diag = np.array([1.0 + 0j if sigma[j] == i else 0j for sigma in permutations])
-            assignment[Generator(kind, i, j)] = np.diag(diag)
+            assignment[Generator(kind, i, j)] = np.array(
+                [1.0 + 0j if sigma[j] == i else 0j for sigma in permutations])
     return RepresentationProvider(name, dim, assignment, tol)
 
 
@@ -159,9 +165,9 @@ def matrix_point_provider(name: str, ids, mat, kind: str = UKIND,
     assignment: dict[Generator, np.ndarray] = {}
     for a, i in zip(ids, range(len(ids))):
         for b, j in zip(ids, range(len(ids))):
-            assignment[Generator(kind, a, b)] = np.array([[mat[i, j]]])
+            assignment[Generator(kind, a, b)] = np.array([mat[i, j]])
             if kind == UKIND:
-                assignment[Generator(USTAR, a, b)] = np.array([[np.conj(mat[i, j])]])
+                assignment[Generator(USTAR, a, b)] = np.array([np.conj(mat[i, j])])
     return RepresentationProvider(name, 1, assignment, tol)
 
 
@@ -199,18 +205,10 @@ def unitary_provider_portfolio(ids, rels: RelationSet) -> list[RepresentationPro
 
 
 def witness_nonzero(p: NCPoly, providers) -> Verdict:
-    """WitnessedNonzero when some provider maps p to a matrix of norm
+    """WitnessedNonzero when some provider maps p to a value of norm
     above ten times its tolerance; otherwise Unknown."""
     for provider in providers:
         norm = provider.norm(p)
         if norm > 10 * provider.tol:
             return Verdict(WITNESSED_NONZERO, provider=provider.name, residual=norm)
     return Verdict(UNKNOWN)
-
-
-def max_residual(polys, provider: RepresentationProvider) -> float:
-    """Largest provider norm over a family of polynomials."""
-    worst = 0.0
-    for p in polys:
-        worst = max(worst, provider.norm(p))
-    return worst

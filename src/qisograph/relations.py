@@ -295,4 +295,4 @@ def with_formal_unitary(rels: RelationSet) -> RelationSet:
     tags[(FORMAL_UNITARY_STAR, FORMAL_UNITARY)] = "w-unitary"
     return RelationSet(rels.name + "+w", rels.gen_kind, rels.universe, rules, tags,
                        rels.sum_schemas, rels.unitary_schemas, rels.linear_relations,
-                       rels.events, has_formal_unitary=True)
+                       rels.events, has_formal_unitary=True, vanishing=rels.vanishing)

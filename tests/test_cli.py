@@ -112,6 +112,23 @@ def test_reduce_command(tmp_path):
     assert rc == 0
 
 
+def test_reduce_searches_unprovable_input_once(tmp_path, monkeypatch):
+    from qisograph import rewrite
+    calls = []
+    search = rewrite._search_zero
+
+    def counting_search(*args, **kwargs):
+        calls.append(args[0])
+        return search(*args, **kwargs)
+
+    monkeypatch.setattr(rewrite, "_search_zero", counting_search)
+    out = tmp_path / "reduce.json"
+    assert main(["reduce", "--graph", _graph("k3.g"), "--out", str(out),
+                 "q[1,2]*q[2,3] - q[1,3]"]) == 0
+    assert json.loads(out.read_text())["checks"][0]["verdict"] == "Unknown"
+    assert len(calls) == 1
+
+
 def test_spectral_float_mode_irrational_radius(tmp_path):
     # valid graph whose spectral radius is the plastic number
     gfile = tmp_path / "plastic.g"

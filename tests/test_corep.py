@@ -80,7 +80,8 @@ def test_action_consistent_with_classical(contexts):
         e = ctx.g.edge_by_id[eid]
         for fid, word in row:
             f = ctx.g.edge_by_id[fid]
-            values = np.diag(provider.value(NCPoly.word(word)))
+            values = provider.value(NCPoly.word(word))
+            assert values.shape == (len(autos),)
             for sigma, val in zip(autos, values):
                 expected = 1.0 if (sigma[e.range], sigma[e.source]) == (f.range, f.source) else 0.0
                 assert abs(val - expected) < 1e-12
@@ -216,10 +217,55 @@ def test_evaluated_corep_gram_unitary(contexts):
         ctx = contexts[name]
         provider = ctx.providers[0]
         for k in (1, 2):
-            mat = evaluate_corep_matrix(ctx, k, provider)
-            diag = [float(x) for x in level_space(ctx.g, ctx.pf, k).gram]
-            gram = np.diag(np.kron(diag, np.ones(provider.dim)))
-            assert np.linalg.norm(mat.conj().T @ gram @ mat - gram, 2) < 1e-10
+            stack = evaluate_corep_matrix(ctx, k, provider)
+            gram = np.diag([float(x) for x in level_space(ctx.g, ctx.pf, k).gram])
+            assert stack.shape == (provider.dim,) + gram.shape
+            for mat in stack:     # one level matrix per one-dimensional summand
+                assert np.linalg.norm(mat.conj().T @ gram @ mat - gram, 2) < 1e-10
+
+
+def _dense_dirac_residuals(ctx, n_cap, provider):
+    """The block-matrix form of the numeric Dirac check: entry (eta, lam)
+    as a dim x dim diagonal block, projections tensored with the
+    identity, norms by full SVD."""
+    from qisograph.hilbert import dirac
+    basis = enumerate_paths(ctx.g, n_cap)
+    d = provider.dim
+    u_mat = np.zeros((len(basis) * d, len(basis) * d), dtype=complex)
+    for i, eta in enumerate(basis):
+        for j, lam in enumerate(basis):
+            u_mat[i * d:(i + 1) * d, j * d:(j + 1) * d] = \
+                np.diag(provider.value(ctx.entry_poly(eta, lam)))
+    triple = dirac(ctx.g, ctx.pf, n_cap, convention=ctx.convention)
+    gmat = np.diag(np.kron([float(x) for x in triple.space.gram], np.ones(d)))
+    unitary = np.linalg.norm(u_mat.conj().T @ gmat @ u_mat - gmat, 2)
+    hats = list(triple.xi_hat) + [triple.constants_projection]
+    comm = 0.0
+    for hat in hats:
+        big = np.kron(np.array([[float(x) for x in row] for row in hat]), np.eye(d))
+        comm = max(comm, np.linalg.norm(u_mat @ big - big @ u_mat, 2))
+    return comm, unitary
+
+
+def test_dirac_commutation_matches_dense_oracle(contexts):
+    from dataclasses import replace
+    from qisograph.providers import RepresentationProvider, rotation_unitary
+    for name in ("three-cycle", "k3"):
+        ctx = contexts[name]
+        # a sum of two non-magic point evaluations: the residuals are
+        # nonzero and differ between the summands
+        ids = ctx.rels.universe
+        mats = (fourier_unitary(len(ids)), rotation_unitary(len(ids), 0.3))
+        skew = RepresentationProvider("skew", 2, {
+            q(a, b): np.array([m[i, j] for m in mats])
+            for i, a in enumerate(ids) for j, b in enumerate(ids)})
+        for provider in (ctx.providers[0], skew):
+            for n_cap in (1, 2, 3):
+                res = check_dirac_commutation(replace(ctx, providers=[provider]), n_cap)
+                comm, unitary = _dense_dirac_residuals(ctx, n_cap, provider)
+                assert abs(res.residuals["commutator"] - comm) < 1e-12
+                assert abs(res.residuals["gram_unitarity"] - unitary) < 1e-12
+                assert (unitary > 1e-3) == (provider is skew)
 
 
 def test_suite_all_pass(contexts):

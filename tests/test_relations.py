@@ -86,3 +86,11 @@ def test_formal_unitary_extension():
     assert rels.has_formal_unitary
     assert reduce_word((FORMAL_UNITARY, FORMAL_UNITARY_STAR), rels) == ()
     assert reduce_word((FORMAL_UNITARY_STAR, FORMAL_UNITARY), rels) == ()
+
+
+def test_formal_unitary_keeps_vanishing_closure(qaut_rels):
+    rels = qaut_rels["asym4"]
+    extended = with_formal_unitary(rels)
+    assert len(rels.vanishing) == 12
+    assert extended.vanishing == rels.vanishing
+    assert reduce_word((q("1", "2"), FORMAL_UNITARY), extended) is None
