@@ -68,10 +68,6 @@ class LevelCorep:
     basis: tuple[Path, ...]
     entries: dict[tuple[int, int], Word]
 
-    def column(self, j: int) -> dict[Path, NCPoly]:
-        return {self.basis[i]: NCPoly.word(self.entries[(i, j)])
-                for i in range(len(self.basis))}
-
 
 def build_corep(g: DirectedGraph, k: int, scheme: str = VERTEX_PAIR,
                 kind: str = "q") -> LevelCorep:
@@ -461,7 +457,9 @@ def _max_norm(stack: np.ndarray) -> float:
 
 
 def check_dirac_commutation(ctx: VerificationContext, n_cap: int | None = None,
-                            scalar_override: np.ndarray | None = None) -> CheckResult:
+                            scalar_override: np.ndarray | None = None,
+                            welldefined: dict[tuple[int, int], bool] | None = None
+                            ) -> CheckResult:
     """Structural: the corepresentation preserves each level and is
     compatible with every embedding (well-definedness for all l < k).
     Numeric: under each provider the evaluated top-level matrix is
@@ -472,6 +470,9 @@ def check_dirac_commutation(ctx: VerificationContext, n_cap: int | None = None,
 
     *scalar_override* replaces the providers by the point evaluation at
     a concrete matrix (negative control: a non-magic unitary must fail).
+    *welldefined* maps (l, k) to the pass flag of a well-definedness
+    check already run in the context's convention; only the pairs
+    missing from it are checked here.
     """
     started = time.monotonic()
     n_cap = n_cap if n_cap is not None else ctx.n_cap
@@ -479,9 +480,13 @@ def check_dirac_commutation(ctx: VerificationContext, n_cap: int | None = None,
     structural_ok = True
     providers = ctx.providers
     if scalar_override is None:
+        known = welldefined or {}
         for k in range(1, n_cap + 1):
             for l in range(k):
-                structural_ok = structural_ok and check_welldefined(ctx, l, k).passed
+                if structural_ok:
+                    passed = known.get((l, k))
+                    structural_ok = (check_welldefined(ctx, l, k).passed
+                                     if passed is None else passed)
                 trace.add(f"welldefined:{l}->{k}")
     else:
         providers = [matrix_point_provider("scalar-override", ctx.rels.universe,
@@ -522,9 +527,11 @@ def run_identity_suite(ctx: VerificationContext, k_max: int = 2,
     """Every identity check at levels l < k <= k_max, truncation n_cap."""
     n_cap = n_cap if n_cap is not None else ctx.n_cap
     results = []
+    welldefined = {}
     for k in range(1, k_max + 1):
         for l in range(k if l_max is None else min(k, l_max + 1)):
             results.append(check_welldefined(ctx, l, k))
+            welldefined[(l, k)] = results[-1].passed
     for k in range(k_max + 1):
         results.append(check_isometry(ctx, k))
     lam0 = enumerate_paths(ctx.g, 1)[0]
@@ -556,5 +563,5 @@ def run_identity_suite(ctx: VerificationContext, k_max: int = 2,
         results.append(check_kms_invariance(ctx, lam, lam))
     results.append(check_kms_invariance(ctx, paths2[0], paths2[-1]))
     results.append(check_kms_invariance(ctx, edges1[0], paths2[0]))
-    results.append(check_dirac_commutation(ctx, n_cap))
+    results.append(check_dirac_commutation(ctx, n_cap, welldefined=welldefined))
     return results

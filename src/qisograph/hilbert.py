@@ -79,22 +79,10 @@ class LevelMap:
                         self.half_power + other.half_power,
                         rat_matmul(self.mat, other.mat)).normalized(pf)
 
-    def equals(self, other: "LevelMap") -> bool:
-        if (self.source_level, self.target_level) != (other.source_level, other.target_level):
-            return False
-        if self.half_power != other.half_power:
-            # one of the two may be a zero matrix with unnormalized power
-            return rat_max_abs(self.mat) == 0 and rat_max_abs(other.mat) == 0
-        return self.mat == other.mat
-
     def residual(self, other: "LevelMap") -> Fraction:
         if self.half_power != other.half_power:
             return rat_max_abs(self.mat) + rat_max_abs(other.mat)
         return rat_max_abs(rat_sub(self.mat, other.mat))
-
-    def to_float(self, pf: PerronData) -> np.ndarray:
-        scale = float(pf.rho) ** (self.half_power / 2.0)
-        return scale * np.array([[float(x) for x in row] for row in self.mat])
 
 
 def embed(g: DirectedGraph, pf: PerronData, l: int, k: int,

@@ -10,8 +10,8 @@ a polynomial is a finitely supported map from words to Fractions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 QKIND = "q"
 UKIND = "u"
@@ -22,8 +22,10 @@ WSTAR = "w*"
 _ADJOINT = {QKIND: QKIND, UKIND: USTAR, USTAR: UKIND, WKIND: WSTAR, WSTAR: WKIND}
 
 
-@dataclass(frozen=True, order=True)
-class Generator:
+class Generator(NamedTuple):
+    """One generator; ordered, hashed and compared as the tuple
+    (kind, row, col)."""
+
     kind: str
     row: str
     col: str

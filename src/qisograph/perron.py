@@ -3,10 +3,10 @@ measure, and the values of the distinguished state on vertex
 projections.
 
 The measure of a cylinder set is M([lambda]) = rho^{-d} x_{s(lambda)}.
-Whenever the spectral radius is a (small-denominator) rational, the
-whole measure layer is verified and served in exact rational
-arithmetic; otherwise values are floats and downstream exactness claims
-are disabled rather than silently rounded.
+Whenever the spectral radius is rational (hence an integer), the whole
+measure layer is verified and served in exact rational arithmetic;
+otherwise values are floats and downstream exactness claims are
+disabled rather than silently rounded.
 """
 
 from __future__ import annotations
@@ -19,8 +19,6 @@ from .graphs import (
     adjacency_matrix, is_strongly_connected, refine,
 )
 from .ratmat import rat_matrix, rat_nullspace
-
-_EXACT_DENOMINATOR_CAP = 10**6
 
 
 class PerronError(ValueError):
@@ -49,7 +47,14 @@ class PerronData:
 
 
 def _try_exact(a, rho_float: float, vertices) -> tuple[Fraction, tuple[Fraction, ...]] | None:
-    rho = Fraction(rho_float).limit_denominator(_EXACT_DENOMINATOR_CAP)
+    """Exact radius and Perron vector when the radius is rational.
+
+    The radius is a root of the monic integer characteristic polynomial,
+    so by the rational-root theorem it is rational only if it is an
+    integer: the nearest integer is the only candidate, and the exact
+    eigen equation below accepts or rejects it.
+    """
+    rho = Fraction(round(rho_float))
     n = len(vertices)
     m = rat_matrix(a)
     for i in range(n):
@@ -112,11 +117,6 @@ def cylinder_measure(pf: PerronData, lam: Path):
     if pf.exact:
         return pf.exact_rho ** (-lam.degree) * pf.x_of(lam.source)
     return pf.rho ** (-lam.degree) * pf.x_of(lam.source)
-
-
-def kms_vertex_value(pf: PerronData, v: str):
-    """Value of the distinguished state on the vertex projection p_v."""
-    return pf.x_of(v)
 
 
 def additivity_residual(pf: PerronData, g: DirectedGraph, lam: Path, n: int, side: str):

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .graphs import DirectedGraph, graph_automorphisms
 from .ncpoly import (
@@ -71,6 +72,12 @@ class RelationSet:
     has_formal_unitary: bool = False
     #: generators proved zero by unit-insertion closure (see below)
     vanishing: frozenset[Generator] = frozenset()
+
+    @cached_property
+    def alphabet(self):
+        """The rewriter's interned integer alphabet, built on first use."""
+        from .rewrite import Alphabet
+        return Alphabet(self)
 
     def weight_of(self, schema: SumSchema, idx: str) -> Fraction:
         if schema.weights is None:

@@ -22,6 +22,20 @@ never reported otherwise, because distinct sound collapse paths can
 rewrite a word to different representatives of the same element.  A
 nonzero normal form certifies nothing: the system is not proved
 confluent.
+
+Rewriting runs on an interned alphabet (:class:`Alphabet`), built once
+per relation set: generators become the ints 0..n-1 in ``Generator``
+order, so words are tuples of small ints that sort exactly like the
+generator words they encode, and the rules, the vanishing set and the
+schema slots become tables indexed by id.  ``Generator`` words appear
+only at the entry points below: ``reduce_word`` encodes a word, rewrites
+it and decodes the result, and the search takes the encoded monomial
+fixed point.  Within one search the monomial reduction of int words is
+memoised, which serves the many repeated completion checks of the sum
+schemas; and since a collapse adds a single word to a monomial fixed
+point, each search child needs only that word reduced.  A word holding a
+generator outside the alphabet is served by an alphabet extended by that
+generator for that call.
 """
 
 from __future__ import annotations
@@ -29,13 +43,19 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import itemgetter
 
-from .ncpoly import Generator, NCPoly, TensorPoly, Word, word_key
-from .relations import RelationSet, SumSchema, UnitarySchema
+from .ncpoly import Generator, NCPoly, TensorPoly, Word
+from .relations import RelationSet
 from .verdict import PROVED_ZERO, UNKNOWN, Verdict
 
 #: node budget for the zero-certificate search
 SEARCH_LIMIT = 3000
+
+IntWord = tuple[int, ...]
+IntTerms = dict[IntWord, Fraction]
+
+_MISS = object()
 
 
 @dataclass
@@ -55,34 +75,285 @@ class ReductionTrace:
         h = hashlib.sha256("\n".join(self.events).encode()).hexdigest()
         return h[:16]
 
-    def counts(self) -> dict[str, int]:
-        out: dict[str, int] = {}
-        for e in self.events:
-            out[e] = out.get(e, 0) + 1
-        return out
+
+class Alphabet:
+    """A relation set's generators interned as ints, with id-keyed tables.
+
+    Index strings are ranked in string order and generators numbered in
+    ``(kind, row, col)`` order, so comparing int words or ranks orders
+    exactly as comparing the generator words or strings they encode.
+    The alphabet holds every generator of the relation set's schema
+    kinds over the index set, every generator named by a rule, and
+    *extra*.  Only generators over the index set take part in the
+    schemas; any other generator is an opaque letter.
+    """
+
+    def __init__(self, rels: RelationSet, extra: frozenset[Generator] = frozenset()):
+        universe = rels.universe
+        kinds = {rels.gen_kind} | {k for s in rels.unitary_schemas for k in s.kinds}
+        gens = {Generator(k, i, j) for k in kinds for i in universe for j in universe}
+        for lhs, rhs in rels.pair_rules.items():
+            gens.update(lhs)
+            gens.update(rhs or ())
+        gens.update(rels.vanishing)
+        gens.update(extra)
+        self.gens = tuple(sorted(gens))
+        self.ids = {g: i for i, g in enumerate(self.gens)}
+        n = self.size = len(self.gens)
+        self.names = sorted({g.row for g in gens} | {g.col for g in gens})
+        self.rank = {s: r for r, s in enumerate(self.names)}
+        self.row = [self.rank[g.row] for g in self.gens]
+        self.col = [self.rank[g.col] for g in self.gens]
+        self.universe = tuple(self.rank[i] for i in universe)
+
+        # pair (a, b) lives at a * n + b: _MISS, None (rewrites to zero) or the RHS word
+        self.pair_rules: list = [_MISS] * (n * n)
+        self.pair_tags: list = [None] * (n * n)
+        for (g1, g2), rhs in rels.pair_rules.items():
+            at = self.ids[g1] * n + self.ids[g2]
+            self.pair_rules[at] = None if rhs is None else self.encode(rhs)
+            self.pair_tags[at] = "mono:" + rels.rule_tags[(g1, g2)]
+        self.vanishing = frozenset(self.ids[g] for g in rels.vanishing)
+
+        indexed = set(universe)
+        #: per id, the generator's kind if both its indices lie in the index set
+        self.schema_kind = [g.kind if g.row in indexed and g.col in indexed else None
+                            for g in self.gens]
+        self.sum_axes = tuple(
+            _SumAxis(self, rels, axis, [s for s in rels.sum_schemas if s.varying_axis == axis])
+            for axis in dict.fromkeys(s.varying_axis for s in rels.sum_schemas))
+        self.unitary_tables = tuple(
+            _UnitaryTable(self, schema) for schema in rels.unitary_schemas)
+
+    def axis(self, axis: str) -> list[int]:
+        return self.row if axis == "row" else self.col
+
+    def substitute(self, gid: int, axis: str, idx: int) -> int:
+        """Id of generator *gid* with its *axis* index replaced by rank *idx*."""
+        kind, row, col = self.gens[gid]
+        if axis == "row":
+            return self.ids[Generator(kind, self.names[idx], col)]
+        return self.ids[Generator(kind, row, self.names[idx])]
+
+    # -- the Generator edge ------------------------------------------------
+
+    def encode(self, word: Word) -> IntWord:
+        return tuple(map(self.ids.__getitem__, word))
+
+    def decode(self, word: IntWord) -> Word:
+        return tuple(map(self.gens.__getitem__, word))
+
+    # -- monomial reduction --------------------------------------------------
+
+    def rewrite(self, w: IntWord, trace: ReductionTrace | None = None) -> IntWord | None:
+        """Monomial fixed point of *w*; None means it rewrote to zero."""
+        if self.vanishing and not self.vanishing.isdisjoint(w):
+            if trace is not None:
+                trace.add("mono:vanishing-generator")
+            return None
+        rules, n = self.pair_rules, self.size
+        i = 0
+        while i + 1 < len(w):
+            at = w[i] * n + w[i + 1]
+            hit = rules[at]
+            if hit is _MISS:
+                i += 1
+                continue
+            if trace is not None:
+                trace.add(self.pair_tags[at])
+            if hit is None:
+                return None
+            w = w[:i] + hit + w[i + 2:]
+            i = max(i - 1, 0)
+        return w
+
+    # -- collapse candidates -------------------------------------------------
+
+    def collapses(self, terms: IntTerms, reduce) -> list[tuple]:
+        """All applicable collapses ``(tag, removed words, added word,
+        added coefficient)``, largest groups and innermost slots first;
+        *reduce* is the monomial reduction used on completion words.
+        Prefix and suffix enter the sort keys length first, then letter
+        by letter, the order ``word_key`` gives the generator words."""
+        out: list = []
+        for table in self.sum_axes:
+            table.candidates(terms, reduce, out)
+        for table in self.unitary_tables:
+            table.candidates(terms, out)
+        out.sort(key=itemgetter(0))
+        return [c for _, c in out]
+
+
+class _SumAxis:
+    """The sum schemas varying one axis of the relation set's kind.
+
+    They share their groups, words equal but for the varying index of
+    one generator, and the completions of a group over the index set;
+    each schema only tests the group's coefficients."""
+
+    def __init__(self, alpha: Alphabet, rels: RelationSet, axis: str, schemas):
+        var, fixed = alpha.axis(axis), alpha.axis("col" if axis == "row" else "row")
+        ours = [kind == rels.gen_kind for kind in alpha.schema_kind]
+        self.slot = [(var[g], fixed[g]) if ours[g] else None for g in range(alpha.size)]
+        self.completions = [
+            tuple((m, alpha.substitute(g, axis, m)) for m in alpha.universe) if ours[g] else None
+            for g in range(alpha.size)]
+        self.schemas = tuple(
+            ("collapse:" + s.tag,
+             {alpha.rank[i]: rels.weight_of(s, i) for i in rels.universe} if s.weighted else None)
+            for s in schemas)
+
+    def candidates(self, terms: IntTerms, reduce, out: list):
+        slot = self.slot
+        groups: dict[tuple, dict[int, tuple]] = {}
+        for w, c in terms.items():
+            for t, g in enumerate(w):
+                s = slot[g]
+                if s is None:
+                    continue
+                key = (w[:t], w[t + 1:], s[1])
+                members = groups.get(key)
+                if members is None:
+                    members = groups[key] = {}
+                members[s[0]] = (c, w, g)
+        for (prefix, suffix, fixed), members in groups.items():
+            complete = None
+            for tag, weights in self.schemas:
+                value = _collapsed_value(members, fixed, weights)
+                if value is None:
+                    continue
+                if complete is None:
+                    g0 = next(iter(members.values()))[2]
+                    complete = not any(
+                        m not in members and reduce(prefix + (gid,) + suffix) is not None
+                        for m, gid in self.completions[g0])
+                if not complete:
+                    break
+                removed = tuple(w for _, w, _ in members.values())
+                sort_key = (-len(members), -len(prefix), prefix, len(suffix), suffix,
+                            tag, fixed)
+                out.append((sort_key, (tag, removed, prefix + suffix, value)))
+
+
+def _collapsed_value(members: dict, fixed: int, weights: dict | None) -> Fraction | None:
+    """What a sum group collapses to under a plain (weights None) or
+    weighted schema, or None when its coefficients do not fit it."""
+    rest = iter(members.items())
+    first_idx, (c0, _, _) = next(rest)
+    if weights is None:
+        return None if any(c != c0 for _, (c, _, _) in rest) else c0
+    base = c0 / weights[first_idx]
+    if any(c != base * weights[idx] for idx, (c, _, _) in rest):
+        return None
+    return base * weights[fixed]
+
+
+class _UnitaryTable:
+    """One unitary schema over an alphabet: for each generator of either
+    factor's kind, its (shared index, other index)."""
+
+    def __init__(self, alpha: Alphabet, schema):
+        self.tag = "collapse:" + schema.tag
+        self.sides = []
+        for kind, axis in zip(schema.kinds, schema.shared_axes):
+            shared = alpha.axis(axis)
+            other = alpha.axis("col" if axis == "row" else "row")
+            self.sides.append([(shared[g], other[g]) if alpha.schema_kind[g] == kind else None
+                               for g in range(alpha.size)])
+        self.universe = frozenset(alpha.universe)
+
+    def candidates(self, terms: IntTerms, out: list):
+        left, right = self.sides
+        groups: dict[tuple, dict[int, tuple]] = {}
+        for w, c in terms.items():
+            for t in range(len(w) - 1):
+                a = left[w[t]]
+                if a is None:
+                    continue
+                b = right[w[t + 1]]
+                if b is None or a[0] != b[0]:
+                    continue
+                groups.setdefault((w[:t], w[t + 2:], a[1], b[1]), {})[a[0]] = (c, w)
+        for (prefix, suffix, i, j), members in groups.items():
+            if members.keys() != self.universe:
+                continue  # u-words have no zero rules, so only full sums collapse
+            rest = iter(members.values())
+            base = next(rest)[0]
+            if any(c != base for c, _ in rest):
+                continue
+            removed = tuple(w for _, w in members.values())
+            coeff = base if i == j else Fraction(0)
+            sort_key = (-len(members), -len(prefix), prefix, len(suffix), suffix,
+                        self.tag, i, j)
+            out.append((sort_key, (self.tag, removed, prefix + suffix, coeff)))
+
+
+def _encode(words: list[Word], rels: RelationSet) -> tuple[Alphabet, list[IntWord]]:
+    """*words* encoded in the relation set's alphabet, or in one extended
+    for this call when they hold generators outside it."""
+    alpha = rels.alphabet
+    try:
+        return alpha, [alpha.encode(w) for w in words]
+    except KeyError:
+        alpha = Alphabet(rels, frozenset(g for w in words for g in w if g not in alpha.ids))
+        return alpha, [alpha.encode(w) for w in words]
+
+
+def _search_zero(start: IntTerms, alpha: Alphabet, limit: int):
+    """Depth-first search over collapse choices for an empty form,
+    starting from a nonzero monomial fixed point; returns the applied
+    collapse tags on success, None on failure.
+
+    A collapse deletes its group and adds one shorter word, so a child
+    is again a monomial fixed point once that word alone is reduced.
+    Reductions are memoised for this search only: completion words recur
+    within one search far more than across searches, so the memo dies
+    with it and memory stays flat.  Pending forms wait on the stack as
+    the frozen item sets ``seen`` already holds, not as second copies.
+    Candidate sort keys are unique per schema tag, so a form's
+    candidates do not depend on the order of its terms.
+    """
+    memo: dict[IntWord, IntWord | None] = {}
+
+    def reduce(w: IntWord) -> IntWord | None:
+        r = memo.get(w, _MISS)
+        if r is _MISS:
+            r = memo[w] = alpha.rewrite(w)
+        return r
+
+    key = frozenset(start.items())
+    seen = {key}
+    stack = [(key, ())]
+    budget = limit
+    while stack and budget > 0:
+        key, tags = stack.pop()
+        cur = dict(key)
+        budget -= 1
+        for tag, removed, added, coeff in reversed(alpha.collapses(cur, reduce)):
+            child = dict(cur)
+            for w in removed:
+                del child[w]
+            r = reduce(added) if coeff else None
+            if r is not None:
+                c = child.get(r, 0) + coeff
+                if c:
+                    child[r] = c
+                else:
+                    del child[r]
+            if not child:
+                return tags + (tag,)
+            key = frozenset(child.items())
+            if key not in seen:
+                seen.add(key)
+                stack.append((key, tags + (tag,)))
+    return None
 
 
 def reduce_word(word: Word, rels: RelationSet, trace: ReductionTrace | None = None):
     """Monomial fixed point of *word*; None means it rewrote to zero."""
-    if rels.vanishing and any(g in rels.vanishing for g in word):
-        if trace is not None:
-            trace.add("mono:vanishing-generator")
-        return None
-    rules = rels.pair_rules
-    w = word
-    i = 0
-    while i + 1 < len(w):
-        hit = rules.get((w[i], w[i + 1]), "miss")
-        if hit == "miss":
-            i += 1
-            continue
-        if trace is not None:
-            trace.add("mono:" + rels.rule_tags[(w[i], w[i + 1])])
-        if hit is None:
-            return None
-        w = w[:i] + hit + w[i + 2:]
-        i = max(i - 1, 0)
-    return w
+    alpha, (w,) = _encode([word], rels)
+    r = alpha.rewrite(w, trace)
+    return None if r is None else alpha.decode(r)
 
 
 def _monomial_pass(p: NCPoly, rels: RelationSet, trace: ReductionTrace | None) -> NCPoly:
@@ -92,143 +363,6 @@ def _monomial_pass(p: NCPoly, rels: RelationSet, trace: ReductionTrace | None) -
         if r is not None:
             out[r] = out.get(r, Fraction(0)) + c
     return NCPoly(out)
-
-
-def _gen_axis(gen: Generator, axis: str) -> str:
-    return gen.row if axis == "row" else gen.col
-
-
-def _make_gen(template: Generator, axis: str, idx: str) -> Generator:
-    if axis == "row":
-        return Generator(template.kind, idx, template.col)
-    return Generator(template.kind, template.row, idx)
-
-
-@dataclass(frozen=True)
-class _Collapse:
-    tag: str
-    removed: tuple[tuple[Word, Fraction], ...]
-    added_word: Word
-    added_coeff: Fraction
-
-    def apply(self, p: NCPoly) -> NCPoly:
-        terms = p.terms()
-        for w, c in self.removed:
-            terms[w] = terms.get(w, Fraction(0)) - c
-        terms[self.added_word] = terms.get(self.added_word, Fraction(0)) + self.added_coeff
-        return NCPoly(terms)
-
-
-def _sum_schema_candidates(p: NCPoly, rels: RelationSet, schema: SumSchema, out: list):
-    universe = rels.universe
-    terms = p.terms()
-    groups: dict[tuple, dict[str, tuple[Fraction, Generator]]] = {}
-    for w in terms:
-        for t, gen in enumerate(w):
-            if gen.kind != rels.gen_kind:
-                continue
-            var = _gen_axis(gen, schema.varying_axis)
-            fixed_axis = "col" if schema.varying_axis == "row" else "row"
-            key = (w[:t], w[t + 1:], _gen_axis(gen, fixed_axis))
-            groups.setdefault(key, {})[var] = (terms[w], gen)
-    for (prefix, suffix, fixed), members in groups.items():
-        first_idx = next(iter(members))
-        c0, gen0 = members[first_idx]
-        if schema.weighted:
-            base = c0 / rels.weight_of(schema, first_idx)
-            if any(c != base * rels.weight_of(schema, idx)
-                   for idx, (c, _) in members.items()):
-                continue
-        else:
-            base = c0
-            if any(c != base for _, (c, _) in members.items()):
-                continue
-        if base == 0:
-            continue
-        missing = [idx for idx in universe if idx not in members]
-        if any(reduce_word(prefix + (_make_gen(gen0, schema.varying_axis, m),) + suffix,
-                           rels) is not None
-               for m in missing):
-            continue
-        value = base * rels.weight_of(schema, fixed) if schema.weighted else base
-        removed = tuple(sorted(((prefix + (gen,) + suffix), c)
-                               for _, (c, gen) in members.items()))
-        sort_key = (-len(members), -len(prefix), word_key(prefix), word_key(suffix),
-                    schema.tag, fixed)
-        out.append((sort_key, _Collapse("collapse:" + schema.tag, removed,
-                                        prefix + suffix, value)))
-
-
-def _unitary_schema_candidates(p: NCPoly, rels: RelationSet, schema: UnitarySchema,
-                               out: list):
-    terms = p.terms()
-    universe = rels.universe
-    kind1, kind2 = schema.kinds
-    ax1, ax2 = schema.shared_axes
-    groups: dict[tuple, dict[str, Fraction]] = {}
-    for w in terms:
-        for t in range(len(w) - 1):
-            g1, g2 = w[t], w[t + 1]
-            if g1.kind != kind1 or g2.kind != kind2:
-                continue
-            if _gen_axis(g1, ax1) != _gen_axis(g2, ax2):
-                continue
-            other1 = "col" if ax1 == "row" else "row"
-            other2 = "col" if ax2 == "row" else "row"
-            key = (w[:t], w[t + 2:], _gen_axis(g1, other1), _gen_axis(g2, other2))
-            groups.setdefault(key, {})[_gen_axis(g1, ax1)] = terms[w]
-    for (prefix, suffix, i, j), members in groups.items():
-        if set(members) != set(universe):
-            continue  # u-words have no zero rules, so only full sums collapse
-        coeffs = set(members.values())
-        if len(coeffs) != 1:
-            continue
-        base = coeffs.pop()
-        if base == 0:
-            continue
-        removed = []
-        for k in members:
-            g1 = Generator(kind1, k, i) if ax1 == "row" else Generator(kind1, i, k)
-            g2 = Generator(kind2, k, j) if ax2 == "row" else Generator(kind2, j, k)
-            removed.append((prefix + (g1, g2) + suffix, base))
-        coeff = base if i == j else Fraction(0)
-        sort_key = (-len(members), -len(prefix), word_key(prefix), word_key(suffix),
-                    schema.tag, i, j)
-        out.append((sort_key, _Collapse("collapse:" + schema.tag, tuple(sorted(removed)),
-                                        prefix + suffix, coeff)))
-
-
-def _collapse_candidates(p: NCPoly, rels: RelationSet) -> list[_Collapse]:
-    """All applicable collapses, largest groups and innermost slots first."""
-    out: list = []
-    for schema in rels.sum_schemas:
-        _sum_schema_candidates(p, rels, schema, out)
-    for schema in rels.unitary_schemas:
-        _unitary_schema_candidates(p, rels, schema, out)
-    out.sort(key=lambda t: t[0])
-    return [c for _, c in out]
-
-
-def _search_zero(p: NCPoly, rels: RelationSet, limit: int):
-    """Depth-first search over collapse choices for an empty form;
-    returns the applied collapse tags on success, None on failure."""
-    start = _monomial_pass(p, rels, None)
-    if start.is_zero():
-        return ()
-    seen = {start}
-    stack = [(start, ())]
-    budget = limit
-    while stack and budget > 0:
-        cur, tags = stack.pop()
-        budget -= 1
-        for collapse in reversed(_collapse_candidates(cur, rels)):
-            child = _monomial_pass(collapse.apply(cur), rels, None)
-            if child.is_zero():
-                return tags + (collapse.tag,)
-            if child not in seen:
-                seen.add(child)
-                stack.append((child, tags + (collapse.tag,)))
-    return None
 
 
 def normal_form(p: NCPoly, rels: RelationSet, trace: ReductionTrace | None = None,
@@ -245,7 +379,9 @@ def normal_form(p: NCPoly, rels: RelationSet, trace: ReductionTrace | None = Non
     cur = _monomial_pass(p, rels, trace)
     if cur.is_zero():
         return cur
-    winning = _search_zero(p, rels, search_limit)
+    terms = cur.terms()
+    alpha, words = _encode(list(terms), rels)
+    winning = _search_zero(dict(zip(words, terms.values())), alpha, search_limit)
     if winning is not None:
         if trace is not None:
             for tag in winning:

@@ -204,6 +204,38 @@ def test_dirac_commutation(contexts):
         assert res.residuals["gram_unitarity"] < 1e-10
 
 
+def test_suite_checks_each_welldefined_pair_once(contexts, monkeypatch):
+    from qisograph import corep
+    calls = []
+    original = corep.check_welldefined
+
+    def counting(ctx, l, k, convention=None):
+        calls.append((l, k))
+        return original(ctx, l, k, convention)
+
+    monkeypatch.setattr(corep, "check_welldefined", counting)
+    ctx = contexts["three-cycle"]
+    results = run_identity_suite(ctx, k_max=2, n_cap=3)
+    # the suite checks l < k <= 2, the Dirac check adds the pairs up to 3
+    assert sorted(calls) == [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
+    shared = results[-1]
+    calls.clear()
+    alone = check_dirac_commutation(ctx, 3)
+    assert len(calls) == 6
+    assert (shared.reductions, shared.trace_digest, shared.detail) == \
+        (alone.reductions, alone.trace_digest, alone.detail)
+
+
+def test_dirac_commutation_uses_given_welldefined_flags(contexts, monkeypatch):
+    from qisograph import corep
+    monkeypatch.setattr(corep, "check_welldefined", None)   # must not be called
+    res = check_dirac_commutation(contexts["three-cycle"], 2,
+                                  welldefined={(0, 1): False})
+    assert not res.passed
+    assert res.detail["welldefined_passed"] is False
+    assert res.reductions == 3                    # tags for 0->1, 0->2, 1->2
+
+
 def test_dirac_commutation_negative_control(contexts):
     ctx = contexts["k3"]
     res = check_dirac_commutation(ctx, 2, scalar_override=fourier_unitary(3))

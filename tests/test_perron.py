@@ -9,7 +9,7 @@ from qisograph.graphs import (
 )
 from qisograph.perron import (
     PerronError, additivity_residual, convention_residuals, cylinder_intersection_measure,
-    cylinder_measure, kms_vertex_value, perron, select_convention, total_level_mass,
+    cylinder_measure, perron, select_convention, total_level_mass,
 )
 
 
@@ -70,6 +70,18 @@ def test_doubled_multiplicities_scale_rho(graphs):
     assert pf2.exact_x == pf1.exact_x
 
 
+def test_exactness_follows_integer_radius():
+    # a rational eigenvalue of an integer matrix is an integer
+    integer = parse_graph("graph int2\nv 1\nv 2\ne a 1 1\ne b 1 2\ne c 1 2\ne d 2 1\n")
+    pf = perron(integer)
+    assert pf.exact and pf.exact_rho == 2
+    assert sorted(pf.exact_x) == [Fraction(1, 3), Fraction(2, 3)]
+    golden = parse_graph("graph golden\nv 1\nv 2\ne a 1 1\ne b 2 1\ne c 1 2\n")
+    pf = perron(golden)
+    assert not pf.exact
+    assert abs(pf.rho - (1 + 5 ** 0.5) / 2) < 1e-9
+
+
 def test_cylinder_measures(graphs, perron_data):
     k3, pfk = graphs["k3"], perron_data["k3"]
     lam = path_from_edges(k3, ("e12", "e21"))
@@ -90,11 +102,11 @@ def test_cuntz_measure_formula(graphs, perron_data):
 
 
 def test_kms_vertex_values(graphs, perron_data):
-    assert kms_vertex_value(perron_data["three-cycle"], "2") == Fraction(1, 3)
-    assert kms_vertex_value(perron_data["k3"], "1") == Fraction(1, 3)
-    assert kms_vertex_value(perron_data["cuntz2"], "w") == 1
+    assert perron_data["three-cycle"].x_of("2") == Fraction(1, 3)
+    assert perron_data["k3"].x_of("1") == Fraction(1, 3)
+    assert perron_data["cuntz2"].x_of("w") == 1
     for name, pf in perron_data.items():
-        assert sum(kms_vertex_value(pf, v) for v in pf.vertices) == 1
+        assert sum(pf.x_of(v) for v in pf.vertices) == 1
 
 
 def test_additivity_source_append_exact_zero(graphs, perron_data):
