@@ -7,16 +7,21 @@ well-definedness check on the asymmetric graph to show the suite
 detects the difference.
 """
 
+from pathlib import Path
+
 from qisograph.corep import VERTEX_PAIR, VerificationContext, check_welldefined
-from qisograph.graphs import RANGE_PREPEND, SOURCE_APPEND
+from qisograph.graphs import RANGE_PREPEND, SOURCE_APPEND, parse_graph
 from qisograph.perron import convention_residuals, perron, select_convention
 from qisograph.providers import classical_rep
 from qisograph.relations import qaut_relations
-from qisograph.standard import standard_graphs
+
+
+GRAPHS = Path(__file__).resolve().parent.parent / "graphs"
 
 
 def main():
-    graphs = standard_graphs()
+    graphs = {g.name: g for g in (parse_graph(f.read_text())
+                                  for f in sorted(GRAPHS.glob("*.g")))}
     print(f"{'graph':<12} {'append residual':>16} {'prepend residual':>17} {'adopted':>15}")
     for name, g in graphs.items():
         pf = perron(g)

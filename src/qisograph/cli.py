@@ -230,16 +230,16 @@ def cmd_verify(config: RunConfig) -> SuiteReport:
 
 def cmd_cuntz(config: RunConfig) -> SuiteReport:
     g, _, digest = _load_graph(config)
-    loops = [e for e in g.edges if e.range == e.source]
-    if len(g.vertices) != 1 or len(loops) != len(g.edges) or len(loops) < 2:
-        raise UsageError("the cuntz command needs a one-vertex graph with n >= 2 loops")
-    n = len(loops)
+    n = len(g.edges)
     checks = []
     notes = []
     flavors = [config.flavor] if config.flavor in (FREE_UNITARY, MAGIC) else [FREE_UNITARY, MAGIC]
     for flavor in flavors:
         started = time.monotonic()
-        setup = cuntz_setup(n, flavor)
+        try:
+            setup = cuntz_setup(g, flavor)
+        except ValueError as exc:
+            raise UsageError(str(exc)) from None
         derivation = derive_contradiction(setup)
         if flavor == FREE_UNITARY:
             verdict = non_isometry_verdict(setup, derivation=derivation)
@@ -256,7 +256,7 @@ def cmd_cuntz(config: RunConfig) -> SuiteReport:
                 PROVED_ZERO if ok else "Unknown", {}, 0, "",
                 (time.monotonic() - started) * 1000.0,
                 detail=derivation.to_dict()))
-            suite = sn_plus_isometry_suite(n, k_max=config.k_max, n_cap=config.n_cap)
+            suite = sn_plus_isometry_suite(g, k_max=config.k_max, n_cap=config.n_cap)
             checks.extend(suite)
         notes.append({"flavor": flavor, "steps": [s.label for s in derivation.steps]})
     return SuiteReport("cuntz", __version__, g.name, digest, SOURCE_APPEND,

@@ -10,6 +10,13 @@ generating isometries.  The same words are the coefficients of the
 action on the algebra, which is exactly why the corepresentation
 implements it.
 
+``VerificationContext.level(k)`` is the one source of the level-k
+matrix: built once per context, it holds the degree-k basis in
+``enumerate_paths`` order and the entry word Q[eta,lambda] for every
+pair of basis paths.  The level-1 table is also the action on the
+edge isometries, alpha(S_e) = sum_f S_f (x) Q[f,e], and the level-0
+table its action on the vertex projections.
+
 Every check reduces its obligation polynomials symbolically and also
 evaluates them under the registered numeric providers; a check passes
 only when the symbolic verdict is ProvedZero (or the stated structural
@@ -25,7 +32,8 @@ from fractions import Fraction
 import numpy as np
 
 from .graphs import (
-    DirectedGraph, Path, SOURCE_APPEND, compose, enumerate_paths, refine, vertex_path,
+    DirectedGraph, Path, SOURCE_APPEND, compose, enumerate_paths, extends, refine,
+    s_star_image, vertex_path,
 )
 from .hilbert import dirac, embedding_gram_residual
 from .ncpoly import Generator, NCPoly, TensorPoly, Word, comultiply
@@ -64,45 +72,23 @@ def corep_entry_word(g: DirectedGraph, scheme: str, kind: str,
 
 @dataclass(frozen=True)
 class LevelCorep:
+    """The level-k corepresentation matrix: the degree-k basis in
+    enumerate_paths order and the entry word Q[eta, lam] keyed by the
+    pair of basis paths.  Each distinct generator is one object."""
+
     level: int
     basis: tuple[Path, ...]
-    entries: dict[tuple[int, int], Word]
+    entries: dict[tuple[Path, Path], Word]
 
 
 def build_corep(g: DirectedGraph, k: int, scheme: str = VERTEX_PAIR,
                 kind: str = "q") -> LevelCorep:
     basis = tuple(enumerate_paths(g, k))
-    entries = {(i, j): corep_entry_word(g, scheme, kind, eta, lam)
-               for i, eta in enumerate(basis) for j, lam in enumerate(basis)}
+    interned: dict[Generator, Generator] = {}
+    entries = {(eta, lam): tuple(interned.setdefault(x, x)
+                                 for x in corep_entry_word(g, scheme, kind, eta, lam))
+               for eta in basis for lam in basis}
     return LevelCorep(k, basis, entries)
-
-
-@dataclass(frozen=True)
-class ActionImage:
-    """Coefficients of the action on the generators: each edge maps to a
-    sum over all edges, each vertex to a sum over all vertices."""
-
-    edge_rows: dict[str, tuple[tuple[str, Word], ...]]
-    vertex_rows: dict[str, tuple[tuple[str, Word], ...]]
-
-
-def build_action(g: DirectedGraph, scheme: str = VERTEX_PAIR,
-                 kind: str = "q") -> ActionImage:
-    from .graphs import edge_path
-    edge_rows = {}
-    for e in g.sorted_edges:
-        lam = edge_path(g, e.id)
-        row = []
-        for f in g.sorted_edges:
-            row.append((f.id, corep_entry_word(g, scheme, kind, edge_path(g, f.id), lam)))
-        edge_rows[e.id] = tuple(row)
-    vertex_rows = {}
-    for v in g.vertices:
-        if scheme == VERTEX_PAIR:
-            vertex_rows[v] = tuple((w, (Generator(kind, w, v),)) for w in g.vertices)
-        else:
-            vertex_rows[v] = tuple((w, ()) for w in g.vertices)
-    return ActionImage(edge_rows, vertex_rows)
 
 
 @dataclass
@@ -115,6 +101,8 @@ class VerificationContext:
     providers: list[RepresentationProvider] = field(default_factory=list)
     n_cap: int = 3
     numeric_tol: float = NUMERIC_TOL
+    _levels: dict[int, LevelCorep] = field(default_factory=dict, init=False,
+                                           repr=False, compare=False)
 
     def __post_init__(self):
         # the obligations carry state weights as exact coefficients;
@@ -126,11 +114,15 @@ class VerificationContext:
     def kind(self) -> str:
         return self.rels.gen_kind
 
-    def entry(self, eta: Path, lam: Path) -> Word:
-        return corep_entry_word(self.g, self.scheme, self.kind, eta, lam)
+    def level(self, k: int) -> LevelCorep:
+        """The level-k corepresentation table, built on first use."""
+        table = self._levels.get(k)
+        if table is None:
+            table = self._levels[k] = build_corep(self.g, k, self.scheme, self.kind)
+        return table
 
     def entry_poly(self, eta: Path, lam: Path) -> NCPoly:
-        return NCPoly.word(self.entry(eta, lam))
+        return NCPoly.word(self.level(eta.degree).entries[(eta, lam)])
 
     def x_of(self, v: str) -> Fraction:
         return self.pf.x_of(v)
@@ -172,10 +164,10 @@ def check_welldefined(ctx: VerificationContext, l: int, k: int,
     conv = convention or ctx.convention
     trace = ReductionTrace()
     verdicts, diffs = [], []
-    basis_k = enumerate_paths(ctx.g, k)
-    for lam in enumerate_paths(ctx.g, l):
+    basis_l, basis_k = ctx.level(l).basis, ctx.level(k).basis
+    for lam in basis_l:
         lhs: dict[Path, NCPoly] = {}
-        for xi in enumerate_paths(ctx.g, l):
+        for xi in basis_l:
             word = ctx.entry_poly(xi, lam)
             for ext in refine(ctx.g, xi, k - l, ctx.convention):
                 lhs[ext] = lhs.get(ext, NCPoly.zero()) + word
@@ -200,7 +192,7 @@ def isometry_obligation(ctx: VerificationContext, lam: Path, eta: Path) -> NCPol
     """sum_zeta x_{s(zeta)} Q[zeta,lam]* Q[zeta,eta]
     - delta_{lam,eta} x_{s(lam)}; the common rho^{-k} factor cancels."""
     ob = NCPoly.zero()
-    for zeta in enumerate_paths(ctx.g, lam.degree):
+    for zeta in ctx.level(lam.degree).basis:
         w1 = ctx.entry_poly(zeta, lam)
         w2 = ctx.entry_poly(zeta, eta)
         ob = ob + (w1.star() * w2).scale(ctx.x_of(zeta.source))
@@ -214,7 +206,7 @@ def check_isometry(ctx: VerificationContext, k: int) -> CheckResult:
     started = time.monotonic()
     trace = ReductionTrace()
     verdicts, diffs = [], []
-    basis = enumerate_paths(ctx.g, k)
+    basis = ctx.level(k).basis
     for lam in basis:
         for eta in basis:
             ob = isometry_obligation(ctx, lam, eta)
@@ -235,7 +227,7 @@ def check_isometry_mixed(ctx: VerificationContext, lam: Path, eta: Path) -> Chec
     ob = NCPoly.zero()
     for lam2 in refine(ctx.g, lam, top - lam.degree, ctx.convention):
         for eta2 in refine(ctx.g, eta, top - eta.degree, ctx.convention):
-            for zeta in enumerate_paths(ctx.g, top):
+            for zeta in ctx.level(top).basis:
                 w1 = ctx.entry_poly(zeta, lam2)
                 w2 = ctx.entry_poly(zeta, eta2)
                 ob = ob + (w1.star() * w2).scale(ctx.x_of(zeta.source))
@@ -253,7 +245,7 @@ def check_comultiplicative(ctx: VerificationContext, k: int,
     if k > cost_guard:
         raise ValueError(f"comultiplicativity guarded to level {cost_guard}")
     trace = ReductionTrace()
-    basis = enumerate_paths(ctx.g, k)
+    basis = ctx.level(k).basis
     failures = 0
     worst_terms = 0
     for lam in basis:
@@ -288,17 +280,17 @@ def check_density(ctx: VerificationContext, lam: Path) -> CheckResult:
     combo: dict[Path, NCPoly] = {}
     if lam.degree == 1:
         beta = lam
-        for zeta in enumerate_paths(g, 1):
+        for zeta in ctx.level(1).basis:
             mult = NCPoly.word((Generator(kind, beta.source, zeta.source),
                                 Generator(kind, beta.range, zeta.range)))
-            for eta in enumerate_paths(g, 1):
+            for eta in ctx.level(1).basis:
                 term = ctx.entry_poly(eta, zeta) * mult
                 combo[eta] = combo.get(eta, NCPoly.zero()) + term
     else:
         gamma_id, beta_id = lam.edges
         g_r, g_s = g.range_of(gamma_id), g.source_of(gamma_id)
         b_r, b_s = g.range_of(beta_id), g.source_of(beta_id)
-        for pair in enumerate_paths(g, 2):
+        for pair in ctx.level(2).basis:
             z_id, x_id = pair.edges
             mult = NCPoly.word((
                 Generator(kind, b_s, g.source_of(x_id)),
@@ -306,12 +298,12 @@ def check_density(ctx: VerificationContext, lam: Path) -> CheckResult:
                 Generator(kind, g_s, g.source_of(z_id)),
                 Generator(kind, g_r, g.range_of(z_id)),
             ))
-            for eta in enumerate_paths(g, 2):
+            for eta in ctx.level(2).basis:
                 term = ctx.entry_poly(eta, pair) * mult
                 combo[eta] = combo.get(eta, NCPoly.zero()) + term
     trace = ReductionTrace()
     verdicts, diffs = [], []
-    for eta in enumerate_paths(g, lam.degree):
+    for eta in ctx.level(lam.degree).basis:
         d = combo.get(eta, NCPoly.zero())
         if eta == lam:
             d = d - NCPoly.one()
@@ -325,12 +317,6 @@ def check_density(ctx: VerificationContext, lam: Path) -> CheckResult:
 # ---------------------------------------------------------------------------
 # implementation on the spectral data
 
-def _initial_segment(longer: Path, shorter: Path) -> bool:
-    if shorter.degree == 0:
-        return longer.range == shorter.range
-    return longer.edges[:shorter.degree] == shorter.edges
-
-
 def check_implementation(ctx: VerificationContext, lam: Path, eta: Path) -> CheckResult:
     """Both intertwining identities on a basis vector: the starred one
     (with its four cases) and its non-starred counterpart, which is
@@ -343,21 +329,21 @@ def check_implementation(ctx: VerificationContext, lam: Path, eta: Path) -> Chec
     n, m = lam.degree, eta.degree
     # starred identity: (pi (x) .) alpha(S_lam*) U(chi_eta) = U(pi(S_lam*) chi_eta)
     lhs: dict[Path, NCPoly] = {}
-    for xi in enumerate_paths(g, n):
+    for xi in ctx.level(n).basis:
         coeff_star = ctx.entry_poly(xi, lam).star()
-        for zeta in enumerate_paths(g, m):
-            out = _pi_s_star_output(g, xi, zeta)
+        for zeta in ctx.level(m).basis:
+            out = s_star_image(g, xi, zeta)
             if out is None:
                 continue
             term = coeff_star * ctx.entry_poly(zeta, eta)
             lhs[out] = lhs.get(out, NCPoly.zero()) + term
     rhs: dict[Path, NCPoly] = {}
-    target = _pi_s_star_output(g, lam, eta)
+    target = s_star_image(g, lam, eta)
     if target is not None:
-        for out in enumerate_paths(g, target.degree):
+        for out in ctx.level(target.degree).basis:
             rhs[out] = ctx.entry_poly(out, target)
     out_level = max(m - n, 0)
-    for out in enumerate_paths(g, out_level):
+    for out in ctx.level(out_level).basis:
         d = lhs.get(out, NCPoly.zero()) - rhs.get(out, NCPoly.zero())
         if d.is_zero():
             continue
@@ -369,9 +355,9 @@ def check_implementation(ctx: VerificationContext, lam: Path, eta: Path) -> Chec
     non_starred = n + m <= ctx.n_cap
     if non_starred:
         lhs2: dict[Path, NCPoly] = {}
-        for xi in enumerate_paths(g, n):
+        for xi in ctx.level(n).basis:
             coeff = ctx.entry_poly(xi, lam)
-            for zeta in enumerate_paths(g, m):
+            for zeta in ctx.level(m).basis:
                 if zeta.range != xi.source:
                     continue
                 out = compose(xi, zeta)
@@ -379,9 +365,9 @@ def check_implementation(ctx: VerificationContext, lam: Path, eta: Path) -> Chec
         rhs2: dict[Path, NCPoly] = {}
         if eta.range == lam.source:
             target2 = compose(lam, eta)
-            for out in enumerate_paths(g, n + m):
+            for out in ctx.level(n + m).basis:
                 rhs2[out] = ctx.entry_poly(out, target2)
-        for out in enumerate_paths(g, n + m):
+        for out in ctx.level(n + m).basis:
             d = lhs2.get(out, NCPoly.zero()) - rhs2.get(out, NCPoly.zero())
             if d.is_zero():
                 continue
@@ -396,20 +382,10 @@ def check_implementation(ctx: VerificationContext, lam: Path, eta: Path) -> Chec
     return result
 
 
-def _pi_s_star_output(g: DirectedGraph, lam: Path, eta: Path) -> Path | None:
-    n, m = lam.degree, eta.degree
-    if n >= m:
-        return vertex_path(lam.source) if _initial_segment(lam, eta) else None
-    if _initial_segment(eta, lam):
-        rest = eta.edges[n:]
-        return Path(rest, g.range_of(rest[0]), eta.source)
-    return None
-
-
 def _implementation_case(g, lam: Path, eta: Path) -> str:
     if lam.degree >= eta.degree:
-        return "extends" if _initial_segment(lam, eta) else "incompatible-long"
-    return "prefix" if _initial_segment(eta, lam) else "incompatible-short"
+        return "extends" if extends(lam, eta) else "incompatible-long"
+    return "prefix" if extends(eta, lam) else "incompatible-short"
 
 
 def check_kms_invariance(ctx: VerificationContext, lam: Path, mu: Path) -> CheckResult:
@@ -420,7 +396,7 @@ def check_kms_invariance(ctx: VerificationContext, lam: Path, mu: Path) -> Check
     verdicts, diffs = [], []
     if lam.degree == mu.degree:
         ob = NCPoly.zero()
-        for xi in enumerate_paths(ctx.g, lam.degree):
+        for xi in ctx.level(lam.degree).basis:
             w1 = ctx.entry_poly(xi, lam)
             w2 = ctx.entry_poly(xi, mu)
             ob = ob + (w1 * w2.star()).scale(ctx.x_of(xi.source))
@@ -442,7 +418,7 @@ def evaluate_corep_matrix(ctx: VerificationContext, k: int,
     """The level-k corepresentation under a provider, one level matrix
     per one-dimensional summand: shape (dim, paths, paths), with entry
     [s, eta, lam] the value of Q[eta, lam] on summand s."""
-    basis = enumerate_paths(ctx.g, k)
+    basis = ctx.level(k).basis
     out = np.zeros((provider.dim, len(basis), len(basis)), dtype=complex)
     for i, eta in enumerate(basis):
         for j, lam in enumerate(basis):
@@ -534,31 +510,28 @@ def run_identity_suite(ctx: VerificationContext, k_max: int = 2,
             welldefined[(l, k)] = results[-1].passed
     for k in range(k_max + 1):
         results.append(check_isometry(ctx, k))
-    lam0 = enumerate_paths(ctx.g, 1)[0]
-    for eta in enumerate_paths(ctx.g, 2)[:2]:
+    edges1, paths2 = ctx.level(1).basis, ctx.level(2).basis
+    lam0 = edges1[0]
+    for eta in paths2[:2]:
         results.append(check_isometry_mixed(ctx, lam0, eta))
     for k in range(min(k_max, 2) + 1):
         results.append(check_comultiplicative(ctx, k))
     if include_density is None:
         include_density = ctx.scheme == VERTEX_PAIR
     if include_density:
-        for lam in enumerate_paths(ctx.g, 1):
-            results.append(check_density(ctx, lam))
-        for lam in enumerate_paths(ctx.g, 2):
+        for lam in edges1 + paths2:
             results.append(check_density(ctx, lam))
     deg_cap = min(2, k_max)
     for dl in range(1, deg_cap + 1):
         for dm in range(1, deg_cap + 1):
-            for lam in enumerate_paths(ctx.g, dl):
-                for eta in enumerate_paths(ctx.g, dm):
+            for lam in ctx.level(dl).basis:
+                for eta in ctx.level(dm).basis:
                     results.append(check_implementation(ctx, lam, eta))
     for v in ctx.g.vertices:
         results.append(check_kms_invariance(ctx, vertex_path(v), vertex_path(v)))
-    edges1 = enumerate_paths(ctx.g, 1)
     for lam in edges1:
         for mu in edges1:
             results.append(check_kms_invariance(ctx, lam, mu))
-    paths2 = enumerate_paths(ctx.g, 2)
     for lam in paths2:
         results.append(check_kms_invariance(ctx, lam, lam))
     results.append(check_kms_invariance(ctx, paths2[0], paths2[-1]))

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .corep import EDGE_INDEX, VerificationContext, run_identity_suite
-from .graphs import DirectedGraph, SOURCE_APPEND, SPECTRAL_TRIPLE, validate
+from .graphs import DirectedGraph, SOURCE_APPEND
 from .ncpoly import FORMAL_UNITARY, FORMAL_UNITARY_STAR, Generator, NCPoly
 from .perron import PerronData, perron
 from .providers import (
@@ -28,7 +28,6 @@ from .providers import (
 from .relations import RelationSet, free_unitary_relations, magic_relations, with_formal_unitary
 from .report import CheckResult
 from .rewrite import is_zero, normal_form
-from .standard import cuntz_loops
 from .verdict import Verdict
 
 FREE_UNITARY = "free-unitary"
@@ -49,17 +48,15 @@ class CuntzSetup:
         return self.rels.gen_kind
 
 
-def cuntz_setup(n: int, flavor: str) -> CuntzSetup:
-    """One vertex with n loops; spectral radius n, unit Perron vector,
-    M([lambda]) = n^{-d(lambda)}."""
-    if n < 2:
-        raise ValueError("need at least two loops")
+def cuntz_setup(g: DirectedGraph, flavor: str) -> CuntzSetup:
+    """The loop graph *g*: one vertex with n >= 2 loops, spectral radius
+    n, unit Perron vector, M([lambda]) = n^{-d(lambda)}.  Relations and
+    checks are indexed by the graph's own loop ids."""
+    n = len(g.edges)
+    if len(g.vertices) != 1 or any(e.range != e.source for e in g.edges) or n < 2:
+        raise ValueError("the loop-graph contrast needs a one-vertex graph with n >= 2 loops")
     if flavor not in (FREE_UNITARY, MAGIC):
         raise ValueError(f"unknown flavor {flavor!r}")
-    g = cuntz_loops(n)
-    report = validate(g, SPECTRAL_TRIPLE)
-    if not report.passed:
-        raise ValueError("loop graph fails the spectral-triple profile")
     pf = perron(g)
     loop_ids = tuple(e.id for e in g.sorted_edges)
     if flavor == FREE_UNITARY:
@@ -190,16 +187,17 @@ def non_isometry_verdict(setup: CuntzSetup,
                               witnesses, derivation)
 
 
-def sn_plus_context(n: int, n_cap: int = 3) -> VerificationContext:
-    setup = cuntz_setup(n, MAGIC)
+def sn_plus_context(g: DirectedGraph, n_cap: int = 3) -> VerificationContext:
+    setup = cuntz_setup(g, MAGIC)
     providers = [loop_permutation_rep(setup.loop_ids, setup.rels)]
     return VerificationContext(setup.graph, setup.pf, setup.rels, EDGE_INDEX,
                                SOURCE_APPEND, providers, n_cap)
 
 
-def sn_plus_isometry_suite(n: int, k_max: int = 2, n_cap: int = 3) -> list[CheckResult]:
+def sn_plus_isometry_suite(g: DirectedGraph, k_max: int = 2,
+                           n_cap: int = 3) -> list[CheckResult]:
     """The identity suite for the magic-unitary action on the n-loop
     graph; the Perron vector is the unit, so the weighted sum schema
     degenerates to plain row sums."""
-    ctx = sn_plus_context(n, n_cap)
+    ctx = sn_plus_context(g, n_cap)
     return run_identity_suite(ctx, k_max=k_max, n_cap=n_cap, include_density=False)

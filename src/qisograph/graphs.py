@@ -308,6 +308,27 @@ def compose(lam: Path, mu: Path) -> Path:
     return Path(lam.edges + mu.edges, lam.range, mu.source)
 
 
+def extends(longer: Path, shorter: Path) -> bool:
+    """Whether *longer* has *shorter* as its initial (range-side)
+    segment, i.e. the cylinder [longer] lies inside [shorter]."""
+    if shorter.degree == 0:
+        return longer.range == shorter.range
+    return longer.edges[:shorter.degree] == shorter.edges
+
+
+def s_star_image(g: DirectedGraph, lam: Path, eta: Path) -> Path | None:
+    """The basis path that S_lam* sends chi_eta to, or None when
+    S_lam* chi_eta = 0: the remainder of eta past lam when eta extends
+    lam, the vertex s(lam) when lam extends eta."""
+    n = lam.degree
+    if n >= eta.degree:
+        return vertex_path(lam.source) if extends(lam, eta) else None
+    if not extends(eta, lam):
+        return None
+    rest = eta.edges[n:]
+    return Path(rest, g.range_of(rest[0]), eta.source)
+
+
 @lru_cache(maxsize=None)
 def _paths_with_range(g: DirectedGraph, k: int, v: str) -> tuple[Path, ...]:
     """Degree-k paths with range v, lexicographic in the edge-id word."""

@@ -18,7 +18,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .graphs import DirectedGraph, Path, SOURCE_APPEND, adjacency_matrix, enumerate_paths, refine, vertex_path
+from .graphs import (
+    DirectedGraph, Path, SOURCE_APPEND, adjacency_matrix, enumerate_paths, refine, s_star_image,
+)
 from .perron import PerronData, cylinder_measure
 from .ratmat import (
     Mat, rat_identity, rat_matmul, rat_max_abs, rat_rank, rat_sub, rat_transpose, rat_zeros,
@@ -116,13 +118,6 @@ def embedding_gram_residual(g: DirectedGraph, pf: PerronData, l: int, k: int,
 # ---------------------------------------------------------------------------
 # the representation
 
-def _extends(longer: Path, shorter: Path) -> bool:
-    """Whether *longer* has *shorter* as its initial (range-side) segment."""
-    if shorter.degree == 0:
-        return longer.range == shorter.range
-    return longer.edges[:shorter.degree] == shorter.edges
-
-
 def _map_s(g, pf, lam: Path, k: int, n_cap: int) -> LevelMap:
     d = lam.degree
     if k + d > n_cap:
@@ -139,25 +134,16 @@ def _map_s(g, pf, lam: Path, k: int, n_cap: int) -> LevelMap:
 
 
 def _map_s_star(g, pf, lam: Path, k: int) -> LevelMap:
-    d = lam.degree
     src = enumerate_paths(g, k)
-    if d <= k:
-        tgt = enumerate_paths(g, k - d)
-        tgt_index = {p: i for i, p in enumerate(tgt)}
-        mat = rat_zeros(len(tgt), len(src))
-        for j, eta in enumerate(src):
-            if _extends(eta, lam):
-                beta = (vertex_path(eta.source) if eta.degree == d
-                        else Path(eta.edges[d:], g.range_of(eta.edges[d]), eta.source))
-                mat[tgt_index[beta]][j] = Fraction(1)
-        return LevelMap(k, k - d, -d, mat)
-    tgt = enumerate_paths(g, 0)
+    tgt_level = max(k - lam.degree, 0)
+    tgt = enumerate_paths(g, tgt_level)
     tgt_index = {p: i for i, p in enumerate(tgt)}
     mat = rat_zeros(len(tgt), len(src))
     for j, eta in enumerate(src):
-        if _extends(lam, eta):
-            mat[tgt_index[vertex_path(lam.source)]][j] = Fraction(1)
-    return LevelMap(k, 0, -d, mat)
+        out = s_star_image(g, lam, eta)
+        if out is not None:
+            mat[tgt_index[out]][j] = Fraction(1)
+    return LevelMap(k, tgt_level, -lam.degree, mat)
 
 
 def _map_p(g, pf, v: str, k: int) -> LevelMap:

@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from .graphs import (
     DirectedGraph, Path, SOURCE_APPEND, RANGE_PREPEND,
-    adjacency_matrix, is_strongly_connected, refine,
+    adjacency_matrix, extends, is_strongly_connected, refine,
 )
 from .ratmat import rat_matrix, rat_nullspace
 
@@ -144,11 +144,7 @@ def cylinder_intersection_measure(pf: PerronData, lam: Path, eta: Path):
     not depend on any refinement convention.
     """
     lo, hi = (lam, eta) if lam.degree <= eta.degree else (eta, lam)
-    if lo.degree == 0:
-        contained = hi.range == lo.range
-    else:
-        contained = hi.edges[:lo.degree] == lo.edges
-    if contained:
+    if extends(hi, lo):
         return cylinder_measure(pf, hi)
     return Fraction(0) if pf.exact else 0.0
 

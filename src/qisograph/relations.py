@@ -85,12 +85,6 @@ class RelationSet:
         return schema.weights[self.universe.index(idx)]
 
 
-def _star_pair(rule: PairRule) -> PairRule:
-    from .ncpoly import adjoint_generator
-    g1, g2 = rule
-    return (adjoint_generator(g2), adjoint_generator(g1))
-
-
 def _magic_pair_rules(ids: tuple[str, ...]):
     """Idempotency, row orthogonality, column orthogonality."""
     rules: dict[PairRule, tuple[Generator, ...] | None] = {}

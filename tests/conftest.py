@@ -1,15 +1,19 @@
+from pathlib import Path
+
 import pytest
 
 from qisograph.corep import VERTEX_PAIR, VerificationContext
+from qisograph.graphs import parse_graph
 from qisograph.perron import perron, select_convention
 from qisograph.providers import classical_rep
 from qisograph.relations import qaut_relations
-from qisograph.standard import standard_graphs
 
 
 @pytest.fixture(scope="session")
 def graphs():
-    return standard_graphs()
+    """The bundled graph files, keyed by each file's graph name."""
+    files = sorted((Path(__file__).resolve().parent.parent / "graphs").glob("*.g"))
+    return {g.name: g for g in (parse_graph(f.read_text()) for f in files)}
 
 
 @pytest.fixture(scope="session")

@@ -118,10 +118,10 @@ def test_criterion_6_convention_negative_control(contexts):
             assert good.passed
 
 
-def test_criterion_7_cuntz_contrast():
+def test_criterion_7_cuntz_contrast(graphs):
     with criterion(7, "Cuntz contrast", 30.0):
         for n in (2, 3):
-            setup = cuntz_setup(n, FREE_UNITARY)
+            setup = cuntz_setup(graphs[f"cuntz{n}"], FREE_UNITARY)
             derivation = derive_contradiction(setup)
             assert set(derivation.obligations) == set(setup.loop_ids)
             for ob in derivation.obligations.values():
@@ -130,7 +130,7 @@ def test_criterion_7_cuntz_contrast():
             assert verdict.not_isometric
             assert any(v.residual >= 0.4 for v in verdict.witnesses.values())
             assert all(v.residual >= 0.4 for v in verdict.witnesses.values() if v.witnessed)
-            results = sn_plus_isometry_suite(n, k_max=2, n_cap=3)
+            results = sn_plus_isometry_suite(graphs[f"cuntz{n}"], k_max=2, n_cap=3)
             assert all(r.passed for r in results)
 
 

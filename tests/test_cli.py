@@ -98,6 +98,20 @@ def test_cuntz_command(tmp_path):
     assert main(["cuntz", "--graph", _graph("k3.g")]) == 2
 
 
+def test_cuntz_reads_the_graph_file(tmp_path):
+    # the loop ids of the input file, not a rebuilt l1..ln, key the report
+    graph = tmp_path / "loops.g"
+    graph.write_text("graph loops\nv x\ne p7 x x\ne b2 x x\n")
+    out = tmp_path / "cuntz.json"
+    assert main(["cuntz", "--graph", str(graph), "--level", "2", "--k", "1",
+                 "--out", str(out)]) == 0
+    checks = json.loads(out.read_text())["checks"]
+    witnesses = next(c for c in checks if c["name"] == "non-isometry")["detail"]["witnesses"]
+    assert sorted(witnesses) == ["b2", "p7"]
+    labels = {c["inputs"]["lam"] for c in checks if c["name"] == "implementation"}
+    assert labels == {"b2", "p7"}
+
+
 def test_reduce_command(tmp_path):
     out = tmp_path / "reduce.json"
     rc = main(["reduce", "--graph", _graph("k3.g"), "--out", str(out),

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from qisograph.corep import (
-    build_action, build_corep,
+    build_corep,
     check_comultiplicative, check_density, check_dirac_commutation,
     check_implementation, check_isometry, check_isometry_mixed, check_kms_invariance,
     check_welldefined, evaluate_corep_matrix, isometry_obligation,
@@ -19,8 +19,9 @@ def test_corep_level0_is_magic_unitary(graphs):
     g = graphs["three-cycle"]
     corep = build_corep(g, 0)
     assert len(corep.basis) == 3
-    for (i, j), word in corep.entries.items():
-        assert word == (q(g.vertices[i], g.vertices[j]),)
+    assert len(corep.entries) == 9
+    for (eta, lam), word in corep.entries.items():
+        assert word == (q(eta.range, lam.range),)
 
 
 def test_corep_level1_entries(graphs):
@@ -28,13 +29,14 @@ def test_corep_level1_entries(graphs):
     corep = build_corep(g, 1)
     assert len(corep.basis) == 6
     eta, lam = corep.basis[0], corep.basis[3]
-    word = corep.entries[(0, 3)]
+    word = corep.entries[(eta, lam)]
     assert word == (q(eta.range, lam.range), q(eta.source, lam.source))
 
 
 def test_corep_level2_word_lengths(graphs):
     corep = build_corep(graphs["k3"], 2)
     assert len(corep.basis) == 12
+    assert set(corep.entries) == {(eta, lam) for eta in corep.basis for lam in corep.basis}
     assert all(len(w) == 4 for w in corep.entries.values())
     # entries are words of self-adjoint generators: star reverses them
     for word in corep.entries.values():
@@ -54,18 +56,23 @@ def test_corep_rows_and_columns_collapse(contexts):
         assert is_zero(col - NCPoly.one(), ctx.rels).kind == PROVED_ZERO
 
 
-def test_action_image_counts(graphs):
-    g = graphs["k3"]
-    action = build_action(g)
-    for eid, row in action.edge_rows.items():
+def test_action_image_counts(contexts):
+    # alpha(S_e) = sum_f S_f (x) Q[f,e] over all edges f (level 1), and
+    # alpha(p_v) = sum_w p_w (x) q[w,v] over all vertices w (level 0)
+    ctx = contexts["k3"]
+    g = ctx.g
+    edges, vertices = ctx.level(1), ctx.level(0)
+    assert edges.basis == tuple(edge_path(g, e.id) for e in g.sorted_edges)
+    for lam in edges.basis:
+        row = [(f, word) for (f, e), word in edges.entries.items() if e == lam]
         assert len(row) == 6
-        lam = edge_path(g, eid)
-        for fid, word in row:
-            f = edge_path(g, fid)
+        for f, word in row:
             assert word == (q(f.range, lam.range), q(f.source, lam.source))
-    for v, row in action.vertex_rows.items():
+    assert vertices.basis == tuple(vertex_path(v) for v in g.vertices)
+    for v in vertices.basis:
+        row = [(w, word) for (w, u), word in vertices.entries.items() if u == v]
         assert len(row) == 3
-        assert all(word == (q(w, v),) for w, word in row)
+        assert all(word == (q(w.range, v.range),) for w, word in row)
 
 
 def test_action_consistent_with_classical(contexts):
@@ -73,14 +80,11 @@ def test_action_consistent_with_classical(contexts):
     # coefficient of edge f in alpha(S_e) is the indicator sigma(e) = f
     ctx = contexts["three-cycle"]
     provider = ctx.providers[0]
-    action = build_action(ctx.g)
     from qisograph.graphs import graph_automorphisms
     autos = graph_automorphisms(ctx.g)
-    for eid, row in action.edge_rows.items():
-        e = ctx.g.edge_by_id[eid]
-        for fid, word in row:
-            f = ctx.g.edge_by_id[fid]
-            values = provider.value(NCPoly.word(word))
+    for e in ctx.level(1).basis:
+        for f in ctx.level(1).basis:
+            values = provider.value(ctx.entry_poly(f, e))
             assert values.shape == (len(autos),)
             for sigma, val in zip(autos, values):
                 expected = 1.0 if (sigma[e.range], sigma[e.source]) == (f.range, f.source) else 0.0
@@ -298,6 +302,27 @@ def test_dirac_commutation_matches_dense_oracle(contexts):
                 assert abs(res.residuals["commutator"] - comm) < 1e-12
                 assert abs(res.residuals["gram_unitarity"] - unitary) < 1e-12
                 assert (unitary > 1e-3) == (provider is skew)
+
+
+def test_suite_builds_each_entry_once(contexts, monkeypatch):
+    from collections import Counter
+    from dataclasses import replace
+    from qisograph import corep
+    calls = Counter()
+    original = corep.corep_entry_word
+
+    def counting(g, scheme, kind, eta, lam):
+        calls[(eta, lam)] += 1
+        return original(g, scheme, kind, eta, lam)
+
+    monkeypatch.setattr(corep, "corep_entry_word", counting)
+    ctx = replace(contexts["three-cycle"])          # no level tables yet
+    run_identity_suite(ctx, k_max=2, n_cap=3)
+    assert set(calls.values()) == {1}
+    # levels 0..n_cap, each pair of same-degree basis paths exactly once
+    assert set(calls) == {(eta, lam) for k in range(4)
+                          for eta in enumerate_paths(ctx.g, k)
+                          for lam in enumerate_paths(ctx.g, k)}
 
 
 def test_suite_all_pass(contexts):

@@ -9,26 +9,28 @@ from qisograph.cuntz import (
 from qisograph.hilbert import multiplicities
 from qisograph.ncpoly import NCPoly, q, u
 from qisograph.perron import cylinder_measure
-from qisograph.graphs import enumerate_paths
+from qisograph.graphs import enumerate_paths, parse_graph
 from qisograph.rewrite import is_zero
 from qisograph.verdict import PROVED_ZERO, UNKNOWN, WITNESSED_NONZERO
 
 
-def test_setup_basics():
-    setup = cuntz_setup(2, FREE_UNITARY)
+def test_setup_basics(graphs):
+    setup = cuntz_setup(graphs["cuntz2"], FREE_UNITARY)
     assert setup.pf.exact_rho == 2
     assert setup.pf.exact_x == (Fraction(1),)
     assert setup.rels.gen_kind == "u"
-    magic = cuntz_setup(2, MAGIC)
+    magic = cuntz_setup(graphs["cuntz2"], MAGIC)
     assert magic.rels.gen_kind == "q"
-    assert cuntz_setup(3, FREE_UNITARY).pf.exact_rho == 3
+    assert cuntz_setup(graphs["cuntz3"], FREE_UNITARY).pf.exact_rho == 3
 
 
-def test_setup_rejects_small_n():
+def test_setup_rejects_small_n(graphs):
     with pytest.raises(ValueError):
-        cuntz_setup(1, FREE_UNITARY)
+        cuntz_setup(parse_graph("graph cuntz1\nv w\ne l1 w w\n"), FREE_UNITARY)
     with pytest.raises(ValueError):
-        cuntz_setup(2, "bogus")
+        cuntz_setup(graphs["k3"], FREE_UNITARY)  # not a loop graph
+    with pytest.raises(ValueError):
+        cuntz_setup(graphs["cuntz2"], "bogus")
 
 
 def test_measure_formula(graphs, perron_data):
@@ -39,9 +41,9 @@ def test_measure_formula(graphs, perron_data):
                 assert cylinder_measure(pf, lam) == Fraction(1, n ** d)
 
 
-def test_derivation_emits_row_sum_obligations():
+def test_derivation_emits_row_sum_obligations(graphs):
     for n in (2, 3):
-        setup = cuntz_setup(n, FREE_UNITARY)
+        setup = cuntz_setup(graphs[f"cuntz{n}"], FREE_UNITARY)
         der = derive_contradiction(setup)
         assert len(der.obligations) == n
         assert len(der.steps) == 4
@@ -54,16 +56,16 @@ def test_derivation_emits_row_sum_obligations():
         assert der.contradiction_pending
 
 
-def test_derivation_collapses_for_magic():
+def test_derivation_collapses_for_magic(graphs):
     for n in (2, 3):
-        setup = cuntz_setup(n, MAGIC)
+        setup = cuntz_setup(graphs[f"cuntz{n}"], MAGIC)
         der = derive_contradiction(setup)
         assert all(v.kind == PROVED_ZERO for v in der.verdicts.values())
         assert not der.contradiction_pending
 
 
-def test_obligation_never_proved_zero_but_witnessed():
-    setup = cuntz_setup(2, FREE_UNITARY)
+def test_obligation_never_proved_zero_but_witnessed(graphs):
+    setup = cuntz_setup(graphs["cuntz2"], FREE_UNITARY)
     der = derive_contradiction(setup)
     providers = cuntz_provider_portfolio(setup)
     for ob in der.obligations.values():
@@ -72,17 +74,17 @@ def test_obligation_never_proved_zero_but_witnessed():
         assert witness_nonzero(ob, providers).kind == WITNESSED_NONZERO
 
 
-def test_non_isometry_verdict():
+def test_non_isometry_verdict(graphs):
     for n in (2, 3):
-        setup = cuntz_setup(n, FREE_UNITARY)
+        setup = cuntz_setup(graphs[f"cuntz{n}"], FREE_UNITARY)
         verdict = non_isometry_verdict(setup)
         assert verdict.not_isometric
         assert all(v.witnessed for v in verdict.witnesses.values())
         assert all(v.residual >= 0.4 for v in verdict.witnesses.values())
 
 
-def test_identity_provider_alone_is_inconclusive():
-    setup = cuntz_setup(2, FREE_UNITARY)
+def test_identity_provider_alone_is_inconclusive(graphs):
+    setup = cuntz_setup(graphs["cuntz2"], FREE_UNITARY)
     providers = cuntz_provider_portfolio(setup)
     identity_only = [p for p in providers if p.name == "identity"]
     verdict = non_isometry_verdict(setup, providers=identity_only)
@@ -91,22 +93,22 @@ def test_identity_provider_alone_is_inconclusive():
     assert non_isometry_verdict(setup, providers=rotation).not_isometric
 
 
-def test_non_isometry_requires_free_flavor():
+def test_non_isometry_requires_free_flavor(graphs):
     with pytest.raises(ValueError):
-        non_isometry_verdict(cuntz_setup(2, MAGIC))
+        non_isometry_verdict(cuntz_setup(graphs["cuntz2"], MAGIC))
 
 
-def test_derivation_transcript_is_jsonable():
+def test_derivation_transcript_is_jsonable(graphs):
     import json
-    setup = cuntz_setup(2, FREE_UNITARY)
+    setup = cuntz_setup(graphs["cuntz2"], FREE_UNITARY)
     verdict = non_isometry_verdict(setup)
     text = json.dumps(verdict.to_dict())
     assert "obligation" in text and "NotIsometric" in text
 
 
-def test_sn_plus_suite_passes():
+def test_sn_plus_suite_passes(graphs):
     for n, k_max in ((2, 2), (3, 1)):
-        results = sn_plus_isometry_suite(n, k_max=k_max, n_cap=3)
+        results = sn_plus_isometry_suite(graphs[f"cuntz{n}"], k_max=k_max, n_cap=3)
         assert all(r.passed for r in results), [
             (r.name, r.inputs) for r in results if not r.passed]
         names = {r.name for r in results}
@@ -114,9 +116,9 @@ def test_sn_plus_suite_passes():
         assert "density" not in names
 
 
-def test_sn_plus_obligation_contrast():
+def test_sn_plus_obligation_contrast(graphs):
     # the same row-sum polynomial, proved zero in the magic algebra
-    setup = cuntz_setup(2, MAGIC)
+    setup = cuntz_setup(graphs["cuntz2"], MAGIC)
     ob = -NCPoly.one()
     for i in setup.loop_ids:
         ob = ob + NCPoly.gen(q("l1", i))
@@ -129,7 +131,7 @@ def test_cuntz_dirac_multiplicities(graphs):
     assert mults[1:] == [2 ** q - 2 ** (q - 1) for q in range(1, 7)]
 
 
-def test_free_unitary_fails_suite_welldefined():
+def test_free_unitary_fails_suite_welldefined(graphs):
     """The suite itself distinguishes the flavors: with free-unitary
     coefficients the level-0/level-1 compatibility check is not provable
     and is witnessed nonzero (the special case w = 1 of the derivation:
@@ -137,7 +139,7 @@ def test_free_unitary_fails_suite_welldefined():
     from qisograph.corep import EDGE_INDEX, VerificationContext, check_welldefined
     from qisograph.graphs import SOURCE_APPEND
 
-    setup = cuntz_setup(2, FREE_UNITARY)
+    setup = cuntz_setup(graphs["cuntz2"], FREE_UNITARY)
     providers = [p for p in cuntz_provider_portfolio(setup) if p.name == "rotation"]
     ctx = VerificationContext(setup.graph, setup.pf, setup.rels, EDGE_INDEX,
                               SOURCE_APPEND, providers, 2)
@@ -146,5 +148,5 @@ def test_free_unitary_fails_suite_welldefined():
     assert res.verdict == UNKNOWN
     assert res.residuals["numeric"] >= 0.4
     # the same check is provable for the magic flavor
-    magic_ctx = sn_plus_context(2, n_cap=2)
+    magic_ctx = sn_plus_context(graphs["cuntz2"], n_cap=2)
     assert check_welldefined(magic_ctx, 0, 1).passed

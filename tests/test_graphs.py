@@ -4,10 +4,9 @@ from hypothesis import given, settings, strategies as st
 from qisograph.graphs import (
     AUT_PLUS, RANGE_PREPEND, SOURCE_APPEND, SPECTRAL_TRIPLE,
     GraphFormatError, NonComposableError,
-    adjacency_matrix, compose, edge_path, enumerate_paths, graph_automorphisms,
-    parse_graph, path_from_edges, refine, validate, vertex_path,
+    adjacency_matrix, compose, edge_path, enumerate_paths, extends, graph_automorphisms,
+    parse_graph, path_from_edges, refine, s_star_image, validate, vertex_path,
 )
-from qisograph.standard import cuntz_text
 
 
 def test_parse_three_cycle(graphs):
@@ -191,10 +190,10 @@ def test_refine_is_partition_indexwise(graphs, data):
     # every degree-(d+n) path extending lam on the chosen side appears once
     for p in enumerate_paths(g, d + n):
         if side == SOURCE_APPEND:
-            extends = p.edges[:d] == lam.edges if d else p.range == lam.range
+            covered = p.edges[:d] == lam.edges if d else p.range == lam.range
         else:
-            extends = p.edges[n:] == lam.edges if d else p.source == lam.source
-        assert (p in out) == extends
+            covered = p.edges[n:] == lam.edges if d else p.source == lam.source
+        assert (p in out) == covered
 
 
 def test_automorphism_counts(graphs):
@@ -204,7 +203,21 @@ def test_automorphism_counts(graphs):
     assert len(graph_automorphisms(graphs["two-cycle"])) == 2
 
 
-def test_cuntz_text_roundtrip():
-    g = parse_graph(cuntz_text(3))
-    assert len(g.vertices) == 1 and len(g.edges) == 3
-    assert all(e.range == e.source == "w" for e in g.edges)
+def test_s_star_image_matches_dense_representation(graphs, perron_data):
+    # the dense matrix of S_lam* on each level is the oracle: its only
+    # nonzero entry in column eta sits at the row of s_star_image
+    from qisograph.hilbert import represent
+    g, pf = graphs["k3"], perron_data["k3"]
+    for d in (1, 2):
+        for lam in enumerate_paths(g, d):
+            for k in range(4):
+                m = represent(g, pf, [("s*", lam)], k, 3)
+                targets = enumerate_paths(g, m.target_level)
+                for j, eta in enumerate(enumerate_paths(g, k)):
+                    support = {targets[i] for i, row in enumerate(m.mat) if row[j]}
+                    image = s_star_image(g, lam, eta)
+                    assert support == ({image} if image is not None else set()), (lam, eta)
+                    assert (image is not None) == (extends(eta, lam) if k >= d
+                                                   else extends(lam, eta))
+                    if image is not None and k >= d:
+                        assert compose(lam, image) == eta  # S_lam S_lam* chi_eta = chi_eta
