@@ -9,6 +9,7 @@ some check failed, 2 means the invocation or an input file was bad.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import time
 from dataclasses import dataclass
@@ -28,11 +29,13 @@ from .graphs import (
 )
 from .hilbert import (
     alpha_sequence, cuntz_krieger_check, multiplicities, theta_partial_trace,
+    theta_tail_bound,
 )
 from .perron import PerronError, convention_residuals, cylinder_measure, perron, select_convention
 from .providers import classical_rep
 from .relations import free_unitary_relations, magic_relations, qaut_relations
 from .report import CheckResult, SuiteReport, text_digest
+from .rewrite import ReductionTrace, normal_form, normal_form_verdict
 from .verdict import PROVED_ZERO, UNKNOWN
 
 EXIT_PASS = 0
@@ -163,18 +166,21 @@ def cmd_spectral(config: RunConfig) -> SuiteReport:
                 for q in range(config.q_max + 1)]
     theta_rows = []
     theta_ok = True
+    tail_bound = 0.0
     for t in config.t_values:
         values = [theta_partial_trace(mults, t, config.epsilon, q)
                   for q in range(config.q_max + 1)]
         monotone = all(b >= a for a, b in zip(values, values[1:]))
-        tail = values[-1] - values[-2]
-        theta_ok = theta_ok and monotone and tail < 1e-9
+        # the trace lies in [values[-1], values[-1] + tail]
+        tail = theta_tail_bound(pf.rho, min(pf.x), t, config.epsilon, config.q_max)
+        tail_bound = max(tail_bound, tail)
+        theta_ok = theta_ok and monotone and math.isfinite(tail)
         for q, v in enumerate(values):
             theta_rows.append({"t": t, "Q": q, "value": v})
     checks.append(CheckResult(
         "theta-summability",
         {"epsilon": config.epsilon, "t": list(config.t_values), "Q": config.q_max},
-        theta_ok, "pass" if theta_ok else "fail", {},
+        theta_ok, "pass" if theta_ok else "fail", {"tail_bound": tail_bound},
         0, "", (time.monotonic() - t0) * 1000.0,
         detail={"spectrum": spectrum}))
 
@@ -220,7 +226,7 @@ def cmd_verify(config: RunConfig) -> SuiteReport:
                 report_checks.append(check_welldefined(ctx, l, k, convention=convention))
     else:
         report_checks.extend(run_identity_suite(ctx, k_max=config.k_max,
-                                                n_cap=config.n_cap, l_max=config.l_max))
+                                                l_max=config.l_max))
     notes = [{"relation_events": list(ctx.rels.events)},
              {"convention_residuals": {k: str(v) for k, v in conv_residuals.items()}}]
     return SuiteReport("verify", __version__, g.name, digest, convention,
@@ -253,7 +259,7 @@ def cmd_cuntz(config: RunConfig) -> SuiteReport:
             ok = not derivation.contradiction_pending
             checks.append(CheckResult(
                 "derivation-collapses", {"n": n, "flavor": flavor}, ok,
-                PROVED_ZERO if ok else "Unknown", {}, 0, "",
+                PROVED_ZERO if ok else UNKNOWN, {}, 0, "",
                 (time.monotonic() - started) * 1000.0,
                 detail=derivation.to_dict()))
             suite = sn_plus_isometry_suite(g, k_max=config.k_max, n_cap=config.n_cap)
@@ -283,11 +289,9 @@ def cmd_reduce(config: RunConfig, expression: str) -> SuiteReport:
         poly = parse_expression(expression, rels)
     except ExpressionError as exc:
         raise UsageError(f"bad expression: {exc}") from None
-    from .rewrite import ReductionTrace, normal_form
     trace = ReductionTrace()
     nf = normal_form(poly, rels, trace)
-    # normal_form already ran the zero search: a nonzero form is unproved
-    verdict = PROVED_ZERO if nf.is_zero() else UNKNOWN
+    verdict = normal_form_verdict(nf).kind
     checks = [CheckResult(
         "reduce", {"expression": expression}, True, verdict,
         {}, trace.count, trace.digest(),
@@ -306,66 +310,58 @@ def _print_summary(report: SuiteReport):
     print(f"overall: {'pass' if report.passed else 'fail'}")
 
 
+#: flag -> add_argument keywords; defaults live in RunConfig
+_FLAGS = {
+    "graph": dict(required=True, dest="graph_path", help="graph file path"),
+    "level": dict(type=int, dest="n_cap", help="truncation level N (default 3)"),
+    "k": dict(type=int, dest="k_max", help="max corepresentation level (default 2)"),
+    "l": dict(type=int, dest="l_max", help="max lower level for embedding checks"),
+    "epsilon": dict(type=float, help="Dirac exponent epsilon in (0, 1/2) (default 0.25)"),
+    "t": dict(type=float, action="append", dest="t_values",
+              help="heat-trace t value (repeatable; default 0.5 1 2)"),
+    "convention": dict(choices=("auto",) + CONVENTIONS),
+    "flavor": dict(choices=("both", FREE_UNITARY, MAGIC)),
+    "out": dict(dest="out_path", help="report JSON path"),
+    "theta-csv": dict(help="heat-trace partial sums CSV path"),
+    "measure-depth": dict(type=int, help="cylinder-measure table depth (default 3)"),
+    "alpha": dict(dest="alpha_kind", choices=("power", "linear")),
+    "q-max": dict(type=int, help="heat-trace partial sums up to Q (default 20)"),
+    "profile": dict(choices=("aut-plus", "spectral-triple")),
+}
+
+#: command -> (help, the flags it reads)
+COMMANDS = {
+    "validate": ("check graph hypotheses", ("graph", "profile", "out")),
+    "spectral": ("Perron data, measures, Dirac spectrum, heat traces",
+                 ("graph", "level", "epsilon", "t", "convention", "out", "theta-csv",
+                  "measure-depth", "alpha", "q-max")),
+    "verify": ("the full identity suite", ("graph", "level", "k", "l", "convention", "out")),
+    "cuntz": ("loop-graph derivation and contrast", ("graph", "level", "k", "flavor", "out")),
+    "reduce": ("reduce an expression to normal form", ("graph", "flavor", "out")),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qisograph",
         description="finite-truncation verification of quantum isometric actions "
                     "on graph algebra spectral triples")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("--graph", required=True, help="graph file path")
-        p.add_argument("--level", type=int, default=3, dest="n_cap",
-                       help="truncation level N (default 3)")
-        p.add_argument("--k", type=int, default=2, dest="k_max",
-                       help="max corepresentation level (default 2)")
-        p.add_argument("--l", type=int, default=None, dest="l_max",
-                       help="max lower level for embedding checks")
-        p.add_argument("--epsilon", type=float, default=0.25)
-        p.add_argument("--t", type=float, action="append", dest="t_values",
-                       help="heat-trace t value (repeatable)")
-        p.add_argument("--convention", default="auto",
-                       choices=("auto",) + CONVENTIONS)
-        p.add_argument("--flavor", default="both",
-                       choices=("both", FREE_UNITARY, MAGIC))
-        p.add_argument("--out", dest="out_path", help="report JSON path")
-        p.add_argument("--theta-csv", dest="theta_csv")
-        p.add_argument("--measure-depth", type=int, default=3)
-        p.add_argument("--alpha", dest="alpha_kind", default="power",
-                       choices=("power", "linear"))
-        p.add_argument("--q-max", type=int, default=20)
-
-    p_validate = sub.add_parser("validate", help="check graph hypotheses")
-    common(p_validate)
-    p_validate.add_argument("--profile", default="aut-plus",
-                            choices=("aut-plus", "spectral-triple"))
-
-    common(sub.add_parser("spectral", help="Perron data, measures, Dirac spectrum, heat traces"))
-    common(sub.add_parser("verify", help="the full identity suite"))
-    common(sub.add_parser("cuntz", help="loop-graph derivation and contrast"))
-    p_reduce = sub.add_parser("reduce", help="reduce an expression to normal form")
-    common(p_reduce)
-    p_reduce.add_argument("expression", help="expression in the mini-language")
+    for command, (help_text, flags) in COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        for flag in flags:
+            p.add_argument(f"--{flag}", **_FLAGS[flag])
+    sub.choices["reduce"].add_argument("expression", help="expression in the mini-language")
     return parser
 
 
 def _config_from_args(args) -> RunConfig:
-    return RunConfig(
-        graph_path=args.graph,
-        n_cap=args.n_cap,
-        k_max=args.k_max,
-        l_max=args.l_max,
-        epsilon=args.epsilon,
-        t_values=tuple(args.t_values) if args.t_values else (0.5, 1.0, 2.0),
-        convention=args.convention,
-        flavor=args.flavor,
-        out_path=args.out_path,
-        theta_csv=args.theta_csv,
-        measure_depth=args.measure_depth,
-        profile=getattr(args, "profile", "aut-plus"),
-        alpha_kind=args.alpha_kind,
-        q_max=args.q_max,
-    )
+    """The flags given on the command line over RunConfig's defaults."""
+    given = {k: v for k, v in vars(args).items()
+             if k in RunConfig.__dataclass_fields__ and v is not None}
+    if "t_values" in given:
+        given["t_values"] = tuple(given["t_values"])
+    return RunConfig(**given)
 
 
 def main(argv=None) -> int:

@@ -17,10 +17,27 @@ pair of basis paths.  The level-1 table is also the action on the
 edge isometries, alpha(S_e) = sum_f S_f (x) Q[f,e], and the level-0
 table its action on the vertex projections.
 
-Every check reduces its obligation polynomials symbolically and also
-evaluates them under the registered numeric providers; a check passes
-only when the symbolic verdict is ProvedZero (or the stated structural
-condition holds) and the numeric residual stays below tolerance.
+Each identity of the isometry theorem is a matrix identity over these
+tables, with X = diag(x_{s(zeta)}) the Perron weights:
+
+- isometry: Q_k* X Q_k = X (across degrees, through the refinement of
+  both arguments, against the cylinder-intersection measure);
+- density: Q_k Q_k* = 1, row by row (vertex-pair scheme, degrees 1, 2);
+- KMS invariance: sum_xi x_{s(xi)} Q[xi,lam] Q[xi,mu]* = delta x_{s(lam)};
+- well-definedness: Q_l followed by the embedding equals the embedding
+  followed by Q_k;
+- implementation: alpha(S_lam*) and alpha(S_lam) intertwine Q under the
+  path shifts s_star_image and s_image;
+- comultiplicativity: sum_eta Q[xi,eta] (x) Q[eta,lam] = Delta(Q[xi,lam]),
+  leg-wise.
+
+Every entry of every such difference is an obligation polynomial.  A
+check's obligations go through one collector, which reduces each
+nonzero one symbolically and evaluates it under the registered numeric
+providers; a check passes only when every symbolic verdict is
+ProvedZero (and the stated structural condition holds) and the numeric
+residual stays below NUMERIC_TOL.  The truncation level is the
+context's n_cap.
 """
 
 from __future__ import annotations
@@ -28,11 +45,12 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 
 from .graphs import (
-    DirectedGraph, Path, SOURCE_APPEND, compose, enumerate_paths, extends, refine,
+    DirectedGraph, Path, SOURCE_APPEND, enumerate_paths, extends, refine, s_image,
     s_star_image, vertex_path,
 )
 from .hilbert import dirac, embedding_gram_residual
@@ -48,6 +66,7 @@ VERTEX_PAIR = "vertex-pair"
 EDGE_INDEX = "edge-index"
 
 NUMERIC_TOL = 1e-10
+COMULTIPLICATIVE_MAX_LEVEL = 2
 
 
 def corep_entry_word(g: DirectedGraph, scheme: str, kind: str,
@@ -100,7 +119,6 @@ class VerificationContext:
     convention: str = SOURCE_APPEND
     providers: list[RepresentationProvider] = field(default_factory=list)
     n_cap: int = 3
-    numeric_tol: float = NUMERIC_TOL
     _levels: dict[int, LevelCorep] = field(default_factory=dict, init=False,
                                            repr=False, compare=False)
 
@@ -127,27 +145,36 @@ class VerificationContext:
     def x_of(self, v: str) -> Fraction:
         return self.pf.x_of(v)
 
-    def numeric_residual(self, polys) -> float:
-        worst = 0.0
-        for provider in self.providers:
-            for p in polys:
-                worst = max(worst, provider.norm(p))
-        return worst
 
+class _Obligations:
+    """One check's obligations: every nonzero polynomial is reduced
+    symbolically once and evaluated under the context's providers."""
 
-def _result(ctx: VerificationContext, name: str, inputs: dict, verdicts: list,
-            diffs: list[NCPoly], trace: ReductionTrace, started: float,
-            extra_residuals: dict | None = None,
-            structural_ok: bool = True) -> CheckResult:
-    all_proved = all(v.kind == PROVED_ZERO for v in verdicts)
-    numeric = ctx.numeric_residual(diffs)
-    residuals = {"numeric": numeric}
-    residuals.update(extra_residuals or {})
-    passed = all_proved and structural_ok and numeric < ctx.numeric_tol
-    verdict = PROVED_ZERO if all_proved else UNKNOWN
-    return CheckResult(name, inputs, passed, verdict, residuals,
-                       trace.count, trace.digest(),
-                       (time.monotonic() - started) * 1000.0)
+    def __init__(self, ctx: VerificationContext):
+        self.ctx = ctx
+        self.started = time.monotonic()
+        self.trace = ReductionTrace()
+        self.verdicts = []
+        self.diffs = []
+
+    def add(self, p: NCPoly):
+        if p.is_zero():
+            return
+        self.diffs.append(p)
+        self.verdicts.append(is_zero(p, self.ctx.rels, self.trace))
+
+    def result(self, name: str, inputs: dict, extra_residuals: dict | None = None,
+               structural_ok: bool = True, detail: dict | None = None) -> CheckResult:
+        all_proved = all(v.kind == PROVED_ZERO for v in self.verdicts)
+        numeric = max((provider.norm(p) for provider in self.ctx.providers
+                       for p in self.diffs), default=0.0)
+        residuals = {"numeric": numeric}
+        residuals.update(extra_residuals or {})
+        passed = all_proved and structural_ok and numeric < NUMERIC_TOL
+        return CheckResult(name, inputs, passed, PROVED_ZERO if all_proved else UNKNOWN,
+                           residuals, self.trace.count, self.trace.digest(),
+                           (time.monotonic() - self.started) * 1000.0,
+                           detail=detail or {})
 
 
 def check_welldefined(ctx: VerificationContext, l: int, k: int,
@@ -160,10 +187,8 @@ def check_welldefined(ctx: VerificationContext, l: int, k: int,
     refinement identity applied to the argument, so forcing the
     rejected side is the negative control and must fail.
     """
-    started = time.monotonic()
+    obs = _Obligations(ctx)
     conv = convention or ctx.convention
-    trace = ReductionTrace()
-    verdicts, diffs = [], []
     basis_l, basis_k = ctx.level(l).basis, ctx.level(k).basis
     for lam in basis_l:
         lhs: dict[Path, NCPoly] = {}
@@ -176,26 +201,30 @@ def check_welldefined(ctx: VerificationContext, l: int, k: int,
             for eta in basis_k:
                 rhs[eta] = rhs.get(eta, NCPoly.zero()) + ctx.entry_poly(eta, mu)
         for eta in basis_k:
-            d = lhs.get(eta, NCPoly.zero()) - rhs.get(eta, NCPoly.zero())
-            if d.is_zero():
-                continue
-            diffs.append(d)
-            verdicts.append(is_zero(d, ctx.rels, trace))
+            obs.add(lhs.get(eta, NCPoly.zero()) - rhs.get(eta, NCPoly.zero()))
     gram = embedding_gram_residual(ctx.g, ctx.pf, l, k, conv)
-    return _result(ctx, "welldefined", {"l": l, "k": k, "convention": conv},
-                   verdicts, diffs, trace, started,
-                   extra_residuals={"embedding_gram": gram},
-                   structural_ok=(gram == 0))
+    return obs.result("welldefined", {"l": l, "k": k, "convention": conv},
+                      extra_residuals={"embedding_gram": gram}, structural_ok=(gram == 0))
+
+
+def _weighted_products(ctx: VerificationContext, pairs, star_first: bool) -> NCPoly:
+    """sum over (lam, eta) in *pairs* and zeta in the common level
+    basis of x_{s(zeta)} Q[zeta,lam]* Q[zeta,eta] (*star_first*) or
+    x_{s(zeta)} Q[zeta,lam] Q[zeta,eta]*, accumulated in that order."""
+    ob = NCPoly.zero()
+    for lam, eta in pairs:
+        for zeta in ctx.level(lam.degree).basis:
+            w1 = ctx.entry_poly(zeta, lam)
+            w2 = ctx.entry_poly(zeta, eta)
+            prod = w1.star() * w2 if star_first else w1 * w2.star()
+            ob = ob + prod.scale(ctx.x_of(zeta.source))
+    return ob
 
 
 def isometry_obligation(ctx: VerificationContext, lam: Path, eta: Path) -> NCPoly:
-    """sum_zeta x_{s(zeta)} Q[zeta,lam]* Q[zeta,eta]
-    - delta_{lam,eta} x_{s(lam)}; the common rho^{-k} factor cancels."""
-    ob = NCPoly.zero()
-    for zeta in ctx.level(lam.degree).basis:
-        w1 = ctx.entry_poly(zeta, lam)
-        w2 = ctx.entry_poly(zeta, eta)
-        ob = ob + (w1.star() * w2).scale(ctx.x_of(zeta.source))
+    """(Q* X Q - X)[lam, eta] with X = diag(x_{s(zeta)}); the common
+    rho^{-k} factor cancels."""
+    ob = _weighted_products(ctx, [(lam, eta)], star_first=True)
     if lam == eta:
         ob = ob - NCPoly.one().scale(ctx.x_of(lam.source))
     return ob
@@ -203,47 +232,34 @@ def isometry_obligation(ctx: VerificationContext, lam: Path, eta: Path) -> NCPol
 
 def check_isometry(ctx: VerificationContext, k: int) -> CheckResult:
     """Inner-product preservation over all same-degree basis pairs."""
-    started = time.monotonic()
-    trace = ReductionTrace()
-    verdicts, diffs = [], []
+    obs = _Obligations(ctx)
     basis = ctx.level(k).basis
     for lam in basis:
         for eta in basis:
-            ob = isometry_obligation(ctx, lam, eta)
-            if ob.is_zero():
-                continue
-            diffs.append(ob)
-            verdicts.append(is_zero(ob, ctx.rels, trace))
-    return _result(ctx, "isometry", {"k": k}, verdicts, diffs, trace, started)
+            obs.add(isometry_obligation(ctx, lam, eta))
+    return obs.result("isometry", {"k": k})
 
 
 def check_isometry_mixed(ctx: VerificationContext, lam: Path, eta: Path) -> CheckResult:
     """Inner-product preservation across degrees: both arguments are
     expanded in the top basis and the total is matched against the
     cylinder-intersection measure, which is convention-free."""
-    started = time.monotonic()
-    trace = ReductionTrace()
+    obs = _Obligations(ctx)
     top = max(lam.degree, eta.degree)
-    ob = NCPoly.zero()
-    for lam2 in refine(ctx.g, lam, top - lam.degree, ctx.convention):
-        for eta2 in refine(ctx.g, eta, top - eta.degree, ctx.convention):
-            for zeta in ctx.level(top).basis:
-                w1 = ctx.entry_poly(zeta, lam2)
-                w2 = ctx.entry_poly(zeta, eta2)
-                ob = ob + (w1.star() * w2).scale(ctx.x_of(zeta.source))
+    pairs = ((lam2, eta2)
+             for lam2 in refine(ctx.g, lam, top - lam.degree, ctx.convention)
+             for eta2 in refine(ctx.g, eta, top - eta.degree, ctx.convention))
+    ob = _weighted_products(ctx, pairs, star_first=True)
     target = cylinder_intersection_measure(ctx.pf, lam, eta) * ctx.pf.exact_rho ** top
-    ob = ob - NCPoly.one().scale(target)
-    verdicts = [] if ob.is_zero() else [is_zero(ob, ctx.rels, trace)]
-    return _result(ctx, "isometry-mixed",
-                   {"lam": lam.label, "eta": eta.label}, verdicts, [ob], trace, started)
+    obs.add(ob - NCPoly.one().scale(target))
+    return obs.result("isometry-mixed", {"lam": lam.label, "eta": eta.label})
 
 
-def check_comultiplicative(ctx: VerificationContext, k: int,
-                           cost_guard: int = 2) -> CheckResult:
+def check_comultiplicative(ctx: VerificationContext, k: int) -> CheckResult:
     """(U (x) id) U = (id (x) Delta) U, leg-wise, per basis vector."""
     started = time.monotonic()
-    if k > cost_guard:
-        raise ValueError(f"comultiplicativity guarded to level {cost_guard}")
+    if k > COMULTIPLICATIVE_MAX_LEVEL:
+        raise ValueError(f"comultiplicativity guarded to level {COMULTIPLICATIVE_MAX_LEVEL}")
     trace = ReductionTrace()
     basis = ctx.level(k).basis
     failures = 0
@@ -269,120 +285,67 @@ def check_comultiplicative(ctx: VerificationContext, k: int,
 
 
 def check_density(ctx: VerificationContext, lam: Path) -> CheckResult:
-    """The explicit finite combination recovering chi_[lam] (x) 1 from
-    corepresentation values times algebra elements; degree 1 or 2."""
-    started = time.monotonic()
+    """Row lam of Q Q* = 1: the finite combination
+    sum_zeta U(chi_[zeta]) Q[lam,zeta]* recovers chi_[lam] (x) 1;
+    degree 1 or 2."""
     if ctx.scheme != VERTEX_PAIR:
         raise ValueError("density combination is defined for the vertex-pair scheme")
     if lam.degree not in (1, 2):
         raise ValueError("density check covers degrees 1 and 2")
-    g, kind = ctx.g, ctx.kind
-    combo: dict[Path, NCPoly] = {}
-    if lam.degree == 1:
-        beta = lam
-        for zeta in ctx.level(1).basis:
-            mult = NCPoly.word((Generator(kind, beta.source, zeta.source),
-                                Generator(kind, beta.range, zeta.range)))
-            for eta in ctx.level(1).basis:
-                term = ctx.entry_poly(eta, zeta) * mult
-                combo[eta] = combo.get(eta, NCPoly.zero()) + term
-    else:
-        gamma_id, beta_id = lam.edges
-        g_r, g_s = g.range_of(gamma_id), g.source_of(gamma_id)
-        b_r, b_s = g.range_of(beta_id), g.source_of(beta_id)
-        for pair in ctx.level(2).basis:
-            z_id, x_id = pair.edges
-            mult = NCPoly.word((
-                Generator(kind, b_s, g.source_of(x_id)),
-                Generator(kind, b_r, g.range_of(x_id)),
-                Generator(kind, g_s, g.source_of(z_id)),
-                Generator(kind, g_r, g.range_of(z_id)),
-            ))
-            for eta in ctx.level(2).basis:
-                term = ctx.entry_poly(eta, pair) * mult
-                combo[eta] = combo.get(eta, NCPoly.zero()) + term
-    trace = ReductionTrace()
-    verdicts, diffs = [], []
-    for eta in ctx.level(lam.degree).basis:
-        d = combo.get(eta, NCPoly.zero())
-        if eta == lam:
-            d = d - NCPoly.one()
-        if d.is_zero():
-            continue
-        diffs.append(d)
-        verdicts.append(is_zero(d, ctx.rels, trace))
-    return _result(ctx, "density", {"lam": lam.label}, verdicts, diffs, trace, started)
+    obs = _Obligations(ctx)
+    basis = ctx.level(lam.degree).basis
+    mults = [ctx.entry_poly(lam, zeta).star() for zeta in basis]
+    for eta in basis:
+        d = NCPoly.zero()
+        for zeta, mult in zip(basis, mults):
+            d = d + ctx.entry_poly(eta, zeta) * mult
+        obs.add(d - NCPoly.one() if eta == lam else d)
+    return obs.result("density", {"lam": lam.label})
 
 
 # ---------------------------------------------------------------------------
 # implementation on the spectral data
 
+def _intertwining(obs: _Obligations, ctx: VerificationContext, lam: Path, eta: Path,
+                  shift, coeff, out_level: int):
+    """(pi (x) .) alpha(T_lam) U(chi_eta) = U(pi(T_lam) chi_eta) on the
+    level-*out_level* basis, where T_xi sends chi_zeta to
+    chi_{shift(xi, zeta)} (zero when that is None) and alpha(T_lam) =
+    sum_xi T_xi (x) coeff(Q[xi, lam])."""
+    zero = NCPoly.zero()
+    lhs: dict[Path, NCPoly] = {}
+    for xi in ctx.level(lam.degree).basis:
+        c = coeff(ctx.entry_poly(xi, lam))
+        for zeta in ctx.level(eta.degree).basis:
+            out = shift(xi, zeta)
+            if out is not None:
+                lhs[out] = lhs.get(out, zero) + c * ctx.entry_poly(zeta, eta)
+    target = shift(lam, eta)
+    for out in ctx.level(out_level).basis:
+        rhs = zero if target is None else ctx.entry_poly(out, target)
+        obs.add(lhs.get(out, zero) - rhs)
+
+
 def check_implementation(ctx: VerificationContext, lam: Path, eta: Path) -> CheckResult:
     """Both intertwining identities on a basis vector: the starred one
     (with its four cases) and its non-starred counterpart, which is
     checked explicitly rather than trusted by symmetry."""
-    started = time.monotonic()
-    g = ctx.g
-    trace = ReductionTrace()
-    verdicts, diffs = [], []
-
+    obs = _Obligations(ctx)
     n, m = lam.degree, eta.degree
-    # starred identity: (pi (x) .) alpha(S_lam*) U(chi_eta) = U(pi(S_lam*) chi_eta)
-    lhs: dict[Path, NCPoly] = {}
-    for xi in ctx.level(n).basis:
-        coeff_star = ctx.entry_poly(xi, lam).star()
-        for zeta in ctx.level(m).basis:
-            out = s_star_image(g, xi, zeta)
-            if out is None:
-                continue
-            term = coeff_star * ctx.entry_poly(zeta, eta)
-            lhs[out] = lhs.get(out, NCPoly.zero()) + term
-    rhs: dict[Path, NCPoly] = {}
-    target = s_star_image(g, lam, eta)
-    if target is not None:
-        for out in ctx.level(target.degree).basis:
-            rhs[out] = ctx.entry_poly(out, target)
-    out_level = max(m - n, 0)
-    for out in ctx.level(out_level).basis:
-        d = lhs.get(out, NCPoly.zero()) - rhs.get(out, NCPoly.zero())
-        if d.is_zero():
-            continue
-        diffs.append(d)
-        verdicts.append(is_zero(d, ctx.rels, trace))
-
-    # non-starred identity: (pi (x) .) alpha(S_lam) U(chi_eta) = U(pi(S_lam) chi_eta);
-    # asserted only when its image level stays inside the truncation window
+    _intertwining(obs, ctx, lam, eta, partial(s_star_image, ctx.g), NCPoly.star,
+                  max(m - n, 0))
+    # the non-starred identity is asserted only when its image level
+    # stays inside the truncation window
     non_starred = n + m <= ctx.n_cap
     if non_starred:
-        lhs2: dict[Path, NCPoly] = {}
-        for xi in ctx.level(n).basis:
-            coeff = ctx.entry_poly(xi, lam)
-            for zeta in ctx.level(m).basis:
-                if zeta.range != xi.source:
-                    continue
-                out = compose(xi, zeta)
-                lhs2[out] = lhs2.get(out, NCPoly.zero()) + coeff * ctx.entry_poly(zeta, eta)
-        rhs2: dict[Path, NCPoly] = {}
-        if eta.range == lam.source:
-            target2 = compose(lam, eta)
-            for out in ctx.level(n + m).basis:
-                rhs2[out] = ctx.entry_poly(out, target2)
-        for out in ctx.level(n + m).basis:
-            d = lhs2.get(out, NCPoly.zero()) - rhs2.get(out, NCPoly.zero())
-            if d.is_zero():
-                continue
-            diffs.append(d)
-            verdicts.append(is_zero(d, ctx.rels, trace))
-
-    case = _implementation_case(g, lam, eta)
-    result = _result(ctx, "implementation",
-                     {"lam": lam.label, "eta": eta.label, "case": case},
-                     verdicts, diffs, trace, started)
-    result.detail["non_starred_checked"] = non_starred
-    return result
+        _intertwining(obs, ctx, lam, eta, s_image, lambda p: p, n + m)
+    return obs.result("implementation",
+                      {"lam": lam.label, "eta": eta.label,
+                       "case": _implementation_case(lam, eta)},
+                      detail={"non_starred_checked": non_starred})
 
 
-def _implementation_case(g, lam: Path, eta: Path) -> str:
+def _implementation_case(lam: Path, eta: Path) -> str:
     if lam.degree >= eta.degree:
         return "extends" if extends(lam, eta) else "incompatible-long"
     return "prefix" if extends(eta, lam) else "incompatible-short"
@@ -390,24 +353,16 @@ def _implementation_case(g, lam: Path, eta: Path) -> str:
 
 def check_kms_invariance(ctx: VerificationContext, lam: Path, mu: Path) -> CheckResult:
     """(phi (x) id) alpha(S_lam S_mu*) = phi(S_lam S_mu*) 1, with
-    phi(S_lam S_mu*) = delta_{lam,mu} rho^{-d} x_{s(lam)}."""
-    started = time.monotonic()
-    trace = ReductionTrace()
-    verdicts, diffs = [], []
+    phi(S_lam S_mu*) = delta_{lam,mu} rho^{-d} x_{s(lam)}: the
+    identity sum_xi x_{s(xi)} Q[xi,lam] Q[xi,mu]* = delta x_{s(lam)}."""
+    obs = _Obligations(ctx)
+    # different degrees: the state kills every term on both sides
     if lam.degree == mu.degree:
-        ob = NCPoly.zero()
-        for xi in ctx.level(lam.degree).basis:
-            w1 = ctx.entry_poly(xi, lam)
-            w2 = ctx.entry_poly(xi, mu)
-            ob = ob + (w1 * w2.star()).scale(ctx.x_of(xi.source))
+        ob = _weighted_products(ctx, [(lam, mu)], star_first=False)
         if lam == mu:
             ob = ob - NCPoly.one().scale(ctx.x_of(lam.source))
-        if not ob.is_zero():
-            diffs.append(ob)
-            verdicts.append(is_zero(ob, ctx.rels, trace))
-    # different degrees: the state kills every term on both sides
-    return _result(ctx, "kms-invariance", {"lam": lam.label, "mu": mu.label},
-                   verdicts, diffs, trace, started)
+        obs.add(ob)
+    return obs.result("kms-invariance", {"lam": lam.label, "mu": mu.label})
 
 
 # ---------------------------------------------------------------------------
@@ -432,13 +387,13 @@ def _max_norm(stack: np.ndarray) -> float:
     return float(np.linalg.norm(stack, 2, axis=(1, 2)).max())
 
 
-def check_dirac_commutation(ctx: VerificationContext, n_cap: int | None = None,
+def check_dirac_commutation(ctx: VerificationContext,
                             scalar_override: np.ndarray | None = None,
                             welldefined: dict[tuple[int, int], bool] | None = None
                             ) -> CheckResult:
     """Structural: the corepresentation preserves each level and is
     compatible with every embedding (well-definedness for all l < k).
-    Numeric: under each provider the evaluated top-level matrix is
+    Numeric: under each provider the evaluated level-n_cap matrix is
     Gram-unitary and commutes with every eigenprojection of the
     truncated Dirac operator.  Providers are direct sums of
     one-dimensional representations, so both norms are taken per
@@ -451,7 +406,7 @@ def check_dirac_commutation(ctx: VerificationContext, n_cap: int | None = None,
     missing from it are checked here.
     """
     started = time.monotonic()
-    n_cap = n_cap if n_cap is not None else ctx.n_cap
+    n_cap = ctx.n_cap
     trace = ReductionTrace()
     structural_ok = True
     providers = ctx.providers
@@ -482,7 +437,7 @@ def check_dirac_commutation(ctx: VerificationContext, n_cap: int | None = None,
         for hat in hats:
             worst_comm = max(worst_comm, _max_norm(u @ hat - hat @ u))
 
-    passed = structural_ok and worst_comm < ctx.numeric_tol and worst_unitary < ctx.numeric_tol
+    passed = structural_ok and worst_comm < NUMERIC_TOL and worst_unitary < NUMERIC_TOL
     verdict = PROVED_ZERO if passed else UNKNOWN
     return CheckResult("dirac-commutation",
                        {"n_cap": n_cap, "negative_control": scalar_override is not None},
@@ -497,11 +452,9 @@ def check_dirac_commutation(ctx: VerificationContext, n_cap: int | None = None,
 # the full suite
 
 def run_identity_suite(ctx: VerificationContext, k_max: int = 2,
-                       n_cap: int | None = None,
-                       include_density: bool | None = None,
                        l_max: int | None = None) -> list[CheckResult]:
-    """Every identity check at levels l < k <= k_max, truncation n_cap."""
-    n_cap = n_cap if n_cap is not None else ctx.n_cap
+    """Every identity check at levels l < k <= k_max, truncation
+    ctx.n_cap; density runs on the vertex-pair scheme only."""
     results = []
     welldefined = {}
     for k in range(1, k_max + 1):
@@ -516,9 +469,7 @@ def run_identity_suite(ctx: VerificationContext, k_max: int = 2,
         results.append(check_isometry_mixed(ctx, lam0, eta))
     for k in range(min(k_max, 2) + 1):
         results.append(check_comultiplicative(ctx, k))
-    if include_density is None:
-        include_density = ctx.scheme == VERTEX_PAIR
-    if include_density:
+    if ctx.scheme == VERTEX_PAIR:
         for lam in edges1 + paths2:
             results.append(check_density(ctx, lam))
     deg_cap = min(2, k_max)
@@ -536,5 +487,5 @@ def run_identity_suite(ctx: VerificationContext, k_max: int = 2,
         results.append(check_kms_invariance(ctx, lam, lam))
     results.append(check_kms_invariance(ctx, paths2[0], paths2[-1]))
     results.append(check_kms_invariance(ctx, edges1[0], paths2[0]))
-    results.append(check_dirac_commutation(ctx, n_cap, welldefined=welldefined))
+    results.append(check_dirac_commutation(ctx, welldefined=welldefined))
     return results

@@ -27,7 +27,7 @@ from .providers import (
 )
 from .relations import RelationSet, free_unitary_relations, magic_relations, with_formal_unitary
 from .report import CheckResult
-from .rewrite import is_zero, normal_form
+from .rewrite import normal_form, normal_form_verdict
 from .verdict import Verdict
 
 FREE_UNITARY = "free-unitary"
@@ -138,7 +138,7 @@ def derive_contradiction(setup: CuntzSetup) -> DerivationReport:
     steps.append(DerivationStep(
         "right-multiply by w* and reduce",
         {f"obligation[{k}]": repr(p) for k, p in sorted(obligations.items())}))
-    verdicts = {k: is_zero(p, rels_w) for k, p in obligations.items()}
+    verdicts = {k: normal_form_verdict(p) for k, p in obligations.items()}
     return DerivationReport(setup.n, setup.flavor, steps, obligations, verdicts)
 
 
@@ -200,4 +200,4 @@ def sn_plus_isometry_suite(g: DirectedGraph, k_max: int = 2,
     graph; the Perron vector is the unit, so the weighted sum schema
     degenerates to plain row sums."""
     ctx = sn_plus_context(g, n_cap)
-    return run_identity_suite(ctx, k_max=k_max, n_cap=n_cap, include_density=False)
+    return run_identity_suite(ctx, k_max=k_max)

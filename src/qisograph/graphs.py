@@ -316,6 +316,12 @@ def extends(longer: Path, shorter: Path) -> bool:
     return longer.edges[:shorter.degree] == shorter.edges
 
 
+def s_image(lam: Path, eta: Path) -> Path | None:
+    """The basis path that S_lam sends chi_eta to, or None when
+    S_lam chi_eta = 0: the composition lam eta when it is defined."""
+    return compose(lam, eta) if eta.range == lam.source else None
+
+
 def s_star_image(g: DirectedGraph, lam: Path, eta: Path) -> Path | None:
     """The basis path that S_lam* sends chi_eta to, or None when
     S_lam* chi_eta = 0: the remainder of eta past lam when eta extends
@@ -378,8 +384,10 @@ def refine(g: DirectedGraph, lam: Path, n: int, side: str) -> list[Path]:
     raise ValueError(f"unknown refinement side {side!r}")
 
 
-def graph_automorphisms(g: DirectedGraph) -> list[dict[str, str]]:
-    """Brute-force vertex permutations preserving the edge relation.
+@lru_cache(maxsize=None)
+def graph_automorphisms(g: DirectedGraph) -> tuple[dict[str, str], ...]:
+    """Brute-force vertex permutations preserving the edge relation,
+    enumerated once per graph.
 
     Edge multiplicities are respected: the multiset of (range, source)
     pairs must be carried onto itself.
@@ -394,4 +402,4 @@ def graph_automorphisms(g: DirectedGraph) -> list[dict[str, str]]:
         if all(pair_counts.get((sigma[r], sigma[s]), 0) == c
                for (r, s), c in pair_counts.items()):
             autos.append(sigma)
-    return autos
+    return tuple(autos)

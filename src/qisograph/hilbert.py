@@ -19,7 +19,8 @@ from fractions import Fraction
 import numpy as np
 
 from .graphs import (
-    DirectedGraph, Path, SOURCE_APPEND, adjacency_matrix, enumerate_paths, refine, s_star_image,
+    DirectedGraph, Path, SOURCE_APPEND, adjacency_matrix, enumerate_paths, refine, s_image,
+    s_star_image,
 )
 from .perron import PerronData, cylinder_measure
 from .ratmat import (
@@ -127,9 +128,9 @@ def _map_s(g, pf, lam: Path, k: int, n_cap: int) -> LevelMap:
     tgt_index = {p: i for i, p in enumerate(tgt)}
     mat = rat_zeros(len(tgt), len(src))
     for j, eta in enumerate(src):
-        if eta.range == lam.source:
-            from .graphs import compose
-            mat[tgt_index[compose(lam, eta)]][j] = Fraction(1)
+        out = s_image(lam, eta)
+        if out is not None:
+            mat[tgt_index[out]][j] = Fraction(1)
     return LevelMap(k, k + d, d, mat)
 
 
@@ -377,6 +378,33 @@ def theta_partial_trace(mults, t: float, eps: float, q_max: int) -> float:
     if q_max >= len(mults):
         raise ValueError("partial trace exceeds available multiplicities")
     return sum(math.exp(-t * q ** (1 + 2 * eps)) * mults[q] for q in range(q_max + 1))
+
+
+def theta_tail_bound(rho: float, min_x: float, t: float, eps: float, q_max: int) -> float:
+    """Upper bound on the heat-trace tail sum_{q > Q} exp(-t q^{1+2 eps}) n_q.
+
+    n_q <= #degree-q paths <= rho^q / min x, with x the mass-one Perron
+    vector, since 1^T A^q 1 <= 1^T A^q x / min x.  The ratio of
+    consecutive terms of that bound, rho exp(-t((q+1)^p - q^p)) with
+    p = 1 + 2 eps, decreases in q; the terms are summed up to the first
+    q > Q where it is below 1, and a geometric series in that ratio
+    bounds the rest.  Returns inf when a term overflows.
+    """
+    p = 1 + 2 * eps
+    log_rho = math.log(rho) if rho > 0 else -math.inf
+    log_scale = -math.log(min_x)
+    total = 0.0
+    q = q_max + 1
+    while True:
+        log_term = q * log_rho - t * q ** p + log_scale
+        if log_term > 700:
+            return math.inf
+        term = math.exp(log_term)
+        total += term
+        ratio = rho * math.exp(-t * ((q + 1) ** p - q ** p))
+        if ratio < 1:
+            return total + term * ratio / (1 - ratio)
+        q += 1
 
 
 def theta_dominating_terms(m_edges: int, t: float, eps: float, q_max: int) -> list[float]:

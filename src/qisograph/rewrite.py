@@ -365,8 +365,7 @@ def _monomial_pass(p: NCPoly, rels: RelationSet, trace: ReductionTrace | None) -
     return NCPoly(out)
 
 
-def normal_form(p: NCPoly, rels: RelationSet, trace: ReductionTrace | None = None,
-                search_limit: int = SEARCH_LIMIT) -> NCPoly:
+def normal_form(p: NCPoly, rels: RelationSet, trace: ReductionTrace | None = None) -> NCPoly:
     """Deterministic reduced form, idempotent and compatible with the
     formal adjoint.
 
@@ -381,7 +380,7 @@ def normal_form(p: NCPoly, rels: RelationSet, trace: ReductionTrace | None = Non
         return cur
     terms = cur.terms()
     alpha, words = _encode(list(terms), rels)
-    winning = _search_zero(dict(zip(words, terms.values())), alpha, search_limit)
+    winning = _search_zero(dict(zip(words, terms.values())), alpha, SEARCH_LIMIT)
     if winning is not None:
         if trace is not None:
             for tag in winning:
@@ -391,9 +390,13 @@ def normal_form(p: NCPoly, rels: RelationSet, trace: ReductionTrace | None = Non
     return cur
 
 
-def is_zero(p: NCPoly, rels: RelationSet, trace: ReductionTrace | None = None,
-            search_limit: int = SEARCH_LIMIT) -> Verdict:
-    nf = normal_form(p, rels, trace, search_limit)
+def is_zero(p: NCPoly, rels: RelationSet, trace: ReductionTrace | None = None) -> Verdict:
+    return normal_form_verdict(normal_form(p, rels, trace))
+
+
+def normal_form_verdict(nf: NCPoly) -> Verdict:
+    """The verdict a normal form carries: the search already ran inside
+    normal_form, so only a zero form is proved."""
     if nf.is_zero():
         return Verdict(PROVED_ZERO)
     return Verdict(UNKNOWN, detail=f"normal form has {nf.support_size} terms")

@@ -95,7 +95,7 @@ def test_criterion_4_theta_summability(graphs):
 def test_criterion_5_identity_suite(contexts):
     with criterion(5, "main-theorem identity suite", 300.0):
         for name in ("three-cycle", "k3"):
-            results = run_identity_suite(contexts[name], k_max=2, n_cap=3)
+            results = run_identity_suite(contexts[name], k_max=2)
             for r in results:
                 assert r.passed, (name, r.name, r.inputs, r.verdict, r.residuals)
                 numeric = r.residuals.get("numeric")

@@ -5,6 +5,8 @@ from qisograph.cli import main
 from qisograph.report import strip_wall_times
 
 GRAPHS = Path(__file__).resolve().parent.parent / "graphs"
+K5_TEXT = "graph k5\n" + "".join(f"v {v}\n" for v in "12345") + "".join(
+    f"e e{r}{s} {r} {s}\n" for s in "12345" for r in "12345" if r != s)
 
 
 def _graph(name: str) -> str:
@@ -32,6 +34,26 @@ def test_usage_errors():
     assert main(["spectral", "--graph", _graph("k3.g"), "--level", "1"]) == 2
     assert main(["spectral", "--graph", _graph("k3.g"), "--epsilon", "0.9"]) == 2
     assert main(["spectral", "--graph", _graph("k3.g"), "--t", "-1"]) == 2
+
+
+def test_commands_reject_flags_they_do_not_read(tmp_path):
+    assert main(["verify", "--graph", _graph("k3.g"),
+                 "--theta-csv", str(tmp_path / "theta.csv")]) == 2
+    assert main(["spectral", "--graph", _graph("k3.g"), "--flavor", "magic"]) == 2
+    assert main(["validate", "--graph", _graph("k3.g"), "--level", "3"]) == 2
+    assert main(["reduce", "--graph", _graph("k3.g"), "--k", "2", "q[1,2]"]) == 2
+
+
+def test_spectral_theta_enclosure_on_k5(tmp_path):
+    # rho = 4: the last partial-sum increment at Q = 20 and t = 0.5 is
+    # about 1.6e-7, yet the heat trace converges
+    gfile = tmp_path / "k5.g"
+    gfile.write_text(K5_TEXT)
+    out = tmp_path / "k5.json"
+    assert main(["spectral", "--graph", str(gfile), "--level", "2", "--out", str(out)]) == 0
+    theta = json.loads(out.read_text())["checks"][-1]
+    assert theta["name"] == "theta-summability" and theta["passed"]
+    assert 0 < theta["residuals"]["tail_bound"] < 1e-6
 
 
 def test_spectral_report(tmp_path):

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -202,7 +204,7 @@ def test_kms_vertex_is_weighted_schema(contexts):
 
 def test_dirac_commutation(contexts):
     for name in ("three-cycle", "k3"):
-        res = check_dirac_commutation(contexts[name], 3)
+        res = check_dirac_commutation(contexts[name])
         assert res.passed
         assert res.residuals["commutator"] < 1e-10
         assert res.residuals["gram_unitarity"] < 1e-10
@@ -219,12 +221,12 @@ def test_suite_checks_each_welldefined_pair_once(contexts, monkeypatch):
 
     monkeypatch.setattr(corep, "check_welldefined", counting)
     ctx = contexts["three-cycle"]
-    results = run_identity_suite(ctx, k_max=2, n_cap=3)
+    results = run_identity_suite(ctx, k_max=2)
     # the suite checks l < k <= 2, the Dirac check adds the pairs up to 3
     assert sorted(calls) == [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
     shared = results[-1]
     calls.clear()
-    alone = check_dirac_commutation(ctx, 3)
+    alone = check_dirac_commutation(ctx)
     assert len(calls) == 6
     assert (shared.reductions, shared.trace_digest, shared.detail) == \
         (alone.reductions, alone.trace_digest, alone.detail)
@@ -233,7 +235,7 @@ def test_suite_checks_each_welldefined_pair_once(contexts, monkeypatch):
 def test_dirac_commutation_uses_given_welldefined_flags(contexts, monkeypatch):
     from qisograph import corep
     monkeypatch.setattr(corep, "check_welldefined", None)   # must not be called
-    res = check_dirac_commutation(contexts["three-cycle"], 2,
+    res = check_dirac_commutation(replace(contexts["three-cycle"], n_cap=2),
                                   welldefined={(0, 1): False})
     assert not res.passed
     assert res.detail["welldefined_passed"] is False
@@ -242,7 +244,7 @@ def test_dirac_commutation_uses_given_welldefined_flags(contexts, monkeypatch):
 
 def test_dirac_commutation_negative_control(contexts):
     ctx = contexts["k3"]
-    res = check_dirac_commutation(ctx, 2, scalar_override=fourier_unitary(3))
+    res = check_dirac_commutation(replace(ctx, n_cap=2), scalar_override=fourier_unitary(3))
     assert not res.passed
     assert res.residuals["commutator"] > 1e-3
 
@@ -284,7 +286,6 @@ def _dense_dirac_residuals(ctx, n_cap, provider):
 
 
 def test_dirac_commutation_matches_dense_oracle(contexts):
-    from dataclasses import replace
     from qisograph.providers import RepresentationProvider, rotation_unitary
     for name in ("three-cycle", "k3"):
         ctx = contexts[name]
@@ -297,7 +298,7 @@ def test_dirac_commutation_matches_dense_oracle(contexts):
             for i, a in enumerate(ids) for j, b in enumerate(ids)})
         for provider in (ctx.providers[0], skew):
             for n_cap in (1, 2, 3):
-                res = check_dirac_commutation(replace(ctx, providers=[provider]), n_cap)
+                res = check_dirac_commutation(replace(ctx, providers=[provider], n_cap=n_cap))
                 comm, unitary = _dense_dirac_residuals(ctx, n_cap, provider)
                 assert abs(res.residuals["commutator"] - comm) < 1e-12
                 assert abs(res.residuals["gram_unitarity"] - unitary) < 1e-12
@@ -306,7 +307,6 @@ def test_dirac_commutation_matches_dense_oracle(contexts):
 
 def test_suite_builds_each_entry_once(contexts, monkeypatch):
     from collections import Counter
-    from dataclasses import replace
     from qisograph import corep
     calls = Counter()
     original = corep.corep_entry_word
@@ -317,7 +317,7 @@ def test_suite_builds_each_entry_once(contexts, monkeypatch):
 
     monkeypatch.setattr(corep, "corep_entry_word", counting)
     ctx = replace(contexts["three-cycle"])          # no level tables yet
-    run_identity_suite(ctx, k_max=2, n_cap=3)
+    run_identity_suite(ctx, k_max=2)
     assert set(calls.values()) == {1}
     # levels 0..n_cap, each pair of same-degree basis paths exactly once
     assert set(calls) == {(eta, lam) for k in range(4)
@@ -328,7 +328,7 @@ def test_suite_builds_each_entry_once(contexts, monkeypatch):
 def test_suite_all_pass(contexts):
     # every aut-plus test graph; k3 runs in the acceptance gate
     for name in ("three-cycle", "two-cycle", "asym4"):
-        results = run_identity_suite(contexts[name], k_max=2, n_cap=3)
+        results = run_identity_suite(contexts[name], k_max=2)
         assert all(r.passed for r in results)
         names = {r.name for r in results}
         assert names == {"welldefined", "isometry", "isometry-mixed", "comultiplicative",

@@ -56,6 +56,23 @@ def test_derivation_emits_row_sum_obligations(graphs):
         assert der.contradiction_pending
 
 
+def test_derivation_searches_each_obligation_once(graphs, monkeypatch):
+    from qisograph import rewrite
+    calls = []
+    search = rewrite._search_zero
+
+    def counting_search(*args, **kwargs):
+        calls.append(args[0])
+        return search(*args, **kwargs)
+
+    monkeypatch.setattr(rewrite, "_search_zero", counting_search)
+    setup = cuntz_setup(graphs["cuntz3"], FREE_UNITARY)
+    der = derive_contradiction(setup)
+    assert len(calls) == 3
+    for k, ob in der.obligations.items():
+        assert str(der.verdicts[k]) == f"Unknown (normal form has {ob.support_size} terms)"
+
+
 def test_derivation_collapses_for_magic(graphs):
     for n in (2, 3):
         setup = cuntz_setup(graphs[f"cuntz{n}"], MAGIC)

@@ -203,6 +203,25 @@ def test_automorphism_counts(graphs):
     assert len(graph_automorphisms(graphs["two-cycle"])) == 2
 
 
+def test_automorphisms_enumerated_once_per_graph(graphs, perron_data, monkeypatch):
+    import itertools
+    from qisograph.providers import classical_rep
+    from qisograph.relations import qaut_relations
+    g = graphs["k3"]
+    enumerations = []
+    permutations = itertools.permutations
+
+    def counting(items, *args):
+        enumerations.append(tuple(items))
+        return permutations(items, *args)
+
+    graph_automorphisms.cache_clear()
+    monkeypatch.setattr(itertools, "permutations", counting)
+    rels = qaut_relations(g, perron_data["k3"])
+    classical_rep(g, rels)
+    assert enumerations == [g.vertices]
+
+
 def test_s_star_image_matches_dense_representation(graphs, perron_data):
     # the dense matrix of S_lam* on each level is the oracle: its only
     # nonzero entry in column eta sits at the row of s_star_image

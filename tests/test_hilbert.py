@@ -11,7 +11,7 @@ from qisograph.hilbert import (
     TruncationOverflowError, alpha_sequence, cuntz_krieger_check,
     dirac, embed, embedding_gram_residual, gram_adjoint, level_space, multiplicities,
     path_counts, projection_invariant_residual, represent, theta_dominating_terms,
-    theta_partial_trace, xi_hat_ranks,
+    theta_partial_trace, theta_tail_bound, xi_hat_ranks,
 )
 from qisograph.ratmat import rat_rank
 
@@ -238,6 +238,22 @@ def test_theta_ratio_test(graphs):
     assert all(r < 1 for r in ratios[2:])
     roots = [term ** (1.0 / q) for q, term in enumerate(terms, start=1)]
     assert roots[-1] < 1 and roots[-1] < roots[5]
+
+
+def test_theta_tail_bound_encloses_longer_partial_sums(graphs):
+    from qisograph.graphs import parse_graph
+    from qisograph.perron import perron
+    k5 = parse_graph("graph k5\n" + "".join(f"v {v}\n" for v in "12345") + "".join(
+        f"e e{r}{s} {r} {s}\n" for s in "12345" for r in "12345" if r != s))
+    for g in (k5, graphs["k3"], graphs["asym4"]):
+        pf = perron(g)
+        mults = multiplicities(g, 40)
+        for t in (0.5, 1.0, 2.0):
+            tail = theta_tail_bound(pf.rho, min(pf.x), t, 0.25, 20)
+            at20 = theta_partial_trace(mults, t, 0.25, 20)
+            at40 = theta_partial_trace(mults, t, 0.25, 40)
+            assert math.isfinite(tail)
+            assert at20 + tail >= at40, (g.name, t)
 
 
 def test_theta_validates_arguments(graphs):

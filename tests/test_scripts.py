@@ -1,17 +1,43 @@
 import importlib.util
+import sys
 from pathlib import Path
 
-SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+from qisograph.cli import build_parser
+
+ROOT = Path(__file__).resolve().parent.parent
+SCRIPTS = ROOT / "scripts"
+
+
+def _load(path: Path):
+    spec = importlib.util.spec_from_file_location(path.stem, path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module     # dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
 
 
 def test_convention_experiment_runs(capsys):
-    spec = importlib.util.spec_from_file_location(
-        "convention_experiment", SCRIPTS / "convention_experiment.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
+    module = _load(SCRIPTS / "convention_experiment.py")
     module.main()
     lines = capsys.readouterr().out.splitlines()
     assert any(line.startswith("asym4 ") for line in lines)
     forced = [line for line in lines if "forced prepend ->" in line]
     assert len(forced) == 2
     assert all("forced prepend -> Unknown" in line for line in forced)
+
+
+def test_script_and_benchmark_argvs_parse():
+    """Every command line that run_verification.py and the benchmark
+    workloads pass is accepted by the parser."""
+    parser = build_parser()
+    argvs = [argv + [graph_file, "--out", "report.json"]
+             for _, argv, graph_files in _load(SCRIPTS / "run_verification.py").PIPELINES
+             for graph_file in graph_files]
+    workloads = _load(ROOT / "perfbench" / "workloads.py")
+    for workload in list(workloads.WORKLOADS.values()) + [workloads.SMOKE]:
+        argvs += [[inv.command, "--graph", f"{inv.graph}.g", *inv.extra, "--out", "report.json"]
+                  for inv in workload.invocations]
+    assert len(argvs) == 23
+    for argv in argvs:
+        args = parser.parse_args(argv)
+        assert args.command == argv[0]
