@@ -11,7 +11,7 @@ from pathlib import Path
 
 from qisograph.corep import VERTEX_PAIR, VerificationContext, check_welldefined
 from qisograph.graphs import RANGE_PREPEND, SOURCE_APPEND, parse_graph
-from qisograph.perron import convention_residuals, perron, select_convention
+from qisograph.perron import perron, select_convention
 from qisograph.providers import classical_rep
 from qisograph.relations import qaut_relations
 
@@ -25,8 +25,7 @@ def main():
     print(f"{'graph':<12} {'append residual':>16} {'prepend residual':>17} {'adopted':>15}")
     for name, g in graphs.items():
         pf = perron(g)
-        residuals = convention_residuals(pf, g)
-        side, _ = select_convention(pf, g)
+        side, residuals = select_convention(pf, g)
         print(f"{name:<12} {str(residuals[SOURCE_APPEND]):>16} "
               f"{str(residuals[RANGE_PREPEND]):>17} {side:>15}")
 

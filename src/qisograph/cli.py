@@ -67,6 +67,14 @@ class RunConfig:
     def validate(self):
         if self.n_cap < 2:
             raise UsageError("truncation level must be at least 2")
+        if self.k_max < 1:
+            raise UsageError("max corepresentation level --k must be at least 1")
+        if self.l_max is not None and self.l_max < 0:
+            raise UsageError("max lower level --l must be at least 0")
+        if self.measure_depth < 0:
+            raise UsageError("--measure-depth must be at least 0")
+        if self.q_max < 0:
+            raise UsageError("--q-max must be at least 0")
         if not 0 < self.epsilon < 0.5:
             raise UsageError("epsilon must lie in (0, 1/2)")
         if any(t <= 0 for t in self.t_values):
@@ -89,11 +97,11 @@ def _load_graph(config: RunConfig) -> tuple[DirectedGraph, str, str]:
 
 
 def _pick_convention(config: RunConfig, pf, g) -> tuple[str, dict]:
-    residuals = convention_residuals(pf, g)
+    """The adopted convention and both sides' residuals, computed once;
+    a forced convention skips the selection."""
     if config.convention == "auto":
-        side, _ = select_convention(pf, g)
-        return side, residuals
-    return config.convention, residuals
+        return select_convention(pf, g)
+    return config.convention, convention_residuals(pf, g)
 
 
 def cmd_validate(config: RunConfig) -> SuiteReport:

@@ -29,7 +29,8 @@ tables, with X = diag(x_{s(zeta)}) the Perron weights:
 - implementation: alpha(S_lam*) and alpha(S_lam) intertwine Q under the
   path shifts s_star_image and s_image;
 - comultiplicativity: sum_eta Q[xi,eta] (x) Q[eta,lam] = Delta(Q[xi,lam]),
-  leg-wise.
+  leg-wise; every term on both sides is a word pair with coefficient 1,
+  so each entry is a signed count of word pairs, reduced leg by leg.
 
 Every entry of every such difference is an obligation polynomial.  A
 check's obligations go through one collector, which reduces each
@@ -54,7 +55,7 @@ from .graphs import (
     s_star_image, vertex_path,
 )
 from .hilbert import dirac, embedding_gram_residual
-from .ncpoly import Generator, NCPoly, TensorPoly, Word, comultiply
+from .ncpoly import Generator, NCPoly, Word, comultiply
 from .perron import PerronData, cylinder_intersection_measure
 from .providers import RepresentationProvider, matrix_point_provider
 from .relations import RelationSet
@@ -256,25 +257,29 @@ def check_isometry_mixed(ctx: VerificationContext, lam: Path, eta: Path) -> Chec
 
 
 def check_comultiplicative(ctx: VerificationContext, k: int) -> CheckResult:
-    """(U (x) id) U = (id (x) Delta) U, leg-wise, per basis vector."""
+    """(U (x) id) U = (id (x) Delta) U, leg-wise, per basis vector: the
+    pair counts of both sides must cancel once each leg is reduced."""
     started = time.monotonic()
     if k > COMULTIPLICATIVE_MAX_LEVEL:
         raise ValueError(f"comultiplicativity guarded to level {COMULTIPLICATIVE_MAX_LEVEL}")
     trace = ReductionTrace()
-    basis = ctx.level(k).basis
+    table = ctx.level(k)
+    basis, entries = table.basis, table.entries
     failures = 0
     worst_terms = 0
     for lam in basis:
         for xi in basis:
-            lhs = TensorPoly.zero()
+            # +1 per pair Q[xi,eta] (x) Q[eta,lam], -1 per pair of Delta(Q[xi,lam])
+            counts: dict[tuple[Word, Word], int] = {}
             for eta in basis:
-                lhs = lhs + TensorPoly.tensor(ctx.entry_poly(xi, eta),
-                                              ctx.entry_poly(eta, lam))
-            rhs = comultiply(ctx.entry_poly(xi, lam), ctx.rels.universe)
-            diff = tensor_reduce(lhs - rhs, ctx.rels)
-            if not diff.is_zero():
+                key = (entries[(xi, eta)], entries[(eta, lam)])
+                counts[key] = counts.get(key, 0) + 1
+            for key in comultiply(entries[(xi, lam)], ctx.rels.universe):
+                counts[key] = counts.get(key, 0) - 1
+            diff = tensor_reduce(counts, ctx.rels)
+            if diff:
                 failures += 1
-                worst_terms = max(worst_terms, diff.support_size)
+                worst_terms = max(worst_terms, len(diff))
             trace.add("tensor:legwise")
     passed = failures == 0
     verdict = PROVED_ZERO if passed else UNKNOWN

@@ -365,12 +365,8 @@ def xi_hat_ranks(triple: TruncatedTriple) -> list[int]:
 
 
 def theta_partial_trace(mults, t: float, eps: float, q_max: int) -> float:
-    """Partial heat trace sum_{q<=Q} exp(-t q^{1+2 eps}) n_q.
-
-    Accepts a multiplicity list or a TruncatedTriple.
-    """
-    if isinstance(mults, TruncatedTriple):
-        mults = mults.mults
+    """Partial heat trace sum_{q<=Q} exp(-t q^{1+2 eps}) n_q over the
+    multiplicity list *mults*."""
     if t <= 0:
         raise ValueError("t must be positive")
     if not 0 < eps < 0.5:

@@ -1,11 +1,18 @@
-"""Noncommutative *-polynomials over abstract generators with rational
-coefficients.
+"""Noncommutative *-polynomials over abstract generators with exact
+rational coefficients.
 
 Generators come in three families: the self-adjoint idempotent entries
 q[i,j] of a magic unitary, the entries u[i,j] of a free unitary together
 with their adjoints u*[i,j], and a single formal unitary w used when a
 derivation introduces "some unitary q".  Words are tuples of generators;
-a polynomial is a finitely supported map from words to Fractions.
+a polynomial is a finitely supported map from words to exact rationals.
+Coefficients keep their own type: integer combinations stay Python
+ints, and a Fraction enters only with a rational input (a Perron weight
+or an expression-language constant).
+
+The coproduct acts on single words: Delta(w) is a list of word pairs,
+the terms of an element of the algebraic tensor square, each with
+coefficient 1.
 """
 
 from __future__ import annotations
@@ -57,6 +64,8 @@ def adjoint_generator(g: Generator) -> Generator:
 
 
 Word = tuple[Generator, ...]
+#: an exact coefficient: an int, or a Fraction once a rational enters
+Coeff = int | Fraction
 
 
 def word_key(w: Word):
@@ -68,11 +77,11 @@ def word_str(w: Word) -> str:
 
 
 class NCPoly:
-    """Finitely supported Fraction-linear combination of words."""
+    """Finitely supported rational linear combination of words."""
 
     __slots__ = ("_terms",)
 
-    def __init__(self, terms: dict[Word, Fraction] | None = None):
+    def __init__(self, terms: dict[Word, Coeff] | None = None):
         self._terms = {w: c for w, c in (terms or {}).items() if c != 0}
 
     @classmethod
@@ -81,24 +90,24 @@ class NCPoly:
 
     @classmethod
     def one(cls) -> "NCPoly":
-        return cls({(): Fraction(1)})
+        return cls({(): 1})
 
     @classmethod
     def gen(cls, g: Generator) -> "NCPoly":
-        return cls({(g,): Fraction(1)})
+        return cls({(g,): 1})
 
     @classmethod
     def word(cls, w: Word, coeff=1) -> "NCPoly":
-        return cls({tuple(w): Fraction(coeff)})
+        return cls({tuple(w): coeff})
 
     def items(self):
         return sorted(self._terms.items(), key=lambda t: word_key(t[0]))
 
-    def terms(self) -> dict[Word, Fraction]:
+    def terms(self) -> dict[Word, Coeff]:
         return dict(self._terms)
 
-    def coeff(self, w: Word) -> Fraction:
-        return self._terms.get(tuple(w), Fraction(0))
+    def coeff(self, w: Word) -> Coeff:
+        return self._terms.get(tuple(w), 0)
 
     @property
     def support_size(self) -> int:
@@ -110,30 +119,29 @@ class NCPoly:
     def __add__(self, other: "NCPoly") -> "NCPoly":
         out = dict(self._terms)
         for w, c in other._terms.items():
-            out[w] = out.get(w, Fraction(0)) + c
+            out[w] = out.get(w, 0) + c
         return NCPoly(out)
 
     def __sub__(self, other: "NCPoly") -> "NCPoly":
         out = dict(self._terms)
         for w, c in other._terms.items():
-            out[w] = out.get(w, Fraction(0)) - c
+            out[w] = out.get(w, 0) - c
         return NCPoly(out)
 
     def __neg__(self) -> "NCPoly":
         return NCPoly({w: -c for w, c in self._terms.items()})
 
-    def scale(self, c) -> "NCPoly":
-        c = Fraction(c)
+    def scale(self, c: Coeff) -> "NCPoly":
         return NCPoly({w: c * v for w, v in self._terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
-        out: dict[Word, Fraction] = {}
+        out: dict[Word, Coeff] = {}
         for w1, c1 in self._terms.items():
             for w2, c2 in other._terms.items():
                 w = w1 + w2
-                out[w] = out.get(w, Fraction(0)) + c1 * c2
+                out[w] = out.get(w, 0) + c1 * c2
         return NCPoly(out)
 
     def __rmul__(self, other):
@@ -166,74 +174,17 @@ class NCPoly:
         return " + ".join(parts).replace("+ -", "- ")
 
 
-class TensorPoly:
-    """Element of the algebraic tensor square: map (word, word) -> Fraction."""
-
-    __slots__ = ("_terms",)
-
-    def __init__(self, terms: dict[tuple[Word, Word], Fraction] | None = None):
-        self._terms = {p: c for p, c in (terms or {}).items() if c != 0}
-
-    @classmethod
-    def zero(cls) -> "TensorPoly":
-        return cls()
-
-    @classmethod
-    def tensor(cls, left: NCPoly, right: NCPoly) -> "TensorPoly":
-        out: dict[tuple[Word, Word], Fraction] = {}
-        for w1, c1 in left._terms.items():
-            for w2, c2 in right._terms.items():
-                key = (w1, w2)
-                out[key] = out.get(key, Fraction(0)) + c1 * c2
-        return cls(out)
-
-    def items(self):
-        return sorted(self._terms.items(),
-                      key=lambda t: (word_key(t[0][0]), word_key(t[0][1])))
-
-    def __add__(self, other: "TensorPoly") -> "TensorPoly":
-        out = dict(self._terms)
-        for p, c in other._terms.items():
-            out[p] = out.get(p, Fraction(0)) + c
-        return TensorPoly(out)
-
-    def __sub__(self, other: "TensorPoly") -> "TensorPoly":
-        out = dict(self._terms)
-        for p, c in other._terms.items():
-            out[p] = out.get(p, Fraction(0)) - c
-        return TensorPoly(out)
-
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    @property
-    def support_size(self) -> int:
-        return len(self._terms)
-
-    def __eq__(self, other):
-        return isinstance(other, TensorPoly) and self._terms == other._terms
-
-    def __repr__(self):
-        if not self._terms:
-            return "0"
-        return " + ".join(
-            f"{c}*({word_str(w1)} (x) {word_str(w2)})" for (w1, w2), c in self.items())
-
-
-def comultiply(p: NCPoly, universe: tuple[str, ...]) -> TensorPoly:
-    """Coproduct Delta(g[i,j]) = sum_k g[i,k] (x) g[k,j], extended as an
-    algebra homomorphism; the unit maps to unit (x) unit."""
-    total: dict[tuple[Word, Word], Fraction] = {}
-    for w, c in p._terms.items():
-        pairs: list[tuple[Word, Word]] = [((), ())]
-        for g in w:
-            if g.kind not in (QKIND, UKIND, USTAR):
-                raise ValueError(f"no coproduct for generator {g}")
-            pairs = [
-                (w1 + (Generator(g.kind, g.row, k),), w2 + (Generator(g.kind, k, g.col),))
-                for (w1, w2) in pairs
-                for k in universe
-            ]
-        for key in pairs:
-            total[key] = total.get(key, Fraction(0)) + c
-    return TensorPoly(total)
+def comultiply(word: Word, universe: tuple[str, ...]) -> list[tuple[Word, Word]]:
+    """Delta(word) as its (left, right) word pairs, each with coefficient
+    1: Delta(g[i,j]) = sum_k g[i,k] (x) g[k,j], extended multiplicatively;
+    the empty word maps to the single pair of empty words."""
+    pairs: list[tuple[Word, Word]] = [((), ())]
+    for g in word:
+        if g.kind not in (QKIND, UKIND, USTAR):
+            raise ValueError(f"no coproduct for generator {g}")
+        pairs = [
+            (w1 + (Generator(g.kind, g.row, k),), w2 + (Generator(g.kind, k, g.col),))
+            for (w1, w2) in pairs
+            for k in universe
+        ]
+    return pairs

@@ -91,7 +91,7 @@ def register(provider: RepresentationProvider, rels: RelationSet) -> Representat
                        else Generator(rels.gen_kind, fixed, var))
                 w = rels.weight_of(schema, var)
                 total = total + float(w) * provider.values(gen)
-            target = float(rels.weight_of(schema, fixed)) if schema.weighted else 1.0
+            target = float(rels.weight_of(schema, fixed))
             _check_close(provider.name, f"schema {schema.tag}@{fixed}", total, target,
                          provider.tol)
     for schema in rels.unitary_schemas:

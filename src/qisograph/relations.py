@@ -29,14 +29,13 @@ PairRule = tuple[Generator, Generator]
 @dataclass(frozen=True)
 class SumSchema:
     """Single-generator full-index sum: over the varying axis of a
-    q-generator, sum_k (weight_k * g) collapses to value * unit."""
+    q-generator, sum_k (weight_k * g) collapses to value * unit, where
+    value is the weight at the fixed index (1 for a plain row/column
+    sum, whose weights are None)."""
 
     tag: str
     varying_axis: str                      # "row" or "col"
     weights: tuple[Fraction, ...] | None   # indexed like the universe; None = all ones
-    # value for weighted schemas is the weight at the fixed index; for
-    # plain row/column sums it is 1.
-    weighted: bool = False
     provenance: str = "axiom"
 
 
@@ -79,9 +78,9 @@ class RelationSet:
         from .rewrite import Alphabet
         return Alphabet(self)
 
-    def weight_of(self, schema: SumSchema, idx: str) -> Fraction:
+    def weight_of(self, schema: SumSchema, idx: str) -> Fraction | int:
         if schema.weights is None:
-            return Fraction(1)
+            return 1
         return schema.weights[self.universe.index(idx)]
 
 
@@ -256,7 +255,7 @@ def qaut_relations(g: DirectedGraph, pf=None, name: str | None = None) -> Relati
     ]
     if pf is not None and pf.exact:
         weights = tuple(pf.exact_x[pf.vertices.index(v)] for v in ids)
-        schemas.append(SumSchema("weighted-col-sum", "row", weights, weighted=True,
+        schemas.append(SumSchema("weighted-col-sum", "row", weights,
                                  provenance="derived-from-paper-theorem"))
     elif pf is not None:
         events.append({"family": "weighted-col-sum", "action": "disabled",

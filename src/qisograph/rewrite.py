@@ -42,10 +42,9 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from fractions import Fraction
 from operator import itemgetter
 
-from .ncpoly import Generator, NCPoly, TensorPoly, Word
+from .ncpoly import Coeff, Generator, NCPoly, Word
 from .relations import RelationSet
 from .verdict import PROVED_ZERO, UNKNOWN, Verdict
 
@@ -53,7 +52,7 @@ from .verdict import PROVED_ZERO, UNKNOWN, Verdict
 SEARCH_LIMIT = 3000
 
 IntWord = tuple[int, ...]
-IntTerms = dict[IntWord, Fraction]
+IntTerms = dict[IntWord, Coeff]
 
 _MISS = object()
 
@@ -200,7 +199,8 @@ class _SumAxis:
             for g in range(alpha.size)]
         self.schemas = tuple(
             ("collapse:" + s.tag,
-             {alpha.rank[i]: rels.weight_of(s, i) for i in rels.universe} if s.weighted else None)
+             None if s.weights is None
+             else {alpha.rank[i]: rels.weight_of(s, i) for i in rels.universe})
             for s in schemas)
 
     def candidates(self, terms: IntTerms, reduce, out: list):
@@ -235,7 +235,7 @@ class _SumAxis:
                 out.append((sort_key, (tag, removed, prefix + suffix, value)))
 
 
-def _collapsed_value(members: dict, fixed: int, weights: dict | None) -> Fraction | None:
+def _collapsed_value(members: dict, fixed: int, weights: dict | None) -> Coeff | None:
     """What a sum group collapses to under a plain (weights None) or
     weighted schema, or None when its coefficients do not fit it."""
     rest = iter(members.items())
@@ -282,7 +282,7 @@ class _UnitaryTable:
             if any(c != base for c, _ in rest):
                 continue
             removed = tuple(w for _, w in members.values())
-            coeff = base if i == j else Fraction(0)
+            coeff = base if i == j else 0
             sort_key = (-len(members), -len(prefix), prefix, len(suffix), suffix,
                         self.tag, i, j)
             out.append((sort_key, (self.tag, removed, prefix + suffix, coeff)))
@@ -357,11 +357,11 @@ def reduce_word(word: Word, rels: RelationSet, trace: ReductionTrace | None = No
 
 
 def _monomial_pass(p: NCPoly, rels: RelationSet, trace: ReductionTrace | None) -> NCPoly:
-    out: dict[Word, Fraction] = {}
+    out: dict[Word, Coeff] = {}
     for w, c in p.terms().items():
         r = reduce_word(w, rels, trace)
         if r is not None:
-            out[r] = out.get(r, Fraction(0)) + c
+            out[r] = out.get(r, 0) + c
     return NCPoly(out)
 
 
@@ -402,10 +402,14 @@ def normal_form_verdict(nf: NCPoly) -> Verdict:
     return Verdict(UNKNOWN, detail=f"normal form has {nf.support_size} terms")
 
 
-def tensor_reduce(t: TensorPoly, rels: RelationSet) -> TensorPoly:
-    """Leg-wise monomial reduction of a tensor-square element."""
-    out: dict[tuple[Word, Word], Fraction] = {}
-    for (w1, w2), c in t.items():
+def tensor_reduce(pairs: dict[tuple[Word, Word], int],
+                  rels: RelationSet) -> dict[tuple[Word, Word], int]:
+    """Leg-wise monomial reduction of a tensor-square element given as
+    word-pair counts; returns the nonzero counts of the reduced pairs."""
+    out: dict[tuple[Word, Word], int] = {}
+    for (w1, w2), c in pairs.items():
+        if not c:
+            continue
         r1 = reduce_word(w1, rels)
         if r1 is None:
             continue
@@ -413,5 +417,5 @@ def tensor_reduce(t: TensorPoly, rels: RelationSet) -> TensorPoly:
         if r2 is None:
             continue
         key = (r1, r2)
-        out[key] = out.get(key, Fraction(0)) + c
-    return TensorPoly(out)
+        out[key] = out.get(key, 0) + c
+    return {key: c for key, c in out.items() if c}

@@ -36,6 +36,41 @@ def test_usage_errors():
     assert main(["spectral", "--graph", _graph("k3.g"), "--t", "-1"]) == 2
 
 
+def test_vacuous_ranges_exit_2(capsys):
+    # each of these ran fewer checks than the suite has and still passed
+    for argv in (["verify", "--graph", _graph("three_cycle.g"), "--k", "-1"],
+                 ["verify", "--graph", _graph("three_cycle.g"), "--l", "-1"],
+                 ["cuntz", "--graph", _graph("cuntz2.g"), "--k", "-1"],
+                 ["spectral", "--graph", _graph("k3.g"), "--measure-depth", "-1"],
+                 ["spectral", "--graph", _graph("k3.g"), "--q-max", "-1"]):
+        assert main(argv) == 2, argv
+        assert "must be at least" in capsys.readouterr().err
+
+
+def test_convention_residuals_computed_once_per_run(monkeypatch):
+    from qisograph import cli, perron
+    calls = []
+
+    def counting(fn, name):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    residuals = counting(perron.convention_residuals, "residuals")
+    monkeypatch.setattr(perron, "convention_residuals", residuals)
+    monkeypatch.setattr(cli, "convention_residuals", residuals)
+    monkeypatch.setattr(cli, "select_convention", counting(perron.select_convention, "select"))
+    # an auto run selects; a forced run skips the selection
+    for argv, expected in ((["verify", "--graph", _graph("three_cycle.g"), "--k", "1"],
+                            ["select", "residuals"]),
+                           (["verify", "--graph", _graph("asym4.g"), "--k", "1",
+                             "--convention", "range-prepend"], ["residuals"])):
+        calls.clear()
+        main(argv)
+        assert calls == expected, argv
+
+
 def test_commands_reject_flags_they_do_not_read(tmp_path):
     assert main(["verify", "--graph", _graph("k3.g"),
                  "--theta-csv", str(tmp_path / "theta.csv")]) == 2

@@ -1,10 +1,11 @@
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from qisograph.corep import (
-    build_corep,
+    VerificationContext, build_corep,
     check_comultiplicative, check_density, check_dirac_commutation,
     check_implementation, check_isometry, check_isometry_mixed, check_kms_invariance,
     check_welldefined, evaluate_corep_matrix, isometry_obligation,
@@ -13,7 +14,8 @@ from qisograph.corep import (
 from qisograph.graphs import RANGE_PREPEND, edge_path, enumerate_paths, vertex_path
 from qisograph.ncpoly import NCPoly, q
 from qisograph.providers import fourier_unitary
-from qisograph.rewrite import is_zero
+from qisograph.relations import magic_relations
+from qisograph.rewrite import is_zero, normal_form
 from qisograph.verdict import PROVED_ZERO, UNKNOWN
 
 
@@ -143,6 +145,38 @@ def test_comultiplicative(contexts):
             assert check_comultiplicative(ctx, k).passed
     with pytest.raises(ValueError):
         check_comultiplicative(contexts["k3"], 3)
+
+
+@pytest.mark.parametrize("name, k, failed_pairs, worst_terms", [
+    ("asym4", 1, 64, 4), ("asym4", 2, 256, 20),
+    ("three-cycle", 1, 9, 3), ("three-cycle", 2, 9, 9),
+])
+def test_comultiplicative_fails_without_edge_rules(graphs, perron_data, name, k,
+                                                   failed_pairs, worst_terms):
+    # the bare magic relations on the vertices have no edge-zero rules,
+    # so the leg-wise difference survives reduction
+    g = graphs[name]
+    ctx = VerificationContext(g, perron_data[name], magic_relations(tuple(g.vertices)))
+    res = check_comultiplicative(ctx, k)
+    assert not res.passed and res.verdict == UNKNOWN
+    assert res.residuals == {"failed_pairs": failed_pairs, "worst_terms": worst_terms}
+
+
+def test_coefficients_stay_native(contexts):
+    # integer combinations keep int coefficients; Perron weights bring Fractions
+    ctx = contexts["asym4"]
+    basis = ctx.level(1).basis
+    a, b = basis[0], basis[1]
+    entry = ctx.entry_poly(a, a)
+    assert [type(c) for c in entry.terms().values()] == [int]
+    ob = entry + entry - ctx.entry_poly(b, b)
+    nf = normal_form(ob, ctx.rels)
+    assert not nf.is_zero()
+    assert all(type(c) is int for c in nf.terms().values())
+    weighted = isometry_obligation(ctx, a, a)
+    assert any(isinstance(c, Fraction) and c.denominator > 1
+               for c in weighted.terms().values())
+    assert all(isinstance(c, (int, Fraction)) for c in weighted.terms().values())
 
 
 def test_density(contexts):

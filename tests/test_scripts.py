@@ -41,3 +41,19 @@ def test_script_and_benchmark_argvs_parse():
     for argv in argvs:
         args = parser.parse_args(argv)
         assert args.command == argv[0]
+
+
+def test_traced_boundaries_exist():
+    """Every layer boundary the benchmark's tracer wraps is a callable
+    of the package, so a rename or a deletion fails here too."""
+    import importlib
+    tracer = _load(ROOT / "perfbench" / "tracer.py")
+    sites = [site for sites in tracer.SPANS.values() for site in sites]
+    sites += [site for site, _ in tracer.COUNTERS.values()]
+    assert len(sites) > 30
+    for module_name, attr in sites:
+        target = importlib.import_module(f"{tracer.PACKAGE}.{module_name}")
+        for part in attr.split("."):
+            target = getattr(target, part, None)
+        assert callable(target), f"{module_name}.{attr}"
+        assert target.__module__ == f"{tracer.PACKAGE}.{module_name}", f"{module_name}.{attr}"
