@@ -32,10 +32,15 @@ tables, with X = diag(x_{s(zeta)}) the Perron weights:
   leg-wise; every term on both sides is a word pair with coefficient 1,
   so each entry is a signed count of word pairs, reduced leg by leg.
 
-Every entry of every such difference is an obligation polynomial.  A
-check's obligations go through one collector, which reduces each
-nonzero one symbolically and evaluates it under the registered numeric
-providers; a check passes only when every symbolic verdict is
+Every entry of every such difference is an obligation: one word ->
+coefficient dict accumulated straight from the level tables (a product
+of entries concatenates their words, an adjoint is ``star_word``, a
+Perron weight is the coefficient).  Positive terms go in first and
+subtractions last, so the dict's insertion order is the term order the
+rewriter and its trace digest see.  A check's obligations go through
+one collector, which wraps each dict into a polynomial once, reduces
+each nonzero one symbolically and evaluates it under the registered
+numeric providers; a check passes only when every symbolic verdict is
 ProvedZero (and the stated structural condition holds) and the numeric
 residual stays below NUMERIC_TOL.  The truncation level is the
 context's n_cap.
@@ -45,7 +50,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import partial
 
 import numpy as np
@@ -55,7 +59,7 @@ from .graphs import (
     s_star_image, vertex_path,
 )
 from .hilbert import dirac, embedding_gram_residual
-from .ncpoly import Generator, NCPoly, Word, comultiply
+from .ncpoly import Coeff, Generator, NCPoly, Word, comultiply, star_word
 from .perron import PerronData, cylinder_intersection_measure
 from .providers import RepresentationProvider, matrix_point_provider
 from .relations import RelationSet
@@ -140,16 +144,15 @@ class VerificationContext:
             table = self._levels[k] = build_corep(self.g, k, self.scheme, self.kind)
         return table
 
-    def entry_poly(self, eta: Path, lam: Path) -> NCPoly:
-        return NCPoly.word(self.level(eta.degree).entries[(eta, lam)])
 
-    def x_of(self, v: str) -> Fraction:
-        return self.pf.x_of(v)
+def _add(ob: dict[Word, Coeff], w: Word, c: Coeff):
+    ob[w] = ob.get(w, 0) + c
 
 
 class _Obligations:
-    """One check's obligations: every nonzero polynomial is reduced
-    symbolically once and evaluated under the context's providers."""
+    """One check's obligations: each dict becomes one polynomial, and
+    every nonzero one is reduced symbolically once and evaluated under
+    the context's providers."""
 
     def __init__(self, ctx: VerificationContext):
         self.ctx = ctx
@@ -158,7 +161,8 @@ class _Obligations:
         self.verdicts = []
         self.diffs = []
 
-    def add(self, p: NCPoly):
+    def add(self, terms: dict[Word, Coeff]):
+        p = NCPoly(terms)
         if p.is_zero():
             return
         self.diffs.append(p)
@@ -190,45 +194,46 @@ def check_welldefined(ctx: VerificationContext, l: int, k: int,
     """
     obs = _Obligations(ctx)
     conv = convention or ctx.convention
-    basis_l, basis_k = ctx.level(l).basis, ctx.level(k).basis
-    for lam in basis_l:
-        lhs: dict[Path, NCPoly] = {}
-        for xi in basis_l:
-            word = ctx.entry_poly(xi, lam)
+    table_l, table_k = ctx.level(l), ctx.level(k)
+    for lam in table_l.basis:
+        diff: dict[Path, dict[Word, Coeff]] = {eta: {} for eta in table_k.basis}
+        for xi in table_l.basis:
+            word = table_l.entries[(xi, lam)]
             for ext in refine(ctx.g, xi, k - l, ctx.convention):
-                lhs[ext] = lhs.get(ext, NCPoly.zero()) + word
-        rhs: dict[Path, NCPoly] = {}
+                _add(diff[ext], word, 1)
         for mu in refine(ctx.g, lam, k - l, conv):
-            for eta in basis_k:
-                rhs[eta] = rhs.get(eta, NCPoly.zero()) + ctx.entry_poly(eta, mu)
-        for eta in basis_k:
-            obs.add(lhs.get(eta, NCPoly.zero()) - rhs.get(eta, NCPoly.zero()))
+            for eta in table_k.basis:
+                _add(diff[eta], table_k.entries[(eta, mu)], -1)
+        for ob in diff.values():
+            obs.add(ob)
     gram = embedding_gram_residual(ctx.g, ctx.pf, l, k, conv)
     return obs.result("welldefined", {"l": l, "k": k, "convention": conv},
                       extra_residuals={"embedding_gram": gram}, structural_ok=(gram == 0))
 
 
-def _weighted_products(ctx: VerificationContext, pairs, star_first: bool) -> NCPoly:
+def _weighted_products(ctx: VerificationContext, pairs, star_first: bool,
+                       unit: Coeff) -> dict[Word, Coeff]:
     """sum over (lam, eta) in *pairs* and zeta in the common level
     basis of x_{s(zeta)} Q[zeta,lam]* Q[zeta,eta] (*star_first*) or
-    x_{s(zeta)} Q[zeta,lam] Q[zeta,eta]*, accumulated in that order."""
-    ob = NCPoly.zero()
+    x_{s(zeta)} Q[zeta,lam] Q[zeta,eta]*, accumulated in that order,
+    minus *unit* times 1."""
+    ob: dict[Word, Coeff] = {}
     for lam, eta in pairs:
-        for zeta in ctx.level(lam.degree).basis:
-            w1 = ctx.entry_poly(zeta, lam)
-            w2 = ctx.entry_poly(zeta, eta)
-            prod = w1.star() * w2 if star_first else w1 * w2.star()
-            ob = ob + prod.scale(ctx.x_of(zeta.source))
+        table = ctx.level(lam.degree)
+        for zeta in table.basis:
+            w1, w2 = table.entries[(zeta, lam)], table.entries[(zeta, eta)]
+            word = star_word(w1) + w2 if star_first else w1 + star_word(w2)
+            _add(ob, word, ctx.pf.x_of(zeta.source))
+    if unit:
+        _add(ob, (), -unit)
     return ob
 
 
-def isometry_obligation(ctx: VerificationContext, lam: Path, eta: Path) -> NCPoly:
+def isometry_obligation(ctx: VerificationContext, lam: Path, eta: Path) -> dict[Word, Coeff]:
     """(Q* X Q - X)[lam, eta] with X = diag(x_{s(zeta)}); the common
     rho^{-k} factor cancels."""
-    ob = _weighted_products(ctx, [(lam, eta)], star_first=True)
-    if lam == eta:
-        ob = ob - NCPoly.one().scale(ctx.x_of(lam.source))
-    return ob
+    return _weighted_products(ctx, [(lam, eta)], star_first=True,
+                              unit=ctx.pf.x_of(lam.source) if lam == eta else 0)
 
 
 def check_isometry(ctx: VerificationContext, k: int) -> CheckResult:
@@ -250,9 +255,8 @@ def check_isometry_mixed(ctx: VerificationContext, lam: Path, eta: Path) -> Chec
     pairs = ((lam2, eta2)
              for lam2 in refine(ctx.g, lam, top - lam.degree, ctx.convention)
              for eta2 in refine(ctx.g, eta, top - eta.degree, ctx.convention))
-    ob = _weighted_products(ctx, pairs, star_first=True)
     target = cylinder_intersection_measure(ctx.pf, lam, eta) * ctx.pf.exact_rho ** top
-    obs.add(ob - NCPoly.one().scale(target))
+    obs.add(_weighted_products(ctx, pairs, star_first=True, unit=target))
     return obs.result("isometry-mixed", {"lam": lam.label, "eta": eta.label})
 
 
@@ -298,13 +302,15 @@ def check_density(ctx: VerificationContext, lam: Path) -> CheckResult:
     if lam.degree not in (1, 2):
         raise ValueError("density check covers degrees 1 and 2")
     obs = _Obligations(ctx)
-    basis = ctx.level(lam.degree).basis
-    mults = [ctx.entry_poly(lam, zeta).star() for zeta in basis]
-    for eta in basis:
-        d = NCPoly.zero()
-        for zeta, mult in zip(basis, mults):
-            d = d + ctx.entry_poly(eta, zeta) * mult
-        obs.add(d - NCPoly.one() if eta == lam else d)
+    table = ctx.level(lam.degree)
+    mults = [star_word(table.entries[(lam, zeta)]) for zeta in table.basis]
+    for eta in table.basis:
+        ob: dict[Word, Coeff] = {}
+        for zeta, mult in zip(table.basis, mults):
+            _add(ob, table.entries[(eta, zeta)] + mult, 1)
+        if eta == lam:
+            _add(ob, (), -1)
+        obs.add(ob)
     return obs.result("density", {"lam": lam.label})
 
 
@@ -316,19 +322,21 @@ def _intertwining(obs: _Obligations, ctx: VerificationContext, lam: Path, eta: P
     """(pi (x) .) alpha(T_lam) U(chi_eta) = U(pi(T_lam) chi_eta) on the
     level-*out_level* basis, where T_xi sends chi_zeta to
     chi_{shift(xi, zeta)} (zero when that is None) and alpha(T_lam) =
-    sum_xi T_xi (x) coeff(Q[xi, lam])."""
-    zero = NCPoly.zero()
-    lhs: dict[Path, NCPoly] = {}
-    for xi in ctx.level(lam.degree).basis:
-        c = coeff(ctx.entry_poly(xi, lam))
-        for zeta in ctx.level(eta.degree).basis:
+    sum_xi T_xi (x) coeff(Q[xi, lam]), *coeff* a map on words."""
+    table_lam, table_eta, table_out = (ctx.level(lam.degree), ctx.level(eta.degree),
+                                       ctx.level(out_level))
+    diff: dict[Path, dict[Word, Coeff]] = {out: {} for out in table_out.basis}
+    for xi in table_lam.basis:
+        c = coeff(table_lam.entries[(xi, lam)])
+        for zeta in table_eta.basis:
             out = shift(xi, zeta)
             if out is not None:
-                lhs[out] = lhs.get(out, zero) + c * ctx.entry_poly(zeta, eta)
+                _add(diff[out], c + table_eta.entries[(zeta, eta)], 1)
     target = shift(lam, eta)
-    for out in ctx.level(out_level).basis:
-        rhs = zero if target is None else ctx.entry_poly(out, target)
-        obs.add(lhs.get(out, zero) - rhs)
+    for out, ob in diff.items():
+        if target is not None:
+            _add(ob, table_out.entries[(out, target)], -1)
+        obs.add(ob)
 
 
 def check_implementation(ctx: VerificationContext, lam: Path, eta: Path) -> CheckResult:
@@ -337,13 +345,13 @@ def check_implementation(ctx: VerificationContext, lam: Path, eta: Path) -> Chec
     checked explicitly rather than trusted by symmetry."""
     obs = _Obligations(ctx)
     n, m = lam.degree, eta.degree
-    _intertwining(obs, ctx, lam, eta, partial(s_star_image, ctx.g), NCPoly.star,
+    _intertwining(obs, ctx, lam, eta, partial(s_star_image, ctx.g), star_word,
                   max(m - n, 0))
     # the non-starred identity is asserted only when its image level
     # stays inside the truncation window
     non_starred = n + m <= ctx.n_cap
     if non_starred:
-        _intertwining(obs, ctx, lam, eta, s_image, lambda p: p, n + m)
+        _intertwining(obs, ctx, lam, eta, s_image, lambda w: w, n + m)
     return obs.result("implementation",
                       {"lam": lam.label, "eta": eta.label,
                        "case": _implementation_case(lam, eta)},
@@ -363,10 +371,8 @@ def check_kms_invariance(ctx: VerificationContext, lam: Path, mu: Path) -> Check
     obs = _Obligations(ctx)
     # different degrees: the state kills every term on both sides
     if lam.degree == mu.degree:
-        ob = _weighted_products(ctx, [(lam, mu)], star_first=False)
-        if lam == mu:
-            ob = ob - NCPoly.one().scale(ctx.x_of(lam.source))
-        obs.add(ob)
+        obs.add(_weighted_products(ctx, [(lam, mu)], star_first=False,
+                                   unit=ctx.pf.x_of(lam.source) if lam == mu else 0))
     return obs.result("kms-invariance", {"lam": lam.label, "mu": mu.label})
 
 
@@ -378,11 +384,11 @@ def evaluate_corep_matrix(ctx: VerificationContext, k: int,
     """The level-k corepresentation under a provider, one level matrix
     per one-dimensional summand: shape (dim, paths, paths), with entry
     [s, eta, lam] the value of Q[eta, lam] on summand s."""
-    basis = ctx.level(k).basis
-    out = np.zeros((provider.dim, len(basis), len(basis)), dtype=complex)
-    for i, eta in enumerate(basis):
-        for j, lam in enumerate(basis):
-            out[:, i, j] = provider.value(ctx.entry_poly(eta, lam))
+    table = ctx.level(k)
+    out = np.zeros((provider.dim, len(table.basis), len(table.basis)), dtype=complex)
+    for i, eta in enumerate(table.basis):
+        for j, lam in enumerate(table.basis):
+            out[:, i, j] = provider.value(NCPoly.word(table.entries[(eta, lam)]))
     return out
 
 

@@ -142,14 +142,6 @@ def derive_contradiction(setup: CuntzSetup) -> DerivationReport:
     return DerivationReport(setup.n, setup.flavor, steps, obligations, verdicts)
 
 
-def cuntz_provider_portfolio(setup: CuntzSetup) -> list[RepresentationProvider]:
-    """Identity first (a permutation, hence never a witness), then the
-    generic rotation and the Fourier-type matrix."""
-    if setup.flavor == MAGIC:
-        return [loop_permutation_rep(setup.loop_ids, setup.rels)]
-    return unitary_provider_portfolio(setup.loop_ids, setup.rels)
-
-
 @dataclass
 class NonIsometryVerdict:
     verdict: str                     # "NotIsometric" or "Inconclusive"
@@ -176,7 +168,8 @@ def non_isometry_verdict(setup: CuntzSetup,
     if setup.flavor != FREE_UNITARY:
         raise ValueError("the contradiction argument targets the free-unitary flavor")
     derivation = derivation or derive_contradiction(setup)
-    providers = providers if providers is not None else cuntz_provider_portfolio(setup)
+    if providers is None:
+        providers = unitary_provider_portfolio(setup.loop_ids, setup.rels)
     witnesses = {}
     found = False
     for k, ob in sorted(derivation.obligations.items()):

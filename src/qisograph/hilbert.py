@@ -6,8 +6,12 @@ The degree-k cylinder indicators form a basis of the level-k space; the
 inner product is the diagonal Gram form with entries M([eta]).  Maps
 between levels carry an explicit half-integer power of the spectral
 radius so that compositions such as S_e* S_e stay exactly rational.
-Operator identities are asserted only on interior levels: a finite
-window cannot represent S_e on its top level.
+The embeddings and the generators S_lambda, S_lambda*, p_v are all
+path maps: each sends a basis indicator chi_eta to a sum of indicators
+given by refine, s_image, s_star_image or the range test, and one
+builder turns such a map into its 0/1 matrix.  Operator identities are
+asserted only on interior levels: a finite window cannot represent S_e
+on its top level.
 """
 
 from __future__ import annotations
@@ -41,9 +45,6 @@ class LevelSpace:
     @property
     def dim(self) -> int:
         return len(self.basis)
-
-    def index(self, path: Path) -> int:
-        return self.basis.index(path)
 
 
 def level_space(g: DirectedGraph, pf: PerronData, k: int) -> LevelSpace:
@@ -88,19 +89,29 @@ class LevelMap:
         return rat_max_abs(rat_sub(self.mat, other.mat))
 
 
+def _path_map(g: DirectedGraph, l: int, k: int, images, half_power: int) -> LevelMap:
+    """The 0/1 matrix from the level-l basis to the level-k basis whose
+    column eta is the sum of the indicators of the paths images(eta),
+    times rho^{half_power/2}."""
+    src = enumerate_paths(g, l)
+    tgt_index = {p: i for i, p in enumerate(enumerate_paths(g, k))}
+    mat = rat_zeros(len(tgt_index), len(src))
+    for j, eta in enumerate(src):
+        for out in images(eta):
+            mat[tgt_index[out]][j] += 1
+    return LevelMap(l, k, half_power, mat)
+
+
+def _image(path: Path | None) -> tuple[Path, ...]:
+    return () if path is None else (path,)
+
+
 def embed(g: DirectedGraph, pf: PerronData, l: int, k: int,
           convention: str = SOURCE_APPEND) -> LevelMap:
     """Inclusion R_l -> R_k: columns are 0/1 refinement indicators."""
     if l > k:
         raise ValueError("embedding goes upward in level")
-    src = enumerate_paths(g, l)
-    tgt = enumerate_paths(g, k)
-    tgt_index = {p: i for i, p in enumerate(tgt)}
-    mat = rat_zeros(len(tgt), len(src))
-    for j, lam in enumerate(src):
-        for ext in refine(g, lam, k - l, convention):
-            mat[tgt_index[ext]][j] += 1
-    return LevelMap(l, k, 0, mat)
+    return _path_map(g, l, k, lambda lam: refine(g, lam, k - l, convention), 0)
 
 
 def embedding_gram_residual(g: DirectedGraph, pf: PerronData, l: int, k: int,
@@ -119,64 +130,44 @@ def embedding_gram_residual(g: DirectedGraph, pf: PerronData, l: int, k: int,
 # ---------------------------------------------------------------------------
 # the representation
 
-def _map_s(g, pf, lam: Path, k: int, n_cap: int) -> LevelMap:
+def _map_s(g, lam: Path, k: int, n_cap: int) -> LevelMap:
     d = lam.degree
     if k + d > n_cap:
         raise TruncationOverflowError(f"S_{lam.label} on level {k} exceeds truncation {n_cap}")
-    src = enumerate_paths(g, k)
-    tgt = enumerate_paths(g, k + d)
-    tgt_index = {p: i for i, p in enumerate(tgt)}
-    mat = rat_zeros(len(tgt), len(src))
-    for j, eta in enumerate(src):
-        out = s_image(lam, eta)
-        if out is not None:
-            mat[tgt_index[out]][j] = Fraction(1)
-    return LevelMap(k, k + d, d, mat)
+    return _path_map(g, k, k + d, lambda eta: _image(s_image(lam, eta)), d)
 
 
-def _map_s_star(g, pf, lam: Path, k: int) -> LevelMap:
-    src = enumerate_paths(g, k)
-    tgt_level = max(k - lam.degree, 0)
-    tgt = enumerate_paths(g, tgt_level)
-    tgt_index = {p: i for i, p in enumerate(tgt)}
-    mat = rat_zeros(len(tgt), len(src))
-    for j, eta in enumerate(src):
-        out = s_star_image(g, lam, eta)
-        if out is not None:
-            mat[tgt_index[out]][j] = Fraction(1)
-    return LevelMap(k, tgt_level, -lam.degree, mat)
+def _map_s_star(g, lam: Path, k: int) -> LevelMap:
+    return _path_map(g, k, max(k - lam.degree, 0),
+                     lambda eta: _image(s_star_image(g, lam, eta)), -lam.degree)
 
 
-def _map_p(g, pf, v: str, k: int) -> LevelMap:
-    basis = enumerate_paths(g, k)
-    mat = rat_zeros(len(basis), len(basis))
-    for j, eta in enumerate(basis):
-        if eta.range == v:
-            mat[j][j] = Fraction(1)
-    return LevelMap(k, k, 0, mat)
+def _map_p(g, v: str, k: int) -> LevelMap:
+    return _path_map(g, k, k, lambda eta: (eta,) if eta.range == v else (), 0)
 
 
 def represent(g: DirectedGraph, pf: PerronData, ops, k: int, n_cap: int) -> LevelMap:
-    """Matrix of a word in S_lambda, S_lambda*, p_v on the level-k basis.
+    """Matrix of a nonempty word in S_lambda, S_lambda*, p_v on the
+    level-k basis.
 
     *ops* is a sequence of ("s", path), ("s*", path), ("p", vertex)
     applied right to left; intermediate levels must stay within the
     truncation window [0, n_cap].
     """
-    basis = enumerate_paths(g, k)
-    cur = LevelMap(k, k, 0, rat_identity(len(basis)))
-    for op in reversed(list(ops)):
-        kind, arg = op
-        lvl = cur.target_level
+    cur = None
+    for kind, arg in reversed(list(ops)):
+        lvl = k if cur is None else cur.target_level
         if kind == "s":
-            step = _map_s(g, pf, arg, lvl, n_cap)
+            step = _map_s(g, arg, lvl, n_cap)
         elif kind == "s*":
-            step = _map_s_star(g, pf, arg, lvl)
+            step = _map_s_star(g, arg, lvl)
         elif kind == "p":
-            step = _map_p(g, pf, arg, lvl)
+            step = _map_p(g, arg, lvl)
         else:
             raise ValueError(f"unknown symbol {kind!r}")
-        cur = step.compose(cur, pf)
+        cur = step.normalized(pf) if cur is None else step.compose(cur, pf)
+    if cur is None:
+        raise ValueError("represent needs at least one operator")
     return cur
 
 

@@ -68,8 +68,9 @@ Word = tuple[Generator, ...]
 Coeff = int | Fraction
 
 
-def word_key(w: Word):
-    return (len(w), tuple((g.kind, g.row, g.col) for g in w))
+def star_word(w: Word) -> Word:
+    """Formal adjoint of a word: reversed, each generator adjoined."""
+    return tuple(adjoint_generator(g) for g in reversed(w))
 
 
 def word_str(w: Word) -> str:
@@ -101,7 +102,9 @@ class NCPoly:
         return cls({tuple(w): coeff})
 
     def items(self):
-        return sorted(self._terms.items(), key=lambda t: word_key(t[0]))
+        """Terms sorted by word length, then by the words' generator
+        tuples (kind, row, col)."""
+        return sorted(self._terms.items(), key=lambda t: (len(t[0]), t[0]))
 
     def terms(self) -> dict[Word, Coeff]:
         return dict(self._terms)
@@ -151,8 +154,7 @@ class NCPoly:
 
     def star(self) -> "NCPoly":
         """Formal adjoint: reverse words, adjoint generators (real coefficients)."""
-        return NCPoly({tuple(adjoint_generator(g) for g in reversed(w)): c
-                       for w, c in self._terms.items()})
+        return NCPoly({star_word(w): c for w, c in self._terms.items()})
 
     def __eq__(self, other):
         return isinstance(other, NCPoly) and self._terms == other._terms

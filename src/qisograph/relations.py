@@ -68,7 +68,6 @@ class RelationSet:
     unitary_schemas: tuple[UnitarySchema, ...]
     linear_relations: tuple[NCPoly, ...] = ()
     events: tuple[dict, ...] = ()
-    has_formal_unitary: bool = False
     #: generators proved zero by unit-insertion closure (see below)
     vanishing: frozenset[Generator] = frozenset()
 
@@ -295,4 +294,4 @@ def with_formal_unitary(rels: RelationSet) -> RelationSet:
     tags[(FORMAL_UNITARY_STAR, FORMAL_UNITARY)] = "w-unitary"
     return RelationSet(rels.name + "+w", rels.gen_kind, rels.universe, rules, tags,
                        rels.sum_schemas, rels.unitary_schemas, rels.linear_relations,
-                       rels.events, has_formal_unitary=True, vanishing=rels.vanishing)
+                       rels.events, vanishing=rels.vanishing)

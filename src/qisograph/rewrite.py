@@ -173,7 +173,7 @@ class Alphabet:
         added coefficient)``, largest groups and innermost slots first;
         *reduce* is the monomial reduction used on completion words.
         Prefix and suffix enter the sort keys length first, then letter
-        by letter, the order ``word_key`` gives the generator words."""
+        by letter, the order ``NCPoly.items`` gives the generator words."""
         out: list = []
         for table in self.sum_axes:
             table.candidates(terms, reduce, out)

@@ -88,7 +88,7 @@ def test_action_consistent_with_classical(contexts):
     autos = graph_automorphisms(ctx.g)
     for e in ctx.level(1).basis:
         for f in ctx.level(1).basis:
-            values = provider.value(ctx.entry_poly(f, e))
+            values = provider.value(NCPoly.word(ctx.level(1).entries[(f, e)]))
             assert values.shape == (len(autos),)
             for sigma, val in zip(autos, values):
                 expected = 1.0 if (sigma[e.range], sigma[e.source]) == (f.range, f.source) else 0.0
@@ -125,7 +125,10 @@ def test_isometry_obligation_shape(contexts):
     ctx = contexts["k3"]
     lam, eta = enumerate_paths(ctx.g, 1)[:2]
     ob = isometry_obligation(ctx, lam, eta)
-    assert is_zero(ob, ctx.rels).kind == PROVED_ZERO
+    # one word -> coefficient dict: x_{s(zeta)} on each starred product
+    assert len(ob) == len(ctx.level(1).basis)
+    assert all(len(w) == 4 for w in ob)
+    assert is_zero(NCPoly(ob), ctx.rels).kind == PROVED_ZERO
 
 
 def test_isometry_mixed_degrees(contexts):
@@ -167,16 +170,15 @@ def test_coefficients_stay_native(contexts):
     ctx = contexts["asym4"]
     basis = ctx.level(1).basis
     a, b = basis[0], basis[1]
-    entry = ctx.entry_poly(a, a)
+    entry = NCPoly.word(ctx.level(1).entries[(a, a)])
     assert [type(c) for c in entry.terms().values()] == [int]
-    ob = entry + entry - ctx.entry_poly(b, b)
+    ob = entry + entry - NCPoly.word(ctx.level(1).entries[(b, b)])
     nf = normal_form(ob, ctx.rels)
     assert not nf.is_zero()
     assert all(type(c) is int for c in nf.terms().values())
     weighted = isometry_obligation(ctx, a, a)
-    assert any(isinstance(c, Fraction) and c.denominator > 1
-               for c in weighted.terms().values())
-    assert all(isinstance(c, (int, Fraction)) for c in weighted.terms().values())
+    assert any(isinstance(c, Fraction) and c.denominator > 1 for c in weighted.values())
+    assert all(isinstance(c, (int, Fraction)) for c in weighted.values())
 
 
 def test_density(contexts):
@@ -307,7 +309,7 @@ def _dense_dirac_residuals(ctx, n_cap, provider):
     for i, eta in enumerate(basis):
         for j, lam in enumerate(basis):
             u_mat[i * d:(i + 1) * d, j * d:(j + 1) * d] = \
-                np.diag(provider.value(ctx.entry_poly(eta, lam)))
+                np.diag(provider.value(NCPoly.word(ctx.level(n_cap).entries[(eta, lam)])))
     triple = dirac(ctx.g, ctx.pf, n_cap, convention=ctx.convention)
     gmat = np.diag(np.kron([float(x) for x in triple.space.gram], np.ones(d)))
     unitary = np.linalg.norm(u_mat.conj().T @ gmat @ u_mat - gmat, 2)

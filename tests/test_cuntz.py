@@ -3,12 +3,13 @@ from fractions import Fraction
 import pytest
 
 from qisograph.cuntz import (
-    FREE_UNITARY, MAGIC, cuntz_provider_portfolio, cuntz_setup, derive_contradiction,
+    FREE_UNITARY, MAGIC, cuntz_setup, derive_contradiction,
     non_isometry_verdict, sn_plus_context, sn_plus_isometry_suite,
 )
 from qisograph.hilbert import multiplicities
 from qisograph.ncpoly import NCPoly, q, u
 from qisograph.perron import cylinder_measure
+from qisograph.providers import unitary_provider_portfolio
 from qisograph.graphs import enumerate_paths, parse_graph
 from qisograph.rewrite import is_zero
 from qisograph.verdict import PROVED_ZERO, UNKNOWN, WITNESSED_NONZERO
@@ -84,7 +85,7 @@ def test_derivation_collapses_for_magic(graphs):
 def test_obligation_never_proved_zero_but_witnessed(graphs):
     setup = cuntz_setup(graphs["cuntz2"], FREE_UNITARY)
     der = derive_contradiction(setup)
-    providers = cuntz_provider_portfolio(setup)
+    providers = unitary_provider_portfolio(setup.loop_ids, setup.rels)
     for ob in der.obligations.values():
         assert is_zero(ob, setup.rels).kind == UNKNOWN
         from qisograph.providers import witness_nonzero
@@ -102,7 +103,7 @@ def test_non_isometry_verdict(graphs):
 
 def test_identity_provider_alone_is_inconclusive(graphs):
     setup = cuntz_setup(graphs["cuntz2"], FREE_UNITARY)
-    providers = cuntz_provider_portfolio(setup)
+    providers = unitary_provider_portfolio(setup.loop_ids, setup.rels)
     identity_only = [p for p in providers if p.name == "identity"]
     verdict = non_isometry_verdict(setup, providers=identity_only)
     assert not verdict.not_isometric       # permutation rows sum to one
@@ -157,7 +158,8 @@ def test_free_unitary_fails_suite_welldefined(graphs):
     from qisograph.graphs import SOURCE_APPEND
 
     setup = cuntz_setup(graphs["cuntz2"], FREE_UNITARY)
-    providers = [p for p in cuntz_provider_portfolio(setup) if p.name == "rotation"]
+    providers = [p for p in unitary_provider_portfolio(setup.loop_ids, setup.rels)
+                 if p.name == "rotation"]
     ctx = VerificationContext(setup.graph, setup.pf, setup.rels, EDGE_INDEX,
                               SOURCE_APPEND, providers, 2)
     res = check_welldefined(ctx, 0, 1)

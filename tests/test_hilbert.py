@@ -154,6 +154,8 @@ def test_represent_overflow(graphs, perron_data):
     g, pf = graphs["k3"], perron_data["k3"]
     with pytest.raises(TruncationOverflowError):
         represent(g, pf, [("s", edge_path(g, "e12"))], 3, 3)
+    with pytest.raises(ValueError):
+        represent(g, pf, [], 1, 3)
 
 
 def test_cuntz_krieger_exact(graphs, perron_data):

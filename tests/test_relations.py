@@ -83,7 +83,8 @@ def test_free_unitary_has_no_monomial_rules():
 
 def test_formal_unitary_extension():
     rels = with_formal_unitary(magic_relations(("1", "2")))
-    assert rels.has_formal_unitary
+    assert [pair for pair, tag in rels.rule_tags.items() if tag == "w-unitary"] == [
+        (FORMAL_UNITARY, FORMAL_UNITARY_STAR), (FORMAL_UNITARY_STAR, FORMAL_UNITARY)]
     assert reduce_word((FORMAL_UNITARY, FORMAL_UNITARY_STAR), rels) == ()
     assert reduce_word((FORMAL_UNITARY_STAR, FORMAL_UNITARY), rels) == ()
 

@@ -57,3 +57,16 @@ def test_traced_boundaries_exist():
             target = getattr(target, part, None)
         assert callable(target), f"{module_name}.{attr}"
         assert target.__module__ == f"{tracer.PACKAGE}.{module_name}", f"{module_name}.{attr}"
+
+
+def test_benchmark_traced_smoke_run_covers_every_layer(monkeypatch, capsys):
+    """A traced benchmark run on the smoke workload meets its known
+    answers and its coverage map, so a refactor that silences a traced
+    layer boundary fails here as well as in perfbench/selftest.py."""
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))   # run.py imports its siblings
+    run = _load(ROOT / "perfbench" / "run.py")
+    from workloads import SMOKE
+    result = run.measure(SMOKE, 7, 0.0, 1)
+    printed = capsys.readouterr().out
+    assert result["correct"], printed
+    assert result["failed"] == 0, printed
