@@ -33,8 +33,7 @@ def main():
     g = graphs["asym4"]
     pf = perron(g)
     rels = qaut_relations(g, pf)
-    ctx = VerificationContext(g, pf, rels, VERTEX_PAIR, SOURCE_APPEND,
-                              [classical_rep(g, rels)], 3)
+    ctx = VerificationContext(g, pf, rels, VERTEX_PAIR, [classical_rep(g, rels)], 3)
     for l, k in ((0, 1), (1, 2)):
         good = check_welldefined(ctx, l, k)
         bad = check_welldefined(ctx, l, k, convention=RANGE_PREPEND)

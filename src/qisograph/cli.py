@@ -17,7 +17,9 @@ from fractions import Fraction
 from pathlib import Path as FsPath
 
 from . import __version__
-from .corep import VERTEX_PAIR, VerificationContext, run_identity_suite, check_welldefined
+from .corep import (
+    VERTEX_PAIR, VerificationContext, check_welldefined, level_pairs, run_identity_suite,
+)
 from .cuntz import (
     FREE_UNITARY, MAGIC, cuntz_setup, derive_contradiction, non_isometry_verdict,
     sn_plus_isometry_suite,
@@ -31,7 +33,9 @@ from .hilbert import (
     alpha_sequence, cuntz_krieger_check, multiplicities, theta_partial_trace,
     theta_tail_bound,
 )
-from .perron import PerronError, convention_residuals, cylinder_measure, perron, select_convention
+from .perron import (
+    PERRON_TOL, PerronError, convention_residuals, cylinder_measure, perron, select_convention,
+)
 from .providers import classical_rep
 from .relations import free_unitary_relations, magic_relations, qaut_relations
 from .report import CheckResult, SuiteReport, text_digest
@@ -136,7 +140,7 @@ def cmd_spectral(config: RunConfig) -> SuiteReport:
     checks = []
     checks.append(CheckResult(
         "perron", {}, True, "pass",
-        {"eigen_residual": 0.0 if pf.exact else pf.tol},
+        {"eigen_residual": 0.0 if pf.exact else PERRON_TOL},
         0, "", (time.monotonic() - started) * 1000.0,
         detail={"rho": str(pf.rho_value()), "x": {v: str(pf.x_of(v)) for v in g.vertices},
                 "exact": pf.exact}))
@@ -207,12 +211,6 @@ def cmd_spectral(config: RunConfig) -> SuiteReport:
     return report
 
 
-def _verification_context(config: RunConfig, g, pf, convention) -> VerificationContext:
-    rels = qaut_relations(g, pf)
-    return VerificationContext(g, pf, rels, VERTEX_PAIR, convention,
-                               [classical_rep(g, rels)], config.n_cap)
-
-
 def cmd_verify(config: RunConfig) -> SuiteReport:
     g, _, digest = _load_graph(config)
     try:
@@ -220,21 +218,18 @@ def cmd_verify(config: RunConfig) -> SuiteReport:
     except PerronError as exc:
         raise UsageError(str(exc)) from None
     convention, conv_residuals = _pick_convention(config, pf, g)
-    report_checks = []
-    adopted = convention if convention in CONVENTIONS else SOURCE_APPEND
     try:
-        ctx = _verification_context(config, g, pf, adopted)
+        rels = qaut_relations(g, pf)
+        ctx = VerificationContext(g, pf, rels, VERTEX_PAIR, [classical_rep(g, rels)],
+                                  config.n_cap)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-    if convention != SOURCE_APPEND:
-        # forced rejected convention: run the negative control only
-        ctx.convention = SOURCE_APPEND
-        for k in range(1, config.k_max + 1):
-            for l in range(k if config.l_max is None else min(k, config.l_max + 1)):
-                report_checks.append(check_welldefined(ctx, l, k, convention=convention))
+    if convention == SOURCE_APPEND:
+        report_checks = run_identity_suite(ctx, k_max=config.k_max, l_max=config.l_max)
     else:
-        report_checks.extend(run_identity_suite(ctx, k_max=config.k_max,
-                                                l_max=config.l_max))
+        # forced rejected convention: run the negative control only
+        report_checks = [check_welldefined(ctx, l, k, convention=convention)
+                         for l, k in level_pairs(config.k_max, config.l_max)]
     notes = [{"relation_events": list(ctx.rels.events)},
              {"convention_residuals": {k: str(v) for k, v in conv_residuals.items()}}]
     return SuiteReport("verify", __version__, g.name, digest, convention,
@@ -270,8 +265,8 @@ def cmd_cuntz(config: RunConfig) -> SuiteReport:
                 PROVED_ZERO if ok else UNKNOWN, {}, 0, "",
                 (time.monotonic() - started) * 1000.0,
                 detail=derivation.to_dict()))
-            suite = sn_plus_isometry_suite(g, k_max=config.k_max, n_cap=config.n_cap)
-            checks.extend(suite)
+            checks.extend(sn_plus_isometry_suite(setup, k_max=config.k_max,
+                                                 n_cap=config.n_cap))
         notes.append({"flavor": flavor, "steps": [s.label for s in derivation.steps]})
     return SuiteReport("cuntz", __version__, g.name, digest, SOURCE_APPEND,
                        {"n": n, "flavor": config.flavor,

@@ -27,7 +27,8 @@ tables, with X = diag(x_{s(zeta)}) the Perron weights:
 - well-definedness: Q_l followed by the embedding equals the embedding
   followed by Q_k;
 - implementation: alpha(S_lam*) and alpha(S_lam) intertwine Q under the
-  path shifts s_star_image and s_image;
+  path shifts, each given by its nonzero (path, image) pairs
+  (s_star_pairs, s_pairs);
 - comultiplicativity: sum_eta Q[xi,eta] (x) Q[eta,lam] = Delta(Q[xi,lam]),
   leg-wise; every term on both sides is a word pair with coefficient 1,
   so each entry is a signed count of word pairs, reduced leg by leg.
@@ -43,20 +44,21 @@ each nonzero one symbolically and evaluates it under the registered
 numeric providers; a check passes only when every symbolic verdict is
 ProvedZero (and the stated structural condition holds) and the numeric
 residual stays below NUMERIC_TOL.  The truncation level is the
-context's n_cap.
+context's n_cap.  Every refinement is source-append, the side the
+Perron measure is additive on; only the negative control of
+well-definedness refines the argument on the other side.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 
 from .graphs import (
-    DirectedGraph, Path, SOURCE_APPEND, enumerate_paths, extends, refine, s_image,
-    s_star_image, vertex_path,
+    DirectedGraph, Path, SOURCE_APPEND, enumerate_paths, extends, refine, s_pairs,
+    s_star_pairs, vertex_path,
 )
 from .hilbert import dirac, embedding_gram_residual
 from .ncpoly import Coeff, Generator, NCPoly, Word, comultiply, star_word
@@ -121,7 +123,6 @@ class VerificationContext:
     pf: PerronData
     rels: RelationSet
     scheme: str = VERTEX_PAIR
-    convention: str = SOURCE_APPEND
     providers: list[RepresentationProvider] = field(default_factory=list)
     n_cap: int = 3
     _levels: dict[int, LevelCorep] = field(default_factory=dict, init=False,
@@ -182,32 +183,38 @@ class _Obligations:
                            detail=detail or {})
 
 
+def level_pairs(k_max: int, l_max: int | None = None) -> list[tuple[int, int]]:
+    """The (l, k) pairs l < k <= k_max, l <= l_max, that
+    well-definedness is checked on, in suite order."""
+    return [(l, k) for k in range(1, k_max + 1)
+            for l in range(k if l_max is None else min(k, l_max + 1))]
+
+
 def check_welldefined(ctx: VerificationContext, l: int, k: int,
-                      convention: str | None = None) -> CheckResult:
+                      convention: str = SOURCE_APPEND) -> CheckResult:
     """U_l agrees with U_k through the refinement of every degree-l
     basis vector.
 
     The level-l outputs are rewritten in the level-k basis through the
-    adopted (measure-consistent) embedding; *convention* selects the
-    refinement identity applied to the argument, so forcing the
+    source-append (measure-consistent) embedding; *convention* selects
+    the refinement identity applied to the argument, so forcing the
     rejected side is the negative control and must fail.
     """
     obs = _Obligations(ctx)
-    conv = convention or ctx.convention
     table_l, table_k = ctx.level(l), ctx.level(k)
     for lam in table_l.basis:
         diff: dict[Path, dict[Word, Coeff]] = {eta: {} for eta in table_k.basis}
         for xi in table_l.basis:
             word = table_l.entries[(xi, lam)]
-            for ext in refine(ctx.g, xi, k - l, ctx.convention):
+            for ext in refine(ctx.g, xi, k - l, SOURCE_APPEND):
                 _add(diff[ext], word, 1)
-        for mu in refine(ctx.g, lam, k - l, conv):
+        for mu in refine(ctx.g, lam, k - l, convention):
             for eta in table_k.basis:
                 _add(diff[eta], table_k.entries[(eta, mu)], -1)
         for ob in diff.values():
             obs.add(ob)
-    gram = embedding_gram_residual(ctx.g, ctx.pf, l, k, conv)
-    return obs.result("welldefined", {"l": l, "k": k, "convention": conv},
+    gram = embedding_gram_residual(ctx.g, ctx.pf, l, k, convention)
+    return obs.result("welldefined", {"l": l, "k": k, "convention": convention},
                       extra_residuals={"embedding_gram": gram}, structural_ok=(gram == 0))
 
 
@@ -253,8 +260,8 @@ def check_isometry_mixed(ctx: VerificationContext, lam: Path, eta: Path) -> Chec
     obs = _Obligations(ctx)
     top = max(lam.degree, eta.degree)
     pairs = ((lam2, eta2)
-             for lam2 in refine(ctx.g, lam, top - lam.degree, ctx.convention)
-             for eta2 in refine(ctx.g, eta, top - eta.degree, ctx.convention))
+             for lam2 in refine(ctx.g, lam, top - lam.degree, SOURCE_APPEND)
+             for eta2 in refine(ctx.g, eta, top - eta.degree, SOURCE_APPEND))
     target = cylinder_intersection_measure(ctx.pf, lam, eta) * ctx.pf.exact_rho ** top
     obs.add(_weighted_products(ctx, pairs, star_first=True, unit=target))
     return obs.result("isometry-mixed", {"lam": lam.label, "eta": eta.label})
@@ -318,21 +325,21 @@ def check_density(ctx: VerificationContext, lam: Path) -> CheckResult:
 # implementation on the spectral data
 
 def _intertwining(obs: _Obligations, ctx: VerificationContext, lam: Path, eta: Path,
-                  shift, coeff, out_level: int):
+                  pairs, coeff, out_level: int):
     """(pi (x) .) alpha(T_lam) U(chi_eta) = U(pi(T_lam) chi_eta) on the
-    level-*out_level* basis, where T_xi sends chi_zeta to
-    chi_{shift(xi, zeta)} (zero when that is None) and alpha(T_lam) =
-    sum_xi T_xi (x) coeff(Q[xi, lam]), *coeff* a map on words."""
-    table_lam, table_eta, table_out = (ctx.level(lam.degree), ctx.level(eta.degree),
+    level-*out_level* basis, where T_xi sends chi_zeta to chi_out for
+    each (zeta, out) in pairs(g, xi, d(eta)) and kills every other
+    basis path, and alpha(T_lam) = sum_xi T_xi (x) coeff(Q[xi, lam]),
+    *coeff* a map on words."""
+    m = eta.degree
+    table_lam, table_eta, table_out = (ctx.level(lam.degree), ctx.level(m),
                                        ctx.level(out_level))
     diff: dict[Path, dict[Word, Coeff]] = {out: {} for out in table_out.basis}
     for xi in table_lam.basis:
         c = coeff(table_lam.entries[(xi, lam)])
-        for zeta in table_eta.basis:
-            out = shift(xi, zeta)
-            if out is not None:
-                _add(diff[out], c + table_eta.entries[(zeta, eta)], 1)
-    target = shift(lam, eta)
+        for zeta, out in pairs(ctx.g, xi, m):
+            _add(diff[out], c + table_eta.entries[(zeta, eta)], 1)
+    target = dict(pairs(ctx.g, lam, m)).get(eta)
     for out, ob in diff.items():
         if target is not None:
             _add(ob, table_out.entries[(out, target)], -1)
@@ -345,13 +352,12 @@ def check_implementation(ctx: VerificationContext, lam: Path, eta: Path) -> Chec
     checked explicitly rather than trusted by symmetry."""
     obs = _Obligations(ctx)
     n, m = lam.degree, eta.degree
-    _intertwining(obs, ctx, lam, eta, partial(s_star_image, ctx.g), star_word,
-                  max(m - n, 0))
+    _intertwining(obs, ctx, lam, eta, s_star_pairs, star_word, max(m - n, 0))
     # the non-starred identity is asserted only when its image level
     # stays inside the truncation window
     non_starred = n + m <= ctx.n_cap
     if non_starred:
-        _intertwining(obs, ctx, lam, eta, s_image, lambda w: w, n + m)
+        _intertwining(obs, ctx, lam, eta, s_pairs, lambda w: w, n + m)
     return obs.result("implementation",
                       {"lam": lam.label, "eta": eta.label,
                        "case": _implementation_case(lam, eta)},
@@ -413,8 +419,8 @@ def check_dirac_commutation(ctx: VerificationContext,
     *scalar_override* replaces the providers by the point evaluation at
     a concrete matrix (negative control: a non-magic unitary must fail).
     *welldefined* maps (l, k) to the pass flag of a well-definedness
-    check already run in the context's convention; only the pairs
-    missing from it are checked here.
+    check already run; only the pairs missing from it are checked
+    here.
     """
     started = time.monotonic()
     n_cap = ctx.n_cap
@@ -423,18 +429,17 @@ def check_dirac_commutation(ctx: VerificationContext,
     providers = ctx.providers
     if scalar_override is None:
         known = welldefined or {}
-        for k in range(1, n_cap + 1):
-            for l in range(k):
-                if structural_ok:
-                    passed = known.get((l, k))
-                    structural_ok = (check_welldefined(ctx, l, k).passed
-                                     if passed is None else passed)
-                trace.add(f"welldefined:{l}->{k}")
+        for l, k in level_pairs(n_cap):
+            if structural_ok:
+                passed = known.get((l, k))
+                structural_ok = (check_welldefined(ctx, l, k).passed
+                                 if passed is None else passed)
+            trace.add(f"welldefined:{l}->{k}")
     else:
         providers = [matrix_point_provider("scalar-override", ctx.rels.universe,
                                            scalar_override, kind=ctx.kind)]
 
-    triple = dirac(ctx.g, ctx.pf, n_cap, convention=ctx.convention)
+    triple = dirac(ctx.g, ctx.pf, n_cap)
     gmat = np.diag([float(x) for x in triple.space.gram])
     hats = [np.array([[float(x) for x in row] for row in m]) for m in triple.xi_hat]
     hats.append(np.array([[float(x) for x in row] for row in triple.constants_projection]))
@@ -468,10 +473,9 @@ def run_identity_suite(ctx: VerificationContext, k_max: int = 2,
     ctx.n_cap; density runs on the vertex-pair scheme only."""
     results = []
     welldefined = {}
-    for k in range(1, k_max + 1):
-        for l in range(k if l_max is None else min(k, l_max + 1)):
-            results.append(check_welldefined(ctx, l, k))
-            welldefined[(l, k)] = results[-1].passed
+    for l, k in level_pairs(k_max, l_max):
+        results.append(check_welldefined(ctx, l, k))
+        welldefined[(l, k)] = results[-1].passed
     for k in range(k_max + 1):
         results.append(check_isometry(ctx, k))
     edges1, paths2 = ctx.level(1).basis, ctx.level(2).basis

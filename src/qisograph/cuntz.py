@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .corep import EDGE_INDEX, VerificationContext, run_identity_suite
-from .graphs import DirectedGraph, SOURCE_APPEND
+from .graphs import DirectedGraph
 from .ncpoly import FORMAL_UNITARY, FORMAL_UNITARY_STAR, Generator, NCPoly
 from .perron import PerronData, perron
 from .providers import (
@@ -180,17 +180,16 @@ def non_isometry_verdict(setup: CuntzSetup,
                               witnesses, derivation)
 
 
-def sn_plus_context(g: DirectedGraph, n_cap: int = 3) -> VerificationContext:
-    setup = cuntz_setup(g, MAGIC)
+def sn_plus_context(setup: CuntzSetup, n_cap: int = 3) -> VerificationContext:
+    """The edge-index verification context of a magic setup."""
     providers = [loop_permutation_rep(setup.loop_ids, setup.rels)]
     return VerificationContext(setup.graph, setup.pf, setup.rels, EDGE_INDEX,
-                               SOURCE_APPEND, providers, n_cap)
+                               providers, n_cap)
 
 
-def sn_plus_isometry_suite(g: DirectedGraph, k_max: int = 2,
+def sn_plus_isometry_suite(setup: CuntzSetup, k_max: int = 2,
                            n_cap: int = 3) -> list[CheckResult]:
     """The identity suite for the magic-unitary action on the n-loop
     graph; the Perron vector is the unit, so the weighted sum schema
     degenerates to plain row sums."""
-    ctx = sn_plus_context(g, n_cap)
-    return run_identity_suite(ctx, k_max=k_max)
+    return run_identity_suite(sn_plus_context(setup, n_cap), k_max=k_max)

@@ -11,7 +11,8 @@ Grammar::
 
 An index is either a literal id from the relation set's index universe
 or a name bound by an enclosing sum, which ranges over the whole
-universe.
+universe.  An integer literal is an int coefficient; only a quotient
+makes a Fraction.
 """
 
 from __future__ import annotations
@@ -50,7 +51,9 @@ class _Parser:
         self.tokens = tokens
         self.pos = 0
         self.rels = rels
-        self.bound: list[str] = []
+        #: summation variable -> the index it stands for in the body
+        #: being parsed
+        self.bound: dict[str, str] = {}
 
     def peek(self):
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -111,7 +114,7 @@ class _Parser:
             if not den.isdigit():
                 raise ExpressionError("expected integer denominator")
             return NCPoly.one().scale(Fraction(num, int(den)))
-        return NCPoly.one().scale(Fraction(num))
+        return NCPoly.one().scale(num)
 
     def sum_expr(self) -> NCPoly:
         self.take("sum")
@@ -122,17 +125,14 @@ class _Parser:
         if name in self.bound:
             raise ExpressionError(f"summation variable {name!r} already bound")
         self.take(",")
-        self.bound.append(name)
         start = self.pos
         total = None
         for value in self.rels.universe:
             self.pos = start
-            self._substitution = getattr(self, "_substitution", {})
-            self._substitution[name] = value
+            self.bound[name] = value
             body = self.expr()
             total = body if total is None else total + body
-        del self._substitution[name]
-        self.bound.pop()
+        del self.bound[name]
         self.take(")")
         return total if total is not None else NCPoly.zero()
 
@@ -155,9 +155,8 @@ class _Parser:
 
     def index(self) -> str:
         tok = self.take()
-        sub = getattr(self, "_substitution", {})
-        if tok in sub:
-            return sub[tok]
+        if tok in self.bound:
+            return self.bound[tok]
         if tok in self.rels.universe:
             return tok
         raise ExpressionError(

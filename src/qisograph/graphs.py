@@ -6,7 +6,10 @@ Vertices and edges carry string ids.  An edge is stored as an
 range vertex.  A degree-k path is a word of k composable edges; the
 degree-0 paths are the vertices themselves, so every basis object
 downstream (cylinder sets, level spaces, corepresentation matrices) is
-indexed uniformly by path words.
+indexed uniformly by path words.  The path operators S_lam and
+S_lam* are each given by their nonzero (path, image) pairs on a level
+(``s_pairs``, ``s_star_pairs``), and ``refine`` gives the cylinder
+refinement lam -> {lam mu}.
 """
 
 from __future__ import annotations
@@ -186,12 +189,6 @@ class ValidationReport:
     checks: tuple[HypothesisCheck, ...]
     passed: bool
 
-    def check(self, name: str) -> HypothesisCheck:
-        for c in self.checks:
-            if c.name == name:
-                return c
-        raise KeyError(name)
-
 
 def _reachable_from(g: DirectedGraph, start: str) -> set[str]:
     seen = {start}
@@ -316,25 +313,6 @@ def extends(longer: Path, shorter: Path) -> bool:
     return longer.edges[:shorter.degree] == shorter.edges
 
 
-def s_image(lam: Path, eta: Path) -> Path | None:
-    """The basis path that S_lam sends chi_eta to, or None when
-    S_lam chi_eta = 0: the composition lam eta when it is defined."""
-    return compose(lam, eta) if eta.range == lam.source else None
-
-
-def s_star_image(g: DirectedGraph, lam: Path, eta: Path) -> Path | None:
-    """The basis path that S_lam* sends chi_eta to, or None when
-    S_lam* chi_eta = 0: the remainder of eta past lam when eta extends
-    lam, the vertex s(lam) when lam extends eta."""
-    n = lam.degree
-    if n >= eta.degree:
-        return vertex_path(lam.source) if extends(lam, eta) else None
-    if not extends(eta, lam):
-        return None
-    rest = eta.edges[n:]
-    return Path(rest, g.range_of(rest[0]), eta.source)
-
-
 @lru_cache(maxsize=None)
 def _paths_with_range(g: DirectedGraph, k: int, v: str) -> tuple[Path, ...]:
     """Degree-k paths with range v, lexicographic in the edge-id word."""
@@ -345,6 +323,25 @@ def _paths_with_range(g: DirectedGraph, k: int, v: str) -> tuple[Path, ...]:
         for tail in _paths_with_range(g, k - 1, e.source):
             out.append(Path((e.id,) + tail.edges, v, tail.source))
     return tuple(out)
+
+
+def s_pairs(g: DirectedGraph, lam: Path, k: int) -> list[tuple[Path, Path]]:
+    """The pairs (eta, S_lam eta) over the degree-k paths eta that S_lam
+    does not kill, in basis order: eta has range s(lam) and goes to
+    lam eta."""
+    return [(eta, compose(lam, eta)) for eta in _paths_with_range(g, k, lam.source)]
+
+
+def s_star_pairs(g: DirectedGraph, lam: Path, k: int) -> list[tuple[Path, Path]]:
+    """The pairs (eta, S_lam* eta) over the degree-k paths eta that
+    S_lam* does not kill, in basis order: lam mu goes to mu when k
+    exceeds d(lam); otherwise the degree-k initial segment of lam goes
+    to the vertex s(lam)."""
+    n = lam.degree
+    if k > n:
+        return [(compose(lam, mu), mu) for mu in _paths_with_range(g, k - n, lam.source)]
+    head = path_from_edges(g, lam.edges[:k]) if k else vertex_path(lam.range)
+    return [(head, vertex_path(lam.source))]
 
 
 def enumerate_paths(g: DirectedGraph, k: int) -> list[Path]:

@@ -7,11 +7,11 @@ inner product is the diagonal Gram form with entries M([eta]).  Maps
 between levels carry an explicit half-integer power of the spectral
 radius so that compositions such as S_e* S_e stay exactly rational.
 The embeddings and the generators S_lambda, S_lambda*, p_v are all
-path maps: each sends a basis indicator chi_eta to a sum of indicators
-given by refine, s_image, s_star_image or the range test, and one
-builder turns such a map into its 0/1 matrix.  Operator identities are
-asserted only on interior levels: a finite window cannot represent S_e
-on its top level.
+path maps: each is its list of (eta, image) pairs of basis paths, from
+refine, s_pairs or s_star_pairs (p_v is S_v for the vertex v as a
+degree-0 path), and one builder turns such a list into its 0/1 matrix.
+Operator identities are asserted only on interior levels: a finite
+window cannot represent S_e on its top level.
 """
 
 from __future__ import annotations
@@ -23,8 +23,8 @@ from fractions import Fraction
 import numpy as np
 
 from .graphs import (
-    DirectedGraph, Path, SOURCE_APPEND, adjacency_matrix, enumerate_paths, refine, s_image,
-    s_star_image,
+    DirectedGraph, Path, SOURCE_APPEND, adjacency_matrix, enumerate_paths, refine, s_pairs,
+    s_star_pairs, vertex_path,
 )
 from .perron import PerronData, cylinder_measure
 from .ratmat import (
@@ -89,21 +89,16 @@ class LevelMap:
         return rat_max_abs(rat_sub(self.mat, other.mat))
 
 
-def _path_map(g: DirectedGraph, l: int, k: int, images, half_power: int) -> LevelMap:
-    """The 0/1 matrix from the level-l basis to the level-k basis whose
-    column eta is the sum of the indicators of the paths images(eta),
-    times rho^{half_power/2}."""
-    src = enumerate_paths(g, l)
+def _path_map(g: DirectedGraph, l: int, k: int, pairs, half_power: int) -> LevelMap:
+    """The 0/1 matrix from the level-l basis to the level-k basis with a
+    one at (image, eta) for each pair (eta, image) in *pairs*, times
+    rho^{half_power/2}."""
+    src_index = {p: j for j, p in enumerate(enumerate_paths(g, l))}
     tgt_index = {p: i for i, p in enumerate(enumerate_paths(g, k))}
-    mat = rat_zeros(len(tgt_index), len(src))
-    for j, eta in enumerate(src):
-        for out in images(eta):
-            mat[tgt_index[out]][j] += 1
+    mat = rat_zeros(len(tgt_index), len(src_index))
+    for eta, out in pairs:
+        mat[tgt_index[out]][src_index[eta]] += 1
     return LevelMap(l, k, half_power, mat)
-
-
-def _image(path: Path | None) -> tuple[Path, ...]:
-    return () if path is None else (path,)
 
 
 def embed(g: DirectedGraph, pf: PerronData, l: int, k: int,
@@ -111,7 +106,8 @@ def embed(g: DirectedGraph, pf: PerronData, l: int, k: int,
     """Inclusion R_l -> R_k: columns are 0/1 refinement indicators."""
     if l > k:
         raise ValueError("embedding goes upward in level")
-    return _path_map(g, l, k, lambda lam: refine(g, lam, k - l, convention), 0)
+    return _path_map(g, l, k, ((lam, mu) for lam in enumerate_paths(g, l)
+                               for mu in refine(g, lam, k - l, convention)), 0)
 
 
 def embedding_gram_residual(g: DirectedGraph, pf: PerronData, l: int, k: int,
@@ -134,16 +130,15 @@ def _map_s(g, lam: Path, k: int, n_cap: int) -> LevelMap:
     d = lam.degree
     if k + d > n_cap:
         raise TruncationOverflowError(f"S_{lam.label} on level {k} exceeds truncation {n_cap}")
-    return _path_map(g, k, k + d, lambda eta: _image(s_image(lam, eta)), d)
+    return _path_map(g, k, k + d, s_pairs(g, lam, k), d)
 
 
 def _map_s_star(g, lam: Path, k: int) -> LevelMap:
-    return _path_map(g, k, max(k - lam.degree, 0),
-                     lambda eta: _image(s_star_image(g, lam, eta)), -lam.degree)
+    return _path_map(g, k, max(k - lam.degree, 0), s_star_pairs(g, lam, k), -lam.degree)
 
 
 def _map_p(g, v: str, k: int) -> LevelMap:
-    return _path_map(g, k, k, lambda eta: (eta,) if eta.range == v else (), 0)
+    return _path_map(g, k, k, s_pairs(g, vertex_path(v), k), 0)
 
 
 def represent(g: DirectedGraph, pf: PerronData, ops, k: int, n_cap: int) -> LevelMap:
@@ -290,22 +285,17 @@ class TruncatedTriple:
         return d
 
 
-def dirac(g: DirectedGraph, pf: PerronData, n_cap: int,
-          alpha: tuple[float, ...] | None = None,
-          convention: str = SOURCE_APPEND) -> TruncatedTriple:
-    """Exact Gram-orthogonal projections onto the level filtration and
-    the eigenvalue data of the truncated Dirac operator."""
-    if alpha is None:
-        alpha = alpha_sequence(n_cap)
-    if len(alpha) < n_cap + 1:
-        raise ValueError("alpha sequence shorter than truncation")
+def dirac(g: DirectedGraph, pf: PerronData, n_cap: int) -> TruncatedTriple:
+    """Exact Gram-orthogonal projections onto the level filtration
+    (source-append embeddings) and the eigenvalue data of the truncated
+    Dirac operator on the default alpha_sequence."""
     space = level_space(g, pf, n_cap)
     gram = space.gram
     dim = space.dim
 
     xi = []
     for q in range(n_cap + 1):
-        e = embed(g, pf, q, n_cap, convention).mat
+        e = embed(g, pf, q, n_cap).mat
         gq = level_space(g, pf, q).gram
         # P = E G_q^{-1} E^T G_N with diagonal Gram blocks
         cols = len(e[0])
@@ -321,7 +311,7 @@ def dirac(g: DirectedGraph, pf: PerronData, n_cap: int,
     for q in range(1, n_cap + 1):
         xi_hat.append(rat_sub(xi[q], xi[q - 1]))
 
-    return TruncatedTriple(n_cap, tuple(alpha[:n_cap + 1]), space, xi, xi_hat,
+    return TruncatedTriple(n_cap, alpha_sequence(n_cap), space, xi, xi_hat,
                            constants, multiplicities(g, n_cap))
 
 

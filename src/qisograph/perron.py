@@ -21,6 +21,15 @@ from .graphs import (
 from .ratmat import rat_matrix, rat_nullspace
 
 
+#: power-iteration convergence threshold and iteration cap
+PERRON_TOL = 1e-12
+PERRON_MAX_ITER = 10**6
+#: convention_residuals tests every cylinder of degree at most
+#: ADDITIVITY_MAX_DEGREE at every refinement depth up to ADDITIVITY_MAX_DEPTH
+ADDITIVITY_MAX_DEGREE = 2
+ADDITIVITY_MAX_DEPTH = 2
+
+
 class PerronError(ValueError):
     pass
 
@@ -32,7 +41,6 @@ class PerronData:
     x: tuple[float, ...]
     exact_rho: Fraction | None
     exact_x: tuple[Fraction, ...] | None
-    tol: float
 
     @property
     def exact(self) -> bool:
@@ -78,7 +86,7 @@ def _try_exact(a, rho_float: float, vertices) -> tuple[Fraction, tuple[Fraction,
     return rho, tuple(vec)
 
 
-def perron(g: DirectedGraph, tol: float = 1e-12, max_iter: int = 10**6) -> PerronData:
+def perron(g: DirectedGraph) -> PerronData:
     """Spectral radius and total-mass-one Perron vector of the vertex matrix.
 
     Power iteration with 1-norm renormalization runs on A + I so that
@@ -92,24 +100,25 @@ def perron(g: DirectedGraph, tol: float = 1e-12, max_iter: int = 10**6) -> Perro
     n = len(g.vertices)
     x = [1.0 / n] * n
     rho_shifted = None
-    for _ in range(max_iter):
+    for _ in range(PERRON_MAX_ITER):
         y = [sum(a[i][j] * x[j] for j in range(n)) + x[i] for i in range(n)]
         norm = sum(y)
         y = [v / norm for v in y]
-        if max(abs(u - v) for u, v in zip(x, y)) < tol:
+        if max(abs(u - v) for u, v in zip(x, y)) < PERRON_TOL:
             x = y
             rho_shifted = norm
             break
         x = y
     if rho_shifted is None:
-        raise PerronError(f"power iteration did not converge within {max_iter} iterations")
+        raise PerronError(f"power iteration did not converge within {PERRON_MAX_ITER} "
+                          "iterations")
     rho = rho_shifted - 1.0
     exact = _try_exact(a, rho, g.vertices)
     if exact is not None:
         exact_rho, exact_x = exact
         return PerronData(g.vertices, float(exact_rho), tuple(float(c) for c in exact_x),
-                          exact_rho, exact_x, tol)
-    return PerronData(g.vertices, rho, tuple(x), None, None, tol)
+                          exact_rho, exact_x)
+    return PerronData(g.vertices, rho, tuple(x), None, None)
 
 
 def cylinder_measure(pf: PerronData, lam: Path):
@@ -149,16 +158,15 @@ def cylinder_intersection_measure(pf: PerronData, lam: Path, eta: Path):
     return Fraction(0) if pf.exact else 0.0
 
 
-def convention_residuals(pf: PerronData, g: DirectedGraph,
-                         max_degree: int = 2, max_depth: int = 2) -> dict[str, object]:
+def convention_residuals(pf: PerronData, g: DirectedGraph) -> dict[str, object]:
     """Worst additivity residual per side over small cylinders."""
     out = {}
     from .graphs import enumerate_paths
     for side in (SOURCE_APPEND, RANGE_PREPEND):
         worst = Fraction(0) if pf.exact else 0.0
-        for d in range(max_degree + 1):
+        for d in range(ADDITIVITY_MAX_DEGREE + 1):
             for lam in enumerate_paths(g, d):
-                for n in range(1, max_depth + 1):
+                for n in range(1, ADDITIVITY_MAX_DEPTH + 1):
                     r = additivity_residual(pf, g, lam, n, side)
                     if r > worst:
                         worst = r
@@ -166,8 +174,7 @@ def convention_residuals(pf: PerronData, g: DirectedGraph,
     return out
 
 
-def select_convention(pf: PerronData, g: DirectedGraph,
-                      max_degree: int = 2, max_depth: int = 2) -> tuple[str, dict[str, object]]:
+def select_convention(pf: PerronData, g: DirectedGraph) -> tuple[str, dict[str, object]]:
     """Adopt the refinement side with zero additivity residual.
 
     source-append is the tiebreak when both sides are consistent (it is
@@ -175,7 +182,7 @@ def select_convention(pf: PerronData, g: DirectedGraph,
     exact Perron data "zero" means exact equality; in float mode a
     tolerance stands in, which is reported rather than hidden.
     """
-    residuals = convention_residuals(pf, g, max_degree, max_depth)
+    residuals = convention_residuals(pf, g)
     cutoff = 0 if pf.exact else 1e-9
     if residuals[SOURCE_APPEND] <= cutoff:
         return SOURCE_APPEND, residuals

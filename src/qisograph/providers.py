@@ -29,6 +29,11 @@ from .relations import RelationSet
 from .verdict import UNKNOWN, WITNESSED_NONZERO, Verdict
 
 
+#: the tolerance every relation is validated to at registration; a
+#: value ten times larger witnesses nonzero-ness
+PROVIDER_TOL = 1e-10
+
+
 class ProviderValidationError(ValueError):
     pass
 
@@ -41,7 +46,6 @@ class RepresentationProvider:
     name: str
     dim: int
     assignment: dict[Generator, np.ndarray]
-    tol: float = 1e-10
 
     def values(self, gen: Generator) -> np.ndarray:
         if gen.kind == WKIND or gen.kind == WSTAR:
@@ -65,9 +69,9 @@ class RepresentationProvider:
 
 
 def _check_close(name: str, label: str, actual: np.ndarray,
-                 expected: np.ndarray | float, tol: float):
+                 expected: np.ndarray | float):
     err = float(np.abs(actual - expected).max())
-    if err > tol:
+    if err > PROVIDER_TOL:
         raise ProviderValidationError(
             f"provider {name} violates {label} (residual {err:.3g})")
 
@@ -77,12 +81,12 @@ def register(provider: RepresentationProvider, rels: RelationSet) -> Representat
     for (g1, g2), rhs in rels.pair_rules.items():
         lhs = provider.values(g1) * provider.values(g2)
         if rhs is None:
-            _check_close(provider.name, f"rule {g1}{g2}->0", lhs, 0.0, provider.tol)
+            _check_close(provider.name, f"rule {g1}{g2}->0", lhs, 0.0)
         else:
             v = np.ones(provider.dim, dtype=complex)
             for g in rhs:
                 v = v * provider.values(g)
-            _check_close(provider.name, f"rule {g1}{g2}", lhs, v, provider.tol)
+            _check_close(provider.name, f"rule {g1}{g2}", lhs, v)
     for schema in rels.sum_schemas:
         for fixed in rels.universe:
             total = np.zeros(provider.dim, dtype=complex)
@@ -92,8 +96,7 @@ def register(provider: RepresentationProvider, rels: RelationSet) -> Representat
                 w = rels.weight_of(schema, var)
                 total = total + float(w) * provider.values(gen)
             target = float(rels.weight_of(schema, fixed))
-            _check_close(provider.name, f"schema {schema.tag}@{fixed}", total, target,
-                         provider.tol)
+            _check_close(provider.name, f"schema {schema.tag}@{fixed}", total, target)
     for schema in rels.unitary_schemas:
         kind1, kind2 = schema.kinds
         ax1, ax2 = schema.shared_axes
@@ -105,19 +108,16 @@ def register(provider: RepresentationProvider, rels: RelationSet) -> Representat
                     g2 = Generator(kind2, k, j) if ax2 == "row" else Generator(kind2, j, k)
                     total = total + provider.values(g1) * provider.values(g2)
                 target = 1.0 if i == j else 0.0
-                _check_close(provider.name, f"schema {schema.tag}@({i},{j})", total, target,
-                             provider.tol)
+                _check_close(provider.name, f"schema {schema.tag}@({i},{j})", total, target)
     for idx, p in enumerate(rels.linear_relations):
-        _check_close(provider.name, f"linear relation #{idx}", provider.value(p), 0.0,
-                     provider.tol)
+        _check_close(provider.name, f"linear relation #{idx}", provider.value(p), 0.0)
     for gen in sorted(rels.vanishing):
-        _check_close(provider.name, f"vanishing generator {gen}", provider.values(gen),
-                     0.0, provider.tol)
+        _check_close(provider.name, f"vanishing generator {gen}", provider.values(gen), 0.0)
     return provider
 
 
-def permutation_diag_rep(name: str, ids, permutations, kind: str = QKIND,
-                         tol: float = 1e-10) -> RepresentationProvider:
+def permutation_diag_rep(name: str, ids, permutations,
+                         kind: str = QKIND) -> RepresentationProvider:
     """Direct sum over a list of permutations (dicts): g[i,j] takes the
     value delta_{i, sigma(j)} on the summand sigma."""
     ids = tuple(ids)
@@ -127,7 +127,7 @@ def permutation_diag_rep(name: str, ids, permutations, kind: str = QKIND,
         for j in ids:
             assignment[Generator(kind, i, j)] = np.array(
                 [1.0 + 0j if sigma[j] == i else 0j for sigma in permutations])
-    return RepresentationProvider(name, dim, assignment, tol)
+    return RepresentationProvider(name, dim, assignment)
 
 
 def classical_rep(g: DirectedGraph, rels: RelationSet | None = None) -> RepresentationProvider:
@@ -155,8 +155,7 @@ def loop_permutation_rep(ids, rels: RelationSet | None = None) -> Representation
     return provider
 
 
-def matrix_point_provider(name: str, ids, mat, kind: str = UKIND,
-                          tol: float = 1e-10) -> RepresentationProvider:
+def matrix_point_provider(name: str, ids, mat, kind: str = UKIND) -> RepresentationProvider:
     """Evaluate generators at the entries of a concrete matrix: scalars,
     i.e. a one-dimensional representation.  For the free-unitary kind the
     adjoint entries are the conjugates."""
@@ -168,7 +167,7 @@ def matrix_point_provider(name: str, ids, mat, kind: str = UKIND,
             assignment[Generator(kind, a, b)] = np.array([mat[i, j]])
             if kind == UKIND:
                 assignment[Generator(USTAR, a, b)] = np.array([np.conj(mat[i, j])])
-    return RepresentationProvider(name, 1, assignment, tol)
+    return RepresentationProvider(name, 1, assignment)
 
 
 def identity_unitary(n: int) -> np.ndarray:
@@ -209,6 +208,6 @@ def witness_nonzero(p: NCPoly, providers) -> Verdict:
     above ten times its tolerance; otherwise Unknown."""
     for provider in providers:
         norm = provider.norm(p)
-        if norm > 10 * provider.tol:
+        if norm > 10 * PROVIDER_TOL:
             return Verdict(WITNESSED_NONZERO, provider=provider.name, residual=norm)
     return Verdict(UNKNOWN)

@@ -198,7 +198,7 @@ def _vanishing_closure(ids, rules, vanishing: set[Generator]) -> int:
     return added
 
 
-def qaut_relations(g: DirectedGraph, pf=None, name: str | None = None) -> RelationSet:
+def qaut_relations(g: DirectedGraph, pf=None) -> RelationSet:
     """Relation set of the quantum automorphism algebra of *g*.
 
     Magic-unitary rules over the vertex set, the edge-compatibility zero
@@ -272,7 +272,7 @@ def qaut_relations(g: DirectedGraph, pf=None, name: str | None = None) -> Relati
         events.append({"family": "vanishing-generators", "action": "derived",
                        "generators": sorted(str(v) for v in vanishing)})
 
-    return RelationSet(name or f"qaut({g.name})", QKIND, ids, rules, tags,
+    return RelationSet(f"qaut({g.name})", QKIND, ids, rules, tags,
                        tuple(schemas), (), tuple(linear), tuple(events),
                        vanishing=frozenset(vanishing))
 

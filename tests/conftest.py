@@ -4,7 +4,7 @@ import pytest
 
 from qisograph.corep import VERTEX_PAIR, VerificationContext
 from qisograph.graphs import parse_graph
-from qisograph.perron import perron, select_convention
+from qisograph.perron import perron
 from qisograph.providers import classical_rep
 from qisograph.relations import qaut_relations
 
@@ -34,8 +34,6 @@ def contexts(graphs, perron_data, qaut_rels):
     out = {}
     for name, rels in qaut_rels.items():
         g = graphs[name]
-        pf = perron_data[name]
-        conv, _ = select_convention(pf, g)
         out[name] = VerificationContext(
-            g, pf, rels, VERTEX_PAIR, conv, [classical_rep(g, rels)], 3)
+            g, perron_data[name], rels, VERTEX_PAIR, [classical_rep(g, rels)], 3)
     return out

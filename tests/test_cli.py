@@ -169,6 +169,21 @@ def test_cuntz_reads_the_graph_file(tmp_path):
     assert labels == {"b2", "p7"}
 
 
+def test_cuntz_builds_the_magic_setup_once(monkeypatch):
+    # the derivation and the identity suite share one magic setup
+    from qisograph import cuntz, relations
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return relations.magic_relations(*args, **kwargs)
+
+    monkeypatch.setattr(cuntz, "magic_relations", counting)
+    assert main(["cuntz", "--graph", _graph("cuntz2.g"), "--flavor", "magic",
+                 "--level", "2", "--k", "1"]) == 0
+    assert len(calls) == 1
+
+
 def test_reduce_command(tmp_path):
     out = tmp_path / "reduce.json"
     rc = main(["reduce", "--graph", _graph("k3.g"), "--out", str(out),

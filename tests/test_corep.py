@@ -11,7 +11,7 @@ from qisograph.corep import (
     check_welldefined, evaluate_corep_matrix, isometry_obligation,
     run_identity_suite,
 )
-from qisograph.graphs import RANGE_PREPEND, edge_path, enumerate_paths, vertex_path
+from qisograph.graphs import RANGE_PREPEND, SOURCE_APPEND, edge_path, enumerate_paths, vertex_path
 from qisograph.ncpoly import NCPoly, q
 from qisograph.providers import fourier_unitary
 from qisograph.relations import magic_relations
@@ -251,7 +251,7 @@ def test_suite_checks_each_welldefined_pair_once(contexts, monkeypatch):
     calls = []
     original = corep.check_welldefined
 
-    def counting(ctx, l, k, convention=None):
+    def counting(ctx, l, k, convention=SOURCE_APPEND):
         calls.append((l, k))
         return original(ctx, l, k, convention)
 
@@ -310,7 +310,7 @@ def _dense_dirac_residuals(ctx, n_cap, provider):
         for j, lam in enumerate(basis):
             u_mat[i * d:(i + 1) * d, j * d:(j + 1) * d] = \
                 np.diag(provider.value(NCPoly.word(ctx.level(n_cap).entries[(eta, lam)])))
-    triple = dirac(ctx.g, ctx.pf, n_cap, convention=ctx.convention)
+    triple = dirac(ctx.g, ctx.pf, n_cap)
     gmat = np.diag(np.kron([float(x) for x in triple.space.gram], np.ones(d)))
     unitary = np.linalg.norm(u_mat.conj().T @ gmat @ u_mat - gmat, 2)
     hats = list(triple.xi_hat) + [triple.constants_projection]

@@ -126,7 +126,8 @@ def test_derivation_transcript_is_jsonable(graphs):
 
 def test_sn_plus_suite_passes(graphs):
     for n, k_max in ((2, 2), (3, 1)):
-        results = sn_plus_isometry_suite(graphs[f"cuntz{n}"], k_max=k_max, n_cap=3)
+        results = sn_plus_isometry_suite(cuntz_setup(graphs[f"cuntz{n}"], MAGIC),
+                                         k_max=k_max, n_cap=3)
         assert all(r.passed for r in results), [
             (r.name, r.inputs) for r in results if not r.passed]
         names = {r.name for r in results}
@@ -155,17 +156,14 @@ def test_free_unitary_fails_suite_welldefined(graphs):
     and is witnessed nonzero (the special case w = 1 of the derivation:
     the obligation is exactly 1 - sum_i u[e,i])."""
     from qisograph.corep import EDGE_INDEX, VerificationContext, check_welldefined
-    from qisograph.graphs import SOURCE_APPEND
-
     setup = cuntz_setup(graphs["cuntz2"], FREE_UNITARY)
     providers = [p for p in unitary_provider_portfolio(setup.loop_ids, setup.rels)
                  if p.name == "rotation"]
-    ctx = VerificationContext(setup.graph, setup.pf, setup.rels, EDGE_INDEX,
-                              SOURCE_APPEND, providers, 2)
+    ctx = VerificationContext(setup.graph, setup.pf, setup.rels, EDGE_INDEX, providers, 2)
     res = check_welldefined(ctx, 0, 1)
     assert not res.passed
     assert res.verdict == UNKNOWN
     assert res.residuals["numeric"] >= 0.4
     # the same check is provable for the magic flavor
-    magic_ctx = sn_plus_context(graphs["cuntz2"], n_cap=2)
+    magic_ctx = sn_plus_context(cuntz_setup(graphs["cuntz2"], MAGIC), n_cap=2)
     assert check_welldefined(magic_ctx, 0, 1).passed

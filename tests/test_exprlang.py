@@ -21,6 +21,8 @@ def test_parse_arithmetic():
     assert p.coeff((q("1", "2"),)) == Fraction(2, 3)
     assert p.coeff((q("2", "1"),)) == -1
     assert p.coeff(()) == 1
+    # an integer literal stays an int; only the quotient is a Fraction
+    assert type(p.coeff(())) is int
 
 
 def test_parse_product_word():

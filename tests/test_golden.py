@@ -1,32 +1,70 @@
-"""Golden trace digests: every check's verdict, reduction count and
-trace digest for a few fixed CLI invocations.
+"""Golden CLI runs: the stripped report, stdout and exit code of a few
+fixed invocations, and every check's verdict, reduction count and trace
+digest where a trace golden exists.
 
 ``golden/trace_digests.json`` was recorded from the Generator-word zero
 search, before the search moved to an interned integer alphabet.  The
 digest hashes the ordered rule and collapse tags of each check, so any
 change in search order, candidate order or collapse choice shows up
 here even when the verdict stays the same.
+
+``golden/report_digests.json`` holds, per case, the sha256 of the
+report with its wall times stripped (``json.dumps`` with
+``sort_keys``) and of stdout.  A refactor that must keep reports
+byte-identical is checked by this file; a deliberate report change
+re-records it.  Each case runs the CLI once for both checks.
 """
 
+import hashlib
+import io
 import json
+from contextlib import redirect_stdout
 from pathlib import Path
 
 import pytest
 
 from qisograph.cli import main
+from qisograph.report import strip_wall_times
 
 HERE = Path(__file__).resolve().parent
 GRAPHS = HERE.parent / "graphs"
 GOLDEN = json.loads((HERE / "golden" / "trace_digests.json").read_text())
+REPORTS = json.loads((HERE / "golden" / "report_digests.json").read_text())
 
 
-@pytest.mark.parametrize("case", sorted(GOLDEN))
-def test_trace_digests_match_golden(case, tmp_path):
-    expected = GOLDEN[case]
-    cmd, graph, *rest = expected["argv"]
+def sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def run_case(argv, tmp_path) -> tuple[int, dict, str]:
+    """Exit code, report dict and stdout of one CLI run; *argv* names
+    its graph file relative to the bundled graphs directory."""
+    cmd, graph, *rest = argv
     out = tmp_path / "report.json"
-    rc = main([cmd, "--graph", str(GRAPHS / graph), *rest, "--out", str(out)])
-    assert rc == expected["exit_code"]
-    checks = [[c["name"], c["inputs"], c["verdict"], c["reductions"], c["trace_digest"]]
-              for c in json.loads(out.read_text())["checks"]]
-    assert checks == expected["checks"]
+    stdout = io.StringIO()
+    with redirect_stdout(stdout):
+        rc = main([cmd, "--graph", str(GRAPHS / graph), *rest, "--out", str(out)])
+    return rc, json.loads(out.read_text()), stdout.getvalue()
+
+
+def report_digests(rc: int, report: dict, stdout: str) -> dict:
+    text = json.dumps(strip_wall_times(report), indent=2, sort_keys=True)
+    return {"exit_code": rc, "report_sha256": sha256(text), "stdout_sha256": sha256(stdout)}
+
+
+def test_every_trace_golden_has_a_report_golden():
+    for case, expected in GOLDEN.items():
+        assert REPORTS[case]["argv"] == expected["argv"]
+        assert REPORTS[case]["exit_code"] == expected["exit_code"]
+
+
+@pytest.mark.parametrize("case", sorted(REPORTS))
+def test_trace_digests_match_golden(case, tmp_path):
+    expected = REPORTS[case]
+    rc, report, stdout = run_case(expected["argv"], tmp_path)
+    assert report_digests(rc, report, stdout) == {k: v for k, v in expected.items()
+                                                  if k != "argv"}
+    if case in GOLDEN:
+        checks = [[c["name"], c["inputs"], c["verdict"], c["reductions"], c["trace_digest"]]
+                  for c in report["checks"]]
+        assert checks == GOLDEN[case]["checks"]

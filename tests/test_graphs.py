@@ -5,7 +5,7 @@ from qisograph.graphs import (
     AUT_PLUS, RANGE_PREPEND, SOURCE_APPEND, SPECTRAL_TRIPLE,
     GraphFormatError, NonComposableError,
     adjacency_matrix, compose, edge_path, enumerate_paths, extends, graph_automorphisms,
-    parse_graph, path_from_edges, refine, s_star_image, validate, vertex_path,
+    parse_graph, path_from_edges, refine, s_pairs, s_star_pairs, validate, vertex_path,
 )
 
 
@@ -72,18 +72,18 @@ def test_validate_cuntz_profiles(graphs):
     g = graphs["cuntz2"]
     rep = validate(g, AUT_PLUS)
     assert not rep.passed
-    loop_check = rep.check("no-loops")
+    loop_check = {c.name: c for c in rep.checks}["no-loops"]
     assert not loop_check.passed and loop_check.witness in ("l1", "l2")
     assert validate(g, SPECTRAL_TRIPLE).passed
 
 
 def test_validate_witnesses():
     g = parse_graph("graph t\nv 1\nv 2\ne a 2 1\n")  # 2 unreachable back to 1
-    rep = validate(g, AUT_PLUS)
-    sc = rep.check("strongly-connected")
+    checks = {c.name: c for c in validate(g, AUT_PLUS).checks}
+    sc = checks["strongly-connected"]
     assert not sc.passed and "2 to 1" in sc.witness
-    assert not rep.check("no-sources").passed
-    assert rep.check("no-sources").witness == "1"
+    assert not checks["no-sources"].passed
+    assert checks["no-sources"].witness == "1"
 
 
 def test_adjacency_matrices(graphs):
@@ -222,21 +222,30 @@ def test_automorphisms_enumerated_once_per_graph(graphs, perron_data, monkeypatc
     assert enumerations == [g.vertices]
 
 
-def test_s_star_image_matches_dense_representation(graphs, perron_data):
-    # the dense matrix of S_lam* on each level is the oracle: its only
-    # nonzero entry in column eta sits at the row of s_star_image
+def test_path_pairs_match_definition_and_dense_representation(graphs, perron_data):
+    # the pairs of S_lam and S_lam* on each level, against the definition
+    # tried on every basis path and against the support of the dense matrix
     from qisograph.hilbert import represent
     g, pf = graphs["k3"], perron_data["k3"]
-    for d in (1, 2):
+    for d in (0, 1, 2):
         for lam in enumerate_paths(g, d):
             for k in range(4):
-                m = represent(g, pf, [("s*", lam)], k, 3)
-                targets = enumerate_paths(g, m.target_level)
-                for j, eta in enumerate(enumerate_paths(g, k)):
-                    support = {targets[i] for i, row in enumerate(m.mat) if row[j]}
-                    image = s_star_image(g, lam, eta)
-                    assert support == ({image} if image is not None else set()), (lam, eta)
-                    assert (image is not None) == (extends(eta, lam) if k >= d
-                                                   else extends(lam, eta))
-                    if image is not None and k >= d:
-                        assert compose(lam, image) == eta  # S_lam S_lam* chi_eta = chi_eta
+                basis = enumerate_paths(g, k)
+                rests = enumerate_paths(g, max(k - d, 0))
+                star = [(eta, next(mu for mu in rests
+                                   if mu.range == lam.source and compose(lam, mu) == eta))
+                        if k >= d else (eta, vertex_path(lam.source))
+                        for eta in basis
+                        if (extends(eta, lam) if k >= d else extends(lam, eta))]
+                assert s_star_pairs(g, lam, k) == star, (lam, k)
+                assert s_pairs(g, lam, k) == [(eta, compose(lam, eta)) for eta in basis
+                                              if eta.range == lam.source], (lam, k)
+                ops = [("s*", s_star_pairs)] + ([("s", s_pairs)] if k + d <= 3 else [])
+                for kind, pairs in ops:
+                    m = represent(g, pf, [(kind, lam)], k, 3)
+                    targets = enumerate_paths(g, m.target_level)
+                    support = {(eta, targets[i]) for j, eta in enumerate(basis)
+                               for i, row in enumerate(m.mat) if row[j]}
+                    assert support == set(pairs(g, lam, k)), (kind, lam, k)
+                for eta, out in s_pairs(g, lam, k):   # S_lam* S_lam = p_{s(lam)}
+                    assert dict(s_star_pairs(g, lam, k + d))[out] == eta
