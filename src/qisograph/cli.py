@@ -100,14 +100,6 @@ def _load_graph(config: RunConfig) -> tuple[DirectedGraph, str, str]:
     return g, text, text_digest(text)
 
 
-def _pick_convention(config: RunConfig, pf, g) -> tuple[str, dict]:
-    """The adopted convention and both sides' residuals, computed once;
-    a forced convention skips the selection."""
-    if config.convention == "auto":
-        return select_convention(pf, g)
-    return config.convention, convention_residuals(pf, g)
-
-
 def cmd_validate(config: RunConfig) -> SuiteReport:
     g, _, digest = _load_graph(config)
     profile = {"aut-plus": AUT_PLUS, "spectral-triple": SPECTRAL_TRIPLE}.get(config.profile)
@@ -134,9 +126,9 @@ def cmd_spectral(config: RunConfig) -> SuiteReport:
     started = time.monotonic()
     try:
         pf = perron(g)
+        convention, conv_residuals = select_convention(pf, g)
     except PerronError as exc:
         raise UsageError(str(exc)) from None
-    convention, conv_residuals = _pick_convention(config, pf, g)
     checks = []
     checks.append(CheckResult(
         "perron", {}, True, "pass",
@@ -215,10 +207,10 @@ def cmd_verify(config: RunConfig) -> SuiteReport:
     g, _, digest = _load_graph(config)
     try:
         pf = perron(g)
-    except PerronError as exc:
-        raise UsageError(str(exc)) from None
-    convention, conv_residuals = _pick_convention(config, pf, g)
-    try:
+        if config.convention == "auto":
+            convention, conv_residuals = select_convention(pf, g)
+        else:
+            convention, conv_residuals = config.convention, convention_residuals(pf, g)
         rels = qaut_relations(g, pf)
         ctx = VerificationContext(g, pf, rels, VERTEX_PAIR, [classical_rep(g, rels)],
                                   config.n_cap)
@@ -336,8 +328,8 @@ _FLAGS = {
 COMMANDS = {
     "validate": ("check graph hypotheses", ("graph", "profile", "out")),
     "spectral": ("Perron data, measures, Dirac spectrum, heat traces",
-                 ("graph", "level", "epsilon", "t", "convention", "out", "theta-csv",
-                  "measure-depth", "alpha", "q-max")),
+                 ("graph", "level", "epsilon", "t", "out", "theta-csv", "measure-depth",
+                  "alpha", "q-max")),
     "verify": ("the full identity suite", ("graph", "level", "k", "l", "convention", "out")),
     "cuntz": ("loop-graph derivation and contrast", ("graph", "level", "k", "flavor", "out")),
     "reduce": ("reduce an expression to normal form", ("graph", "flavor", "out")),

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 
 class GraphFormatError(ValueError):
@@ -82,6 +82,12 @@ class DirectedGraph:
         for e in self.sorted_edges:
             out[e.source].append(e)
         return {v: tuple(es) for v, es in out.items()}
+
+    @cached_property
+    def memo(self) -> dict:
+        """Derived values, freed with the graph: ("paths", k, v) -> the
+        degree-k paths with range v; ("automorphisms",) -> Aut(G)."""
+        return {}
 
     @cached_property
     def range_source_pairs(self) -> frozenset[tuple[str, str]]:
@@ -313,16 +319,15 @@ def extends(longer: Path, shorter: Path) -> bool:
     return longer.edges[:shorter.degree] == shorter.edges
 
 
-@lru_cache(maxsize=None)
 def _paths_with_range(g: DirectedGraph, k: int, v: str) -> tuple[Path, ...]:
     """Degree-k paths with range v, lexicographic in the edge-id word."""
-    if k == 0:
-        return (vertex_path(v),)
-    out = []
-    for e in g.edges_into[v]:
-        for tail in _paths_with_range(g, k - 1, e.source):
-            out.append(Path((e.id,) + tail.edges, v, tail.source))
-    return tuple(out)
+    key = ("paths", k, v)
+    paths = g.memo.get(key)
+    if paths is None:
+        paths = g.memo[key] = (vertex_path(v),) if k == 0 else tuple(
+            Path((e.id,) + tail.edges, v, tail.source)
+            for e in g.edges_into[v] for tail in _paths_with_range(g, k - 1, e.source))
+    return paths
 
 
 def s_pairs(g: DirectedGraph, lam: Path, k: int) -> list[tuple[Path, Path]]:
@@ -381,14 +386,15 @@ def refine(g: DirectedGraph, lam: Path, n: int, side: str) -> list[Path]:
     raise ValueError(f"unknown refinement side {side!r}")
 
 
-@lru_cache(maxsize=None)
 def graph_automorphisms(g: DirectedGraph) -> tuple[dict[str, str], ...]:
     """Brute-force vertex permutations preserving the edge relation,
-    enumerated once per graph.
+    enumerated once per graph (kept in ``g.memo``).
 
     Edge multiplicities are respected: the multiset of (range, source)
     pairs must be carried onto itself.
     """
+    if ("automorphisms",) in g.memo:
+        return g.memo[("automorphisms",)]
     pair_counts: dict[tuple[str, str], int] = {}
     for e in g.edges:
         key = (e.range, e.source)
@@ -399,4 +405,5 @@ def graph_automorphisms(g: DirectedGraph) -> tuple[dict[str, str], ...]:
         if all(pair_counts.get((sigma[r], sigma[s]), 0) == c
                for (r, s), c in pair_counts.items()):
             autos.append(sigma)
-    return tuple(autos)
+    autos = g.memo[("automorphisms",)] = tuple(autos)
+    return autos

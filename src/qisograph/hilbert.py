@@ -9,9 +9,11 @@ radius so that compositions such as S_e* S_e stay exactly rational.
 The embeddings and the generators S_lambda, S_lambda*, p_v are all
 path maps: each is its list of (eta, image) pairs of basis paths, from
 refine, s_pairs or s_star_pairs (p_v is S_v for the vertex v as a
-degree-0 path), and one builder turns such a list into its 0/1 matrix.
-Operator identities are asserted only on interior levels: a finite
-window cannot represent S_e on its top level.
+degree-0 path), and one builder turns such a list into its 0/1 int
+matrix.  Products of path maps stay int; a word's power of rho is
+normalised once, when ``represent`` returns.  Operator identities are
+asserted only on interior levels: a finite window cannot represent
+S_e on its top level.
 """
 
 from __future__ import annotations
@@ -23,13 +25,11 @@ from fractions import Fraction
 import numpy as np
 
 from .graphs import (
-    DirectedGraph, Path, SOURCE_APPEND, adjacency_matrix, enumerate_paths, refine, s_pairs,
-    s_star_pairs, vertex_path,
+    DirectedGraph, Path, SOURCE_APPEND, adjacency_matrix, edge_path, enumerate_paths, refine,
+    s_pairs, s_star_pairs, vertex_path,
 )
-from .perron import PerronData, cylinder_measure
-from .ratmat import (
-    Mat, rat_identity, rat_matmul, rat_max_abs, rat_rank, rat_sub, rat_transpose, rat_zeros,
-)
+from .perron import PerronData, additivity_residual, cylinder_measure
+from .ratmat import Mat, rat_identity, rat_matmul, rat_max_abs, rat_rank, rat_sub, rat_zeros
 
 
 class TruncationOverflowError(ValueError):
@@ -58,8 +58,8 @@ def level_space(g: DirectedGraph, pf: PerronData, k: int) -> LevelSpace:
 @dataclass
 class LevelMap:
     """Matrix from the level-l basis to the level-k basis times
-    rho^{half_power/2}; with rational rho the even part of the power is
-    absorbed into the matrix, keeping half_power in {0, 1}."""
+    rho^{half_power/2}; ``compose`` adds the powers, and ``normalized``
+    absorbs their even part into the matrix, leaving {0, 1}."""
 
     source_level: int
     target_level: int
@@ -75,13 +75,13 @@ class LevelMap:
         return LevelMap(self.source_level, self.target_level, rem,
                         [[scale * x for x in row] for row in self.mat])
 
-    def compose(self, other: "LevelMap", pf: PerronData) -> "LevelMap":
-        """self after other."""
+    def compose(self, other: "LevelMap") -> "LevelMap":
+        """self after other, with the powers of rho added unnormalised."""
         if other.target_level != self.source_level:
             raise ValueError("level mismatch in composition")
         return LevelMap(other.source_level, self.target_level,
                         self.half_power + other.half_power,
-                        rat_matmul(self.mat, other.mat)).normalized(pf)
+                        rat_matmul(self.mat, other.mat))
 
     def residual(self, other: "LevelMap") -> Fraction:
         if self.half_power != other.half_power:
@@ -101,8 +101,7 @@ def _path_map(g: DirectedGraph, l: int, k: int, pairs, half_power: int) -> Level
     return LevelMap(l, k, half_power, mat)
 
 
-def embed(g: DirectedGraph, pf: PerronData, l: int, k: int,
-          convention: str = SOURCE_APPEND) -> LevelMap:
+def embed(g: DirectedGraph, l: int, k: int, convention: str = SOURCE_APPEND) -> LevelMap:
     """Inclusion R_l -> R_k: columns are 0/1 refinement indicators."""
     if l > k:
         raise ValueError("embedding goes upward in level")
@@ -113,14 +112,15 @@ def embed(g: DirectedGraph, pf: PerronData, l: int, k: int,
 def embedding_gram_residual(g: DirectedGraph, pf: PerronData, l: int, k: int,
                             convention: str = SOURCE_APPEND) -> Fraction:
     """Max entry of E^T G_k E - G_l; exactly 0 for the measure-consistent
-    convention (the embedding is then a Gram isometry)."""
-    e = embed(g, pf, l, k, convention)
-    gk = level_space(g, pf, k).gram
-    gl = level_space(g, pf, l).gram
-    weighted = [[gk[i] * e.mat[i][j] for j in range(len(e.mat[0]))] for i in range(len(e.mat))]
-    prod = rat_matmul(rat_transpose(e.mat), weighted)
-    target = [[gl[i] if i == j else Fraction(0) for j in range(len(gl))] for i in range(len(gl))]
-    return rat_max_abs(rat_sub(prod, target))
+    convention (the embedding is then a Gram isometry).  Distinct paths
+    have disjoint refinements, so the difference is the diagonal of
+    additivity residuals of M."""
+    if not pf.exact:
+        raise ValueError("the embedding Gram residual requires exact Perron data")
+    if l == k:
+        return Fraction(0)
+    return max(additivity_residual(pf, g, lam, k - l, convention)
+               for lam in enumerate_paths(g, l))
 
 
 # ---------------------------------------------------------------------------
@@ -160,10 +160,10 @@ def represent(g: DirectedGraph, pf: PerronData, ops, k: int, n_cap: int) -> Leve
             step = _map_p(g, arg, lvl)
         else:
             raise ValueError(f"unknown symbol {kind!r}")
-        cur = step.normalized(pf) if cur is None else step.compose(cur, pf)
+        cur = step if cur is None else step.compose(cur)
     if cur is None:
         raise ValueError("represent needs at least one operator")
-    return cur
+    return cur.normalized(pf)
 
 
 def gram_adjoint(g: DirectedGraph, pf: PerronData, m: LevelMap) -> LevelMap:
@@ -202,7 +202,6 @@ def cuntz_krieger_check(g: DirectedGraph, pf: PerronData, n_cap: int) -> CuntzKr
     """
     if n_cap < 2:
         raise ValueError("need truncation level at least 2")
-    from .graphs import edge_path
     res1 = Fraction(0)
     res2 = Fraction(0)
     levels = tuple(range(n_cap))
@@ -295,7 +294,7 @@ def dirac(g: DirectedGraph, pf: PerronData, n_cap: int) -> TruncatedTriple:
 
     xi = []
     for q in range(n_cap + 1):
-        e = embed(g, pf, q, n_cap).mat
+        e = embed(g, q, n_cap).mat
         gq = level_space(g, pf, q).gram
         # P = E G_q^{-1} E^T G_N with diagonal Gram blocks
         cols = len(e[0])

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-Mat = list[list[Fraction]]
+Mat = list[list[Fraction | int]]   # int entries stay int until a Fraction enters
 
 
 def rat_matrix(rows) -> Mat:
@@ -16,7 +16,7 @@ def rat_identity(n: int) -> Mat:
 
 
 def rat_zeros(m: int, n: int) -> Mat:
-    return [[Fraction(0)] * n for _ in range(m)]
+    return [[0] * n for _ in range(m)]
 
 
 def rat_matmul(a: Mat, b: Mat) -> Mat:
@@ -35,21 +35,12 @@ def rat_matmul(a: Mat, b: Mat) -> Mat:
     return out
 
 
-def rat_transpose(a: Mat) -> Mat:
-    return [list(col) for col in zip(*a)]
-
-
 def rat_sub(a: Mat, b: Mat) -> Mat:
     return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
 def rat_max_abs(a: Mat) -> Fraction:
-    m = Fraction(0)
-    for row in a:
-        for x in row:
-            if abs(x) > m:
-                m = abs(x)
-    return m
+    return Fraction(max((abs(x) for row in a for x in row), default=0))
 
 
 def _row_echelon(a: Mat) -> tuple[Mat, list[int]]:

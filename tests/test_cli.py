@@ -71,10 +71,22 @@ def test_convention_residuals_computed_once_per_run(monkeypatch):
         assert calls == expected, argv
 
 
+def test_graph_without_consistent_convention_is_a_usage_error(tmp_path, capsys):
+    # one vertex and no edges: rho = 0 and no refinement side is additive
+    gfile = tmp_path / "lone.g"
+    gfile.write_text("graph lone\nv a\n")
+    for command in ("spectral", "verify"):
+        assert main([command, "--graph", str(gfile)]) == 2, command
+        assert "no measure-consistent refinement convention" in capsys.readouterr().err
+
+
 def test_commands_reject_flags_they_do_not_read(tmp_path):
     assert main(["verify", "--graph", _graph("k3.g"),
                  "--theta-csv", str(tmp_path / "theta.csv")]) == 2
     assert main(["spectral", "--graph", _graph("k3.g"), "--flavor", "magic"]) == 2
+    # the measures do not depend on a convention: spectral always selects one
+    assert main(["spectral", "--graph", _graph("k3.g"),
+                 "--convention", "source-append"]) == 2
     assert main(["validate", "--graph", _graph("k3.g"), "--level", "3"]) == 2
     assert main(["reduce", "--graph", _graph("k3.g"), "--k", "2", "q[1,2]"]) == 2
 

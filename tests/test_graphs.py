@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -7,6 +9,8 @@ from qisograph.graphs import (
     adjacency_matrix, compose, edge_path, enumerate_paths, extends, graph_automorphisms,
     parse_graph, path_from_edges, refine, s_pairs, s_star_pairs, validate, vertex_path,
 )
+
+GRAPH_DIR = Path(__file__).resolve().parent.parent / "graphs"
 
 
 def test_parse_three_cycle(graphs):
@@ -203,11 +207,11 @@ def test_automorphism_counts(graphs):
     assert len(graph_automorphisms(graphs["two-cycle"])) == 2
 
 
-def test_automorphisms_enumerated_once_per_graph(graphs, perron_data, monkeypatch):
+def test_automorphisms_enumerated_once_per_graph(perron_data, monkeypatch):
     import itertools
     from qisograph.providers import classical_rep
     from qisograph.relations import qaut_relations
-    g = graphs["k3"]
+    g = parse_graph((GRAPH_DIR / "k3.g").read_text())   # fresh: nothing memoised yet
     enumerations = []
     permutations = itertools.permutations
 
@@ -215,11 +219,24 @@ def test_automorphisms_enumerated_once_per_graph(graphs, perron_data, monkeypatc
         enumerations.append(tuple(items))
         return permutations(items, *args)
 
-    graph_automorphisms.cache_clear()
     monkeypatch.setattr(itertools, "permutations", counting)
     rels = qaut_relations(g, perron_data["k3"])
     classical_rep(g, rels)
     assert enumerations == [g.vertices]
+
+
+def test_graph_caches_die_with_the_graph():
+    import gc
+    import weakref
+    # a name of its own, so the graph equals no other graph in the session
+    text = (GRAPH_DIR / "k3.g").read_text().replace("graph k3", "graph k3-dropped")
+    for derive in (lambda g: enumerate_paths(g, 3), graph_automorphisms):
+        g = parse_graph(text)
+        derive(g)
+        ref = weakref.ref(g)
+        del g
+        gc.collect()
+        assert ref() is None, derive
 
 
 def test_path_pairs_match_definition_and_dense_representation(graphs, perron_data):

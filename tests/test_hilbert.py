@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from qisograph.graphs import (
-    RANGE_PREPEND, edge_path, enumerate_paths, path_from_edges, vertex_path,
+    RANGE_PREPEND, SOURCE_APPEND, edge_path, enumerate_paths, path_from_edges, vertex_path,
 )
 from qisograph.hilbert import (
     TruncationOverflowError, alpha_sequence, cuntz_krieger_check,
@@ -41,7 +41,7 @@ def test_degree_k_indicators_are_independent(graphs, perron_data):
         g, pf = graphs[name], perron_data[name]
         cols = []
         for l in range(kmax + 1):
-            e = embed(g, pf, l, kmax)
+            e = embed(g, l, kmax)
             for j in range(len(e.mat[0])):
                 cols.append([e.mat[i][j] for i in range(len(e.mat))])
         rank = rat_rank([list(row) for row in zip(*cols)])
@@ -50,14 +50,14 @@ def test_degree_k_indicators_are_independent(graphs, perron_data):
 
 def test_embed_identity_and_columns(graphs, perron_data):
     g, pf = graphs["k3"], perron_data["k3"]
-    e_same = embed(g, pf, 2, 2)
+    e_same = embed(g, 2, 2)
     assert all(e_same.mat[i][j] == (1 if i == j else 0)
                for i in range(12) for j in range(12))
-    e12 = embed(g, pf, 1, 2)
+    e12 = embed(g, 1, 2)
     for j in range(6):
         assert sum(e12.mat[i][j] for i in range(12)) == 2
     g3, pf3 = graphs["three-cycle"], perron_data["three-cycle"]
-    e_cyc = embed(g3, pf3, 0, 3)
+    e_cyc = embed(g3, 0, 3)
     for j in range(3):
         assert sum(e_cyc.mat[i][j] for i in range(3)) == 1
 
@@ -72,14 +72,31 @@ def test_embed_gram_isometry_exact(graphs, perron_data):
 
 def test_embed_composition(graphs, perron_data):
     g, pf = graphs["k3"], perron_data["k3"]
-    two_step = embed(g, pf, 1, 3).mat
-    via = embed(g, pf, 2, 3).compose(embed(g, pf, 1, 2), pf).mat
+    two_step = embed(g, 1, 3).mat
+    via = embed(g, 2, 3).compose(embed(g, 1, 2)).mat
     assert two_step == via
 
 
 def test_embed_prepend_not_isometric_on_asym4(graphs, perron_data):
     g, pf = graphs["asym4"], perron_data["asym4"]
     assert embedding_gram_residual(g, pf, 1, 2, RANGE_PREPEND) > 0
+
+
+def test_embedding_gram_residual_matches_dense_product(graphs, perron_data):
+    # the additivity form against max |E^T G_k E - G_l| from the matrices
+    for name, g in graphs.items():
+        pf = perron_data[name]
+        for convention in (SOURCE_APPEND, RANGE_PREPEND):
+            for k in range(4):
+                gk = level_space(g, pf, k).gram
+                for l in range(k + 1):
+                    e = embed(g, l, k, convention).mat
+                    gl = level_space(g, pf, l).gram
+                    dense = max(abs(sum(e[i][a] * gk[i] * e[i][b] for i in range(len(gk)))
+                                    - (gl[a] if a == b else 0))
+                                for a in range(len(gl)) for b in range(len(gl)))
+                    got = embedding_gram_residual(g, pf, l, k, convention)
+                    assert type(got) is Fraction and got == dense, (name, convention, l, k)
 
 
 def test_represent_creation(graphs, perron_data):
@@ -148,6 +165,22 @@ def test_represent_adjoint_matches_star(graphs, perron_data):
         adj = gram_adjoint(g, pf, fwd)
         assert (adj.source_level, adj.target_level) == (star.source_level, star.target_level)
         assert adj.residual(star) == 0
+
+
+def test_path_maps_stay_integral(graphs, perron_data):
+    # 0/1 path maps and their products keep int entries; a Fraction
+    # enters only where the normalisation absorbs a power of rho
+    g, pf = graphs["k3"], perron_data["k3"]
+    e = edge_path(g, "e12")
+    for ops in ([("s*", e), ("s", e)], [("p", e.source)], [("s", e), ("s*", e)]):
+        m = represent(g, pf, ops, 1, 3)
+        assert m.half_power == 0
+        assert all(type(x) is int for row in m.mat for x in row), ops
+    star = represent(g, pf, [("s*", e)], 2, 3)
+    assert star.half_power in (0, 1)
+    ck = cuntz_krieger_check(g, pf, 3)
+    assert type(ck.residual_annihilation) is Fraction
+    assert type(ck.residual_completeness) is Fraction
 
 
 def test_represent_overflow(graphs, perron_data):
