@@ -440,7 +440,7 @@ def check_dirac_commutation(ctx: VerificationContext,
                                            scalar_override, kind=ctx.kind)]
 
     triple = dirac(ctx.g, ctx.pf, n_cap)
-    gmat = np.diag([float(x) for x in triple.space.gram])
+    gmat = np.diag([float(x) for x in triple.gram])
     hats = [np.array([[float(x) for x in row] for row in m]) for m in triple.xi_hat]
     hats.append(np.array([[float(x) for x in row] for row in triple.constants_projection]))
 

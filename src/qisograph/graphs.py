@@ -40,24 +40,12 @@ class Edge:
 
 @dataclass(frozen=True)
 class DirectedGraph:
+    """Built by ``parse_graph``, which rejects duplicate ids and
+    undeclared vertices."""
+
     name: str
     vertices: tuple[str, ...]
     edges: tuple[Edge, ...]
-
-    def __post_init__(self):
-        seen_v = set()
-        for v in self.vertices:
-            if v in seen_v:
-                raise ValueError(f"duplicate vertex id {v!r}")
-            seen_v.add(v)
-        seen_e = set()
-        for e in self.edges:
-            if e.id in seen_e:
-                raise ValueError(f"duplicate edge id {e.id!r}")
-            seen_e.add(e.id)
-            for v in (e.range, e.source):
-                if v not in seen_v:
-                    raise ValueError(f"edge {e.id!r} references undeclared vertex {v!r}")
 
     @cached_property
     def edge_by_id(self) -> dict[str, Edge]:
@@ -154,46 +142,13 @@ def parse_graph(text: str) -> DirectedGraph:
 # ---------------------------------------------------------------------------
 # validation
 
-@dataclass(frozen=True)
-class ValidationProfile:
-    name: str
-    strongly_connected: bool = False
-    no_loops: bool = False
-    no_multiple_edges: bool = False
-    no_sources: bool = False
-
-    def required(self) -> tuple[str, ...]:
-        return tuple(
-            h for h in ("strongly-connected", "no-loops", "no-multiple-edges", "no-sources")
-            if getattr(self, h.replace("-", "_"))
-        )
-
-
-#: All four hypotheses; needed for the quantum automorphism relations.
-AUT_PLUS = ValidationProfile(
-    "aut-plus",
-    strongly_connected=True, no_loops=True, no_multiple_edges=True, no_sources=True,
-)
-
-#: Only strong connectivity and sourcelessness; enough for the path-space triple.
-SPECTRAL_TRIPLE = ValidationProfile(
-    "spectral-triple", strongly_connected=True, no_sources=True,
-)
-
-
-@dataclass(frozen=True)
-class HypothesisCheck:
-    name: str
-    passed: bool
-    witness: str | None = None
-
-
-@dataclass(frozen=True)
-class ValidationReport:
-    graph: str
-    profile: str
-    checks: tuple[HypothesisCheck, ...]
-    passed: bool
+#: profile name -> the hypotheses it requires.  aut-plus needs all four
+#: for the quantum automorphism relations; strong connectivity and
+#: sourcelessness are enough for the path-space spectral triple.
+PROFILES = {
+    "aut-plus": ("strongly-connected", "no-loops", "no-multiple-edges", "no-sources"),
+    "spectral-triple": ("strongly-connected", "no-sources"),
+}
 
 
 def _reachable_from(g: DirectedGraph, start: str) -> set[str]:
@@ -217,15 +172,12 @@ def is_strongly_connected(g: DirectedGraph) -> tuple[bool, str | None]:
     return True, None
 
 
-def validate(g: DirectedGraph, profile: ValidationProfile) -> ValidationReport:
-    """Check each hypothesis of *profile*, reporting a witness on failure."""
-    checks = []
+def hypothesis_witnesses(g: DirectedGraph) -> dict[str, str | None]:
+    """Each of the four hypotheses, in report order, with a witness of
+    its failure, or None when it holds."""
+    _, connectivity = is_strongly_connected(g)
 
-    ok, witness = is_strongly_connected(g)
-    checks.append(HypothesisCheck("strongly-connected", ok, witness))
-
-    loop = next((e for e in g.sorted_edges if e.range == e.source), None)
-    checks.append(HypothesisCheck("no-loops", loop is None, loop.id if loop else None))
+    loop = next((e.id for e in g.sorted_edges if e.range == e.source), None)
 
     pair_seen: dict[tuple[str, str], str] = {}
     dup = None
@@ -235,15 +187,12 @@ def validate(g: DirectedGraph, profile: ValidationProfile) -> ValidationReport:
             dup = f"edges {pair_seen[key]} and {e.id} both join {e.source} to {e.range}"
             break
         pair_seen[key] = e.id
-    checks.append(HypothesisCheck("no-multiple-edges", dup is None, dup))
 
     # a source is a vertex receiving no edge; it breaks the Cuntz-Krieger sum
     src = next((v for v in g.vertices if not g.edges_into[v]), None)
-    checks.append(HypothesisCheck("no-sources", src is None, src))
 
-    required = set(profile.required())
-    passed = all(c.passed for c in checks if c.name in required)
-    return ValidationReport(g.name, profile.name, tuple(checks), passed)
+    return {"strongly-connected": connectivity, "no-loops": loop,
+            "no-multiple-edges": dup, "no-sources": src}
 
 
 def adjacency_matrix(g: DirectedGraph) -> list[list[int]]:

@@ -1,6 +1,6 @@
 """Finite-rank truncations of the path-space L^2, the representation of
-the graph algebra on them, embeddings, the Dirac operator, and the
-heat-trace numerics.
+the graph algebra on them, embeddings, the eigenprojections of the
+truncated Dirac operator, and the heat-trace numerics.
 
 The degree-k cylinder indicators form a basis of the level-k space; the
 inner product is the diagonal Gram form with entries M([eta]).  Maps
@@ -22,14 +22,12 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .graphs import (
     DirectedGraph, Path, SOURCE_APPEND, adjacency_matrix, edge_path, enumerate_paths, refine,
     s_pairs, s_star_pairs, vertex_path,
 )
 from .perron import PerronData, additivity_residual, cylinder_measure
-from .ratmat import Mat, rat_identity, rat_matmul, rat_max_abs, rat_rank, rat_sub, rat_zeros
+from .ratmat import Mat, rat_matmul, rat_max_abs, rat_sub, rat_zeros
 
 
 class TruncationOverflowError(ValueError):
@@ -166,20 +164,6 @@ def represent(g: DirectedGraph, pf: PerronData, ops, k: int, n_cap: int) -> Leve
     return cur.normalized(pf)
 
 
-def gram_adjoint(g: DirectedGraph, pf: PerronData, m: LevelMap) -> LevelMap:
-    """Adjoint with respect to the diagonal Gram forms (not Euclidean)."""
-    gs = level_space(g, pf, m.source_level).gram
-    gt = level_space(g, pf, m.target_level).gram
-    rows = len(m.mat)
-    cols = len(m.mat[0]) if rows else 0
-    out = rat_zeros(cols, rows)
-    for i in range(rows):
-        for j in range(cols):
-            if m.mat[i][j]:
-                out[j][i] = m.mat[i][j] * gt[i] / gs[j]
-    return LevelMap(m.target_level, m.source_level, m.half_power, out).normalized(pf)
-
-
 @dataclass(frozen=True)
 class CuntzKriegerReport:
     n_cap: int
@@ -268,80 +252,36 @@ def alpha_sequence(n_cap: int, kind: str = "power", eps: float = 0.25) -> tuple[
 
 @dataclass
 class TruncatedTriple:
-    n_cap: int
-    alpha: tuple[float, ...]
-    space: LevelSpace                      # the level-N coordinate space
-    xi: list[Mat]                          # Xi_q, q = 0..N, exact projections
-    xi_hat: list[Mat]                      # Xi-hat_{q,q-1}, q = 0..N
-    constants_projection: Mat
-    mults: list[int]
+    """What the Dirac commutation check reads of the truncated triple."""
 
-    def dirac_matrix(self) -> np.ndarray:
-        n = self.space.dim
-        d = np.zeros((n, n))
-        for q, m in enumerate(self.xi_hat):
-            d += self.alpha[q] * np.array([[float(x) for x in row] for row in m])
-        return d
+    gram: tuple[Fraction, ...]             # the level-N Gram diagonal
+    xi_hat: list[Mat]                      # Xi-hat_{q,q-1}, q = 0..N, exact projections
+    constants_projection: Mat
 
 
 def dirac(g: DirectedGraph, pf: PerronData, n_cap: int) -> TruncatedTriple:
-    """Exact Gram-orthogonal projections onto the level filtration
-    (source-append embeddings) and the eigenvalue data of the truncated
-    Dirac operator on the default alpha_sequence."""
-    space = level_space(g, pf, n_cap)
-    gram = space.gram
-    dim = space.dim
+    """Exact Gram-orthogonal eigenprojections of the truncated Dirac
+    operator: Xi-hat_q = Xi_q - Xi_{q-1}, with Xi_q the projection onto
+    level q (source-append embeddings) and Xi_{-1} onto the constants."""
+    gram = level_space(g, pf, n_cap).gram
+    dim = len(gram)
 
-    xi = []
+    ones = [[Fraction(1)] for _ in range(dim)]
+    constants = rat_matmul(ones, [list(gram)])   # u (Gu)^T, with u^T G u = 1
+
+    xi_hat = []
+    prev = constants
     for q in range(n_cap + 1):
         e = embed(g, q, n_cap).mat
         gq = level_space(g, pf, q).gram
-        # P = E G_q^{-1} E^T G_N with diagonal Gram blocks
+        # Xi_q = E G_q^{-1} E^T G_N with diagonal Gram blocks
         cols = len(e[0])
         left = [[e[i][j] / gq[j] for j in range(cols)] for i in range(dim)]
         right = [[e[j][i] * gram[j] for j in range(dim)] for i in range(cols)]
-        xi.append(rat_matmul(left, right))
-
-    ones = [[Fraction(1)] for _ in range(dim)]
-    row = [[gram[j] for j in range(dim)]]
-    constants = rat_matmul(ones, row)      # u (Gu)^T, with u^T G u = 1
-
-    xi_hat = [rat_sub(xi[0], constants)]
-    for q in range(1, n_cap + 1):
-        xi_hat.append(rat_sub(xi[q], xi[q - 1]))
-
-    return TruncatedTriple(n_cap, alpha_sequence(n_cap), space, xi, xi_hat,
-                           constants, multiplicities(g, n_cap))
-
-
-def projection_invariant_residual(triple: TruncatedTriple) -> Fraction:
-    """Worst violation of: Xi idempotent, Gram-self-adjoint, nested;
-    Xi-hat pairwise orthogonal and summing to the identity with the
-    constants block.  All exact."""
-    gram = triple.space.gram
-    dim = triple.space.dim
-    worst = Fraction(0)
-    for p in triple.xi + [triple.constants_projection]:
-        worst = max(worst, rat_max_abs(rat_sub(rat_matmul(p, p), p)))
-        gp = [[gram[i] * p[i][j] for j in range(dim)] for i in range(dim)]
-        ptg = [[p[j][i] * gram[j] for j in range(dim)] for i in range(dim)]
-        worst = max(worst, rat_max_abs(rat_sub(gp, ptg)))
-    for q in range(1, len(triple.xi)):
-        worst = max(worst, rat_max_abs(
-            rat_sub(rat_matmul(triple.xi[q - 1], triple.xi[q]), triple.xi[q - 1])))
-    for a in range(len(triple.xi_hat)):
-        for b in range(a + 1, len(triple.xi_hat)):
-            prod = rat_matmul(triple.xi_hat[a], triple.xi_hat[b])
-            worst = max(worst, rat_max_abs(prod))
-    total = triple.constants_projection
-    for m in triple.xi_hat:
-        total = [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(total, m)]
-    worst = max(worst, rat_max_abs(rat_sub(total, rat_identity(dim))))
-    return worst
-
-
-def xi_hat_ranks(triple: TruncatedTriple) -> list[int]:
-    return [rat_rank(m) for m in triple.xi_hat]
+        xi = rat_matmul(left, right)
+        xi_hat.append(rat_sub(xi, prev))
+        prev = xi
+    return TruncatedTriple(gram, xi_hat, constants)
 
 
 def theta_partial_trace(mults, t: float, eps: float, q_max: int) -> float:
@@ -381,13 +321,3 @@ def theta_tail_bound(rho: float, min_x: float, t: float, eps: float, q_max: int)
         if ratio < 1:
             return total + term * ratio / (1 - ratio)
         q += 1
-
-
-def theta_dominating_terms(m_edges: int, t: float, eps: float, q_max: int) -> list[float]:
-    """Terms exp(-t q^{1+2 eps}) m^q of the dominating series, q >= 1.
-
-    n_q <= m^q holds for q >= 1 (the degree-q indicators are a basis of
-    R_q); the q = 0 term n_0 = |V| - 1 is excluded from the pointwise
-    bound.
-    """
-    return [math.exp(-t * q ** (1 + 2 * eps)) * m_edges ** q for q in range(1, q_max + 1)]

@@ -137,9 +137,7 @@ class NCPoly:
     def scale(self, c: Coeff) -> "NCPoly":
         return NCPoly({w: c * v for w, v in self._terms.items()})
 
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
+    def __mul__(self, other: "NCPoly") -> "NCPoly":
         out: dict[Word, Coeff] = {}
         for w1, c1 in self._terms.items():
             for w2, c2 in other._terms.items():
@@ -147,20 +145,12 @@ class NCPoly:
                 out[w] = out.get(w, 0) + c1 * c2
         return NCPoly(out)
 
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
-        return NotImplemented
-
     def star(self) -> "NCPoly":
         """Formal adjoint: reverse words, adjoint generators (real coefficients)."""
         return NCPoly({star_word(w): c for w, c in self._terms.items()})
 
     def __eq__(self, other):
         return isinstance(other, NCPoly) and self._terms == other._terms
-
-    def __hash__(self):
-        return hash(frozenset(self._terms.items()))
 
     def __repr__(self):
         if not self._terms:

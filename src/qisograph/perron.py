@@ -140,12 +140,6 @@ def additivity_residual(pf: PerronData, g: DirectedGraph, lam: Path, n: int, sid
     return abs(total)
 
 
-def total_level_mass(pf: PerronData, g: DirectedGraph, k: int):
-    """Sum of M over all degree-k cylinders; equals 1 for every k."""
-    from .graphs import enumerate_paths
-    return sum(cylinder_measure(pf, lam) for lam in enumerate_paths(g, k))
-
-
 def cylinder_intersection_measure(pf: PerronData, lam: Path, eta: Path):
     """M([lam] ∩ [eta]) from the cylinder semantics (initial segments).
 
@@ -175,17 +169,16 @@ def convention_residuals(pf: PerronData, g: DirectedGraph) -> dict[str, object]:
 
 
 def select_convention(pf: PerronData, g: DirectedGraph) -> tuple[str, dict[str, object]]:
-    """Adopt the refinement side with zero additivity residual.
+    """source-append, with the additivity residuals of both sides.
 
-    source-append is the tiebreak when both sides are consistent (it is
-    the one matching the initial-segment cylinder semantics).  With
-    exact Perron data "zero" means exact equality; in float mode a
-    tolerance stands in, which is reported rather than hidden.
+    Source-append additivity is the Perron eigen-equation: the sum of
+    x_{s(mu)} over the degree-n paths mu with r(mu) = v is
+    (A^n x)_v = rho^n x_v.  It holds whenever rho > 0: exactly with
+    exact Perron data, and within 1e-9 with float data, whose residuals
+    are returned rather than hidden.  With rho = 0 no refinement side
+    is additive, and a PerronError is raised.
     """
     residuals = convention_residuals(pf, g)
-    cutoff = 0 if pf.exact else 1e-9
-    if residuals[SOURCE_APPEND] <= cutoff:
-        return SOURCE_APPEND, residuals
-    if residuals[RANGE_PREPEND] <= cutoff:
-        return RANGE_PREPEND, residuals
-    raise PerronError(f"no measure-consistent refinement convention on {g.name}")
+    if residuals[SOURCE_APPEND] > (0 if pf.exact else 1e-9):
+        raise PerronError(f"no measure-consistent refinement convention on {g.name}")
+    return SOURCE_APPEND, residuals

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graphs import DirectedGraph, graph_automorphisms
-from .ncpoly import Generator, NCPoly, QKIND, UKIND, USTAR, WKIND, WSTAR
+from .ncpoly import Generator, NCPoly, QKIND, UKIND, USTAR
 from .relations import RelationSet
 from .verdict import UNKNOWN, WITNESSED_NONZERO, Verdict
 
@@ -48,8 +48,6 @@ class RepresentationProvider:
     assignment: dict[Generator, np.ndarray]
 
     def values(self, gen: Generator) -> np.ndarray:
-        if gen.kind == WKIND or gen.kind == WSTAR:
-            return np.ones(self.dim, dtype=complex)
         try:
             return self.assignment[gen]
         except KeyError:

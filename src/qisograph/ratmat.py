@@ -11,10 +11,6 @@ def rat_matrix(rows) -> Mat:
     return [[Fraction(x) for x in row] for row in rows]
 
 
-def rat_identity(n: int) -> Mat:
-    return [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-
-
 def rat_zeros(m: int, n: int) -> Mat:
     return [[0] * n for _ in range(m)]
 
@@ -66,13 +62,6 @@ def _row_echelon(a: Mat) -> tuple[Mat, list[int]]:
         if r == rows:
             break
     return mat, pivots
-
-
-def rat_rank(a: Mat) -> int:
-    if not a:
-        return 0
-    _, pivots = _row_echelon(a)
-    return len(pivots)
 
 
 def rat_nullspace(a: Mat) -> list[list[Fraction]]:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .graphs import DirectedGraph, graph_automorphisms
+from .graphs import PROFILES, DirectedGraph, graph_automorphisms, hypothesis_witnesses
 from .ncpoly import (
     FORMAL_UNITARY, FORMAL_UNITARY_STAR, Generator, NCPoly, QKIND, UKIND, USTAR, q,
 )
@@ -208,10 +208,9 @@ def qaut_relations(g: DirectedGraph, pf=None) -> RelationSet:
     data is supplied, the weighted sum schema
     sum_k x_k q[k,j] = x_j * 1 (an invariance theorem, not an axiom).
     """
-    from .graphs import AUT_PLUS, validate
-    report = validate(g, AUT_PLUS)
-    if not report.passed:
-        failed = [c.name for c in report.checks if not c.passed and c.name in AUT_PLUS.required()]
+    witnesses = hypothesis_witnesses(g)
+    failed = [h for h in PROFILES["aut-plus"] if witnesses[h] is not None]
+    if failed:
         raise ValueError(f"graph {g.name} fails aut-plus validation: {', '.join(failed)}")
 
     ids = g.vertices

@@ -34,8 +34,9 @@ fixed point.  Within one search the monomial reduction of int words is
 memoised, which serves the many repeated completion checks of the sum
 schemas; and since a collapse adds a single word to a monomial fixed
 point, each search child needs only that word reduced.  A word holding a
-generator outside the alphabet is served by an alphabet extended by that
-generator for that call.
+generator outside the alphabet is rejected with a ``ValueError`` that
+names it: every word the package builds lies over its relation set's
+universe, and the formal unitary w enters the alphabet through its rules.
 """
 
 from __future__ import annotations
@@ -82,12 +83,11 @@ class Alphabet:
     ``(kind, row, col)`` order, so comparing int words or ranks orders
     exactly as comparing the generator words or strings they encode.
     The alphabet holds every generator of the relation set's schema
-    kinds over the index set, every generator named by a rule, and
-    *extra*.  Only generators over the index set take part in the
-    schemas; any other generator is an opaque letter.
+    kinds over the index set and every generator named by a rule.  Only
+    generators over the index set take part in the schemas.
     """
 
-    def __init__(self, rels: RelationSet, extra: frozenset[Generator] = frozenset()):
+    def __init__(self, rels: RelationSet):
         universe = rels.universe
         kinds = {rels.gen_kind} | {k for s in rels.unitary_schemas for k in s.kinds}
         gens = {Generator(k, i, j) for k in kinds for i in universe for j in universe}
@@ -95,7 +95,6 @@ class Alphabet:
             gens.update(lhs)
             gens.update(rhs or ())
         gens.update(rels.vanishing)
-        gens.update(extra)
         self.gens = tuple(sorted(gens))
         self.ids = {g: i for i, g in enumerate(self.gens)}
         n = self.size = len(self.gens)
@@ -137,7 +136,10 @@ class Alphabet:
     # -- the Generator edge ------------------------------------------------
 
     def encode(self, word: Word) -> IntWord:
-        return tuple(map(self.ids.__getitem__, word))
+        try:
+            return tuple(map(self.ids.__getitem__, word))
+        except KeyError as exc:
+            raise ValueError(f"generator {exc.args[0]} is outside the alphabet") from None
 
     def decode(self, word: IntWord) -> Word:
         return tuple(map(self.gens.__getitem__, word))
@@ -288,17 +290,6 @@ class _UnitaryTable:
             out.append((sort_key, (self.tag, removed, prefix + suffix, coeff)))
 
 
-def _encode(words: list[Word], rels: RelationSet) -> tuple[Alphabet, list[IntWord]]:
-    """*words* encoded in the relation set's alphabet, or in one extended
-    for this call when they hold generators outside it."""
-    alpha = rels.alphabet
-    try:
-        return alpha, [alpha.encode(w) for w in words]
-    except KeyError:
-        alpha = Alphabet(rels, frozenset(g for w in words for g in w if g not in alpha.ids))
-        return alpha, [alpha.encode(w) for w in words]
-
-
 def _search_zero(start: IntTerms, alpha: Alphabet, limit: int):
     """Depth-first search over collapse choices for an empty form,
     starting from a nonzero monomial fixed point; returns the applied
@@ -351,8 +342,8 @@ def _search_zero(start: IntTerms, alpha: Alphabet, limit: int):
 
 def reduce_word(word: Word, rels: RelationSet, trace: ReductionTrace | None = None):
     """Monomial fixed point of *word*; None means it rewrote to zero."""
-    alpha, (w,) = _encode([word], rels)
-    r = alpha.rewrite(w, trace)
+    alpha = rels.alphabet
+    r = alpha.rewrite(alpha.encode(word), trace)
     return None if r is None else alpha.decode(r)
 
 
@@ -378,9 +369,9 @@ def normal_form(p: NCPoly, rels: RelationSet, trace: ReductionTrace | None = Non
     cur = _monomial_pass(p, rels, trace)
     if cur.is_zero():
         return cur
-    terms = cur.terms()
-    alpha, words = _encode(list(terms), rels)
-    winning = _search_zero(dict(zip(words, terms.values())), alpha, SEARCH_LIMIT)
+    alpha = rels.alphabet
+    start = {alpha.encode(w): c for w, c in cur.terms().items()}
+    winning = _search_zero(start, alpha, SEARCH_LIMIT)
     if winning is not None:
         if trace is not None:
             for tag in winning:

@@ -1,0 +1,97 @@
+"""Test oracles: exact and numeric recomputations that no command needs,
+used to check the package's results from a second angle."""
+
+import math
+from fractions import Fraction
+
+import numpy as np
+
+from qisograph.graphs import enumerate_paths
+from qisograph.hilbert import LevelMap, level_space
+from qisograph.perron import cylinder_measure
+from qisograph.ratmat import rat_matmul, rat_max_abs, rat_nullspace, rat_sub, rat_zeros
+
+
+def rat_rank(a) -> int:
+    """Rank by rank-nullity: columns minus the nullspace dimension."""
+    if not a:
+        return 0
+    return len(a[0]) - len(rat_nullspace(a))
+
+
+def rat_identity(n: int):
+    return [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+
+
+def total_level_mass(pf, g, k: int):
+    """Sum of M over all degree-k cylinders; equals 1 for every k."""
+    return sum(cylinder_measure(pf, lam) for lam in enumerate_paths(g, k))
+
+
+def gram_adjoint(g, pf, m: LevelMap) -> LevelMap:
+    """Adjoint with respect to the diagonal Gram forms (not Euclidean)."""
+    gs = level_space(g, pf, m.source_level).gram
+    gt = level_space(g, pf, m.target_level).gram
+    rows = len(m.mat)
+    cols = len(m.mat[0]) if rows else 0
+    out = rat_zeros(cols, rows)
+    for i in range(rows):
+        for j in range(cols):
+            if m.mat[i][j]:
+                out[j][i] = m.mat[i][j] * gt[i] / gs[j]
+    return LevelMap(m.target_level, m.source_level, m.half_power, out).normalized(pf)
+
+
+def level_projections(triple) -> list:
+    """Xi_q for q = 0..N, as running sums of the constants block and
+    Xi-hat_0..Xi-hat_q."""
+    out = []
+    total = triple.constants_projection
+    for hat in triple.xi_hat:
+        total = [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(total, hat)]
+        out.append(total)
+    return out
+
+
+def projection_invariant_residual(triple) -> Fraction:
+    """Worst violation of: Xi idempotent, Gram-self-adjoint, nested,
+    Xi_N the identity; Xi-hat pairwise orthogonal.  All exact."""
+    gram = triple.gram
+    dim = len(gram)
+    xi = level_projections(triple)
+    worst = Fraction(0)
+    for p in xi + [triple.constants_projection]:
+        worst = max(worst, rat_max_abs(rat_sub(rat_matmul(p, p), p)))
+        gp = [[gram[i] * p[i][j] for j in range(dim)] for i in range(dim)]
+        ptg = [[p[j][i] * gram[j] for j in range(dim)] for i in range(dim)]
+        worst = max(worst, rat_max_abs(rat_sub(gp, ptg)))
+    for q in range(1, len(xi)):
+        worst = max(worst, rat_max_abs(rat_sub(rat_matmul(xi[q - 1], xi[q]), xi[q - 1])))
+    for a in range(len(triple.xi_hat)):
+        for b in range(a + 1, len(triple.xi_hat)):
+            worst = max(worst, rat_max_abs(rat_matmul(triple.xi_hat[a], triple.xi_hat[b])))
+    worst = max(worst, rat_max_abs(rat_sub(xi[-1], rat_identity(dim))))
+    return worst
+
+
+def xi_hat_ranks(triple) -> list[int]:
+    return [rat_rank(m) for m in triple.xi_hat]
+
+
+def dirac_matrix(triple, alpha) -> np.ndarray:
+    """sum_q alpha_q Xi-hat_q as a float matrix."""
+    n = len(triple.gram)
+    d = np.zeros((n, n))
+    for q, m in enumerate(triple.xi_hat):
+        d += alpha[q] * np.array([[float(x) for x in row] for row in m])
+    return d
+
+
+def theta_dominating_terms(m_edges: int, t: float, eps: float, q_max: int) -> list[float]:
+    """Terms exp(-t q^{1+2 eps}) m^q of the dominating series, q >= 1.
+
+    n_q <= m^q holds for q >= 1 (the degree-q indicators are a basis of
+    R_q); the q = 0 term n_0 = |V| - 1 is excluded from the pointwise
+    bound.
+    """
+    return [math.exp(-t * q ** (1 + 2 * eps)) * m_edges ** q for q in range(1, q_max + 1)]

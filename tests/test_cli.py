@@ -80,6 +80,15 @@ def test_graph_without_consistent_convention_is_a_usage_error(tmp_path, capsys):
         assert "no measure-consistent refinement convention" in capsys.readouterr().err
 
 
+def test_unwritable_output_path_is_a_usage_error(tmp_path, capsys):
+    # exit 1 would claim that a check failed
+    missing = tmp_path / "no-such-dir"
+    for flag, command in (("--out", "validate"), ("--theta-csv", "spectral")):
+        target = missing / "output"
+        assert main([command, "--graph", _graph("k3.g"), flag, str(target)]) == 2, flag
+        assert f"error: cannot write {target}: " in capsys.readouterr().err
+
+
 def test_commands_reject_flags_they_do_not_read(tmp_path):
     assert main(["verify", "--graph", _graph("k3.g"),
                  "--theta-csv", str(tmp_path / "theta.csv")]) == 2

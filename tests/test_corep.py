@@ -311,7 +311,7 @@ def _dense_dirac_residuals(ctx, n_cap, provider):
             u_mat[i * d:(i + 1) * d, j * d:(j + 1) * d] = \
                 np.diag(provider.value(NCPoly.word(ctx.level(n_cap).entries[(eta, lam)])))
     triple = dirac(ctx.g, ctx.pf, n_cap)
-    gmat = np.diag(np.kron([float(x) for x in triple.space.gram], np.ones(d)))
+    gmat = np.diag(np.kron([float(x) for x in triple.gram], np.ones(d)))
     unitary = np.linalg.norm(u_mat.conj().T @ gmat @ u_mat - gmat, 2)
     hats = list(triple.xi_hat) + [triple.constants_projection]
     comm = 0.0

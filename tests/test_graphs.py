@@ -4,10 +4,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qisograph.graphs import (
-    AUT_PLUS, RANGE_PREPEND, SOURCE_APPEND, SPECTRAL_TRIPLE,
-    GraphFormatError, NonComposableError,
+    PROFILES, RANGE_PREPEND, SOURCE_APPEND, GraphFormatError, NonComposableError,
     adjacency_matrix, compose, edge_path, enumerate_paths, extends, graph_automorphisms,
-    parse_graph, path_from_edges, refine, s_pairs, s_star_pairs, validate, vertex_path,
+    hypothesis_witnesses, parse_graph, path_from_edges, refine, s_pairs, s_star_pairs,
+    vertex_path,
 )
 
 GRAPH_DIR = Path(__file__).resolve().parent.parent / "graphs"
@@ -63,10 +63,14 @@ def _brute_force_reachable(g, start):
     return seen
 
 
+def _holds(g, profile: str) -> bool:
+    witnesses = hypothesis_witnesses(g)
+    return all(witnesses[h] is None for h in PROFILES[profile])
+
+
 def test_validate_k3_aut_plus(graphs):
     g = graphs["k3"]
-    rep = validate(g, AUT_PLUS)
-    assert rep.passed
+    assert _holds(g, "aut-plus")
     # reachability oracle: every ordered pair joined by a path
     for v in g.vertices:
         assert _brute_force_reachable(g, v) == set(g.vertices)
@@ -74,20 +78,17 @@ def test_validate_k3_aut_plus(graphs):
 
 def test_validate_cuntz_profiles(graphs):
     g = graphs["cuntz2"]
-    rep = validate(g, AUT_PLUS)
-    assert not rep.passed
-    loop_check = {c.name: c for c in rep.checks}["no-loops"]
-    assert not loop_check.passed and loop_check.witness in ("l1", "l2")
-    assert validate(g, SPECTRAL_TRIPLE).passed
+    assert not _holds(g, "aut-plus")
+    assert hypothesis_witnesses(g)["no-loops"] in ("l1", "l2")
+    assert _holds(g, "spectral-triple")
 
 
 def test_validate_witnesses():
     g = parse_graph("graph t\nv 1\nv 2\ne a 2 1\n")  # 2 unreachable back to 1
-    checks = {c.name: c for c in validate(g, AUT_PLUS).checks}
-    sc = checks["strongly-connected"]
-    assert not sc.passed and "2 to 1" in sc.witness
-    assert not checks["no-sources"].passed
-    assert checks["no-sources"].witness == "1"
+    witnesses = hypothesis_witnesses(g)
+    assert list(witnesses) == list(PROFILES["aut-plus"])
+    assert "2 to 1" in witnesses["strongly-connected"]
+    assert witnesses["no-sources"] == "1"
 
 
 def test_adjacency_matrices(graphs):

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qisograph.graphs import (
     RANGE_PREPEND, SOURCE_APPEND, adjacency_matrix, edge_path, enumerate_paths,
@@ -9,8 +10,9 @@ from qisograph.graphs import (
 )
 from qisograph.perron import (
     PerronError, additivity_residual, convention_residuals, cylinder_intersection_measure,
-    cylinder_measure, perron, select_convention, total_level_mass,
+    cylinder_measure, perron, select_convention,
 )
+from oracles import total_level_mass
 
 
 def test_perron_three_cycle(perron_data):
@@ -152,6 +154,27 @@ def test_select_convention(graphs, perron_data):
         assert residuals[SOURCE_APPEND] == 0
     res4 = convention_residuals(perron_data["asym4"], graphs["asym4"])
     assert res4[RANGE_PREPEND] > 0
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_source_append_additive_on_strongly_connected_multigraphs(data):
+    # a closed walk through every vertex keeps the graph strongly
+    # connected; the walk and the extra edges may add loops and multi-edges
+    n = data.draw(st.integers(2, 6))
+    vertex = st.integers(0, n - 1)
+    walk = data.draw(st.permutations(range(n))) + data.draw(st.lists(vertex, max_size=4))
+    pairs = [(walk[i], walk[i - 1]) for i in range(len(walk))]        # (range, source)
+    pairs += data.draw(st.lists(st.tuples(vertex, vertex), max_size=4))
+    g = parse_graph("graph random\n" + "".join(f"v {v}\n" for v in range(n)) + "".join(
+        f"e e{i} {r} {s}\n" for i, (r, s) in enumerate(pairs)))
+    pf = perron(g)
+    residual = convention_residuals(pf, g)[SOURCE_APPEND]
+    if pf.exact:
+        assert residual == 0
+    else:
+        assert residual <= 1e-9
+    assert select_convention(pf, g)[0] == SOURCE_APPEND
 
 
 def test_cylinder_intersection(graphs, perron_data):

@@ -1,0 +1,52 @@
+"""API reachability: every public top-level function and class of the
+package is loaded, by name or as an attribute, somewhere in ``src/``,
+``scripts/`` or ``perfbench/``.  A use inside the definition's own body
+does not count.  A helper only tests need belongs in ``tests/oracles.py``.
+"""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "qisograph"
+
+#: "module.name" -> why it stays without a caller
+ALLOWED = {
+    "ncpoly.ustar": "the u* constructor beside q and u; tests build free-unitary "
+                    "words with it, while the package builds u* generators by kind",
+}
+
+
+def _loads(node) -> set[str]:
+    out = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+            out.add(sub.id)
+        elif isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load):
+            out.add(sub.attr)
+    return out
+
+
+def unreached_definitions() -> set[str]:
+    """"module.name" of each public top-level function or class of the
+    package that no other top-level statement loads."""
+    definitions = []                                  # (file, name)
+    loads: dict[tuple[Path, str | None], set[str]] = {}
+    for path in sorted(p for d in ("src", "scripts", "perfbench")
+                       for p in (ROOT / d).rglob("*.py")):
+        for stmt in ast.parse(path.read_text(), str(path)).body:
+            own = getattr(stmt, "name", None)
+            loads.setdefault((path, own), set()).update(_loads(stmt))
+            if (path.parent == PACKAGE and isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
+                    and not own.startswith("_")):
+                definitions.append((path, own))
+    return {f"{path.stem}.{name}" for path, name in definitions
+            if not any(name in names for site, names in loads.items() if site != (path, name))}
+
+
+def test_every_public_definition_has_a_caller():
+    assert sorted(unreached_definitions() - ALLOWED.keys()) == []
+
+
+def test_allowlist_holds_only_unreached_definitions():
+    assert ALLOWED.keys() <= unreached_definitions()
