@@ -9,7 +9,9 @@ some check failed, 2 means the invocation or an input file was bad.
 from __future__ import annotations
 
 import argparse
+import errno
 import math
+import os
 import sys
 import time
 from dataclasses import dataclass
@@ -96,6 +98,22 @@ def _load_graph(config: RunConfig) -> tuple[DirectedGraph, str, str]:
     except (GraphFormatError, ValueError) as exc:
         raise UsageError(f"{path}: {exc}") from None
     return g, text, text_digest(text)
+
+
+def _check_writable(path: str):
+    """Reject an output path before any work runs, creating nothing:
+    it must not be a directory, and its parent must be a writable
+    directory."""
+    target = FsPath(path)
+    if target.is_dir():
+        problem = errno.EISDIR
+    elif not target.parent.is_dir():
+        problem = errno.ENOENT
+    elif not os.access(target if target.exists() else target.parent, os.W_OK):
+        problem = errno.EACCES
+    else:
+        return
+    raise UsageError(f"cannot write {path}: {os.strerror(problem)}")
 
 
 def _write(path: str, text: str):
@@ -369,6 +387,9 @@ def main(argv=None) -> int:
     config = _config_from_args(args)
     try:
         config.validate()
+        for path in (config.out_path, config.theta_csv):
+            if path:
+                _check_writable(path)
         if args.command == "validate":
             report = cmd_validate(config)
         elif args.command == "spectral":

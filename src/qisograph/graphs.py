@@ -14,7 +14,6 @@ refinement lam -> {lam mu}.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -336,11 +335,14 @@ def refine(g: DirectedGraph, lam: Path, n: int, side: str) -> list[Path]:
 
 
 def graph_automorphisms(g: DirectedGraph) -> tuple[dict[str, str], ...]:
-    """Brute-force vertex permutations preserving the edge relation,
+    """Vertex permutations preserving every edge-pair multiplicity, in
+    the lexicographic order of their image tuples (vertex order),
     enumerated once per graph (kept in ``g.memo``).
 
-    Edge multiplicities are respected: the multiset of (range, source)
-    pairs must be carried onto itself.
+    Backtracking: vertices are assigned in vertex order, each to an
+    unused vertex with the same (in-degree, out-degree, loop count),
+    and a partial map is abandoned as soon as it changes the number of
+    edges between two assigned vertices.
     """
     if ("automorphisms",) in g.memo:
         return g.memo[("automorphisms",)]
@@ -348,11 +350,30 @@ def graph_automorphisms(g: DirectedGraph) -> tuple[dict[str, str], ...]:
     for e in g.edges:
         key = (e.range, e.source)
         pair_counts[key] = pair_counts.get(key, 0) + 1
-    autos = []
-    for perm in itertools.permutations(g.vertices):
-        sigma = dict(zip(g.vertices, perm))
-        if all(pair_counts.get((sigma[r], sigma[s]), 0) == c
-               for (r, s), c in pair_counts.items()):
-            autos.append(sigma)
+
+    def count(r: str, s: str) -> int:
+        return pair_counts.get((r, s), 0)
+
+    order = g.vertices
+    kind = {v: (len(g.edges_into[v]), len(g.edges_out_of[v]), count(v, v)) for v in order}
+    autos: list[dict[str, str]] = []
+    sigma: dict[str, str] = {}
+
+    def extend(i: int):
+        if i == len(order):
+            autos.append(dict(sigma))
+            return
+        v = order[i]
+        used = set(sigma.values())
+        for c in order:
+            if c in used or kind[c] != kind[v]:
+                continue
+            if all(count(v, u) == count(c, su) and count(u, v) == count(su, c)
+                   for u, su in sigma.items()):
+                sigma[v] = c
+                extend(i + 1)
+                del sigma[v]
+
+    extend(0)
     autos = g.memo[("automorphisms",)] = tuple(autos)
     return autos

@@ -11,7 +11,7 @@ polynomial-level collapse pass in the rewriter.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
 
@@ -70,6 +70,10 @@ class RelationSet:
     events: tuple[dict, ...] = ()
     #: generators proved zero by unit-insertion closure (see below)
     vanishing: frozenset[Generator] = frozenset()
+    #: index permutations (vertex automorphisms) whose pairs (sigma, tau)
+    #: may preserve the relations; the rewriter checks that before it
+    #: transports a zero proof along q[a,b] -> q[sigma a, tau b]
+    symmetries: tuple[dict[str, str], ...] = ()
 
     @cached_property
     def alphabet(self):
@@ -207,6 +211,14 @@ def qaut_relations(g: DirectedGraph, pf=None) -> RelationSet:
     the adjacency commutation linear relations, and, when exact Perron
     data is supplied, the weighted sum schema
     sum_k x_k q[k,j] = x_j * 1 (an invariance theorem, not an axiom).
+
+    The graph's vertex automorphisms are the set's ``symmetries``.  A
+    graph automorphism commutes with the adjacency matrix and fixes the
+    Perron vector, so every rule family above, the vanishing closure
+    and the weighted schema are carried onto themselves by
+    q[a,b] -> q[sigma a, tau b] for any pair sigma, tau of them; the
+    rewriter re-checks exactly that on the built tables before it uses
+    the pairs to transport zero proofs (see ``rewrite``).
     """
     witnesses = hypothesis_witnesses(g)
     failed = [h for h in PROFILES["aut-plus"] if witnesses[h] is not None]
@@ -273,7 +285,7 @@ def qaut_relations(g: DirectedGraph, pf=None) -> RelationSet:
 
     return RelationSet(f"qaut({g.name})", QKIND, ids, rules, tags,
                        tuple(schemas), (), tuple(linear), tuple(events),
-                       vanishing=frozenset(vanishing))
+                       vanishing=frozenset(vanishing), symmetries=graph_automorphisms(g))
 
 
 def free_unitary_relations(ids, name: str = "free-unitary") -> RelationSet:
@@ -291,6 +303,4 @@ def with_formal_unitary(rels: RelationSet) -> RelationSet:
     rules[(FORMAL_UNITARY_STAR, FORMAL_UNITARY)] = ()
     tags[(FORMAL_UNITARY, FORMAL_UNITARY_STAR)] = "w-unitary"
     tags[(FORMAL_UNITARY_STAR, FORMAL_UNITARY)] = "w-unitary"
-    return RelationSet(rels.name + "+w", rels.gen_kind, rels.universe, rules, tags,
-                       rels.sum_schemas, rels.unitary_schemas, rels.linear_relations,
-                       rels.events, vanishing=rels.vanishing)
+    return replace(rels, name=rels.name + "+w", pair_rules=rules, rule_tags=tags)

@@ -37,12 +37,28 @@ point, each search child needs only that word reduced.  A word holding a
 generator outside the alphabet is rejected with a ``ValueError`` that
 names it: every word the package builds lies over its relation set's
 universe, and the formal unitary w enters the alphabet through its rules.
+
+Zero proofs are transported along the relation set's symmetries.  For
+index permutations sigma, tau (graph automorphisms, for ``qaut``), the
+letter map q[a,b] -> q[sigma a, tau b] extends to an algebra
+automorphism; when it carries every rule, the vanishing set and every
+schema onto themselves, it maps the relation ideal onto itself, so a
+polynomial is zero exactly when its image is.  ``Alphabet.transport``
+checks that mechanically on the id tables and is empty when any check
+fails.  The key of a search is its start form scaled to coprime
+integer coefficients; a proved key stores all its (sigma, tau) images
+and their negations in the alphabet's ``proofs`` dict, and a later
+start form whose key is there replays the stored winning tags instead
+of searching.  Only proofs are stored: a failed search proves nothing,
+so an unproved form is always searched again.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
+from functools import cached_property
+from math import gcd, lcm
 from operator import itemgetter
 
 from .ncpoly import Coeff, Generator, NCPoly, Word
@@ -122,6 +138,43 @@ class Alphabet:
             for axis in dict.fromkeys(s.varying_axis for s in rels.sum_schemas))
         self.unitary_tables = tuple(
             _UnitaryTable(self, schema) for schema in rels.unitary_schemas)
+        self.symmetries = rels.symmetries
+        #: primitive start form -> winning collapse tags, for proved forms only
+        self.proofs: dict[frozenset, tuple[str, ...]] = {}
+
+    @cached_property
+    def transport(self) -> tuple[tuple[int, ...], ...]:
+        """The id permutations q[a,b] -> q[sigma a, tau b] over every
+        pair of symmetries, generators outside the index set fixed;
+        empty unless each of them carries every pair rule onto a rule
+        with the same tag and the permuted right-hand side, the
+        vanishing set onto itself, and each symmetry fixes every schema
+        weight.  Unitary schemas sum a full index on both factors, so
+        any index permutations preserve them."""
+        maps = [{self.rank[a]: self.rank[b] for a, b in s.items()} for s in self.symmetries]
+        for table in self.sum_axes:
+            for _, weights in table.schemas:
+                if weights and any(weights[m[r]] != w for m in maps for r, w in weights.items()):
+                    return ()
+        n = self.size
+        ruled = [at for at, rhs in enumerate(self.pair_rules) if rhs is not _MISS]
+        perms = []
+        for sigma in self.symmetries:
+            for tau in self.symmetries:
+                perm = tuple(gid if self.schema_kind[gid] is None
+                             else self.ids[Generator(kind, sigma[row], tau[col])]
+                             for gid, (kind, row, col) in enumerate(self.gens))
+                for at in ruled:
+                    image = perm[at // n] * n + perm[at % n]
+                    rhs = self.pair_rules[at]
+                    if (self.pair_tags[image] != self.pair_tags[at]
+                            or self.pair_rules[image] != (
+                                None if rhs is None else tuple(map(perm.__getitem__, rhs)))):
+                        return ()
+                if {perm[g] for g in self.vanishing} != self.vanishing:
+                    return ()
+                perms.append(perm)
+        return tuple(perms)
 
     def axis(self, axis: str) -> list[int]:
         return self.row if axis == "row" else self.col
@@ -340,6 +393,41 @@ def _search_zero(start: IntTerms, alpha: Alphabet, limit: int):
     return None
 
 
+def _primitive(terms: IntTerms) -> frozenset:
+    """The items of *terms* scaled to coprime int coefficients, sign kept."""
+    den = lcm(*(c.denominator for c in terms.values()))
+    ints = [(w, c.numerator * (den // c.denominator)) for w, c in terms.items()]
+    common = gcd(*(c for _, c in ints))
+    return frozenset((w, c // common) for w, c in ints)
+
+
+def _prove_zero(start: IntTerms, alpha: Alphabet):
+    """The winning collapse tags for *start*, or None.
+
+    Without transport this is one search.  With it, a start form whose
+    primitive form some earlier proof stored is answered from
+    ``alpha.proofs``: it is an (sigma, tau) image of a nonzero multiple
+    of a proved form, and those permutations map the relation ideal
+    onto itself.  A new proof stores every image of its primitive form
+    and of its negation; a failed search stores nothing.
+    """
+    if not alpha.transport:
+        return _search_zero(start, alpha, SEARCH_LIMIT)
+    key = _primitive(start)
+    winning = alpha.proofs.get(key)
+    if winning is not None:
+        return winning
+    winning = _search_zero(start, alpha, SEARCH_LIMIT)
+    if winning is not None:
+        words, coeffs = zip(*key)
+        negated = [-c for c in coeffs]
+        for perm in alpha.transport:
+            images = [tuple([perm[g] for g in w]) for w in words]
+            alpha.proofs[frozenset(zip(images, coeffs))] = winning
+            alpha.proofs[frozenset(zip(images, negated))] = winning
+    return winning
+
+
 def reduce_word(word: Word, rels: RelationSet, trace: ReductionTrace | None = None):
     """Monomial fixed point of *word*; None means it rewrote to zero."""
     alpha = rels.alphabet
@@ -371,7 +459,7 @@ def normal_form(p: NCPoly, rels: RelationSet, trace: ReductionTrace | None = Non
         return cur
     alpha = rels.alphabet
     start = {alpha.encode(w): c for w, c in cur.terms().items()}
-    winning = _search_zero(start, alpha, SEARCH_LIMIT)
+    winning = _prove_zero(start, alpha)
     if winning is not None:
         if trace is not None:
             for tag in winning:

@@ -1,6 +1,7 @@
 """Test oracles: exact and numeric recomputations that no command needs,
 used to check the package's results from a second angle."""
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -95,3 +96,19 @@ def theta_dominating_terms(m_edges: int, t: float, eps: float, q_max: int) -> li
     bound.
     """
     return [math.exp(-t * q ** (1 + 2 * eps)) * m_edges ** q for q in range(1, q_max + 1)]
+
+
+def brute_force_automorphisms(g) -> tuple[dict[str, str], ...]:
+    """Every vertex permutation, in itertools order, that carries the
+    multiset of (range, source) pairs onto itself."""
+    pair_counts: dict[tuple[str, str], int] = {}
+    for e in g.edges:
+        key = (e.range, e.source)
+        pair_counts[key] = pair_counts.get(key, 0) + 1
+    autos = []
+    for perm in itertools.permutations(g.vertices):
+        sigma = dict(zip(g.vertices, perm))
+        if all(pair_counts.get((sigma[r], sigma[s]), 0) == c
+               for (r, s), c in pair_counts.items()):
+            autos.append(sigma)
+    return tuple(autos)

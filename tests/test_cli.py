@@ -89,6 +89,19 @@ def test_unwritable_output_path_is_a_usage_error(tmp_path, capsys):
         assert f"error: cannot write {target}: " in capsys.readouterr().err
 
 
+def test_unwritable_output_path_fails_before_the_run(tmp_path, capsys, monkeypatch):
+    from qisograph import rewrite
+
+    def no_reduction(*args, **kwargs):
+        raise AssertionError("the command ran before its output path was checked")
+
+    monkeypatch.setattr(rewrite, "normal_form", no_reduction)
+    for target in (tmp_path / "no-such-dir" / "r.json", tmp_path):
+        assert main(["verify", "--graph", _graph("k3.g"), "--out", str(target)]) == 2
+        assert f"error: cannot write {target}: " in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_commands_reject_flags_they_do_not_read(tmp_path):
     assert main(["verify", "--graph", _graph("k3.g"),
                  "--theta-csv", str(tmp_path / "theta.csv")]) == 2

@@ -208,22 +208,40 @@ def test_automorphism_counts(graphs):
     assert len(graph_automorphisms(graphs["two-cycle"])) == 2
 
 
-def test_automorphisms_enumerated_once_per_graph(perron_data, monkeypatch):
-    import itertools
+def test_automorphisms_enumerated_once_per_graph(perron_data):
     from qisograph.providers import classical_rep
     from qisograph.relations import qaut_relations
     g = parse_graph((GRAPH_DIR / "k3.g").read_text())   # fresh: nothing memoised yet
-    enumerations = []
-    permutations = itertools.permutations
+    stored = []
 
-    def counting(items, *args):
-        enumerations.append(tuple(items))
-        return permutations(items, *args)
+    class CountingMemo(dict):
+        def __setitem__(self, key, value):
+            stored.append(key)
+            super().__setitem__(key, value)
 
-    monkeypatch.setattr(itertools, "permutations", counting)
+    g.__dict__["memo"] = CountingMemo()
     rels = qaut_relations(g, perron_data["k3"])
     classical_rep(g, rels)
-    assert enumerations == [g.vertices]
+    assert stored.count(("automorphisms",)) == 1
+
+
+def _complete_graph(n: int) -> str:
+    ids = [str(v) for v in range(1, n + 1)]
+    return f"graph k{n}\n" + "".join(f"v {v}\n" for v in ids) + "".join(
+        f"e e{r}{s} {r} {s}\n" for s in ids for r in ids if r != s)
+
+
+def test_automorphisms_match_brute_force(graphs):
+    from oracles import brute_force_automorphisms
+    cycle8 = "graph cycle8\n" + "".join(f"v {i}\n" for i in range(1, 9)) + "".join(
+        f"e e{i} {i % 8 + 1} {i}\n" for i in range(1, 9))
+    extra = [parse_graph(text) for text in (_complete_graph(4), _complete_graph(5), cycle8)]
+    for g in list(graphs.values()) + extra:
+        found = graph_automorphisms(g)
+        # same maps, same order, each keyed in vertex order
+        assert [list(s.items()) for s in found] == [
+            list(s.items()) for s in brute_force_automorphisms(g)], g.name
+    assert [len(graph_automorphisms(g)) for g in extra] == [24, 120, 8]
 
 
 def test_graph_caches_die_with_the_graph():

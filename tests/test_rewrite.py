@@ -1,14 +1,19 @@
 
 import re
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
+from qisograph.corep import VERTEX_PAIR, VerificationContext, run_identity_suite
 from qisograph.ncpoly import NCPoly, q, u, ustar
 from qisograph.providers import classical_rep
-from qisograph.relations import free_unitary_relations, magic_relations
-from qisograph.rewrite import ReductionTrace, is_zero, normal_form, reduce_word
+from qisograph.relations import free_unitary_relations, magic_relations, qaut_relations
+from qisograph.rewrite import (
+    SEARCH_LIMIT, ReductionTrace, _search_zero, is_zero, normal_form, reduce_word,
+)
 from qisograph.verdict import PROVED_ZERO, UNKNOWN
+from soundness import record_proofs
 
 IDS = ("1", "2", "3")
 
@@ -177,3 +182,82 @@ def test_generator_outside_alphabet_is_rejected():
         with pytest.raises(ValueError, match=re.escape(str(stranger))):
             is_zero(NCPoly.word(word), rels)
 
+
+
+def _orbit(rels):
+    """The (sigma, tau) images of (sum_k q[k,a] - 1) q[b,b] (times 2/3),
+    a zero polynomial whose proof needs the collapse search."""
+    a, b = rels.universe[:2]
+    col = NCPoly.zero()
+    for k in rels.universe:
+        col = col + NCPoly.gen(q(k, a))
+    base = ((col - NCPoly.one()) * NCPoly.gen(q(b, b))).scale(Fraction(2, 3))
+    return [NCPoly({tuple(q(sigma[g.row], tau[g.col]) for g in w): c
+                    for w, c in base.terms().items()})
+            for sigma in rels.symmetries for tau in rels.symmetries]
+
+
+def _mutants(rels):
+    """The relation set with one edge-zero rule dropped, and with one
+    Perron weight perturbed: neither is invariant under its symmetries."""
+    from qisograph.relations import SumSchema
+    dropped = next(lhs for lhs, tag in rels.rule_tags.items() if tag == "edge-zero")
+    rules = {lhs: rhs for lhs, rhs in rels.pair_rules.items() if lhs != dropped}
+    tags = {lhs: tag for lhs, tag in rels.rule_tags.items() if lhs != dropped}
+    schemas = tuple(
+        s if s.weights is None
+        else SumSchema(s.tag, s.varying_axis, (s.weights[0] * 2,) + s.weights[1:], s.provenance)
+        for s in rels.sum_schemas)
+    assert schemas != rels.sum_schemas
+    return {"edge-zero dropped": replace(rels, pair_rules=rules, rule_tags=tags),
+            "weight perturbed": replace(rels, sum_schemas=schemas)}
+
+
+def test_transport_off_for_relations_that_are_not_invariant(graphs, qaut_rels):
+    rels = qaut_rels["three-cycle"]
+    polys = _orbit(rels)
+    intact = replace(rels)                 # a fresh alphabet: its proof dict is empty
+    recorder = record_proofs(intact)
+    assert all(is_zero(p, intact).kind == PROVED_ZERO for p in polys)
+    assert len(recorder.hits) == len(polys) - 1 == 8    # one search for the orbit
+    mutants = _mutants(rels)
+    for name, mutant in mutants.items():
+        assert len(mutant.symmetries) == 3 and mutant.alphabet.transport == (), name
+        plain = replace(mutant, symmetries=())
+        for p in polys:
+            got, want = ReductionTrace(), ReductionTrace()
+            assert is_zero(p, mutant, got) == is_zero(p, plain, want), name
+            assert got.events == want.events, name
+        assert mutant.alphabet.proofs == {}, name
+    # dropping a rule keeps the relations sound, so its proofs still hold
+    dropped = mutants["edge-zero dropped"]
+    provider = classical_rep(graphs["three-cycle"])
+    proved = [p for p in polys if is_zero(p, dropped).kind == PROVED_ZERO]
+    assert proved and all(provider.norm(p) < 1e-12 for p in proved)
+
+
+@pytest.mark.parametrize("name", ["three-cycle", "k3", "asym4"])
+def test_transport_keeps_every_suite_result(name, graphs, perron_data):
+    g, pf = graphs[name], perron_data[name]
+    rels = qaut_relations(g, pf)
+    recorder = record_proofs(rels)
+    results = {}
+    for side, side_rels in (("on", rels), ("off", replace(rels, symmetries=()))):
+        ctx = VerificationContext(g, pf, side_rels, VERTEX_PAIR, [classical_rep(g, side_rels)], 3)
+        results[side] = [(c.name, c.inputs, c.verdict, c.reductions, c.trace_digest,
+                          c.residuals) for c in run_identity_suite(ctx)]
+    assert results["on"] == results["off"]
+    assert len(rels.alphabet.transport) == len(rels.symmetries) ** 2
+    if name != "asym4":   # Aut(asym4) is trivial
+        assert recorder.hits
+
+
+def test_transported_forms_prove_zero_from_scratch(graphs, perron_data):
+    g, pf = graphs["k3"], perron_data["k3"]
+    rels = qaut_relations(g, pf)
+    recorder = record_proofs(rels)
+    run_identity_suite(VerificationContext(g, pf, rels, VERTEX_PAIR, [], 3))
+    hits = set(recorder.hits)
+    assert len(hits) > 100
+    for key in hits:
+        assert _search_zero(dict(key), rels.alphabet, SEARCH_LIMIT) == recorder[key]
