@@ -83,8 +83,8 @@ class RunConfig:
             raise UsageError("--q-max must be at least 0")
         if not 0 < self.epsilon < 0.5:
             raise UsageError("epsilon must lie in (0, 1/2)")
-        if any(t <= 0 for t in self.t_values):
-            raise UsageError("t values must be positive")
+        if not all(0 < t < math.inf for t in self.t_values):
+            raise UsageError("t values must be positive and finite")
 
 
 def _load_graph(config: RunConfig) -> tuple[DirectedGraph, str, str]:
@@ -304,13 +304,13 @@ def cmd_reduce(config: RunConfig, expression: str) -> SuiteReport:
     except ExpressionError as exc:
         raise UsageError(f"bad expression: {exc}") from None
     trace = ReductionTrace()
-    nf = normal_form(poly, rels, trace)
+    nf = normal_form(rels.alphabet.encode_poly(poly), rels, trace)
     verdict = normal_form_verdict(nf).kind
     checks = [CheckResult(
         "reduce", {"expression": expression}, True, verdict,
         {}, trace.count, trace.digest(),
         (time.monotonic() - started) * 1000.0,
-        detail={"input": repr(poly), "normal_form": repr(nf),
+        detail={"input": repr(poly), "normal_form": repr(rels.alphabet.decode_poly(nf)),
                 "relations": rels.name})]
     return SuiteReport("reduce", __version__, g.name, digest, None,
                        {"expression": expression}, checks)

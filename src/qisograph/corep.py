@@ -13,9 +13,10 @@ implements it.
 ``VerificationContext.level(k)`` is the one source of the level-k
 matrix: built once per context, it holds the degree-k basis in
 ``enumerate_paths`` order and the entry word Q[eta,lambda] for every
-pair of basis paths.  The level-1 table is also the action on the
-edge isometries, alpha(S_e) = sum_f S_f (x) Q[f,e], and the level-0
-table its action on the vertex projections.
+pair of basis paths, encoded once as an int word over the relation
+set's alphabet (see ``rewrite``).  The level-1 table is also the action
+on the edge isometries, alpha(S_e) = sum_f S_f (x) Q[f,e], and the
+level-0 table its action on the vertex projections.
 
 Each identity of the isometry theorem is a matrix identity over these
 tables, with X = diag(x_{s(zeta)}) the Perron weights:
@@ -33,14 +34,14 @@ tables, with X = diag(x_{s(zeta)}) the Perron weights:
   leg-wise; every term on both sides is a word pair with coefficient 1,
   so each entry is a signed count of word pairs, reduced leg by leg.
 
-Every entry of every such difference is an obligation: one word ->
+Every entry of every such difference is an obligation: one int word ->
 coefficient dict accumulated straight from the level tables (a product
-of entries concatenates their words, an adjoint is ``star_word``, a
+of entries concatenates their words, an adjoint is ``Alphabet.star``, a
 Perron weight is the coefficient).  Positive terms go in first and
 subtractions last, so the dict's insertion order is the term order the
 rewriter and its trace digest see.  A check's obligations go through
-one collector, which wraps each dict into a polynomial once, reduces
-each nonzero one symbolically and evaluates it under the registered
+one collector, which drops zero coefficients, reduces each nonzero
+obligation symbolically once and evaluates it under the registered
 numeric providers; a check passes only when every symbolic verdict is
 ProvedZero (and the stated structural condition holds) and the numeric
 residual stays below NUMERIC_TOL.  The truncation level is the
@@ -61,7 +62,7 @@ from .graphs import (
     s_star_pairs, vertex_path,
 )
 from .hilbert import dirac, embedding_gram_residual
-from .ncpoly import Coeff, Generator, NCPoly, Word, comultiply, star_word
+from .ncpoly import Coeff, Generator, IntTerms, IntWord, Word, comultiply
 from .perron import PerronData, cylinder_intersection_measure
 from .providers import RepresentationProvider, matrix_point_provider
 from .relations import RelationSet
@@ -99,22 +100,19 @@ def corep_entry_word(g: DirectedGraph, scheme: str, kind: str,
 @dataclass(frozen=True)
 class LevelCorep:
     """The level-k corepresentation matrix: the degree-k basis in
-    enumerate_paths order and the entry word Q[eta, lam] keyed by the
-    pair of basis paths.  Each distinct generator is one object."""
+    enumerate_paths order and the entry word Q[eta, lam], as an int word
+    over the relation set's alphabet, keyed by the pair of basis paths."""
 
-    level: int
     basis: tuple[Path, ...]
-    entries: dict[tuple[Path, Path], Word]
+    entries: dict[tuple[Path, Path], IntWord]
 
 
-def build_corep(g: DirectedGraph, k: int, scheme: str = VERTEX_PAIR,
-                kind: str = "q") -> LevelCorep:
+def build_corep(g: DirectedGraph, k: int, scheme: str, rels: RelationSet) -> LevelCorep:
     basis = tuple(enumerate_paths(g, k))
-    interned: dict[Generator, Generator] = {}
-    entries = {(eta, lam): tuple(interned.setdefault(x, x)
-                                 for x in corep_entry_word(g, scheme, kind, eta, lam))
+    encode = rels.alphabet.encode
+    entries = {(eta, lam): encode(corep_entry_word(g, scheme, rels.gen_kind, eta, lam))
                for eta in basis for lam in basis}
-    return LevelCorep(k, basis, entries)
+    return LevelCorep(basis, entries)
 
 
 @dataclass
@@ -134,26 +132,22 @@ class VerificationContext:
         if not self.pf.exact:
             raise ValueError("the symbolic identity suite requires exact Perron data")
 
-    @property
-    def kind(self) -> str:
-        return self.rels.gen_kind
-
     def level(self, k: int) -> LevelCorep:
         """The level-k corepresentation table, built on first use."""
         table = self._levels.get(k)
         if table is None:
-            table = self._levels[k] = build_corep(self.g, k, self.scheme, self.kind)
+            table = self._levels[k] = build_corep(self.g, k, self.scheme, self.rels)
         return table
 
 
-def _add(ob: dict[Word, Coeff], w: Word, c: Coeff):
+def _add(ob: IntTerms, w: IntWord, c: Coeff):
     ob[w] = ob.get(w, 0) + c
 
 
 class _Obligations:
-    """One check's obligations: each dict becomes one polynomial, and
-    every nonzero one is reduced symbolically once and evaluated under
-    the context's providers."""
+    """One check's obligations: each dict, its zero coefficients
+    dropped, is reduced symbolically once and evaluated under the
+    context's providers unless nothing is left of it."""
 
     def __init__(self, ctx: VerificationContext):
         self.ctx = ctx
@@ -162,18 +156,19 @@ class _Obligations:
         self.verdicts = []
         self.diffs = []
 
-    def add(self, terms: dict[Word, Coeff]):
-        p = NCPoly(terms)
-        if p.is_zero():
+    def add(self, terms: IntTerms):
+        terms = {w: c for w, c in terms.items() if c}
+        if not terms:
             return
-        self.diffs.append(p)
-        self.verdicts.append(is_zero(p, self.ctx.rels, self.trace))
+        self.diffs.append(terms)
+        self.verdicts.append(is_zero(terms, self.ctx.rels, self.trace))
 
     def result(self, name: str, inputs: dict, extra_residuals: dict | None = None,
                structural_ok: bool = True, detail: dict | None = None) -> CheckResult:
         all_proved = all(v.kind == PROVED_ZERO for v in self.verdicts)
-        numeric = max((provider.norm(p) for provider in self.ctx.providers
-                       for p in self.diffs), default=0.0)
+        gens = self.ctx.rels.alphabet.gens
+        numeric = max((provider.norm(terms, gens) for provider in self.ctx.providers
+                       for terms in self.diffs), default=0.0)
         residuals = {"numeric": numeric}
         residuals.update(extra_residuals or {})
         passed = all_proved and structural_ok and numeric < NUMERIC_TOL
@@ -203,7 +198,7 @@ def check_welldefined(ctx: VerificationContext, l: int, k: int,
     obs = _Obligations(ctx)
     table_l, table_k = ctx.level(l), ctx.level(k)
     for lam in table_l.basis:
-        diff: dict[Path, dict[Word, Coeff]] = {eta: {} for eta in table_k.basis}
+        diff: dict[Path, IntTerms] = {eta: {} for eta in table_k.basis}
         for xi in table_l.basis:
             word = table_l.entries[(xi, lam)]
             for ext in refine(ctx.g, xi, k - l, SOURCE_APPEND):
@@ -219,24 +214,25 @@ def check_welldefined(ctx: VerificationContext, l: int, k: int,
 
 
 def _weighted_products(ctx: VerificationContext, pairs, star_first: bool,
-                       unit: Coeff) -> dict[Word, Coeff]:
+                       unit: Coeff) -> IntTerms:
     """sum over (lam, eta) in *pairs* and zeta in the common level
     basis of x_{s(zeta)} Q[zeta,lam]* Q[zeta,eta] (*star_first*) or
     x_{s(zeta)} Q[zeta,lam] Q[zeta,eta]*, accumulated in that order,
     minus *unit* times 1."""
-    ob: dict[Word, Coeff] = {}
+    star = ctx.rels.alphabet.star
+    ob: IntTerms = {}
     for lam, eta in pairs:
         table = ctx.level(lam.degree)
         for zeta in table.basis:
             w1, w2 = table.entries[(zeta, lam)], table.entries[(zeta, eta)]
-            word = star_word(w1) + w2 if star_first else w1 + star_word(w2)
+            word = star(w1) + w2 if star_first else w1 + star(w2)
             _add(ob, word, ctx.pf.x_of(zeta.source))
     if unit:
         _add(ob, (), -unit)
     return ob
 
 
-def isometry_obligation(ctx: VerificationContext, lam: Path, eta: Path) -> dict[Word, Coeff]:
+def isometry_obligation(ctx: VerificationContext, lam: Path, eta: Path) -> IntTerms:
     """(Q* X Q - X)[lam, eta] with X = diag(x_{s(zeta)}); the common
     rho^{-k} factor cancels."""
     return _weighted_products(ctx, [(lam, eta)], star_first=True,
@@ -281,11 +277,11 @@ def check_comultiplicative(ctx: VerificationContext, k: int) -> CheckResult:
     for lam in basis:
         for xi in basis:
             # +1 per pair Q[xi,eta] (x) Q[eta,lam], -1 per pair of Delta(Q[xi,lam])
-            counts: dict[tuple[Word, Word], int] = {}
+            counts: dict[tuple[IntWord, IntWord], int] = {}
             for eta in basis:
                 key = (entries[(xi, eta)], entries[(eta, lam)])
                 counts[key] = counts.get(key, 0) + 1
-            for key in comultiply(entries[(xi, lam)], ctx.rels.universe):
+            for key in comultiply(entries[(xi, lam)], ctx.rels.alphabet.split):
                 counts[key] = counts.get(key, 0) - 1
             diff = tensor_reduce(counts, ctx.rels)
             if diff:
@@ -310,9 +306,10 @@ def check_density(ctx: VerificationContext, lam: Path) -> CheckResult:
         raise ValueError("density check covers degrees 1 and 2")
     obs = _Obligations(ctx)
     table = ctx.level(lam.degree)
-    mults = [star_word(table.entries[(lam, zeta)]) for zeta in table.basis]
+    star = ctx.rels.alphabet.star
+    mults = [star(table.entries[(lam, zeta)]) for zeta in table.basis]
     for eta in table.basis:
-        ob: dict[Word, Coeff] = {}
+        ob: IntTerms = {}
         for zeta, mult in zip(table.basis, mults):
             _add(ob, table.entries[(eta, zeta)] + mult, 1)
         if eta == lam:
@@ -334,7 +331,7 @@ def _intertwining(obs: _Obligations, ctx: VerificationContext, lam: Path, eta: P
     m = eta.degree
     table_lam, table_eta, table_out = (ctx.level(lam.degree), ctx.level(m),
                                        ctx.level(out_level))
-    diff: dict[Path, dict[Word, Coeff]] = {out: {} for out in table_out.basis}
+    diff: dict[Path, IntTerms] = {out: {} for out in table_out.basis}
     for xi in table_lam.basis:
         c = coeff(table_lam.entries[(xi, lam)])
         for zeta, out in pairs(ctx.g, xi, m):
@@ -352,7 +349,7 @@ def check_implementation(ctx: VerificationContext, lam: Path, eta: Path) -> Chec
     checked explicitly rather than trusted by symmetry."""
     obs = _Obligations(ctx)
     n, m = lam.degree, eta.degree
-    _intertwining(obs, ctx, lam, eta, s_star_pairs, star_word, max(m - n, 0))
+    _intertwining(obs, ctx, lam, eta, s_star_pairs, ctx.rels.alphabet.star, max(m - n, 0))
     # the non-starred identity is asserted only when its image level
     # stays inside the truncation window
     non_starred = n + m <= ctx.n_cap
@@ -394,7 +391,7 @@ def evaluate_corep_matrix(ctx: VerificationContext, k: int,
     out = np.zeros((provider.dim, len(table.basis), len(table.basis)), dtype=complex)
     for i, eta in enumerate(table.basis):
         for j, lam in enumerate(table.basis):
-            out[:, i, j] = provider.value(NCPoly.word(table.entries[(eta, lam)]))
+            out[:, i, j] = provider.value({table.entries[(eta, lam)]: 1}, ctx.rels.alphabet.gens)
     return out
 
 
@@ -437,7 +434,7 @@ def check_dirac_commutation(ctx: VerificationContext,
             trace.add(f"welldefined:{l}->{k}")
     else:
         providers = [matrix_point_provider("scalar-override", ctx.rels.universe,
-                                           scalar_override, kind=ctx.kind)]
+                                           scalar_override, kind=ctx.rels.gen_kind)]
 
     triple = dirac(ctx.g, ctx.pf, n_cap)
     gmat = np.diag([float(x) for x in triple.gram])

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 from .corep import EDGE_INDEX, VerificationContext, run_identity_suite
 from .graphs import DirectedGraph
-from .ncpoly import FORMAL_UNITARY, FORMAL_UNITARY_STAR, Generator, NCPoly
+from .ncpoly import FORMAL_UNITARY, FORMAL_UNITARY_STAR, Generator, IntTerms, NCPoly
 from .perron import PerronData, perron
 from .providers import (
     RepresentationProvider, loop_permutation_rep, unitary_provider_portfolio, witness_nonzero,
@@ -42,10 +42,6 @@ class CuntzSetup:
     pf: PerronData
     rels: RelationSet
     loop_ids: tuple[str, ...]
-
-    @property
-    def kind(self) -> str:
-        return self.rels.gen_kind
 
 
 def cuntz_setup(g: DirectedGraph, flavor: str) -> CuntzSetup:
@@ -80,8 +76,9 @@ class DerivationReport:
     n: int
     flavor: str
     steps: list[DerivationStep]
-    obligations: dict[str, NCPoly]
+    obligations: dict[str, IntTerms]
     verdicts: dict[str, Verdict]
+    rels: RelationSet                # extended by w; the obligations' alphabet
 
     @property
     def contradiction_pending(self) -> bool:
@@ -94,7 +91,8 @@ class DerivationReport:
             "n": self.n,
             "flavor": self.flavor,
             "steps": [s.to_dict() for s in self.steps],
-            "obligations": {k: repr(p) for k, p in self.obligations.items()},
+            "obligations": {k: repr(self.rels.alphabet.decode_poly(p))
+                            for k, p in self.obligations.items()},
             "verdicts": {k: str(v) for k, v in self.verdicts.items()},
         }
 
@@ -107,7 +105,7 @@ def derive_contradiction(setup: CuntzSetup) -> DerivationReport:
     relations, where a witness settles them nonzero.
     """
     rels_w = with_formal_unitary(setup.rels)
-    kind = setup.kind
+    kind = setup.rels.gen_kind
     w = NCPoly.gen(FORMAL_UNITARY)
     wstar = NCPoly.gen(FORMAL_UNITARY_STAR)
     steps = []
@@ -126,20 +124,18 @@ def derive_contradiction(setup: CuntzSetup) -> DerivationReport:
     obligations = {}
     raw = {}
     for k in setup.loop_ids:
-        total = NCPoly.zero()
-        for i in setup.loop_ids:
-            total = total + row_images[i][k]
-        raw[k] = total - w
+        raw[k] = sum((row_images[i][k] for i in setup.loop_ids), NCPoly.zero()) - w
     steps.append(DerivationStep(
         "compare coefficients of each loop indicator in the refinement of 1",
         {f"coeff chi_[{k}]": repr(p) for k, p in sorted(raw.items())}))
+    alpha = rels_w.alphabet
     for k, p in raw.items():
-        obligations[k] = normal_form(p * wstar, rels_w)
+        obligations[k] = normal_form(alpha.encode_poly(p * wstar), rels_w)
     steps.append(DerivationStep(
         "right-multiply by w* and reduce",
-        {f"obligation[{k}]": repr(p) for k, p in sorted(obligations.items())}))
+        {f"obligation[{k}]": repr(alpha.decode_poly(p)) for k, p in sorted(obligations.items())}))
     verdicts = {k: normal_form_verdict(p) for k, p in obligations.items()}
-    return DerivationReport(setup.n, setup.flavor, steps, obligations, verdicts)
+    return DerivationReport(setup.n, setup.flavor, steps, obligations, verdicts, rels_w)
 
 
 @dataclass
@@ -173,7 +169,7 @@ def non_isometry_verdict(setup: CuntzSetup,
     witnesses = {}
     found = False
     for k, ob in sorted(derivation.obligations.items()):
-        v = witness_nonzero(ob, providers)
+        v = witness_nonzero(ob, derivation.rels.alphabet.gens, providers)
         witnesses[k] = v
         found = found or v.witnessed
     return NonIsometryVerdict("NotIsometric" if found else "Inconclusive",

@@ -12,7 +12,8 @@ Grammar::
 An index is either a literal id from the relation set's index universe
 or a name bound by an enclosing sum, which ranges over the whole
 universe.  An integer literal is an int coefficient; only a quotient
-makes a Fraction.
+makes a Fraction.  A zero denominator or nesting too deep for the
+recursive descent is an ``ExpressionError``.
 """
 
 from __future__ import annotations
@@ -113,6 +114,8 @@ class _Parser:
             den = self.take()
             if not den.isdigit():
                 raise ExpressionError("expected integer denominator")
+            if int(den) == 0:
+                raise ExpressionError("division by zero")
             return NCPoly.one().scale(Fraction(num, int(den)))
         return NCPoly.one().scale(num)
 
@@ -165,4 +168,8 @@ class _Parser:
 
 
 def parse_expression(text: str, rels: RelationSet) -> NCPoly:
-    return _Parser(_tokenize(text), rels).parse()
+    parser = _Parser(_tokenize(text), rels)
+    try:
+        return parser.parse()
+    except RecursionError:
+        raise ExpressionError("expression nested too deeply") from None

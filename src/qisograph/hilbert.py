@@ -286,14 +286,16 @@ def dirac(g: DirectedGraph, pf: PerronData, n_cap: int) -> TruncatedTriple:
 
 def theta_partial_trace(mults, t: float, eps: float, q_max: int) -> float:
     """Partial heat trace sum_{q<=Q} exp(-t q^{1+2 eps}) n_q over the
-    multiplicity list *mults*."""
+    multiplicity list *mults*; a term whose exponential underflows adds
+    exactly 0.0 and is skipped, its n_q possibly beyond float range."""
     if t <= 0:
         raise ValueError("t must be positive")
     if not 0 < eps < 0.5:
         raise ValueError("eps must lie in (0, 1/2)")
     if q_max >= len(mults):
         raise ValueError("partial trace exceeds available multiplicities")
-    return sum(math.exp(-t * q ** (1 + 2 * eps)) * mults[q] for q in range(q_max + 1))
+    return sum(w * mults[q] for q in range(q_max + 1)
+               if (w := math.exp(-t * q ** (1 + 2 * eps))))
 
 
 def theta_tail_bound(rho: float, min_x: float, t: float, eps: float, q_max: int) -> float:

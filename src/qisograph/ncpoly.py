@@ -8,11 +8,13 @@ derivation introduces "some unitary q".  Words are tuples of generators;
 a polynomial is a finitely supported map from words to exact rationals.
 Coefficients keep their own type: integer combinations stay Python
 ints, and a Fraction enters only with a rational input (a Perron weight
-or an expression-language constant).
+or an expression-language constant).  ``NCPoly`` is the form text is
+parsed into and printed from; the checker runs on ``IntTerms``.
 
-The coproduct acts on single words: Delta(w) is a list of word pairs,
-the terms of an element of the algebraic tensor square, each with
-coefficient 1.
+The coproduct acts on the rewriter's int words (see ``rewrite``):
+Delta(w) is a list of word pairs, the terms of an element of the
+algebraic tensor square, each with coefficient 1, and each letter is
+expanded through the alphabet's per-id table of (left, right) pairs.
 """
 
 from __future__ import annotations
@@ -66,11 +68,10 @@ def adjoint_generator(g: Generator) -> Generator:
 Word = tuple[Generator, ...]
 #: an exact coefficient: an int, or a Fraction once a rational enters
 Coeff = int | Fraction
-
-
-def star_word(w: Word) -> Word:
-    """Formal adjoint of a word: reversed, each generator adjoined."""
-    return tuple(adjoint_generator(g) for g in reversed(w))
+#: a word over a relation set's alphabet (``rewrite.Alphabet``), and a
+#: polynomial in that form: the format the checker runs on
+IntWord = tuple[int, ...]
+IntTerms = dict[IntWord, Coeff]
 
 
 def word_str(w: Word) -> str:
@@ -97,10 +98,6 @@ class NCPoly:
     def gen(cls, g: Generator) -> "NCPoly":
         return cls({(g,): 1})
 
-    @classmethod
-    def word(cls, w: Word, coeff=1) -> "NCPoly":
-        return cls({tuple(w): coeff})
-
     def items(self):
         """Terms sorted by word length, then by the words' generator
         tuples (kind, row, col)."""
@@ -108,13 +105,6 @@ class NCPoly:
 
     def terms(self) -> dict[Word, Coeff]:
         return dict(self._terms)
-
-    def coeff(self, w: Word) -> Coeff:
-        return self._terms.get(tuple(w), 0)
-
-    @property
-    def support_size(self) -> int:
-        return len(self._terms)
 
     def is_zero(self) -> bool:
         return not self._terms
@@ -145,10 +135,6 @@ class NCPoly:
                 out[w] = out.get(w, 0) + c1 * c2
         return NCPoly(out)
 
-    def star(self) -> "NCPoly":
-        """Formal adjoint: reverse words, adjoint generators (real coefficients)."""
-        return NCPoly({star_word(w): c for w, c in self._terms.items()})
-
     def __eq__(self, other):
         return isinstance(other, NCPoly) and self._terms == other._terms
 
@@ -166,17 +152,16 @@ class NCPoly:
         return " + ".join(parts).replace("+ -", "- ")
 
 
-def comultiply(word: Word, universe: tuple[str, ...]) -> list[tuple[Word, Word]]:
-    """Delta(word) as its (left, right) word pairs, each with coefficient
-    1: Delta(g[i,j]) = sum_k g[i,k] (x) g[k,j], extended multiplicatively;
-    the empty word maps to the single pair of empty words."""
-    pairs: list[tuple[Word, Word]] = [((), ())]
+def comultiply(word: IntWord, split) -> list[tuple[IntWord, IntWord]]:
+    """Delta(word) as its (left, right) int-word pairs, each with
+    coefficient 1: each letter expands through *split*, the alphabet's
+    per-id (left, right) pairs of Delta(g[i,j]) = sum_k g[i,k] (x) g[k,j],
+    extended multiplicatively; the empty word maps to the single pair of
+    empty words."""
+    pairs: list[tuple[IntWord, IntWord]] = [((), ())]
     for g in word:
-        if g.kind not in (QKIND, UKIND, USTAR):
-            raise ValueError(f"no coproduct for generator {g}")
-        pairs = [
-            (w1 + (Generator(g.kind, g.row, k),), w2 + (Generator(g.kind, k, g.col),))
-            for (w1, w2) in pairs
-            for k in universe
-        ]
+        legs = split[g]
+        if legs is None:
+            raise ValueError(f"no coproduct for letter {g}")
+        pairs = [(w1 + (a,), w2 + (b,)) for (w1, w2) in pairs for a, b in legs]
     return pairs

@@ -5,8 +5,10 @@ symbolic prover.
 
 Every provider is a direct sum of one-dimensional representations, so a
 generator is stored as its value vector of shape (dim,), one entry per
-summand.  A polynomial evaluates entrywise, and the operator norm of the
-direct sum is the largest |value| over the summands.
+summand.  What is evaluated is the checker's int-word -> coefficient
+dict, with its alphabet's ``gens`` as the letter table, entrywise and
+words in (length, word) order; the operator norm of the direct sum is
+the largest |value| over the summands.
 
 The classical provider for a graph sums over its automorphism group:
 q[i,j] takes the value delta_{i, sigma(j)} on the summand sigma.  Point
@@ -24,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graphs import DirectedGraph, graph_automorphisms
-from .ncpoly import Generator, NCPoly, QKIND, UKIND, USTAR
+from .ncpoly import Generator, IntTerms, QKIND, UKIND, USTAR
 from .relations import RelationSet
 from .verdict import UNKNOWN, WITNESSED_NONZERO, Verdict
 
@@ -53,17 +55,17 @@ class RepresentationProvider:
         except KeyError:
             raise KeyError(f"provider {self.name} has no values for {gen}") from None
 
-    def value(self, p: NCPoly) -> np.ndarray:
+    def value(self, terms: IntTerms, gens) -> np.ndarray:
         total = np.zeros(self.dim, dtype=complex)
-        for word, coeff in p.items():
+        for word, coeff in sorted(terms.items(), key=lambda t: (len(t[0]), t[0])):
             v = np.ones(self.dim, dtype=complex)
-            for gen in word:
-                v = v * self.values(gen)
+            for g in word:
+                v = v * self.values(gens[g])
             total += float(coeff) * v
         return total
 
-    def norm(self, p: NCPoly) -> float:
-        return float(np.abs(self.value(p)).max())
+    def norm(self, terms: IntTerms, gens) -> float:
+        return float(np.abs(self.value(terms, gens)).max())
 
 
 def _check_close(name: str, label: str, actual: np.ndarray,
@@ -108,7 +110,8 @@ def register(provider: RepresentationProvider, rels: RelationSet) -> Representat
                 target = 1.0 if i == j else 0.0
                 _check_close(provider.name, f"schema {schema.tag}@({i},{j})", total, target)
     for idx, p in enumerate(rels.linear_relations):
-        _check_close(provider.name, f"linear relation #{idx}", provider.value(p), 0.0)
+        total = sum(float(c) * provider.values(g) for (g,), c in p.items())
+        _check_close(provider.name, f"linear relation #{idx}", total, 0.0)
     for gen in sorted(rels.vanishing):
         _check_close(provider.name, f"vanishing generator {gen}", provider.values(gen), 0.0)
     return provider
@@ -201,11 +204,11 @@ def unitary_provider_portfolio(ids, rels: RelationSet) -> list[RepresentationPro
     return [register(p, rels) for p in providers]
 
 
-def witness_nonzero(p: NCPoly, providers) -> Verdict:
-    """WitnessedNonzero when some provider maps p to a value of norm
-    above ten times its tolerance; otherwise Unknown."""
+def witness_nonzero(terms: IntTerms, gens, providers) -> Verdict:
+    """WitnessedNonzero when some provider maps *terms* to a value of
+    norm above ten times its tolerance; otherwise Unknown."""
     for provider in providers:
-        norm = provider.norm(p)
+        norm = provider.norm(terms, gens)
         if norm > 10 * PROVIDER_TOL:
             return Verdict(WITNESSED_NONZERO, provider=provider.name, residual=norm)
     return Verdict(UNKNOWN)

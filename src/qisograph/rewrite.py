@@ -26,17 +26,19 @@ confluent.
 Rewriting runs on an interned alphabet (:class:`Alphabet`), built once
 per relation set: generators become the ints 0..n-1 in ``Generator``
 order, so words are tuples of small ints that sort exactly like the
-generator words they encode, and the rules, the vanishing set and the
-schema slots become tables indexed by id.  ``Generator`` words appear
-only at the entry points below: ``reduce_word`` encodes a word, rewrites
-it and decodes the result, and the search takes the encoded monomial
-fixed point.  Within one search the monomial reduction of int words is
-memoised, which serves the many repeated completion checks of the sum
-schemas; and since a collapse adds a single word to a monomial fixed
-point, each search child needs only that word reduced.  A word holding a
-generator outside the alphabet is rejected with a ``ValueError`` that
-names it: every word the package builds lies over its relation set's
-universe, and the formal unitary w enters the alphabet through its rules.
+generator words they encode, and the rules, the vanishing set, the
+schema slots, the adjoint and the coproduct become tables indexed by
+id.  The alphabet alone maps ``Generator`` words to int words, where a
+level table is built and where text is parsed or printed
+(``encode_poly``, ``decode_poly``); everything here takes and returns
+int words and int-word -> coefficient dicts.  Within one search the
+monomial reduction of int words is memoised, which serves the many
+repeated completion checks of the sum schemas; and since a collapse
+adds a single word to a monomial fixed point, each search child needs
+only that word reduced.  Encoding a generator outside the alphabet is
+a ``ValueError`` that names it: every word the package builds lies over
+its relation set's universe, and the formal unitary w enters the
+alphabet through its rules.
 
 Zero proofs are transported along the relation set's symmetries.  For
 index permutations sigma, tau (graph automorphisms, for ``qaut``), the
@@ -61,15 +63,12 @@ from functools import cached_property
 from math import gcd, lcm
 from operator import itemgetter
 
-from .ncpoly import Coeff, Generator, NCPoly, Word
+from .ncpoly import Coeff, Generator, IntTerms, IntWord, NCPoly, Word, adjoint_generator
 from .relations import RelationSet
 from .verdict import PROVED_ZERO, UNKNOWN, Verdict
 
 #: node budget for the zero-certificate search
 SEARCH_LIMIT = 3000
-
-IntWord = tuple[int, ...]
-IntTerms = dict[IntWord, Coeff]
 
 _MISS = object()
 
@@ -99,8 +98,9 @@ class Alphabet:
     ``(kind, row, col)`` order, so comparing int words or ranks orders
     exactly as comparing the generator words or strings they encode.
     The alphabet holds every generator of the relation set's schema
-    kinds over the index set and every generator named by a rule.  Only
-    generators over the index set take part in the schemas.
+    kinds over the index set, every generator named by a rule, and
+    their adjoints.  Only generators over the index set take part in
+    the schemas.
     """
 
     def __init__(self, rels: RelationSet):
@@ -111,6 +111,7 @@ class Alphabet:
             gens.update(lhs)
             gens.update(rhs or ())
         gens.update(rels.vanishing)
+        gens.update([adjoint_generator(g) for g in gens])
         self.gens = tuple(sorted(gens))
         self.ids = {g: i for i, g in enumerate(self.gens)}
         n = self.size = len(self.gens)
@@ -133,6 +134,12 @@ class Alphabet:
         #: per id, the generator's kind if both its indices lie in the index set
         self.schema_kind = [g.kind if g.row in indexed and g.col in indexed else None
                             for g in self.gens]
+        self.adjoint = [self.ids[adjoint_generator(g)] for g in self.gens]
+        #: per id, Delta(g[i,j]) = sum_k g[i,k] (x) g[k,j] as (left, right) id
+        #: pairs, k in universe order; None off the index set (w)
+        self.split = [None if self.schema_kind[g] is None else tuple(
+            (self.substitute(g, "col", k), self.substitute(g, "row", k)) for k in self.universe)
+            for g in range(n)]
         self.sum_axes = tuple(
             _SumAxis(self, rels, axis, [s for s in rels.sum_schemas if s.varying_axis == axis])
             for axis in dict.fromkeys(s.varying_axis for s in rels.sum_schemas))
@@ -194,8 +201,15 @@ class Alphabet:
         except KeyError as exc:
             raise ValueError(f"generator {exc.args[0]} is outside the alphabet") from None
 
-    def decode(self, word: IntWord) -> Word:
-        return tuple(map(self.gens.__getitem__, word))
+    def encode_poly(self, p: NCPoly) -> IntTerms:
+        return {self.encode(w): c for w, c in p.terms().items()}
+
+    def decode_poly(self, terms: IntTerms) -> NCPoly:
+        return NCPoly({tuple(map(self.gens.__getitem__, w)): c for w, c in terms.items()})
+
+    def star(self, word: IntWord) -> IntWord:
+        """Formal adjoint of a word: reversed, each letter adjoined."""
+        return tuple(map(self.adjoint.__getitem__, reversed(word)))
 
     # -- monomial reduction --------------------------------------------------
 
@@ -228,7 +242,7 @@ class Alphabet:
         added coefficient)``, largest groups and innermost slots first;
         *reduce* is the monomial reduction used on completion words.
         Prefix and suffix enter the sort keys length first, then letter
-        by letter, the order ``NCPoly.items`` gives the generator words."""
+        by letter, the order the generator words they encode sort in."""
         out: list = []
         for table in self.sum_axes:
             table.candidates(terms, reduce, out)
@@ -428,64 +442,58 @@ def _prove_zero(start: IntTerms, alpha: Alphabet):
     return winning
 
 
-def reduce_word(word: Word, rels: RelationSet, trace: ReductionTrace | None = None):
+def reduce_word(word: IntWord, rels: RelationSet, trace: ReductionTrace | None = None):
     """Monomial fixed point of *word*; None means it rewrote to zero."""
-    alpha = rels.alphabet
-    r = alpha.rewrite(alpha.encode(word), trace)
-    return None if r is None else alpha.decode(r)
+    return rels.alphabet.rewrite(word, trace)
 
 
-def _monomial_pass(p: NCPoly, rels: RelationSet, trace: ReductionTrace | None) -> NCPoly:
-    out: dict[Word, Coeff] = {}
-    for w, c in p.terms().items():
-        r = reduce_word(w, rels, trace)
-        if r is not None:
-            out[r] = out.get(r, 0) + c
-    return NCPoly(out)
-
-
-def normal_form(p: NCPoly, rels: RelationSet, trace: ReductionTrace | None = None) -> NCPoly:
-    """Deterministic reduced form, idempotent and compatible with the
-    formal adjoint.
+def normal_form(terms: IntTerms, rels: RelationSet,
+                trace: ReductionTrace | None = None) -> IntTerms:
+    """Deterministic reduced form of *terms* (nonzero coefficients),
+    idempotent and compatible with the formal adjoint.
 
     The visible form is the monomial fixed point (that layer is
-    confluent for these rule sets); collapses are applied inside the
-    zero-certificate search, whose sound paths may rewrite a word to
-    either of two distinct representatives of the same element, so
-    their result is only reported when it is the zero certificate.
+    confluent for these rule sets), reduced word by word in *terms*'
+    order; collapses are applied inside the zero-certificate search,
+    whose sound paths may rewrite a word to either of two distinct
+    representatives of the same element, so their result is only
+    reported when it is the zero certificate.
     """
-    cur = _monomial_pass(p, rels, trace)
-    if cur.is_zero():
+    cur: IntTerms = {}
+    for w, c in terms.items():
+        r = reduce_word(w, rels, trace)
+        if r is not None:
+            cur[r] = cur.get(r, 0) + c
+    cur = {w: c for w, c in cur.items() if c}
+    if not cur:
         return cur
-    alpha = rels.alphabet
-    start = {alpha.encode(w): c for w, c in cur.terms().items()}
-    winning = _prove_zero(start, alpha)
+    winning = _prove_zero(cur, rels.alphabet)
     if winning is not None:
         if trace is not None:
             for tag in winning:
                 trace.add(tag)
             trace.add("search:zero-certificate")
-        return NCPoly.zero()
+        return {}
     return cur
 
 
-def is_zero(p: NCPoly, rels: RelationSet, trace: ReductionTrace | None = None) -> Verdict:
-    return normal_form_verdict(normal_form(p, rels, trace))
+def is_zero(terms: IntTerms, rels: RelationSet, trace: ReductionTrace | None = None) -> Verdict:
+    return normal_form_verdict(normal_form(terms, rels, trace))
 
 
-def normal_form_verdict(nf: NCPoly) -> Verdict:
+def normal_form_verdict(nf: IntTerms) -> Verdict:
     """The verdict a normal form carries: the search already ran inside
     normal_form, so only a zero form is proved."""
-    if nf.is_zero():
+    if not nf:
         return Verdict(PROVED_ZERO)
-    return Verdict(UNKNOWN, detail=f"normal form has {nf.support_size} terms")
+    return Verdict(UNKNOWN, detail=f"normal form has {len(nf)} terms")
 
 
-def tensor_reduce(pairs: dict[tuple[Word, Word], int],
-                  rels: RelationSet) -> dict[tuple[Word, Word], int]:
+def tensor_reduce(pairs: dict[tuple[IntWord, IntWord], int],
+                  rels: RelationSet) -> dict[tuple[IntWord, IntWord], int]:
     """Leg-wise monomial reduction of a tensor-square element given as
     word-pair counts; returns the nonzero counts of the reduced pairs."""
-    out: dict[tuple[Word, Word], int] = {}
+    out: dict[tuple[IntWord, IntWord], int] = {}
     for (w1, w2), c in pairs.items():
         if not c:
             continue

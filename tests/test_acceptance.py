@@ -125,7 +125,7 @@ def test_criterion_7_cuntz_contrast(graphs):
             derivation = derive_contradiction(setup)
             assert set(derivation.obligations) == set(setup.loop_ids)
             for ob in derivation.obligations.values():
-                assert ob.coeff(()) == -1 and ob.support_size == n + 1
+                assert ob.get(()) == -1 and len(ob) == n + 1
             verdict = non_isometry_verdict(setup, derivation=derivation)
             assert verdict.not_isometric
             assert any(v.residual >= 0.4 for v in verdict.witnesses.values())

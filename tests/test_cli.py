@@ -1,7 +1,10 @@
 import json
+import math
 from pathlib import Path
 
-from qisograph.cli import main
+import pytest
+
+from qisograph.cli import RunConfig, UsageError, main
 from qisograph.report import strip_wall_times
 
 GRAPHS = Path(__file__).resolve().parent.parent / "graphs"
@@ -125,6 +128,25 @@ def test_spectral_theta_enclosure_on_k5(tmp_path):
     assert 0 < theta["residuals"]["tail_bound"] < 1e-6
 
 
+def test_non_finite_t_is_rejected():
+    # a NaN t would never end the tail-bound loop; an infinite one gives NaN rows
+    with pytest.raises(UsageError):
+        RunConfig(_graph("k3.g"), t_values=(math.nan,)).validate()
+    assert main(["spectral", "--graph", _graph("k3.g"), "--t", "inf"]) == 2
+
+
+def test_spectral_q_max_beyond_float_range(tmp_path):
+    # from q = 1024 on, k3's multiplicities exceed float range; their
+    # heat-trace terms underflowed long before and are skipped
+    rows = {}
+    for name, extra in (("default", []), ("long", ["--q-max", "1100"])):
+        csv = tmp_path / f"{name}.csv"
+        assert main(["spectral", "--graph", _graph("k3.g"), "--theta-csv", str(csv),
+                     *extra]) == 0
+        rows[name] = csv.read_text().splitlines()[1:22]
+    assert len(rows["long"]) == 21 and rows["long"] == rows["default"]
+
+
 def test_spectral_report(tmp_path):
     out = tmp_path / "spectral.json"
     csv = tmp_path / "theta.csv"
@@ -230,6 +252,14 @@ def test_reduce_command(tmp_path):
     rc = main(["reduce", "--graph", _graph("cuntz2.g"), "--flavor", "free-unitary",
                "sum(k, u*[k,l1]*u[k,l1]) - 1"])
     assert rc == 0
+
+
+@pytest.mark.parametrize("expression", [
+    "1/0", "(" * 1200 + "1" + ")" * 1200, "-" * 1500 + "1"],
+    ids=["zero-denominator", "nested-parentheses", "chained-unary-minus"])
+def test_reduce_rejects_bad_expression(expression, capsys):
+    assert main(["reduce", "--graph", _graph("k3.g"), "--", expression]) == 2
+    assert capsys.readouterr().err.startswith("error: bad expression: ")
 
 
 def test_reduce_searches_unprovable_input_once(tmp_path, monkeypatch):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from qisograph.corep import (
-    VerificationContext, build_corep,
+    VERTEX_PAIR, VerificationContext, build_corep,
     check_comultiplicative, check_density, check_dirac_commutation,
     check_implementation, check_isometry, check_isometry_mixed, check_kms_invariance,
     check_welldefined, evaluate_corep_matrix, isometry_obligation,
@@ -19,36 +19,38 @@ from qisograph.rewrite import is_zero, normal_form
 from qisograph.verdict import PROVED_ZERO, UNKNOWN
 
 
-def test_corep_level0_is_magic_unitary(graphs):
-    g = graphs["three-cycle"]
-    corep = build_corep(g, 0)
+def test_corep_level0_is_magic_unitary(graphs, qaut_rels):
+    g, rels = graphs["three-cycle"], qaut_rels["three-cycle"]
+    corep = build_corep(g, 0, VERTEX_PAIR, rels)
     assert len(corep.basis) == 3
     assert len(corep.entries) == 9
     for (eta, lam), word in corep.entries.items():
-        assert word == (q(eta.range, lam.range),)
+        assert word == rels.alphabet.encode((q(eta.range, lam.range),))
 
 
-def test_corep_level1_entries(graphs):
-    g = graphs["k3"]
-    corep = build_corep(g, 1)
+def test_corep_level1_entries(graphs, qaut_rels):
+    g, rels = graphs["k3"], qaut_rels["k3"]
+    corep = build_corep(g, 1, VERTEX_PAIR, rels)
     assert len(corep.basis) == 6
     eta, lam = corep.basis[0], corep.basis[3]
     word = corep.entries[(eta, lam)]
-    assert word == (q(eta.range, lam.range), q(eta.source, lam.source))
+    assert word == rels.alphabet.encode((q(eta.range, lam.range), q(eta.source, lam.source)))
 
 
-def test_corep_level2_word_lengths(graphs):
-    corep = build_corep(graphs["k3"], 2)
+def test_corep_level2_word_lengths(graphs, qaut_rels):
+    alpha = qaut_rels["k3"].alphabet
+    corep = build_corep(graphs["k3"], 2, VERTEX_PAIR, qaut_rels["k3"])
     assert len(corep.basis) == 12
     assert set(corep.entries) == {(eta, lam) for eta in corep.basis for lam in corep.basis}
     assert all(len(w) == 4 for w in corep.entries.values())
     # entries are words of self-adjoint generators: star reverses them
     for word in corep.entries.values():
-        assert NCPoly.word(word).star() == NCPoly.word(tuple(reversed(word)))
+        assert alpha.star(word) == word[::-1]
 
 
 def test_corep_rows_and_columns_collapse(contexts):
     ctx = contexts["k3"]
+    enc = ctx.rels.alphabet.encode_poly
     basis = ctx.g.vertices
     for i in basis:
         row = NCPoly.zero()
@@ -56,27 +58,27 @@ def test_corep_rows_and_columns_collapse(contexts):
         for j in basis:
             row = row + NCPoly.gen(q(i, j))
             col = col + NCPoly.gen(q(j, i))
-        assert is_zero(row - NCPoly.one(), ctx.rels).kind == PROVED_ZERO
-        assert is_zero(col - NCPoly.one(), ctx.rels).kind == PROVED_ZERO
+        assert is_zero(enc(row - NCPoly.one()), ctx.rels).kind == PROVED_ZERO
+        assert is_zero(enc(col - NCPoly.one()), ctx.rels).kind == PROVED_ZERO
 
 
 def test_action_image_counts(contexts):
     # alpha(S_e) = sum_f S_f (x) Q[f,e] over all edges f (level 1), and
     # alpha(p_v) = sum_w p_w (x) q[w,v] over all vertices w (level 0)
     ctx = contexts["k3"]
-    g = ctx.g
+    g, enc = ctx.g, ctx.rels.alphabet.encode
     edges, vertices = ctx.level(1), ctx.level(0)
     assert edges.basis == tuple(edge_path(g, e.id) for e in g.sorted_edges)
     for lam in edges.basis:
         row = [(f, word) for (f, e), word in edges.entries.items() if e == lam]
         assert len(row) == 6
         for f, word in row:
-            assert word == (q(f.range, lam.range), q(f.source, lam.source))
+            assert word == enc((q(f.range, lam.range), q(f.source, lam.source)))
     assert vertices.basis == tuple(vertex_path(v) for v in g.vertices)
     for v in vertices.basis:
         row = [(w, word) for (w, u), word in vertices.entries.items() if u == v]
         assert len(row) == 3
-        assert all(word == (q(w.range, v.range),) for w, word in row)
+        assert all(word == enc((q(w.range, v.range),)) for w, word in row)
 
 
 def test_action_consistent_with_classical(contexts):
@@ -88,7 +90,7 @@ def test_action_consistent_with_classical(contexts):
     autos = graph_automorphisms(ctx.g)
     for e in ctx.level(1).basis:
         for f in ctx.level(1).basis:
-            values = provider.value(NCPoly.word(ctx.level(1).entries[(f, e)]))
+            values = provider.value({ctx.level(1).entries[(f, e)]: 1}, ctx.rels.alphabet.gens)
             assert values.shape == (len(autos),)
             for sigma, val in zip(autos, values):
                 expected = 1.0 if (sigma[e.range], sigma[e.source]) == (f.range, f.source) else 0.0
@@ -128,7 +130,7 @@ def test_isometry_obligation_shape(contexts):
     # one word -> coefficient dict: x_{s(zeta)} on each starred product
     assert len(ob) == len(ctx.level(1).basis)
     assert all(len(w) == 4 for w in ob)
-    assert is_zero(NCPoly(ob), ctx.rels).kind == PROVED_ZERO
+    assert is_zero(ob, ctx.rels).kind == PROVED_ZERO
 
 
 def test_isometry_mixed_degrees(contexts):
@@ -170,12 +172,10 @@ def test_coefficients_stay_native(contexts):
     ctx = contexts["asym4"]
     basis = ctx.level(1).basis
     a, b = basis[0], basis[1]
-    entry = NCPoly.word(ctx.level(1).entries[(a, a)])
-    assert [type(c) for c in entry.terms().values()] == [int]
-    ob = entry + entry - NCPoly.word(ctx.level(1).entries[(b, b)])
+    ob = {ctx.level(1).entries[(a, a)]: 2, ctx.level(1).entries[(b, b)]: -1}
     nf = normal_form(ob, ctx.rels)
-    assert not nf.is_zero()
-    assert all(type(c) is int for c in nf.terms().values())
+    assert nf
+    assert all(type(c) is int for c in nf.values())
     weighted = isometry_obligation(ctx, a, a)
     assert any(isinstance(c, Fraction) and c.denominator > 1 for c in weighted.values())
     assert all(isinstance(c, (int, Fraction)) for c in weighted.values())
@@ -235,7 +235,7 @@ def test_kms_vertex_is_weighted_schema(contexts):
     for k in ctx.g.vertices:
         ob = ob + NCPoly.gen(q(k, v)).scale(ctx.pf.x_of(k))
     ob = ob - NCPoly.one().scale(ctx.pf.x_of(v))
-    assert is_zero(ob, ctx.rels).kind == PROVED_ZERO
+    assert is_zero(ctx.rels.alphabet.encode_poly(ob), ctx.rels).kind == PROVED_ZERO
 
 
 def test_dirac_commutation(contexts):
@@ -309,7 +309,8 @@ def _dense_dirac_residuals(ctx, n_cap, provider):
     for i, eta in enumerate(basis):
         for j, lam in enumerate(basis):
             u_mat[i * d:(i + 1) * d, j * d:(j + 1) * d] = \
-                np.diag(provider.value(NCPoly.word(ctx.level(n_cap).entries[(eta, lam)])))
+                np.diag(provider.value({ctx.level(n_cap).entries[(eta, lam)]: 1},
+                                       ctx.rels.alphabet.gens))
     triple = dirac(ctx.g, ctx.pf, n_cap)
     gmat = np.diag(np.kron([float(x) for x in triple.gram], np.ones(d)))
     unitary = np.linalg.norm(u_mat.conj().T @ gmat @ u_mat - gmat, 2)
@@ -369,3 +370,34 @@ def test_suite_all_pass(contexts):
         names = {r.name for r in results}
         assert names == {"welldefined", "isometry", "isometry-mixed", "comultiplicative",
                          "density", "implementation", "kms-invariance", "dirac-commutation"}
+
+
+@pytest.mark.parametrize("name", ["k3", "asym4", "loops4"])
+def test_numeric_cross_check_sees_every_obligation(name, graphs, perron_data, monkeypatch):
+    # every obligation reduced symbolically is also evaluated under every provider
+    from qisograph import corep
+    from qisograph.cuntz import MAGIC, cuntz_setup, sn_plus_context
+    from qisograph.graphs import parse_graph
+    from qisograph.providers import RepresentationProvider, classical_rep
+    from qisograph.relations import qaut_relations
+    if name == "loops4":
+        g = parse_graph("graph cuntz4\nv w\n" + "".join(f"e l{i} w w\n" for i in range(1, 5)))
+        ctx = sn_plus_context(cuntz_setup(g, MAGIC))
+    else:
+        g, pf = graphs[name], perron_data[name]
+        rels = qaut_relations(g, pf)
+        ctx = VerificationContext(g, pf, rels, VERTEX_PAIR, [classical_rep(g, rels)], 3)
+    calls = {"is_zero": 0, "norm": 0}
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(corep, "is_zero", counted("is_zero", corep.is_zero))
+    monkeypatch.setattr(RepresentationProvider, "norm",
+                        counted("norm", RepresentationProvider.norm))
+    assert all(r.passed for r in run_identity_suite(ctx, k_max=2))
+    assert calls["is_zero"] > 0 and len(ctx.providers) == 1
+    assert calls["norm"] == calls["is_zero"] * len(ctx.providers)

@@ -61,7 +61,7 @@ def test_witness_row_sum_under_rotation():
     rels = free_unitary_relations(("1", "2"))
     providers = unitary_provider_portfolio(("1", "2"), rels)
     row = NCPoly.gen(u("1", "1")) + NCPoly.gen(u("1", "2")) - NCPoly.one()
-    verdict = witness_nonzero(row, providers[1:2])
+    verdict = witness_nonzero(rels.alphabet.encode_poly(row), rels.alphabet.gens, providers[1:2])
     assert verdict.kind == WITNESSED_NONZERO
     # rotation by 45 degrees: first row sums to zero, so the deviation is 1
     assert abs(verdict.residual - 1.0) < 1e-12
@@ -71,17 +71,20 @@ def test_witness_skips_identity_provider():
     rels = free_unitary_relations(("1", "2"))
     providers = unitary_provider_portfolio(("1", "2"), rels)
     row = NCPoly.gen(u("1", "1")) + NCPoly.gen(u("1", "2")) - NCPoly.one()
-    assert witness_nonzero(row, providers[:1]).kind == UNKNOWN   # permutation rows sum to 1
-    assert witness_nonzero(row, providers).kind == WITNESSED_NONZERO
+    row, gens = rels.alphabet.encode_poly(row), rels.alphabet.gens
+    assert witness_nonzero(row, gens, providers[:1]).kind == UNKNOWN   # permutation rows sum to 1
+    assert witness_nonzero(row, gens, providers).kind == WITNESSED_NONZERO
 
 
 def test_witness_zero_poly_never_witnessed():
     rels = free_unitary_relations(("1", "2"))
     providers = unitary_provider_portfolio(("1", "2"), rels)
-    assert witness_nonzero(NCPoly.zero(), providers).kind == UNKNOWN
+    assert witness_nonzero({}, rels.alphabet.gens, providers).kind == UNKNOWN
 
 
 def test_witness_generator_under_classical(graphs, qaut_rels):
-    provider = classical_rep(graphs["three-cycle"], qaut_rels["three-cycle"])
-    verdict = witness_nonzero(NCPoly.gen(q("1", "1")), [provider])
+    rels = qaut_rels["three-cycle"]
+    provider = classical_rep(graphs["three-cycle"], rels)
+    verdict = witness_nonzero({rels.alphabet.encode((q("1", "1"),)): 1}, rels.alphabet.gens,
+                              [provider])
     assert verdict.kind == WITNESSED_NONZERO and abs(verdict.residual - 1.0) < 1e-12

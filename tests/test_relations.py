@@ -33,7 +33,7 @@ def test_qaut_k3_edge_rules_degenerate(qaut_rels):
     # orthogonality, present for every edge and vertex
     for gamma_r, gamma_s in (("2", "1"), ("3", "2")):
         for i in ("1", "2", "3"):
-            assert reduce_word((q(gamma_s, i), q(gamma_r, i)), rels) is None
+            assert reduce_word(rels.alphabet.encode((q(gamma_s, i), q(gamma_r, i))), rels) is None
 
 
 def test_qaut_three_cycle_edge_rules_present(qaut_rels):
@@ -85,8 +85,9 @@ def test_formal_unitary_extension():
     rels = with_formal_unitary(magic_relations(("1", "2")))
     assert [pair for pair, tag in rels.rule_tags.items() if tag == "w-unitary"] == [
         (FORMAL_UNITARY, FORMAL_UNITARY_STAR), (FORMAL_UNITARY_STAR, FORMAL_UNITARY)]
-    assert reduce_word((FORMAL_UNITARY, FORMAL_UNITARY_STAR), rels) == ()
-    assert reduce_word((FORMAL_UNITARY_STAR, FORMAL_UNITARY), rels) == ()
+    enc = rels.alphabet.encode
+    assert reduce_word(enc((FORMAL_UNITARY, FORMAL_UNITARY_STAR)), rels) == ()
+    assert reduce_word(enc((FORMAL_UNITARY_STAR, FORMAL_UNITARY)), rels) == ()
 
 
 def test_formal_unitary_keeps_vanishing_closure(qaut_rels):
@@ -94,4 +95,4 @@ def test_formal_unitary_keeps_vanishing_closure(qaut_rels):
     extended = with_formal_unitary(rels)
     assert len(rels.vanishing) == 12
     assert extended.vanishing == rels.vanishing
-    assert reduce_word((q("1", "2"), FORMAL_UNITARY), extended) is None
+    assert reduce_word(extended.alphabet.encode((q("1", "2"), FORMAL_UNITARY)), extended) is None

@@ -20,11 +20,13 @@ IDS = ("1", "2", "3")
 
 def test_magic_monomial_rules():
     rels = magic_relations(IDS)
+    enc = rels.alphabet.encode
     gen = q("1", "2")
-    assert reduce_word((gen, gen), rels) == (gen,)
-    assert reduce_word((q("1", "1"), q("1", "2")), rels) is None     # row orthogonality
-    assert reduce_word((q("1", "1"), q("2", "1")), rels) is None     # column orthogonality
-    assert reduce_word((q("1", "2"), q("2", "3")), rels) == (q("1", "2"), q("2", "3"))
+    assert reduce_word(enc((gen, gen)), rels) == enc((gen,))
+    assert reduce_word(enc((q("1", "1"), q("1", "2"))), rels) is None   # row orthogonality
+    assert reduce_word(enc((q("1", "1"), q("2", "1"))), rels) is None   # column orthogonality
+    word = enc((q("1", "2"), q("2", "3")))
+    assert reduce_word(word, rels) == word
 
 
 def test_row_sum_collapse(qaut_rels):
@@ -33,7 +35,7 @@ def test_row_sum_collapse(qaut_rels):
     for k in IDS:
         p = p + NCPoly.gen(q("1", k)) * NCPoly.gen(q("2", "3"))
     p = p - NCPoly.gen(q("2", "3"))
-    assert is_zero(p, rels).kind == PROVED_ZERO
+    assert is_zero(rels.alphabet.encode_poly(p), rels).kind == PROVED_ZERO
 
 
 def test_orthogonality_plus_idempotency(qaut_rels):
@@ -41,7 +43,7 @@ def test_orthogonality_plus_idempotency(qaut_rels):
     p = (NCPoly.gen(q("1", "2")) * NCPoly.gen(q("1", "3"))
          + NCPoly.gen(q("1", "2")) * NCPoly.gen(q("1", "2"))
          - NCPoly.gen(q("1", "2")))
-    assert is_zero(p, rels).kind == PROVED_ZERO
+    assert is_zero(rels.alphabet.encode_poly(p), rels).kind == PROVED_ZERO
 
 
 def test_inner_product_sum_reduces(graphs, perron_data, qaut_rels):
@@ -49,20 +51,22 @@ def test_inner_product_sum_reduces(graphs, perron_data, qaut_rels):
     g, pf, rels = graphs["k3"], perron_data["k3"], qaut_rels["k3"]
     from qisograph.graphs import enumerate_paths
     e = enumerate_paths(g, 1)[0]
-    ob = NCPoly.zero()
+    alpha = rels.alphabet
+    ob = {}
     for f in enumerate_paths(g, 1):
-        w = NCPoly.word((q(f.range, e.range), q(f.source, e.source)))
-        ob = ob + (w.star() * w).scale(pf.x_of(f.source))
-    ob = ob - NCPoly.one().scale(pf.x_of(e.source))
+        w = alpha.encode((q(f.range, e.range), q(f.source, e.source)))
+        ob[alpha.star(w) + w] = pf.x_of(f.source)
+    ob[()] = -pf.x_of(e.source)
     tr = ReductionTrace()
     assert is_zero(ob, rels, tr).kind == PROVED_ZERO
     assert tr.count > 0 and len(tr.digest()) == 16
     # numeric oracle: the same element vanishes under the automorphism rep
-    assert classical_rep(g, rels).norm(ob) < 1e-12
+    assert classical_rep(g, rels).norm(ob, alpha.gens) < 1e-12
 
 
 def test_generator_is_unknown(qaut_rels):
-    assert is_zero(NCPoly.gen(q("1", "1")), qaut_rels["k3"]).kind == UNKNOWN
+    rels = qaut_rels["k3"]
+    assert is_zero({rels.alphabet.encode((q("1", "1"),)): 1}, rels).kind == UNKNOWN
 
 
 def test_weighted_schema():
@@ -78,37 +82,39 @@ def test_weighted_schema():
     for idx, k in enumerate(IDS):
         p = p + NCPoly.gen(q(k, "2")).scale(weights[idx])
     p = p - NCPoly.one().scale(weights[1])
-    assert is_zero(p, rels).kind == PROVED_ZERO
+    assert is_zero(rels.alphabet.encode_poly(p), rels).kind == PROVED_ZERO
 
 
 def test_free_unitary_schemas():
     rels = free_unitary_relations(("1", "2"))
+    enc = rels.alphabet.encode_poly
     diag = NCPoly.zero()
     for k in ("1", "2"):
         diag = diag + NCPoly.gen(ustar(k, "1")) * NCPoly.gen(u(k, "1"))
-    assert is_zero(diag - NCPoly.one(), rels).kind == PROVED_ZERO
+    assert is_zero(enc(diag - NCPoly.one()), rels).kind == PROVED_ZERO
     off = NCPoly.zero()
     for k in ("1", "2"):
         off = off + NCPoly.gen(ustar(k, "1")) * NCPoly.gen(u(k, "2"))
-    assert is_zero(off, rels).kind == PROVED_ZERO
+    assert is_zero(enc(off), rels).kind == PROVED_ZERO
     # conjugate-unitary counterpart
     conj = NCPoly.zero()
     for k in ("1", "2"):
         conj = conj + NCPoly.gen(u(k, "1")) * NCPoly.gen(ustar(k, "2"))
-    assert is_zero(conj, rels).kind == PROVED_ZERO
+    assert is_zero(enc(conj), rels).kind == PROVED_ZERO
     # no idempotency for free unitaries
-    w = NCPoly.gen(u("1", "1")) * NCPoly.gen(u("1", "1"))
+    w = enc(NCPoly.gen(u("1", "1")) * NCPoly.gen(u("1", "1")))
     assert normal_form(w, rels) == w
 
 
 def test_vanishing_generators_drive_reductions(graphs, qaut_rels):
     rels = qaut_rels["asym4"]
+    enc = rels.alphabet.encode_poly
     assert len(rels.vanishing) == 12       # the graph is quantum-rigid
-    assert is_zero(NCPoly.gen(q("3", "1")), rels).kind == PROVED_ZERO
-    assert is_zero(NCPoly.gen(q("1", "1")), rels).kind == UNKNOWN
+    assert is_zero(enc(NCPoly.gen(q("3", "1"))), rels).kind == PROVED_ZERO
+    assert is_zero(enc(NCPoly.gen(q("1", "1"))), rels).kind == UNKNOWN
     # diagonal entries collapse to the unit: q[1,1] - 1 = -(sum of vanished row)
     p = NCPoly.gen(q("1", "1")) - NCPoly.one()
-    assert is_zero(p, rels).kind == PROVED_ZERO
+    assert is_zero(enc(p), rels).kind == PROVED_ZERO
 
 
 def test_engine_soundness_random(graphs, perron_data):
@@ -125,18 +131,18 @@ def test_edge_rule_orientations_sound_under_classical(graphs, qaut_rels):
     for name in ("three-cycle", "k3", "asym4"):
         rels = qaut_rels[name]
         provider = classical_rep(graphs[name])
+        alpha = rels.alphabet
         for (g1, g2), rhs in rels.pair_rules.items():
             if rels.rule_tags[(g1, g2)] != "edge-zero":
                 continue
             assert rhs is None
-            assert provider.norm(NCPoly.word((g1, g2))) < 1e-12
+            assert provider.norm({alpha.encode((g1, g2)): 1}, alpha.gens) < 1e-12
 
 
 def test_trace_reports_applied_rules(qaut_rels):
     rels = qaut_rels["k3"]
     tr = ReductionTrace()
-    p = NCPoly.word((q("1", "2"), q("1", "2")))
-    normal_form(p, rels, tr)
+    normal_form({rels.alphabet.encode((q("1", "2"), q("1", "2"))): 1}, rels, tr)
     assert tr.events.count("mono:idem") == 1
 
 
@@ -146,7 +152,8 @@ def test_comultiply_of_zero_word_reduces_legwise(qaut_rels):
     from qisograph.ncpoly import comultiply
     from qisograph.rewrite import tensor_reduce
     rels = qaut_rels["k3"]
-    pairs = comultiply((q("1", "1"), q("1", "2")), rels.universe)
+    alpha = rels.alphabet
+    pairs = comultiply(alpha.encode((q("1", "1"), q("1", "2"))), alpha.split)
     assert len(set(pairs)) == 9
     assert tensor_reduce(dict.fromkeys(pairs, 1), rels) == {}
 
@@ -167,33 +174,34 @@ def test_alphabet_int_order_is_generator_order():
     assert [alpha.names[r] for r in alpha.universe] == list(g.vertices)
     words = [tuple(w) for n in (1, 2) for w in product(alpha.gens, repeat=n)]
     assert sorted(words, key=alpha.encode) == sorted(words)
-    assert all(alpha.decode(alpha.encode(w)) == w for w in words)
+    p = NCPoly(dict.fromkeys(words, 1))
+    assert alpha.decode_poly(alpha.encode_poly(p)) == p
 
 
 def test_generator_outside_alphabet_is_rejected():
-    rels = magic_relations(IDS)
+    alpha = magic_relations(IDS).alphabet
     for stranger in (q("1", "9"), u("2", "2")):
-        assert stranger not in rels.alphabet.ids
+        assert stranger not in alpha.ids
         word = (q("1", "1"), stranger)
         with pytest.raises(ValueError, match=re.escape(str(stranger))):
-            reduce_word(word, rels)
+            alpha.encode(word)
         with pytest.raises(ValueError, match=re.escape(str(stranger))):
-            normal_form(NCPoly.word(word) - NCPoly.one(), rels)
-        with pytest.raises(ValueError, match=re.escape(str(stranger))):
-            is_zero(NCPoly.word(word), rels)
+            alpha.encode_poly(NCPoly({word: 1}) - NCPoly.one())
 
 
 
 def _orbit(rels):
     """The (sigma, tau) images of (sum_k q[k,a] - 1) q[b,b] (times 2/3),
-    a zero polynomial whose proof needs the collapse search."""
+    a zero polynomial whose proof needs the collapse search, as int-word
+    dicts over the alphabet of *rels*."""
     a, b = rels.universe[:2]
     col = NCPoly.zero()
     for k in rels.universe:
         col = col + NCPoly.gen(q(k, a))
     base = ((col - NCPoly.one()) * NCPoly.gen(q(b, b))).scale(Fraction(2, 3))
-    return [NCPoly({tuple(q(sigma[g.row], tau[g.col]) for g in w): c
-                    for w, c in base.terms().items()})
+    return [rels.alphabet.encode_poly(
+                NCPoly({tuple(q(sigma[g.row], tau[g.col]) for g in w): c
+                        for w, c in base.terms().items()}))
             for sigma in rels.symmetries for tau in rels.symmetries]
 
 
@@ -217,12 +225,14 @@ def test_transport_off_for_relations_that_are_not_invariant(graphs, qaut_rels):
     rels = qaut_rels["three-cycle"]
     polys = _orbit(rels)
     intact = replace(rels)                 # a fresh alphabet: its proof dict is empty
+    assert intact.alphabet.gens == rels.alphabet.gens   # so the int words carry over
     recorder = record_proofs(intact)
     assert all(is_zero(p, intact).kind == PROVED_ZERO for p in polys)
     assert len(recorder.hits) == len(polys) - 1 == 8    # one search for the orbit
     mutants = _mutants(rels)
     for name, mutant in mutants.items():
         assert len(mutant.symmetries) == 3 and mutant.alphabet.transport == (), name
+        assert mutant.alphabet.gens == rels.alphabet.gens, name
         plain = replace(mutant, symmetries=())
         for p in polys:
             got, want = ReductionTrace(), ReductionTrace()
@@ -233,7 +243,7 @@ def test_transport_off_for_relations_that_are_not_invariant(graphs, qaut_rels):
     dropped = mutants["edge-zero dropped"]
     provider = classical_rep(graphs["three-cycle"])
     proved = [p for p in polys if is_zero(p, dropped).kind == PROVED_ZERO]
-    assert proved and all(provider.norm(p) < 1e-12 for p in proved)
+    assert proved and all(provider.norm(p, dropped.alphabet.gens) < 1e-12 for p in proved)
 
 
 @pytest.mark.parametrize("name", ["three-cycle", "k3", "asym4"])
