@@ -32,7 +32,7 @@ from .graphs import (
     hypothesis_witnesses, parse_graph,
 )
 from .hilbert import (
-    alpha_sequence, cuntz_krieger_check, multiplicities, theta_partial_trace,
+    alpha_sequence, cuntz_krieger_check, multiplicities, theta_partial_sums,
     theta_tail_bound,
 )
 from .perron import (
@@ -191,8 +191,9 @@ def cmd_spectral(config: RunConfig) -> SuiteReport:
     theta_ok = True
     tail_bound = 0.0
     for t in config.t_values:
-        values = [theta_partial_trace(mults, t, config.epsilon, q)
-                  for q in range(config.q_max + 1)]
+        values = theta_partial_sums(mults, t, config.epsilon, config.q_max)
+        if not math.isfinite(values[-1]):
+            raise UsageError(f"the heat-trace partial sum at t={t} exceeds float range")
         monotone = all(b >= a for a, b in zip(values, values[1:]))
         # the trace lies in [values[-1], values[-1] + tail]
         tail = theta_tail_bound(pf.rho, min(pf.x), t, config.epsilon, config.q_max)
@@ -293,6 +294,8 @@ def cmd_reduce(config: RunConfig, expression: str) -> SuiteReport:
         rels = free_unitary_relations(tuple(e.id for e in g.sorted_edges))
     elif len(g.vertices) == 1 and loops:
         rels = magic_relations(tuple(e.id for e in g.sorted_edges))
+    elif config.flavor == MAGIC:
+        raise UsageError("the magic flavor needs a one-vertex graph with loops")
     else:
         try:
             pf = perron(g)
@@ -304,13 +307,13 @@ def cmd_reduce(config: RunConfig, expression: str) -> SuiteReport:
     except ExpressionError as exc:
         raise UsageError(f"bad expression: {exc}") from None
     trace = ReductionTrace()
-    nf = normal_form(rels.alphabet.encode_poly(poly), rels, trace)
+    nf = normal_form(poly, rels, trace)
     verdict = normal_form_verdict(nf).kind
     checks = [CheckResult(
         "reduce", {"expression": expression}, True, verdict,
         {}, trace.count, trace.digest(),
         (time.monotonic() - started) * 1000.0,
-        detail={"input": repr(poly), "normal_form": repr(rels.alphabet.decode_poly(nf)),
+        detail={"input": rels.alphabet.text(poly), "normal_form": rels.alphabet.text(nf),
                 "relations": rels.name})]
     return SuiteReport("reduce", __version__, g.name, digest, None,
                        {"expression": expression}, checks)

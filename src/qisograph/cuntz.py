@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 from .corep import EDGE_INDEX, VerificationContext, run_identity_suite
 from .graphs import DirectedGraph
-from .ncpoly import FORMAL_UNITARY, FORMAL_UNITARY_STAR, Generator, IntTerms, NCPoly
+from .ncpoly import FORMAL_UNITARY, FORMAL_UNITARY_STAR, Generator, IntTerms
 from .perron import PerronData, perron
 from .providers import (
     RepresentationProvider, loop_permutation_rep, unitary_provider_portfolio, witness_nonzero,
@@ -91,8 +91,7 @@ class DerivationReport:
             "n": self.n,
             "flavor": self.flavor,
             "steps": [s.to_dict() for s in self.steps],
-            "obligations": {k: repr(self.rels.alphabet.decode_poly(p))
-                            for k, p in self.obligations.items()},
+            "obligations": {k: self.rels.alphabet.text(p) for k, p in self.obligations.items()},
             "verdicts": {k: str(v) for k, v in self.verdicts.items()},
         }
 
@@ -105,35 +104,36 @@ def derive_contradiction(setup: CuntzSetup) -> DerivationReport:
     relations, where a witness settles them nonzero.
     """
     rels_w = with_formal_unitary(setup.rels)
+    alpha = rels_w.alphabet
     kind = setup.rels.gen_kind
-    w = NCPoly.gen(FORMAL_UNITARY)
-    wstar = NCPoly.gen(FORMAL_UNITARY_STAR)
+    w, wstar = alpha.encode((FORMAL_UNITARY, FORMAL_UNITARY_STAR))
     steps = []
     steps.append(DerivationStep(
         "corepresentation commuting with the Dirac operator fixes the "
         "one-dimensional constants eigenspace",
         {"U(1)": "1 (x) w, w unitary"}))
-    row_images = {}
-    for i in setup.loop_ids:
-        img = {j: NCPoly.gen(Generator(kind, j, i)) * w for j in setup.loop_ids}
-        row_images[i] = img
+    # the word q[j,i] w of chi_[j] in U(chi_[i])
+    row_images = {i: {j: alpha.encode((Generator(kind, j, i), FORMAL_UNITARY))
+                      for j in setup.loop_ids}
+                  for i in setup.loop_ids}
     steps.append(DerivationStep(
         "implementation identity on the loop indicators",
-        {f"U(chi_[{i}])": " + ".join(f"chi_[{j}] (x) {img!r}" for j, img in sorted(row.items()))
+        {f"U(chi_[{i}])": " + ".join(f"chi_[{j}] (x) {alpha.text({img: 1})}"
+                                     for j, img in sorted(row.items()))
          for i, row in row_images.items()}))
     obligations = {}
-    raw = {}
+    raw: dict[str, IntTerms] = {}
     for k in setup.loop_ids:
-        raw[k] = sum((row_images[i][k] for i in setup.loop_ids), NCPoly.zero()) - w
+        raw[k] = dict.fromkeys((row_images[i][k] for i in setup.loop_ids), 1)
+        raw[k][(w,)] = -1
     steps.append(DerivationStep(
         "compare coefficients of each loop indicator in the refinement of 1",
-        {f"coeff chi_[{k}]": repr(p) for k, p in sorted(raw.items())}))
-    alpha = rels_w.alphabet
+        {f"coeff chi_[{k}]": alpha.text(p) for k, p in sorted(raw.items())}))
     for k, p in raw.items():
-        obligations[k] = normal_form(alpha.encode_poly(p * wstar), rels_w)
+        obligations[k] = normal_form({word + (wstar,): c for word, c in p.items()}, rels_w)
     steps.append(DerivationStep(
         "right-multiply by w* and reduce",
-        {f"obligation[{k}]": repr(alpha.decode_poly(p)) for k, p in sorted(obligations.items())}))
+        {f"obligation[{k}]": alpha.text(p) for k, p in sorted(obligations.items())}))
     verdicts = {k: normal_form_verdict(p) for k, p in obligations.items()}
     return DerivationReport(setup.n, setup.flavor, steps, obligations, verdicts, rels_w)
 

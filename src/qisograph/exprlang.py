@@ -14,6 +14,11 @@ or a name bound by an enclosing sum, which ranges over the whole
 universe.  An integer literal is an int coefficient; only a quotient
 makes a Fraction.  A zero denominator or nesting too deep for the
 recursive descent is an ``ExpressionError``.
+
+The result is an int-word -> coefficient dict over the relation set's
+alphabet (``rels.alphabet``), the form the rewriter reduces; its term
+order is the order in which ``ncpoly.add`` and ``ncpoly.mul`` meet the
+words from left to right.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from .ncpoly import Generator, NCPoly, QKIND, UKIND, USTAR
+from .ncpoly import Generator, IntTerms, QKIND, UKIND, USTAR, add, mul
 from .relations import RelationSet
 
 
@@ -68,32 +73,32 @@ class _Parser:
         self.pos += 1
         return tok
 
-    def parse(self) -> NCPoly:
+    def parse(self) -> IntTerms:
         p = self.expr()
         if self.peek() is not None:
             raise ExpressionError(f"trailing input at token {self.peek()!r}")
         return p
 
-    def expr(self) -> NCPoly:
+    def expr(self) -> IntTerms:
         p = self.term()
         while self.peek() in ("+", "-"):
             op = self.take()
             q = self.term()
-            p = p + q if op == "+" else p - q
+            p = add(p, q, 1 if op == "+" else -1)
         return p
 
-    def term(self) -> NCPoly:
+    def term(self) -> IntTerms:
         p = self.factor()
         while self.peek() == "*":
             self.take("*")
-            p = p * self.factor()
+            p = mul(p, self.factor())
         return p
 
-    def factor(self) -> NCPoly:
+    def factor(self) -> IntTerms:
         tok = self.peek()
         if tok == "-":
             self.take()
-            return -self.factor()
+            return {w: -c for w, c in self.factor().items()}
         if tok == "(":
             self.take("(")
             p = self.expr()
@@ -107,7 +112,7 @@ class _Parser:
             return self.rational()
         raise ExpressionError(f"unexpected token {tok!r}")
 
-    def rational(self) -> NCPoly:
+    def rational(self) -> IntTerms:
         num = int(self.take())
         if self.peek() == "/":
             self.take("/")
@@ -116,10 +121,10 @@ class _Parser:
                 raise ExpressionError("expected integer denominator")
             if int(den) == 0:
                 raise ExpressionError("division by zero")
-            return NCPoly.one().scale(Fraction(num, int(den)))
-        return NCPoly.one().scale(num)
+            num = Fraction(num, int(den))
+        return {(): num} if num else {}
 
-    def sum_expr(self) -> NCPoly:
+    def sum_expr(self) -> IntTerms:
         self.take("sum")
         self.take("(")
         name = self.take()
@@ -129,17 +134,16 @@ class _Parser:
             raise ExpressionError(f"summation variable {name!r} already bound")
         self.take(",")
         start = self.pos
-        total = None
+        total: IntTerms = {}
         for value in self.rels.universe:
             self.pos = start
             self.bound[name] = value
-            body = self.expr()
-            total = body if total is None else total + body
+            total = add(total, self.expr())
         del self.bound[name]
         self.take(")")
-        return total if total is not None else NCPoly.zero()
+        return total
 
-    def generator(self) -> NCPoly:
+    def generator(self) -> IntTerms:
         head = self.take()
         kind = QKIND if head == "q" else UKIND
         if head == "u" and self.peek() == "*":
@@ -154,7 +158,7 @@ class _Parser:
         self.take(",")
         col = self.index()
         self.take("]")
-        return NCPoly.gen(Generator(kind, row, col))
+        return {self.rels.alphabet.encode((Generator(kind, row, col),)): 1}
 
     def index(self) -> str:
         tok = self.take()
@@ -167,7 +171,7 @@ class _Parser:
             f"{list(self.rels.universe)}")
 
 
-def parse_expression(text: str, rels: RelationSet) -> NCPoly:
+def parse_expression(text: str, rels: RelationSet) -> IntTerms:
     parser = _Parser(_tokenize(text), rels)
     try:
         return parser.parse()

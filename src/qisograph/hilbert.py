@@ -284,18 +284,31 @@ def dirac(g: DirectedGraph, pf: PerronData, n_cap: int) -> TruncatedTriple:
     return TruncatedTriple(gram, xi_hat, constants)
 
 
-def theta_partial_trace(mults, t: float, eps: float, q_max: int) -> float:
-    """Partial heat trace sum_{q<=Q} exp(-t q^{1+2 eps}) n_q over the
-    multiplicity list *mults*; a term whose exponential underflows adds
-    exactly 0.0 and is skipped, its n_q possibly beyond float range."""
+def theta_partial_sums(mults, t: float, eps: float, q_max: int) -> list[float]:
+    """Every partial heat trace sum_{q<=Q} exp(-t q^{1+2 eps}) n_q for
+    Q = 0..q_max over the multiplicity list *mults*, in one left-to-right
+    pass.  Each term is w * n_q correctly rounded, formed exactly as
+    Fraction(w) * n_q so that an n_q beyond float range is never
+    converted on its own (below 2**53 this is the float product w * n_q);
+    a term whose exponential underflows adds exactly 0.0 and is skipped.
+    A term or a sum beyond float range reads inf."""
     if t <= 0:
         raise ValueError("t must be positive")
     if not 0 < eps < 0.5:
         raise ValueError("eps must lie in (0, 1/2)")
     if q_max >= len(mults):
         raise ValueError("partial trace exceeds available multiplicities")
-    return sum(w * mults[q] for q in range(q_max + 1)
-               if (w := math.exp(-t * q ** (1 + 2 * eps))))
+    sums = []
+    total = 0.0
+    for q in range(q_max + 1):
+        w = math.exp(-t * q ** (1 + 2 * eps))
+        if w:
+            try:
+                total += float(Fraction(w) * mults[q])
+            except OverflowError:
+                total = math.inf
+        sums.append(total)
+    return sums
 
 
 def theta_tail_bound(rho: float, min_x: float, t: float, eps: float, q_max: int) -> float:

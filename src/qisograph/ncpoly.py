@@ -8,8 +8,17 @@ derivation introduces "some unitary q".  Words are tuples of generators;
 a polynomial is a finitely supported map from words to exact rationals.
 Coefficients keep their own type: integer combinations stay Python
 ints, and a Fraction enters only with a rational input (a Perron weight
-or an expression-language constant).  ``NCPoly`` is the form text is
-parsed into and printed from; the checker runs on ``IntTerms``.
+or an expression-language constant).  The one polynomial type is
+``IntTerms``, a dict from words over a relation set's alphabet (see
+``rewrite``) to coefficients, with no zero coefficient; the alphabet
+alone turns ``Generator`` words into int words and terms into text.
+
+``add`` and ``mul`` are the arithmetic the expression parser needs.
+Each returns a new dict whose terms stand in the order the words first
+appear, a word whose coefficients cancel being dropped only once the
+whole result is formed.  A dict's order is the order the rewriter
+reduces a polynomial's words in, and so the order of its trace: both
+functions keep it exactly.
 
 The coproduct acts on the rewriter's int words (see ``rewrite``):
 Delta(w) is a list of word pairs, the terms of an element of the
@@ -74,82 +83,25 @@ IntWord = tuple[int, ...]
 IntTerms = dict[IntWord, Coeff]
 
 
-def word_str(w: Word) -> str:
-    return "*".join(str(g) for g in w) if w else "1"
+def add(p: IntTerms, r: IntTerms, scale: Coeff = 1) -> IntTerms:
+    """p + scale * r as a new dict: p's terms first in p's order, then
+    r's new words in r's order, with zero coefficients dropped."""
+    out = dict(p)
+    for w, c in r.items():
+        out[w] = out.get(w, 0) + scale * c
+    return {w: c for w, c in out.items() if c}
 
 
-class NCPoly:
-    """Finitely supported rational linear combination of words."""
-
-    __slots__ = ("_terms",)
-
-    def __init__(self, terms: dict[Word, Coeff] | None = None):
-        self._terms = {w: c for w, c in (terms or {}).items() if c != 0}
-
-    @classmethod
-    def zero(cls) -> "NCPoly":
-        return cls()
-
-    @classmethod
-    def one(cls) -> "NCPoly":
-        return cls({(): 1})
-
-    @classmethod
-    def gen(cls, g: Generator) -> "NCPoly":
-        return cls({(g,): 1})
-
-    def items(self):
-        """Terms sorted by word length, then by the words' generator
-        tuples (kind, row, col)."""
-        return sorted(self._terms.items(), key=lambda t: (len(t[0]), t[0]))
-
-    def terms(self) -> dict[Word, Coeff]:
-        return dict(self._terms)
-
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def __add__(self, other: "NCPoly") -> "NCPoly":
-        out = dict(self._terms)
-        for w, c in other._terms.items():
-            out[w] = out.get(w, 0) + c
-        return NCPoly(out)
-
-    def __sub__(self, other: "NCPoly") -> "NCPoly":
-        out = dict(self._terms)
-        for w, c in other._terms.items():
-            out[w] = out.get(w, 0) - c
-        return NCPoly(out)
-
-    def __neg__(self) -> "NCPoly":
-        return NCPoly({w: -c for w, c in self._terms.items()})
-
-    def scale(self, c: Coeff) -> "NCPoly":
-        return NCPoly({w: c * v for w, v in self._terms.items()})
-
-    def __mul__(self, other: "NCPoly") -> "NCPoly":
-        out: dict[Word, Coeff] = {}
-        for w1, c1 in self._terms.items():
-            for w2, c2 in other._terms.items():
-                w = w1 + w2
-                out[w] = out.get(w, 0) + c1 * c2
-        return NCPoly(out)
-
-    def __eq__(self, other):
-        return isinstance(other, NCPoly) and self._terms == other._terms
-
-    def __repr__(self):
-        if not self._terms:
-            return "0"
-        parts = []
-        for w, c in self.items():
-            if c == 1 and w:
-                parts.append(word_str(w))
-            elif w:
-                parts.append(f"{c}*{word_str(w)}")
-            else:
-                parts.append(str(c))
-        return " + ".join(parts).replace("+ -", "- ")
+def mul(p: IntTerms, r: IntTerms) -> IntTerms:
+    """p * r: each term of p times each term of r, in that nested order;
+    a word whose coefficients cancel keeps no term, and the rest keep
+    the place they first appeared at."""
+    out: IntTerms = {}
+    for w1, c1 in p.items():
+        for w2, c2 in r.items():
+            w = w1 + w2
+            out[w] = out.get(w, 0) + c1 * c2
+    return {w: c for w, c in out.items() if c}
 
 
 def comultiply(word: IntWord, split) -> list[tuple[IntWord, IntWord]]:

@@ -110,7 +110,7 @@ def register(provider: RepresentationProvider, rels: RelationSet) -> Representat
                 target = 1.0 if i == j else 0.0
                 _check_close(provider.name, f"schema {schema.tag}@({i},{j})", total, target)
     for idx, p in enumerate(rels.linear_relations):
-        total = sum(float(c) * provider.values(g) for (g,), c in p.items())
+        total = sum(float(c) * provider.values(g) for g, c in p.items())
         _check_close(provider.name, f"linear relation #{idx}", total, 0.0)
     for gen in sorted(rels.vanishing):
         _check_close(provider.name, f"vanishing generator {gen}", provider.values(gen), 0.0)

@@ -28,10 +28,10 @@ per relation set: generators become the ints 0..n-1 in ``Generator``
 order, so words are tuples of small ints that sort exactly like the
 generator words they encode, and the rules, the vanishing set, the
 schema slots, the adjoint and the coproduct become tables indexed by
-id.  The alphabet alone maps ``Generator`` words to int words, where a
-level table is built and where text is parsed or printed
-(``encode_poly``, ``decode_poly``); everything here takes and returns
-int words and int-word -> coefficient dicts.  Within one search the
+id.  The alphabet alone maps ``Generator`` words to int words
+(``encode``, where a level table or a relation's word is built) and
+polynomials to text (``text``); everything here takes and returns int
+words and int-word -> coefficient dicts.  Within one search the
 monomial reduction of int words is memoised, which serves the many
 repeated completion checks of the sum schemas; and since a collapse
 adds a single word to a monomial fixed point, each search child needs
@@ -63,7 +63,7 @@ from functools import cached_property
 from math import gcd, lcm
 from operator import itemgetter
 
-from .ncpoly import Coeff, Generator, IntTerms, IntWord, NCPoly, Word, adjoint_generator
+from .ncpoly import Coeff, Generator, IntTerms, IntWord, Word, adjoint_generator
 from .relations import RelationSet
 from .verdict import PROVED_ZERO, UNKNOWN, Verdict
 
@@ -201,11 +201,15 @@ class Alphabet:
         except KeyError as exc:
             raise ValueError(f"generator {exc.args[0]} is outside the alphabet") from None
 
-    def encode_poly(self, p: NCPoly) -> IntTerms:
-        return {self.encode(w): c for w, c in p.terms().items()}
-
-    def decode_poly(self, terms: IntTerms) -> NCPoly:
-        return NCPoly({tuple(map(self.gens.__getitem__, w)): c for w, c in terms.items()})
+    def text(self, terms: IntTerms) -> str:
+        """*terms* as text, shortest words first and words of one length
+        in letter order: ``-2/3 + 1/2*q[1,2] + q[2,1]*q[1,2]``; ``0``
+        when empty."""
+        parts = []
+        for w, c in sorted(terms.items(), key=lambda t: (len(t[0]), t[0])):
+            word = "*".join(str(self.gens[g]) for g in w)
+            parts.append(str(c) if not w else word if c == 1 else f"{c}*{word}")
+        return " + ".join(parts).replace("+ -", "- ") if parts else "0"
 
     def star(self, word: IntWord) -> IntWord:
         """Formal adjoint of a word: reversed, each letter adjoined."""

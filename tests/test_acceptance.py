@@ -16,7 +16,7 @@ from qisograph.cuntz import (
 )
 from qisograph.graphs import RANGE_PREPEND, SOURCE_APPEND, enumerate_paths
 from qisograph.hilbert import (
-    cuntz_krieger_check, dirac, multiplicities, path_counts, theta_partial_trace,
+    cuntz_krieger_check, dirac, multiplicities, path_counts, theta_partial_sums,
 )
 from qisograph.perron import additivity_residual, cylinder_measure, select_convention
 from qisograph.verdict import UNKNOWN
@@ -83,7 +83,7 @@ def test_criterion_4_theta_summability(graphs):
     with criterion(4, "theta-summability numerics", 1.0):
         mults = multiplicities(graphs["k3"], 20)
         for t in (0.5, 1.0, 2.0):
-            values = [theta_partial_trace(mults, t, 0.25, q) for q in range(21)]
+            values = theta_partial_sums(mults, t, 0.25, 20)
             assert all(b >= a for a, b in zip(values, values[1:]))
             assert values[20] - values[19] < 1e-9
             # pointwise domination for q >= 1 (n_0 = |V|-1 exceeds m^0)

@@ -147,6 +147,20 @@ def test_spectral_q_max_beyond_float_range(tmp_path):
     assert len(rows["long"]) == 21 and rows["long"] == rows["default"]
 
 
+def test_spectral_heat_trace_beyond_float_range(tmp_path, capsys):
+    # at t = 0.01 the terms from q = 1024 on have not underflowed, and
+    # their multiplicities exceed float range while the partial sum,
+    # about 4.1e173, does not; at t = 0.001 the partial sum itself does
+    csv = tmp_path / "theta.csv"
+    assert main(["spectral", "--graph", _graph("k3.g"), "--t", "0.01", "--q-max", "1100",
+                 "--theta-csv", str(csv)]) == 0
+    assert 4e173 < float(csv.read_text().splitlines()[-1].split(",")[2]) < 5e173
+    capsys.readouterr()
+    assert main(["spectral", "--graph", _graph("k3.g"), "--t", "0.001",
+                 "--q-max", "1100"]) == 2
+    assert "t=0.001" in capsys.readouterr().err
+
+
 def test_spectral_report(tmp_path):
     out = tmp_path / "spectral.json"
     csv = tmp_path / "theta.csv"
@@ -252,6 +266,19 @@ def test_reduce_command(tmp_path):
     rc = main(["reduce", "--graph", _graph("cuntz2.g"), "--flavor", "free-unitary",
                "sum(k, u*[k,l1]*u[k,l1]) - 1"])
     assert rc == 0
+
+
+def test_reduce_magic_flavor_needs_a_loop_graph(tmp_path, capsys):
+    assert main(["reduce", "--graph", _graph("k3.g"), "--flavor", "magic", "q[1,2]"]) == 2
+    assert "magic flavor needs a one-vertex graph with loops" in capsys.readouterr().err
+    reports = []
+    for extra in ([], ["--flavor", "magic"]):
+        out = tmp_path / "reduce.json"
+        assert main(["reduce", "--graph", _graph("cuntz2.g"), "--out", str(out), *extra,
+                     "sum(k, q[l1,k]) - 1"]) == 0
+        reports.append(strip_wall_times(json.loads(out.read_text())))
+    assert reports[0] == reports[1]
+    assert reports[0]["checks"][0]["detail"]["relations"] == "magic"
 
 
 @pytest.mark.parametrize("expression", [

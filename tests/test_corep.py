@@ -12,7 +12,8 @@ from qisograph.corep import (
     run_identity_suite,
 )
 from qisograph.graphs import RANGE_PREPEND, SOURCE_APPEND, edge_path, enumerate_paths, vertex_path
-from qisograph.ncpoly import NCPoly, q
+from qisograph.exprlang import parse_expression
+from qisograph.ncpoly import q
 from qisograph.providers import fourier_unitary
 from qisograph.relations import magic_relations
 from qisograph.rewrite import is_zero, normal_form
@@ -50,16 +51,9 @@ def test_corep_level2_word_lengths(graphs, qaut_rels):
 
 def test_corep_rows_and_columns_collapse(contexts):
     ctx = contexts["k3"]
-    enc = ctx.rels.alphabet.encode_poly
-    basis = ctx.g.vertices
-    for i in basis:
-        row = NCPoly.zero()
-        col = NCPoly.zero()
-        for j in basis:
-            row = row + NCPoly.gen(q(i, j))
-            col = col + NCPoly.gen(q(j, i))
-        assert is_zero(enc(row - NCPoly.one()), ctx.rels).kind == PROVED_ZERO
-        assert is_zero(enc(col - NCPoly.one()), ctx.rels).kind == PROVED_ZERO
+    for i in ctx.g.vertices:
+        for text in (f"sum(j, q[{i},j]) - 1", f"sum(j, q[j,{i}]) - 1"):
+            assert is_zero(parse_expression(text, ctx.rels), ctx.rels).kind == PROVED_ZERO
 
 
 def test_action_image_counts(contexts):
@@ -231,11 +225,9 @@ def test_kms_vertex_is_weighted_schema(contexts):
     # (phi (x) id) alpha(p_v) - phi(p_v) 1 is literally the weighted sum
     ctx = contexts["k3"]
     v = "2"
-    ob = NCPoly.zero()
-    for k in ctx.g.vertices:
-        ob = ob + NCPoly.gen(q(k, v)).scale(ctx.pf.x_of(k))
-    ob = ob - NCPoly.one().scale(ctx.pf.x_of(v))
-    assert is_zero(ctx.rels.alphabet.encode_poly(ob), ctx.rels).kind == PROVED_ZERO
+    ob = {ctx.rels.alphabet.encode((q(k, v),)): ctx.pf.x_of(k) for k in ctx.g.vertices}
+    ob[()] = -ctx.pf.x_of(v)
+    assert is_zero(ob, ctx.rels).kind == PROVED_ZERO
 
 
 def test_dirac_commutation(contexts):

@@ -7,7 +7,7 @@ from qisograph.cuntz import (
     non_isometry_verdict, sn_plus_context, sn_plus_isometry_suite,
 )
 from qisograph.hilbert import multiplicities
-from qisograph.ncpoly import NCPoly, q, u
+from qisograph.exprlang import parse_expression
 from qisograph.perron import cylinder_measure
 from qisograph.providers import unitary_provider_portfolio
 from qisograph.graphs import enumerate_paths, parse_graph
@@ -49,10 +49,7 @@ def test_derivation_emits_row_sum_obligations(graphs):
         assert len(der.obligations) == n
         assert len(der.steps) == 4
         for k, ob in der.obligations.items():
-            expected = -NCPoly.one()
-            for i in setup.loop_ids:
-                expected = expected + NCPoly.gen(u(k, i))
-            assert der.rels.alphabet.decode_poly(ob) == expected
+            assert ob == parse_expression(f"sum(i, u[{k},i]) - 1", der.rels)
             assert der.verdicts[k].kind == UNKNOWN
         assert der.contradiction_pending
 
@@ -88,8 +85,8 @@ def test_obligation_never_proved_zero_but_witnessed(graphs):
     providers = unitary_provider_portfolio(setup.loop_ids, setup.rels)
     alpha = setup.rels.alphabet
     for ob in der.obligations.values():
-        # back to generator words, then into the w-free relation set's alphabet
-        ob = alpha.encode_poly(der.rels.alphabet.decode_poly(ob))
+        # printed, then parsed into the w-free relation set's alphabet
+        ob = parse_expression(der.rels.alphabet.text(ob), setup.rels)
         assert is_zero(ob, setup.rels).kind == UNKNOWN
         from qisograph.providers import witness_nonzero
         assert witness_nonzero(ob, alpha.gens, providers).kind == WITNESSED_NONZERO
@@ -141,10 +138,8 @@ def test_sn_plus_suite_passes(graphs):
 def test_sn_plus_obligation_contrast(graphs):
     # the same row-sum polynomial, proved zero in the magic algebra
     setup = cuntz_setup(graphs["cuntz2"], MAGIC)
-    ob = -NCPoly.one()
-    for i in setup.loop_ids:
-        ob = ob + NCPoly.gen(q("l1", i))
-    assert is_zero(setup.rels.alphabet.encode_poly(ob), setup.rels).kind == PROVED_ZERO
+    ob = parse_expression("sum(i, q[l1,i]) - 1", setup.rels)
+    assert is_zero(ob, setup.rels).kind == PROVED_ZERO
 
 
 def test_cuntz_dirac_multiplicities(graphs):

@@ -10,7 +10,7 @@ from qisograph.graphs import (
 from qisograph.hilbert import (
     TruncationOverflowError, alpha_sequence, cuntz_krieger_check, dirac, embed,
     embedding_gram_residual, level_space, multiplicities, path_counts, represent,
-    theta_partial_trace, theta_tail_bound,
+    theta_partial_sums, theta_tail_bound,
 )
 from oracles import (
     dirac_matrix, gram_adjoint, projection_invariant_residual, rat_rank,
@@ -235,30 +235,57 @@ def test_alpha_sequences():
         alpha_sequence(5, "power", eps=0.7)
 
 
-def test_theta_partial_trace_oracle(graphs):
+def test_theta_partial_sums_oracle(graphs):
     """Direct-summation oracle against independently recomputed terms."""
     mults = multiplicities(graphs["k3"], 12)
     t, eps = 1.0, 0.25
-    got = theta_partial_trace(mults, t, eps, 12)
+    sums = theta_partial_sums(mults, t, eps, 12)
     oracle = 0.0
     for q in range(13):
         n_q = (2 if q == 0 else 3 * 2 ** (q - 1))
         oracle += math.exp(-t * q ** 1.5) * n_q
-    assert abs(got - oracle) < 1e-12
+    assert abs(sums[12] - oracle) < 1e-12
     # successive increments are already below 1e-9 by Q = 12
-    assert got - theta_partial_trace(mults, t, eps, 11) < 1e-9
+    assert sums[12] - sums[11] < 1e-9
+
+
+def test_theta_partial_sums_match_separate_float_sums(graphs):
+    """Each partial sum is bit-identical to adding its own float terms
+    w * n_q left to right from zero, while every n_q is below 2**53."""
+    mults = multiplicities(graphs["k3"], 40)
+    assert mults[40] < 2 ** 53
+    for t in (0.01, 0.5, 1.0, 2.0):
+        expected = []
+        for top in range(41):
+            total = 0.0
+            for q in range(top + 1):
+                if w := math.exp(-t * q ** 1.5):
+                    total += w * mults[q]
+            expected.append(total)
+        assert theta_partial_sums(mults, t, 0.25, 40) == expected
+
+
+def test_theta_partial_sums_beyond_float_range(graphs):
+    """A multiplicity beyond float range is never converted on its own;
+    only a term or a sum beyond float range reads inf."""
+    mults = multiplicities(graphs["k3"], 1100)
+    assert mults[1100] > 2 ** 1100
+    sums = theta_partial_sums(mults, 0.01, 0.25, 1100)
+    assert 4e173 < sums[-1] < 5e173
+    assert all(b >= a for a, b in zip(sums, sums[1:]))
+    assert theta_partial_sums(mults, 0.001, 0.25, 1100)[-1] == math.inf
 
 
 def test_theta_constant_tail_on_cycle(graphs):
     mults = multiplicities(graphs["three-cycle"], 10)
-    vals = [theta_partial_trace(mults, 0.7, 0.25, q) for q in range(11)]
+    vals = theta_partial_sums(mults, 0.7, 0.25, 10)
     assert all(v == vals[2] for v in vals[2:])
 
 
 def test_theta_convergence_and_domination(graphs):
     mults = multiplicities(graphs["k3"], 20)
     for t in (0.5, 1.0, 2.0):
-        vals = [theta_partial_trace(mults, t, 0.25, q) for q in range(21)]
+        vals = theta_partial_sums(mults, t, 0.25, 20)
         assert all(b >= a for a, b in zip(vals, vals[1:]))
         assert vals[-1] - vals[-2] < 1e-9
         dom = theta_dominating_terms(6, t, 0.25, 20)
@@ -284,8 +311,8 @@ def test_theta_tail_bound_encloses_longer_partial_sums(graphs):
         mults = multiplicities(g, 40)
         for t in (0.5, 1.0, 2.0):
             tail = theta_tail_bound(pf.rho, min(pf.x), t, 0.25, 20)
-            at20 = theta_partial_trace(mults, t, 0.25, 20)
-            at40 = theta_partial_trace(mults, t, 0.25, 40)
+            sums = theta_partial_sums(mults, t, 0.25, 40)
+            at20, at40 = sums[20], sums[40]
             assert math.isfinite(tail)
             assert at20 + tail >= at40, (g.name, t)
 
@@ -293,8 +320,8 @@ def test_theta_tail_bound_encloses_longer_partial_sums(graphs):
 def test_theta_validates_arguments(graphs):
     mults = multiplicities(graphs["k3"], 5)
     with pytest.raises(ValueError):
-        theta_partial_trace(mults, -1.0, 0.25, 5)
+        theta_partial_sums(mults, -1.0, 0.25, 5)
     with pytest.raises(ValueError):
-        theta_partial_trace(mults, 1.0, 0.6, 5)
+        theta_partial_sums(mults, 1.0, 0.6, 5)
     with pytest.raises(ValueError):
-        theta_partial_trace(mults, 1.0, 0.25, 9)
+        theta_partial_sums(mults, 1.0, 0.25, 9)

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from qisograph.ncpoly import NCPoly, q, u
+from qisograph.exprlang import parse_expression
+from qisograph.ncpoly import q
 from qisograph.providers import (
     ProviderValidationError, classical_rep, fourier_unitary, identity_unitary,
     loop_permutation_rep, matrix_point_provider, register, rotation_unitary,
@@ -60,8 +61,8 @@ def test_unitary_portfolio_registers():
 def test_witness_row_sum_under_rotation():
     rels = free_unitary_relations(("1", "2"))
     providers = unitary_provider_portfolio(("1", "2"), rels)
-    row = NCPoly.gen(u("1", "1")) + NCPoly.gen(u("1", "2")) - NCPoly.one()
-    verdict = witness_nonzero(rels.alphabet.encode_poly(row), rels.alphabet.gens, providers[1:2])
+    row = parse_expression("u[1,1] + u[1,2] - 1", rels)
+    verdict = witness_nonzero(row, rels.alphabet.gens, providers[1:2])
     assert verdict.kind == WITNESSED_NONZERO
     # rotation by 45 degrees: first row sums to zero, so the deviation is 1
     assert abs(verdict.residual - 1.0) < 1e-12
@@ -70,8 +71,7 @@ def test_witness_row_sum_under_rotation():
 def test_witness_skips_identity_provider():
     rels = free_unitary_relations(("1", "2"))
     providers = unitary_provider_portfolio(("1", "2"), rels)
-    row = NCPoly.gen(u("1", "1")) + NCPoly.gen(u("1", "2")) - NCPoly.one()
-    row, gens = rels.alphabet.encode_poly(row), rels.alphabet.gens
+    row, gens = parse_expression("u[1,1] + u[1,2] - 1", rels), rels.alphabet.gens
     assert witness_nonzero(row, gens, providers[:1]).kind == UNKNOWN   # permutation rows sum to 1
     assert witness_nonzero(row, gens, providers).kind == WITNESSED_NONZERO
 

@@ -1,6 +1,10 @@
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
+from qisograph.graphs import hypothesis_witnesses, parse_graph
 from qisograph.ncpoly import FORMAL_UNITARY, FORMAL_UNITARY_STAR, q
+from qisograph.perron import perron
+from qisograph.providers import classical_rep
 from qisograph.relations import (
     free_unitary_relations, magic_relations, qaut_relations, with_formal_unitary,
 )
@@ -43,6 +47,34 @@ def test_qaut_three_cycle_edge_rules_present(qaut_rels):
     assert installed == {"edge-zero[sr]", "edge-zero[rs]"}
     # the worked instance: rows are an edge pair, columns are not
     assert rels.pair_rules[(q("2", "1"), q("1", "2"))] is None
+
+
+@st.composite
+def _aut_plus_graphs(draw):
+    """Strongly connected graphs on 2-5 vertices without loops, multiple
+    edges or sources; half of them circulant, so that Aut(G) is not
+    trivial."""
+    n = draw(st.integers(2, 5))
+    if draw(st.booleans()):
+        offsets = draw(st.sets(st.integers(1, n - 1), min_size=1))
+        edges = [((s + d) % n, s) for d in sorted(offsets) for s in range(n)]
+    else:
+        pairs = [(r, s) for r in range(n) for s in range(n) if r != s]
+        edges = draw(st.lists(st.sampled_from(pairs), unique=True, min_size=n))
+    g = parse_graph("\n".join(["graph random"] + [f"v {v}" for v in range(n)]
+                              + [f"e e{i} {r} {s}" for i, (r, s) in enumerate(edges)]))
+    assume(all(w is None for w in hypothesis_witnesses(g).values()))
+    return g
+
+
+@settings(max_examples=80, deadline=None)
+@given(_aut_plus_graphs())
+def test_both_edge_readings_installed_and_classically_sound(g):
+    rels = qaut_relations(g, perron(g))
+    assert [(e["family"], e["action"]) for e in rels.events if "rules" in e] == [
+        ("edge-zero[sr]", "installed"), ("edge-zero[rs]", "installed")]
+    # registration checks every pair rule, schema and linear relation
+    classical_rep(g, rels)
 
 
 def test_qaut_star_closure_of_rules(qaut_rels):
