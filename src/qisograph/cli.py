@@ -288,14 +288,14 @@ def cmd_cuntz(config: RunConfig) -> SuiteReport:
 
 def cmd_reduce(config: RunConfig, expression: str) -> SuiteReport:
     g, _, digest = _load_graph(config)
-    loops = [e for e in g.edges if e.range == e.source]
+    loop_graph = len(g.vertices) == 1 and any(e.range == e.source for e in g.edges)
     started = time.monotonic()
+    if config.flavor in (FREE_UNITARY, MAGIC) and not loop_graph:
+        raise UsageError(f"the {config.flavor} flavor needs a one-vertex graph with loops")
     if config.flavor == FREE_UNITARY:
         rels = free_unitary_relations(tuple(e.id for e in g.sorted_edges))
-    elif len(g.vertices) == 1 and loops:
+    elif loop_graph:
         rels = magic_relations(tuple(e.id for e in g.sorted_edges))
-    elif config.flavor == MAGIC:
-        raise UsageError("the magic flavor needs a one-vertex graph with loops")
     else:
         try:
             pf = perron(g)

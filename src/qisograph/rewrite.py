@@ -41,18 +41,30 @@ its relation set's universe, and the formal unitary w enters the
 alphabet through its rules.
 
 Zero proofs are transported along the relation set's symmetries.  For
-index permutations sigma, tau (graph automorphisms, for ``qaut``), the
-letter map q[a,b] -> q[sigma a, tau b] extends to an algebra
-automorphism; when it carries every rule, the vanishing set and every
-schema onto themselves, it maps the relation ideal onto itself, so a
-polynomial is zero exactly when its image is.  ``Alphabet.transport``
-checks that mechanically on the id tables and is empty when any check
-fails.  The key of a search is its start form scaled to coprime
-integer coefficients; a proved key stores all its (sigma, tau) images
-and their negations in the alphabet's ``proofs`` dict, and a later
-start form whose key is there replays the stored winning tags instead
-of searching.  Only proofs are stored: a failed search proves nothing,
-so an unproved form is always searched again.
+index permutations sigma, tau (graph automorphisms for ``qaut``, every
+permutation of up to six indices for ``magic``), the letter map
+q[a,b] -> q[sigma a, tau b] extends to an algebra automorphism; when it
+carries every rule, the vanishing set and every schema onto themselves,
+it maps the relation ideal onto itself, so a polynomial is zero exactly
+when its image is.  ``Alphabet.transport`` checks that mechanically on
+the id tables for the one-sided pairs (sigma, id) and (id, tau), which
+compose to every pair, and is empty when any check fails.
+
+A search's key is its start form scaled to coprime integer
+coefficients.  The alphabet's ``proofs`` (a :class:`ProofStore`) keeps
+one representative per proved orbit, and its negation, under an
+invariant: the multiset of (coefficient, word shape), where a word's
+shape renumbers its row and its column indices each by first
+appearance.  Every (sigma, tau) keeps the invariant.  A later start
+form with a stored invariant is matched against those representatives:
+row and column maps are grown word by word, backtracking over words of
+the same coefficient and shape, and a match counts only when each map
+extends to a symmetry.  Then the form is (sigma, tau)^-1 of a nonzero
+multiple of a proved form, so it replays the stored winning tags
+instead of searching.  The matcher tries every bijection, so it answers
+exactly the (sigma, tau) images of stored forms and their multiples.
+Only proofs are stored: a failed search proves nothing, so an unproved
+form is always searched again.
 """
 
 from __future__ import annotations
@@ -134,6 +146,10 @@ class Alphabet:
         #: per id, the generator's kind if both its indices lie in the index set
         self.schema_kind = [g.kind if g.row in indexed and g.col in indexed else None
                             for g in self.gens]
+        m = len(self.names)
+        kind_rank = {k: i for i, k in enumerate(sorted(set(self.schema_kind) - {None}))}
+        #: per id, the base its letter codes in a word ``shape`` count from
+        self.shape_base = [None if k is None else kind_rank[k] * m * m for k in self.schema_kind]
         self.adjoint = [self.ids[adjoint_generator(g)] for g in self.gens]
         #: per id, Delta(g[i,j]) = sum_k g[i,k] (x) g[k,j] as (left, right) id
         #: pairs, k in universe order; None off the index set (w)
@@ -146,31 +162,42 @@ class Alphabet:
         self.unitary_tables = tuple(
             _UnitaryTable(self, schema) for schema in rels.unitary_schemas)
         self.symmetries = rels.symmetries
-        #: primitive start form -> winning collapse tags, for proved forms only
-        self.proofs: dict[frozenset, tuple[str, ...]] = {}
+        self.proofs = ProofStore(self)
 
     @cached_property
     def transport(self) -> tuple[tuple[int, ...], ...]:
-        """The id permutations q[a,b] -> q[sigma a, tau b] over every
-        pair of symmetries, generators outside the index set fixed;
-        empty unless each of them carries every pair rule onto a rule
-        with the same tag and the permuted right-hand side, the
-        vanishing set onto itself, and each symmetry fixes every schema
-        weight.  Unitary schemas sum a full index on both factors, so
-        any index permutations preserve them."""
-        maps = [{self.rank[a]: self.rank[b] for a, b in s.items()} for s in self.symmetries]
+        """The symmetries as rank maps (ranks off the index set fixed);
+        empty unless each of them fixes every schema weight, and each
+        one-sided letter map q[a,b] -> q[sigma a, b] and
+        q[a,b] -> q[a, sigma b] (generators outside the index set fixed)
+        carries every pair rule onto a rule with the same tag and the
+        permuted right-hand side, and the vanishing set onto itself.
+
+        The letter map of a pair (sigma, tau) is the composite of its
+        two one-sided maps, and a composite of maps that permute the
+        ruled pairs tag for tag, commute with the right-hand sides and
+        fix the vanishing set does the same; so these 2|G| checks stand
+        for all |G|^2 pairs.  Unitary schemas sum a full index on both
+        factors, so any index permutations preserve them."""
+        ident = tuple(range(len(self.names)))
+        maps = []
+        for s in self.symmetries:
+            m = list(ident)
+            for a, b in s.items():
+                m[self.rank[a]] = self.rank[b]
+            maps.append(tuple(m))
         for table in self.sum_axes:
             for _, weights in table.schemas:
                 if weights and any(weights[m[r]] != w for m in maps for r, w in weights.items()):
                     return ()
         n = self.size
         ruled = [at for at, rhs in enumerate(self.pair_rules) if rhs is not _MISS]
-        perms = []
-        for sigma in self.symmetries:
-            for tau in self.symmetries:
-                perm = tuple(gid if self.schema_kind[gid] is None
-                             else self.ids[Generator(kind, sigma[row], tau[col])]
-                             for gid, (kind, row, col) in enumerate(self.gens))
+        at_index = {(kind, self.row[g], self.col[g]): g
+                    for g, kind in enumerate(self.schema_kind) if kind is not None}
+        for m in maps:
+            for rows, cols in ((m, ident), (ident, m)):
+                perm = [g if kind is None else at_index[kind, rows[self.row[g]], cols[self.col[g]]]
+                        for g, kind in enumerate(self.schema_kind)]
                 for at in ruled:
                     image = perm[at // n] * n + perm[at % n]
                     rhs = self.pair_rules[at]
@@ -180,8 +207,25 @@ class Alphabet:
                         return ()
                 if {perm[g] for g in self.vanishing} != self.vanishing:
                     return ()
-                perms.append(perm)
-        return tuple(perms)
+        return tuple(maps)
+
+    def shape(self, w: IntWord) -> tuple[int, ...]:
+        """*w* with its row ranks and its column ranks each renumbered by
+        first appearance, one int per letter: shape_base + row * m + col
+        (m the number of ranks) inside the index set, -1 - id outside
+        it.  Every letter map q[a,b] -> q[sigma a, tau b] keeps it."""
+        base, row, col, m = self.shape_base, self.row, self.col, len(self.names)
+        rows: dict[int, int] = {}
+        cols: dict[int, int] = {}
+        out = []
+        for g in w:
+            b = base[g]
+            if b is None:
+                out.append(-1 - g)
+            else:
+                out.append(b + rows.setdefault(row[g], len(rows)) * m
+                           + cols.setdefault(col[g], len(cols)))
+        return tuple(out)
 
     def axis(self, axis: str) -> list[int]:
         return self.row if axis == "row" else self.col
@@ -419,30 +463,114 @@ def _primitive(terms: IntTerms) -> frozenset:
     return frozenset((w, c // common) for w, c in ints)
 
 
+class ProofStore(dict):
+    """Proved primitive forms, one representative per (sigma, tau) orbit.
+
+    Maps an invariant to ``(classes, winning tags)`` pairs, one per
+    stored form: the classes are the form's words grouped by
+    (coefficient, shape), and the invariant is the multiset of classes,
+    each with its word count.  A proof adds its primitive form and its
+    negation.  Orbits are disjoint and a form is only searched when no
+    stored orbit holds it, so each orbit keeps the tags of the one
+    search that proved it."""
+
+    def __init__(self, alpha: Alphabet):
+        super().__init__()
+        self.alpha = alpha
+
+    def _classify(self, key: frozenset) -> dict[tuple, tuple[IntWord, ...]]:
+        """The words of *key* grouped by (coefficient, shape)."""
+        classes: dict[tuple, list[IntWord]] = {}
+        for w, c in key:
+            classes.setdefault((c, self.alpha.shape(w)), []).append(w)
+        return {cls: tuple(ws) for cls, ws in classes.items()}
+
+    @staticmethod
+    def _invariant(classes: dict) -> frozenset:
+        return frozenset((cls, len(ws)) for cls, ws in classes.items())
+
+    def find(self, key: frozenset) -> tuple[str, ...] | None:
+        """The winning tags of the stored orbit holding *key*, or None."""
+        classes = self._classify(key)
+        for rep, winning in self.get(self._invariant(classes), ()):
+            if self._matches(classes, rep):
+                return winning
+        return None
+
+    def add(self, key: frozenset, winning: tuple[str, ...]):
+        classes = self._classify(key)
+        for form in (classes, {(-c, shape): ws for (c, shape), ws in classes.items()}):
+            self.setdefault(self._invariant(form), []).append((form, winning))
+
+    def _matches(self, classes: dict, rep: dict) -> bool:
+        """Whether row and column maps, each extending to a symmetry,
+        send the words of *classes* onto those of *rep* class by class.
+
+        A depth-first search with one stack frame per matched word:
+        the maps so far, the symmetries extending them, and the
+        candidates of the same class not yet tried.  Words of small
+        classes and long words go first, as they pin the maps soonest;
+        every bijection between classes is tried, so no match is
+        missed."""
+        pending = sorted(((w, cls) for cls, ws in classes.items() for w in ws),
+                         key=lambda item: (len(rep[item[1]]), -len(item[0])))
+        maps = self.alpha.transport
+        stack = [(frozenset(), {}, {}, maps, maps, iter(rep[pending[0][1]]))]
+        while stack:
+            used, rows, cols, sigmas, taus, candidates = stack[-1]
+            w = pending[len(stack) - 1][0]
+            for v in candidates:
+                grown = None if v in used else self._align(w, v, rows, cols, sigmas, taus)
+                if grown is not None:
+                    break
+            else:
+                stack.pop()
+                continue
+            if len(stack) == len(pending):
+                return True
+            stack.append((used | {v}, *grown, iter(rep[pending[len(stack)][1]])))
+        return False
+
+    def _align(self, w: IntWord, v: IntWord, rows, cols, sigmas, taus):
+        """*rows*, *cols* and the symmetries still extending them, grown
+        so that *w* maps letter by letter onto *v* (a word of the same
+        shape); None when no symmetry pair does that."""
+        kinds, row, col = self.alpha.schema_kind, self.alpha.row, self.alpha.col
+        for g, h in zip(w, v):
+            if kinds[g] is None:
+                continue                      # equal shapes: g == h
+            a, b = row[g], row[h]
+            if a not in rows:
+                rows = {**rows, a: b}
+                sigmas = [s for s in sigmas if s[a] == b]
+            if rows[a] != b or not sigmas:
+                return None
+            a, b = col[g], col[h]
+            if a not in cols:
+                cols = {**cols, a: b}
+                taus = [t for t in taus if t[a] == b]
+            if cols[a] != b or not taus:
+                return None
+        return rows, cols, sigmas, taus
+
+
 def _prove_zero(start: IntTerms, alpha: Alphabet):
     """The winning collapse tags for *start*, or None.
 
-    Without transport this is one search.  With it, a start form whose
-    primitive form some earlier proof stored is answered from
-    ``alpha.proofs``: it is an (sigma, tau) image of a nonzero multiple
-    of a proved form, and those permutations map the relation ideal
-    onto itself.  A new proof stores every image of its primitive form
-    and of its negation; a failed search stores nothing.
+    Without transport this is one search.  With it, a start form that
+    ``alpha.proofs`` matches is a (sigma, tau) image of a nonzero
+    multiple of a proved form, and those permutations map the relation
+    ideal onto itself, so it takes that proof's tags.  Otherwise it is
+    searched, and a proof is stored; a failed search stores nothing.
     """
     if not alpha.transport:
         return _search_zero(start, alpha, SEARCH_LIMIT)
     key = _primitive(start)
-    winning = alpha.proofs.get(key)
-    if winning is not None:
-        return winning
-    winning = _search_zero(start, alpha, SEARCH_LIMIT)
-    if winning is not None:
-        words, coeffs = zip(*key)
-        negated = [-c for c in coeffs]
-        for perm in alpha.transport:
-            images = [tuple([perm[g] for g in w]) for w in words]
-            alpha.proofs[frozenset(zip(images, coeffs))] = winning
-            alpha.proofs[frozenset(zip(images, negated))] = winning
+    winning = alpha.proofs.find(key)
+    if winning is None:
+        winning = _search_zero(start, alpha, SEARCH_LIMIT)
+        if winning is not None:
+            alpha.proofs.add(key, winning)
     return winning
 
 

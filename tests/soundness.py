@@ -4,9 +4,9 @@ import random
 from fractions import Fraction
 
 from qisograph.ncpoly import add, mul, q, u, ustar
-from qisograph.providers import classical_rep, unitary_provider_portfolio
-from qisograph.relations import free_unitary_relations, qaut_relations
-from qisograph.rewrite import normal_form
+from qisograph.providers import classical_rep, loop_permutation_rep, unitary_provider_portfolio
+from qisograph.relations import free_unitary_relations, magic_relations, qaut_relations
+from qisograph.rewrite import ProofStore, normal_form
 
 SEED = 20240817
 
@@ -32,32 +32,39 @@ def relation_suites(graphs, perron_data):
     ugens = [u(a, b) for a in ("1", "2") for b in ("1", "2")]
     ugens += [ustar(a, b) for a in ("1", "2") for b in ("1", "2")]
     suites.append((urels, ugens, unitary_provider_portfolio(("1", "2"), urels)))
+    # S_4^+: every index permutation is a symmetry (last, so the sets
+    # above draw the same polynomials as without it)
+    ids = ("1", "2", "3", "4")
+    mrels = magic_relations(ids, name="magic(4)")
+    suites.append((mrels, [q(a, b) for a in ids for b in ids],
+                   [loop_permutation_rep(ids, mrels)]))
     return suites
 
 
-class ProofRecorder(dict):
-    """A proof dict that records each key it answers from a stored proof."""
+class ProofRecorder(ProofStore):
+    """A proof store that records each primitive start form it answers
+    from a stored proof, with the winning tags it answered."""
 
-    def __init__(self):
-        super().__init__()
+    def __init__(self, alpha):
+        super().__init__(alpha)
         self.hits = []
 
-    def get(self, key, default=None):
-        found = super().get(key, default)
-        if key in self:
-            self.hits.append(key)
+    def find(self, key):
+        found = super().find(key)
+        if found is not None:
+            self.hits.append((key, found))
         return found
 
 
 def record_proofs(rels) -> ProofRecorder:
-    """Install a recorder as the (still empty) proof dict of *rels*."""
+    """Install a recorder as the (still empty) proof store of *rels*."""
     assert not rels.alphabet.proofs
-    rels.alphabet.proofs = recorder = ProofRecorder()
+    rels.alphabet.proofs = recorder = ProofRecorder(rels.alphabet)
     return recorder
 
 
 #: relation sets whose symmetries must answer some battery search
-TRANSPORTING = ("qaut(three-cycle)", "qaut(k3)")
+TRANSPORTING = ("qaut(three-cycle)", "qaut(k3)", "magic(4)")
 
 
 def run_soundness_battery(graphs, perron_data, per_set=200):

@@ -281,6 +281,21 @@ def test_reduce_magic_flavor_needs_a_loop_graph(tmp_path, capsys):
     assert reports[0]["checks"][0]["detail"]["relations"] == "magic"
 
 
+def test_reduce_free_unitary_flavor_needs_a_loop_graph(tmp_path, capsys):
+    # U_n^+ is indexed by the loops of a one-vertex graph, never by k3's edges
+    for graph, edge in (("k3.g", "e12"), ("asym4.g", "g12")):
+        out = tmp_path / "reduce.json"
+        assert main(["reduce", "--graph", _graph(graph), "--flavor", "free-unitary",
+                     "--out", str(out), f"sum(k, u*[k,{edge}]*u[k,{edge}]) - 1"]) == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert "free-unitary flavor needs a one-vertex graph with loops" in err
+    out = tmp_path / "reduce.json"
+    assert main(["reduce", "--graph", _graph("cuntz2.g"), "--flavor", "free-unitary",
+                 "--out", str(out), "sum(k, u*[k,l1]*u[k,l1]) - 1"]) == 0
+    assert json.loads(out.read_text())["checks"][0]["detail"]["relations"] == "free-unitary"
+
+
 @pytest.mark.parametrize("expression", [
     "1/0", "(" * 1200 + "1" + ")" * 1200, "-" * 1500 + "1"],
     ids=["zero-denominator", "nested-parentheses", "chained-unary-minus"])

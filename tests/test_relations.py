@@ -22,6 +22,19 @@ def test_magic_rule_inventory():
     assert {s.tag for s in rels.sum_schemas} == {"row-sum", "col-sum"}
 
 
+def test_magic_symmetries_are_the_index_permutations_up_to_the_limit():
+    from qisograph.relations import MAGIC_SYMMETRY_MAX_IDS
+    ids = tuple(f"l{i}" for i in range(MAGIC_SYMMETRY_MAX_IDS + 1))
+    small = magic_relations(ids[:3])
+    assert sorted(tuple(s.values()) for s in small.symmetries) == sorted(
+        [("l0", "l1", "l2"), ("l0", "l2", "l1"), ("l1", "l0", "l2"),
+         ("l1", "l2", "l0"), ("l2", "l0", "l1"), ("l2", "l1", "l0")])
+    assert len(magic_relations(ids[:-1]).symmetries) == 720
+    # 7! maps would cost a reduction on seven loops seconds of validation
+    assert magic_relations(ids).symmetries == ()
+    assert magic_relations(ids).alphabet.transport == ()
+
+
 def test_qaut_requires_aut_plus(graphs):
     with pytest.raises(ValueError) as exc:
         qaut_relations(graphs["cuntz2"])

@@ -5,10 +5,12 @@ from fractions import Fraction
 
 import pytest
 
-from qisograph.corep import VERTEX_PAIR, VerificationContext, run_identity_suite
+from qisograph.corep import EDGE_INDEX, VERTEX_PAIR, VerificationContext, run_identity_suite
+from qisograph.cuntz import MAGIC, cuntz_setup
 from qisograph.exprlang import parse_expression
+from qisograph.graphs import parse_graph
 from qisograph.ncpoly import q, u
-from qisograph.providers import classical_rep
+from qisograph.providers import classical_rep, loop_permutation_rep
 from qisograph.relations import free_unitary_relations, magic_relations, qaut_relations
 from qisograph.rewrite import (
     SEARCH_LIMIT, ReductionTrace, _search_zero, is_zero, normal_form, reduce_word,
@@ -227,18 +229,33 @@ def test_transport_off_for_relations_that_are_not_invariant(graphs, qaut_rels):
     assert proved and all(provider.norm(p, dropped.alphabet.gens) < 1e-12 for p in proved)
 
 
-@pytest.mark.parametrize("name", ["three-cycle", "k3", "asym4"])
-def test_transport_keeps_every_suite_result(name, graphs, perron_data):
+LOOPS4 = "graph cuntz4\nv w\n" + "".join(f"e l{i} w w\n" for i in range(1, 5))
+
+
+def _suite_input(name, graphs, perron_data):
+    """Graph, Perron data, relation set, index scheme and provider
+    builder of the identity suite on *name*: qaut(G) on a bundled graph,
+    the magic suite on the 4-loop graph."""
+    if name == "loops4":
+        setup = cuntz_setup(parse_graph(LOOPS4), MAGIC)
+        return (setup.graph, setup.pf, setup.rels, EDGE_INDEX,
+                lambda rels: loop_permutation_rep(setup.loop_ids, rels))
     g, pf = graphs[name], perron_data[name]
-    rels = qaut_relations(g, pf)
+    return g, pf, qaut_relations(g, pf), VERTEX_PAIR, lambda rels: classical_rep(g, rels)
+
+
+@pytest.mark.parametrize("name", ["three-cycle", "k3", "asym4", "loops4"])
+def test_transport_keeps_every_suite_result(name, graphs, perron_data):
+    g, pf, rels, scheme, provider = _suite_input(name, graphs, perron_data)
     recorder = record_proofs(rels)
     results = {}
     for side, side_rels in (("on", rels), ("off", replace(rels, symmetries=()))):
-        ctx = VerificationContext(g, pf, side_rels, VERTEX_PAIR, [classical_rep(g, side_rels)], 3)
+        ctx = VerificationContext(g, pf, side_rels, scheme, [provider(side_rels)], 3)
         results[side] = [(c.name, c.inputs, c.verdict, c.reductions, c.trace_digest,
                           c.residuals) for c in run_identity_suite(ctx)]
     assert results["on"] == results["off"]
-    assert len(rels.alphabet.transport) == len(rels.symmetries) ** 2
+    # every symmetry passed validation and is held as one rank map
+    assert len(rels.alphabet.transport) == len(rels.symmetries)
     if name != "asym4":   # Aut(asym4) is trivial
         assert recorder.hits
 
@@ -250,5 +267,168 @@ def test_transported_forms_prove_zero_from_scratch(graphs, perron_data):
     run_identity_suite(VerificationContext(g, pf, rels, VERTEX_PAIR, [], 3))
     hits = set(recorder.hits)
     assert len(hits) > 100
-    for key in hits:
-        assert _search_zero(dict(key), rels.alphabet, SEARCH_LIMIT) == recorder[key]
+    for key, winning in hits:
+        assert _search_zero(dict(key), rels.alphabet, SEARCH_LIMIT) == winning
+
+
+def _counting_searches(monkeypatch) -> list:
+    from qisograph import rewrite
+    calls = []
+    search = rewrite._search_zero
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return search(*args, **kwargs)
+
+    monkeypatch.setattr(rewrite, "_search_zero", counting)
+    return calls
+
+
+def test_store_answers_every_image_of_a_proved_orbit(monkeypatch):
+    rels = magic_relations(("1", "2", "3", "4"))
+    polys = _orbit(rels)
+    assert len(polys) == 576
+    scales = (1, -1, Fraction(5, 2), Fraction(-3, 7))
+    searches = _counting_searches(monkeypatch)
+    for i, p in enumerate(polys):
+        scaled = {w: c * scales[i % 4] for w, c in p.items()}
+        assert is_zero(scaled, rels).kind == PROVED_ZERO
+    assert len(searches) == 1
+    # one representative and its negation, not one key per image
+    assert sum(map(len, rels.alphabet.proofs.values())) == 2
+
+
+def test_store_matcher_backtracks_and_keeps_maps_consistent():
+    from qisograph.rewrite import ProofStore
+    rels = magic_relations(("1", "2", "3", "4"))
+    alpha = rels.alphabet
+    ident = rels.symmetries[0]
+    path = (("1", "2"), ("2", "3"), ("3", "4"))
+
+    def form(rows, cols, sigma=ident, tau=ident):
+        """The sum over i of q[sigma r, tau c] q[sigma r', tau c'], where
+        (r, r') = rows[i] and (c, c') = cols[i]."""
+        return frozenset(
+            (alpha.encode((q(sigma[r], tau[c]), q(sigma[r2], tau[c2]))), 1)
+            for (r, r2), (c, c2) in zip(rows, cols))
+
+    store = ProofStore(alpha)
+    store.add(form(path, path), ("proved",))
+    # all three words share one class, so a first choice can dead-end
+    assert len(store) == 2
+    for sigma in rels.symmetries:
+        for tau in rels.symmetries:
+            assert store.find(form(path, path, sigma, tau)) == ("proved",)
+    # two words on the same two row indices against two on four: same
+    # invariant, but a row map would have to send 1 to both 1 and 3; the
+    # same on the columns
+    same, apart = (("1", "2"), ("1", "2")), (("1", "2"), ("3", "4"))
+    store = ProofStore(alpha)
+    store.add(form(apart, apart), ("proved",))
+    for stranger in (form(same, apart), form(apart, same)):
+        assert next(iter(store)) == store._invariant(store._classify(stranger))
+        assert store.find(stranger) is None
+
+
+def test_store_searches_a_relabelling_outside_the_symmetries(monkeypatch):
+    from collections import Counter
+    from qisograph.perron import perron
+    from qisograph.rewrite import _primitive, _prove_zero
+    # the undirected 8-cycle: Aut(G) is the dihedral group of order 16
+    g = parse_graph("graph cycle8\n" + "".join(f"v {i}\n" for i in range(1, 9)) + "".join(
+        f"e a{i} {i % 8 + 1} {i}\ne b{i} {i} {i % 8 + 1}\n" for i in range(1, 9)))
+    rels = qaut_relations(g, perron(g))
+    alpha = rels.alphabet
+    assert len(rels.symmetries) == len(alpha.transport) == 16
+    recorder = record_proofs(rels)
+    searches = _counting_searches(monkeypatch)
+    assert is_zero(_orbit(rels)[0], rels).kind == PROVED_ZERO
+    assert len(searches) == 1
+    key = _primitive(searches[0])
+
+    def relabelled(rows, cols):
+        def letter(gid):
+            gen = alpha.gens[gid]
+            return alpha.ids[q(rows.get(gen.row, gen.row), cols.get(gen.col, gen.col))]
+        return frozenset((tuple(map(letter, w)), c) for w, c in key)
+
+    def invariant(form):
+        return Counter((c, alpha.shape(w)) for w, c in form)
+
+    # a rotation is a symmetry: its image is answered without a search
+    rotation = {str(i): str(i % 8 + 1) for i in range(1, 9)}
+    assert rotation in rels.symmetries
+    assert _prove_zero(dict(relabelled(rotation, rotation)), alpha) == recorder.hits[-1][1]
+    # swapping 2 and 5 is not: the start form (q[1,1] + q[3,1] - 1) q[2,2]
+    # has its rows 1, 2, 3 on a path and its columns 1, 2 adjacent, and
+    # no symmetry sends them to rows 1, 5, 3 or columns 1, 5
+    swap = {"2": "5", "5": "2"}
+    assert swap not in rels.symmetries
+    for rows, cols in ((swap, {}), ({}, swap), (swap, swap)):
+        stranger = relabelled(rows, cols)
+        assert stranger != key and invariant(stranger) == invariant(key)
+        hits = len(recorder.hits)
+        assert alpha.proofs.find(stranger) is None
+        _prove_zero(dict(stranger), alpha)
+        assert len(recorder.hits) == hits
+    assert len(searches) == 4
+
+
+def _dropping(rels, dropped):
+    """*rels* without the pair rules *dropped* selects."""
+    return replace(rels,
+                   pair_rules={k: v for k, v in rels.pair_rules.items() if not dropped(k)},
+                   rule_tags={k: v for k, v in rels.rule_tags.items() if not dropped(k)})
+
+
+def test_generator_validation_agrees_with_all_pairs(graphs, perron_data):
+    from oracles import all_pairs_transport
+    from qisograph.ncpoly import Generator
+    from qisograph.perron import perron
+    from qisograph.relations import with_formal_unitary
+    sets = []
+    for name, g in graphs.items():
+        try:
+            sets.append(qaut_relations(g, perron_data[name]))
+        except ValueError:      # the loop graphs fail aut-plus validation
+            pass
+    k4 = "graph k4\n" + "".join(f"v {v}\n" for v in "1234") + "".join(
+        f"e e{r}{s} {r} {s}\n" for s in "1234" for r in "1234" if r != s)
+    cycle8 = "graph cycle8\n" + "".join(f"v {i}\n" for i in range(1, 9)) + "".join(
+        f"e e{i} {i % 8 + 1} {i}\n" for i in range(1, 9))
+    for text in (k4, cycle8):
+        g = parse_graph(text)
+        sets.append(qaut_relations(g, perron(g)))
+    magic4 = magic_relations(("1", "2", "3", "4"))
+    sets += [magic_relations(tuple(str(i) for i in range(1, n + 1))) for n in (2, 3)]
+    row_orth = next(lhs for lhs, tag in magic4.rule_tags.items() if tag == "row-orth")
+    sets += [magic4, with_formal_unitary(magic4),
+             _dropping(magic4, lambda lhs: lhs == row_orth),
+             # invariant under every (sigma, id), but under no (id, tau) moving 1 or 2
+             _dropping(magic4, lambda lhs: (lhs[0].col, lhs[1].col) == ("1", "2")
+                       and lhs[0].row == lhs[1].row),
+             # the same with rows and columns exchanged
+             _dropping(magic4, lambda lhs: (lhs[0].row, lhs[1].row) == ("1", "2")
+                       and lhs[0].col == lhs[1].col)]
+    mutants = _mutants(qaut_relations(graphs["three-cycle"], perron_data["three-cycle"]))
+    sets += list(mutants.values())
+    valid = []
+    for rels in sets:
+        alpha = rels.alphabet
+        want = all_pairs_transport(alpha)
+        assert bool(want) == bool(alpha.transport), rels.name
+        if want:
+            valid.append(rels.name)
+
+            def letter(gid, sigma, tau):
+                gen = alpha.gens[gid]
+                if alpha.schema_kind[gid] is None:
+                    return gid
+                row, col = alpha.names[sigma[alpha.row[gid]]], alpha.names[tau[alpha.col[gid]]]
+                return alpha.ids[Generator(gen.kind, row, col)]
+
+            # the rank maps compose to exactly the oracle's id permutations
+            assert want == tuple(tuple(letter(g, sigma, tau) for g in range(alpha.size))
+                                 for sigma in alpha.transport
+                                 for tau in alpha.transport), rels.name
+    assert len(valid) == len(sets) - 5     # the mutants and the dropped rules
