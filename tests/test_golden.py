@@ -12,12 +12,16 @@ here even when the verdict stays the same.
 report with its wall times stripped (``json.dumps`` with
 ``sort_keys``) and of stdout.  A refactor that must keep reports
 byte-identical is checked by this file; a deliberate report change
-re-records it.  Each case runs the CLI once for both checks.
+re-records it.  Each case runs the CLI once for both checks.  A case
+whose graph file is not bundled runs on the benchmark's text for it,
+written next to the report.
 """
 
 import hashlib
+import importlib.util
 import io
 import json
+import sys
 from contextlib import redirect_stdout
 from pathlib import Path
 
@@ -32,18 +36,36 @@ GOLDEN = json.loads((HERE / "golden" / "trace_digests.json").read_text())
 REPORTS = json.loads((HERE / "golden" / "report_digests.json").read_text())
 
 
+def _benchmark_graph_texts() -> dict[str, str]:
+    spec = importlib.util.spec_from_file_location(
+        "golden_workloads", HERE.parent / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads      # dataclasses look their module up
+    spec.loader.exec_module(workloads)
+    return {"loops4.g": workloads.LOOPS4_TEXT}
+
+
+#: graph file name -> text, for the cases on graphs that are not bundled
+WRITTEN = _benchmark_graph_texts()
+
+
 def sha256(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
 def run_case(argv, tmp_path) -> tuple[int, dict, str]:
     """Exit code, report dict and stdout of one CLI run; *argv* names
-    its graph file relative to the bundled graphs directory."""
+    its graph file relative to the bundled graphs directory, or one of
+    ``WRITTEN``."""
     cmd, graph, *rest = argv
+    path = GRAPHS / graph
+    if graph in WRITTEN:
+        path = tmp_path / graph
+        path.write_text(WRITTEN[graph])
     out = tmp_path / "report.json"
     stdout = io.StringIO()
     with redirect_stdout(stdout):
-        rc = main([cmd, "--graph", str(GRAPHS / graph), *rest, "--out", str(out)])
+        rc = main([cmd, "--graph", str(path), *rest, "--out", str(out)])
     return rc, json.loads(out.read_text()), stdout.getvalue()
 
 
