@@ -32,7 +32,7 @@ from .graphs import (
     hypothesis_witnesses, parse_graph,
 )
 from .hilbert import (
-    alpha_sequence, cuntz_krieger_check, multiplicities, theta_partial_sums,
+    alpha_sequence, cuntz_krieger_check, multiplicities, path_counts, theta_partial_sums,
     theta_tail_bound,
 )
 from .perron import (
@@ -47,6 +47,11 @@ from .verdict import PROVED_ZERO, UNKNOWN
 EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
+
+#: the most entries the Dirac check's dense (summands, paths, paths)
+#: stack may hold, summands x paths(n_cap)^2: K5 verify holds
+#: 120 x 320^2, 6 loops at level 3 would hold 720 x 216^2
+DIRAC_STACK_MAX = 2 ** 24
 
 
 class UsageError(ValueError):
@@ -98,6 +103,15 @@ def _load_graph(config: RunConfig) -> tuple[DirectedGraph, str, str]:
     except (GraphFormatError, ValueError) as exc:
         raise UsageError(f"{path}: {exc}") from None
     return g, text, text_digest(text)
+
+
+def _check_dirac_stack(summands: int, paths: int):
+    """Reject a run whose Dirac check would build a stack of more than
+    DIRAC_STACK_MAX entries, before any check runs."""
+    size = summands * paths ** 2
+    if size > DIRAC_STACK_MAX:
+        raise UsageError(f"the Dirac check would hold {summands} summands x {paths}^2 paths "
+                         f"= {size:,} entries, above the limit of {DIRAC_STACK_MAX:,}")
 
 
 def _check_writable(path: str):
@@ -237,6 +251,7 @@ def cmd_verify(config: RunConfig) -> SuiteReport:
     except ValueError as exc:
         raise UsageError(str(exc)) from None
     if convention == SOURCE_APPEND:
+        _check_dirac_stack(ctx.providers[0].dim, path_counts(g, config.n_cap)[-1])
         report_checks = run_identity_suite(ctx, k_max=config.k_max, l_max=config.l_max)
     else:
         # forced rejected convention: run the negative control only
@@ -255,6 +270,9 @@ def cmd_cuntz(config: RunConfig) -> SuiteReport:
     checks = []
     notes = []
     flavors = [config.flavor] if config.flavor in (FREE_UNITARY, MAGIC) else [FREE_UNITARY, MAGIC]
+    if MAGIC in flavors and len(g.vertices) == 1:
+        # the S_n provider over the n^n_cap loop words of the top level
+        _check_dirac_stack(math.factorial(n), n ** config.n_cap)
     for flavor in flavors:
         started = time.monotonic()
         try:

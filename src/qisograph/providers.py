@@ -6,9 +6,13 @@ symbolic prover.
 Every provider is a direct sum of one-dimensional representations, so a
 generator is stored as its value vector of shape (dim,), one entry per
 summand.  What is evaluated is the checker's int-word -> coefficient
-dict, with its alphabet's ``gens`` as the letter table, entrywise and
-words in (length, word) order; the operator norm of the direct sum is
-the largest |value| over the summands.
+dict, with its alphabet's ``gens`` as the letter table, summand by
+summand and words in (length, word) order; the operator norm of the
+direct sum is the largest |value| over the summands.  When every value
+is exactly 0 or 1 (the permutation providers), a word's values are the
+AND of its letters' summand bitmasks, and each coefficient is added to
+the sum of every set bit: the same floats as multiplying the value
+vectors letter by letter, which point providers still do.
 
 The classical provider for a graph sums over its automorphism group:
 q[i,j] takes the value delta_{i, sigma(j)} on the summand sigma.  Point
@@ -43,11 +47,19 @@ class ProviderValidationError(ValueError):
 @dataclass
 class RepresentationProvider:
     """Direct sum of *dim* one-dimensional representations; *assignment*
-    maps each generator to its values on the summands, shape (dim,)."""
+    maps each generator to its values on the summands, shape (dim,).
+    If they are all exactly 0 or 1, ``_masks`` maps each generator to
+    the int whose bit s is set where its value on summand s is 1."""
 
     name: str
     dim: int
     assignment: dict[Generator, np.ndarray]
+
+    def __post_init__(self):
+        self._masks = None
+        if all(np.isin(v, (0, 1)).all() for v in self.assignment.values()):
+            self._masks = {gen: sum(1 << int(s) for s in np.flatnonzero(v))
+                           for gen, v in self.assignment.items()}
 
     def values(self, gen: Generator) -> np.ndarray:
         try:
@@ -55,17 +67,43 @@ class RepresentationProvider:
         except KeyError:
             raise KeyError(f"provider {self.name} has no values for {gen}") from None
 
-    def value(self, terms: IntTerms, gens) -> np.ndarray:
-        total = np.zeros(self.dim, dtype=complex)
-        for word, coeff in sorted(terms.items(), key=lambda t: (len(t[0]), t[0])):
-            v = np.ones(self.dim, dtype=complex)
+    def _sums(self, terms: IntTerms, gens):
+        """The value of *terms* on each summand, words in (length, word)
+        order; on masks, the words whose mask is 0 add nothing."""
+        if self._masks is None:
+            total = np.zeros(self.dim, dtype=complex)
+            for word, coeff in sorted(terms.items(), key=lambda t: (len(t[0]), t[0])):
+                v = np.ones(self.dim, dtype=complex)
+                for g in word:
+                    v = v * self.values(gens[g])
+                total += float(coeff) * v
+            return total
+        live = []
+        for word, coeff in terms.items():
+            mask = (1 << self.dim) - 1
             for g in word:
-                v = v * self.values(gens[g])
-            total += float(coeff) * v
-        return total
+                try:
+                    mask &= self._masks[gens[g]]
+                except KeyError:
+                    self.values(gens[g])            # raises the missing-generator error
+                if not mask:
+                    break
+            else:
+                live.append((len(word), word, mask, float(coeff)))
+        sums = [0.0] * self.dim
+        for _, _, mask, c in sorted(live):
+            while mask:
+                low = mask & -mask
+                sums[low.bit_length() - 1] += c
+                mask ^= low
+        return sums
+
+    def value(self, terms: IntTerms, gens) -> np.ndarray:
+        return np.array(self._sums(terms, gens), dtype=complex)
 
     def norm(self, terms: IntTerms, gens) -> float:
-        return float(np.abs(self.value(terms, gens)).max())
+        sums = self._sums(terms, gens)
+        return float(np.abs(sums).max()) if self._masks is None else max(map(abs, sums))
 
 
 def _check_close(name: str, label: str, actual: np.ndarray,

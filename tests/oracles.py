@@ -98,6 +98,22 @@ def theta_dominating_terms(m_edges: int, t: float, eps: float, q_max: int) -> li
     return [math.exp(-t * q ** (1 + 2 * eps)) * m_edges ** q for q in range(1, q_max + 1)]
 
 
+def letter_by_letter_value(provider, terms, gens) -> np.ndarray:
+    """A provider's value of *terms* on each summand, by multiplying its
+    value vectors letter by letter, words in (length, word) order."""
+    total = np.zeros(provider.dim, dtype=complex)
+    for word, coeff in sorted(terms.items(), key=lambda t: (len(t[0]), t[0])):
+        v = np.ones(provider.dim, dtype=complex)
+        for g in word:
+            v = v * provider.values(gens[g])
+        total += float(coeff) * v
+    return total
+
+
+def letter_by_letter_norm(provider, terms, gens) -> float:
+    return float(np.abs(letter_by_letter_value(provider, terms, gens)).max())
+
+
 def brute_force_automorphisms(g) -> tuple[dict[str, str], ...]:
     """Every vertex permutation, in itertools order, that carries the
     multiset of (range, source) pairs onto itself."""

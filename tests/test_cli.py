@@ -1,15 +1,22 @@
 import json
 import math
+import time
 from pathlib import Path
 
 import pytest
 
-from qisograph.cli import RunConfig, UsageError, main
+from qisograph.cli import DIRAC_STACK_MAX, RunConfig, UsageError, _check_dirac_stack, main
 from qisograph.report import strip_wall_times
 
 GRAPHS = Path(__file__).resolve().parent.parent / "graphs"
 K5_TEXT = "graph k5\n" + "".join(f"v {v}\n" for v in "12345") + "".join(
     f"e e{r}{s} {r} {s}\n" for s in "12345" for r in "12345" if r != s)
+K4_TEXT = "graph k4\n" + "".join(f"v {v}\n" for v in "1234") + "".join(
+    f"e e{r}{s} {r} {s}\n" for s in "1234" for r in "1234" if r != s)
+
+
+def _loops(n: int) -> str:
+    return f"graph cuntz{n}\nv w\n" + "".join(f"e l{i} w w\n" for i in range(1, n + 1))
 
 
 def _graph(name: str) -> str:
@@ -343,3 +350,27 @@ def test_report_digest_tracks_graph_file(tmp_path):
     a = json.loads(out1.read_text())
     b = json.loads(out2.read_text())
     assert a["graph"]["digest"] != b["graph"]["digest"]
+
+
+@pytest.mark.parametrize("command, text, extra, size", [
+    ("cuntz", _loops(6), [], "720 summands x 216^2 paths = 33,592,320 entries"),
+    ("cuntz", _loops(7), [], "5040 summands x 343^2 paths = 592,950,960 entries"),
+    ("verify", K4_TEXT, ["--level", "5"], "24 summands x 972^2 paths = 22,674,816 entries"),
+])
+def test_oversized_dirac_stack_exits_2_up_front(command, text, extra, size, tmp_path, capsys):
+    graph = tmp_path / "big.g"
+    graph.write_text(text)
+    started = time.monotonic()
+    assert main([command, "--graph", str(graph), *extra]) == 2
+    assert time.monotonic() - started < 1.0
+    assert f"the Dirac check would hold {size}" in capsys.readouterr().err
+
+
+def test_dirac_stack_limit_admits_k5_verify_and_five_loops():
+    from qisograph.graphs import graph_automorphisms, parse_graph
+    from qisograph.hilbert import path_counts
+    k5 = parse_graph(K5_TEXT)
+    assert (len(graph_automorphisms(k5)), path_counts(k5, 3)[-1]) == (120, 320)
+    for summands, paths in ((120, 320), (math.factorial(5), 5 ** 3)):
+        _check_dirac_stack(summands, paths)
+        assert summands * paths ** 2 <= DIRAC_STACK_MAX

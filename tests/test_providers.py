@@ -1,14 +1,21 @@
+import random
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
+from oracles import letter_by_letter_norm, letter_by_letter_value
+from qisograph.corep import NUMERIC_TOL, VERTEX_PAIR, VerificationContext, run_identity_suite
 from qisograph.exprlang import parse_expression
+from qisograph.graphs import graph_automorphisms, parse_graph
 from qisograph.ncpoly import q
+from qisograph.perron import perron
 from qisograph.providers import (
-    ProviderValidationError, classical_rep, fourier_unitary, identity_unitary,
-    loop_permutation_rep, matrix_point_provider, register, rotation_unitary,
-    unitary_provider_portfolio, witness_nonzero,
+    ProviderValidationError, RepresentationProvider, classical_rep, fourier_unitary,
+    identity_unitary, loop_permutation_rep, matrix_point_provider, permutation_diag_rep,
+    register, rotation_unitary, unitary_provider_portfolio, witness_nonzero,
 )
-from qisograph.relations import free_unitary_relations, magic_relations
+from qisograph.relations import free_unitary_relations, magic_relations, qaut_relations
 from qisograph.verdict import UNKNOWN, WITNESSED_NONZERO
 
 
@@ -88,3 +95,89 @@ def test_witness_generator_under_classical(graphs, qaut_rels):
     verdict = witness_nonzero({rels.alphabet.encode((q("1", "1"),)): 1}, rels.alphabet.gens,
                               [provider])
     assert verdict.kind == WITNESSED_NONZERO and abs(verdict.residual - 1.0) < 1e-12
+
+
+# --- the mask engine against the letter-by-letter oracle -------------------
+
+K4 = "graph k4\n" + "".join(f"v {v}\n" for v in "1234") + "".join(
+    f"e e{r}{s} {r} {s}\n" for s in "1234" for r in "1234" if r != s)
+LOOPS = ("l1", "l2", "l3", "l4")
+
+#: Perron-like fractional weights, negatives, and sums that cancel only
+#: up to rounding, so that a change of summation order shows
+COEFFS = (1, -1, 2, Fraction(1, 3), Fraction(-1, 3), Fraction(2, 7), Fraction(1, 10),
+          Fraction(-3, 10), Fraction(5, 11), Fraction(-22, 7))
+
+
+def _random_obligation(rng: random.Random, gens, diagonal) -> dict:
+    """A random int-word dict; half its letters are diagonal generators,
+    which every identity summand maps to 1, and one word set sums a
+    fraction several times against its negated total."""
+    letters = range(len(gens))
+
+    def word():
+        return tuple(rng.choice(diagonal) if rng.random() < 0.5 else rng.choice(letters)
+                     for _ in range(rng.randrange(5)))
+
+    terms = {word(): rng.choice(COEFFS) for _ in range(rng.randrange(1, 8))}
+    part = Fraction(1, rng.choice((3, 7, 10)))
+    cancelling = {word() for _ in range(rng.randrange(2, 6))}
+    for w in cancelling:
+        terms[w] = terms.get(w, 0) + part
+    terms[tuple(rng.choice(diagonal) for _ in range(5))] = -part * len(cancelling)
+    return {w: c for w, c in terms.items() if c}
+
+
+def _engine_cases(graphs, qaut_rels):
+    k4 = parse_graph(K4)
+    k4_rels = qaut_relations(k4, perron(k4))
+    magic = magic_relations(LOOPS)
+    unitary = free_unitary_relations(("1", "2", "3"))
+    portfolio = unitary_provider_portfolio(("1", "2", "3"), unitary)
+    return [
+        (classical_rep(graphs["k3"], qaut_rels["k3"]), qaut_rels["k3"].alphabet),
+        (classical_rep(graphs["asym4"], qaut_rels["asym4"]), qaut_rels["asym4"].alphabet),
+        (classical_rep(k4, k4_rels), k4_rels.alphabet),
+        (loop_permutation_rep(LOOPS, magic), magic.alphabet),
+    ] + [(provider, unitary.alphabet) for provider in portfolio]
+
+
+def test_norm_and_value_equal_the_letter_by_letter_oracle(graphs, qaut_rels):
+    rng = random.Random(16)
+    cases = _engine_cases(graphs, qaut_rels)
+    assert [p._masks is not None for p, _ in cases] == [True] * 5 + [False, False]
+    for provider, alpha in cases:
+        diagonal = [g for g, gen in enumerate(alpha.gens) if gen.row == gen.col]
+        for _ in range(300):
+            terms = _random_obligation(rng, alpha.gens, diagonal)
+            expected = letter_by_letter_value(provider, terms, alpha.gens)
+            assert provider.value(terms, alpha.gens).tobytes() == expected.tobytes()
+            assert provider.norm(terms, alpha.gens) == letter_by_letter_norm(
+                provider, terms, alpha.gens)
+
+
+def test_mask_engine_keeps_the_missing_generator_error(graphs, qaut_rels):
+    provider = classical_rep(graphs["k3"], qaut_rels["k3"])
+    rels = free_unitary_relations(("1", "2"))
+    with pytest.raises(KeyError, match=r"provider classical\(k3\) has no values for u\[1,1\]"):
+        provider.norm({(0,): 1}, rels.alphabet.gens)
+
+
+def test_non_automorphism_fails_on_the_mask_engine(graphs, perron_data, qaut_rels,
+                                                   monkeypatch):
+    """asym4 has trivial Aut(G); the 0/1 provider at a vertex swap that
+    is not an automorphism must leave a numeric residual, the one the
+    oracle gives."""
+    g, rels = graphs["asym4"], qaut_rels["asym4"]
+    swap = {"1": "2", "2": "1", "3": "3", "4": "4"}
+    assert swap not in graph_automorphisms(g)
+    provider = permutation_diag_rep("swap(1,2)", g.vertices, [swap])
+    assert provider._masks is not None
+    ctx = VerificationContext(g, perron_data["asym4"], rels, VERTEX_PAIR, [provider], 3)
+    residuals = {(r.name, str(r.inputs)): r.residuals.get("numeric")
+                 for r in run_identity_suite(ctx, k_max=2)}
+    assert max(v for v in residuals.values() if v is not None) > NUMERIC_TOL
+    monkeypatch.setattr(RepresentationProvider, "norm", letter_by_letter_norm)
+    oracle = {(r.name, str(r.inputs)): r.residuals.get("numeric")
+              for r in run_identity_suite(ctx, k_max=2)}
+    assert residuals == oracle
