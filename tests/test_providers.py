@@ -174,9 +174,9 @@ def test_non_automorphism_fails_on_the_mask_engine(graphs, perron_data, qaut_rel
     provider = permutation_diag_rep("swap(1,2)", g.vertices, [swap])
     assert provider._masks is not None
     ctx = VerificationContext(g, perron_data["asym4"], rels, VERTEX_PAIR, [provider], 3)
-    residuals = {(r.name, str(r.inputs)): r.residuals.get("numeric")
-                 for r in run_identity_suite(ctx, k_max=2)}
-    assert max(v for v in residuals.values() if v is not None) > NUMERIC_TOL
+    results = run_identity_suite(ctx, k_max=2)
+    assert any(not r.passed and r.residuals.get("numeric", 0.0) > NUMERIC_TOL for r in results)
+    residuals = {(r.name, str(r.inputs)): r.residuals.get("numeric") for r in results}
     monkeypatch.setattr(RepresentationProvider, "norm", letter_by_letter_norm)
     oracle = {(r.name, str(r.inputs)): r.residuals.get("numeric")
               for r in run_identity_suite(ctx, k_max=2)}
