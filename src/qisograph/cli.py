@@ -48,9 +48,11 @@ EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 
-#: the most entries the Dirac check's dense (summands, paths, paths)
-#: stack may hold, summands x paths(n_cap)^2: K5 verify holds
-#: 120 x 320^2, 6 loops at level 3 would hold 720 x 216^2
+#: the most entries a run's dense matrices may hold.  The Dirac check
+#: holds a (summands, paths, paths) stack and n_cap + 2 exact
+#: eigenprojections of paths(n_cap)^2 entries each, so K5 verify holds
+#: (120 + 5) x 320^2; spectral's Cuntz-Krieger check holds a
+#: paths(n_cap) x paths(n_cap - 1) map
 DIRAC_STACK_MAX = 2 ** 24
 
 
@@ -105,13 +107,18 @@ def _load_graph(config: RunConfig) -> tuple[DirectedGraph, str, str]:
     return g, text, text_digest(text)
 
 
-def _check_dirac_stack(summands: int, paths: int):
-    """Reject a run whose Dirac check would build a stack of more than
-    DIRAC_STACK_MAX entries, before any check runs."""
-    size = summands * paths ** 2
+def _check_dense_size(check: str, shape: str, size: int):
+    """Reject a run whose *check* would hold more than DIRAC_STACK_MAX
+    dense entries, before any check runs."""
     if size > DIRAC_STACK_MAX:
-        raise UsageError(f"the Dirac check would hold {summands} summands x {paths}^2 paths "
-                         f"= {size:,} entries, above the limit of {DIRAC_STACK_MAX:,}")
+        raise UsageError(f"the {check} would hold {shape} = {size:,} entries, "
+                         f"above the limit of {DIRAC_STACK_MAX:,}")
+
+
+def _check_dirac_stack(summands: int, paths: int, n_cap: int):
+    """The Dirac check's stack and its n_cap + 2 eigenprojections."""
+    _check_dense_size("Dirac check", f"({summands} summands + {n_cap + 2} projections) "
+                      f"x {paths}^2 paths", (summands + n_cap + 2) * paths ** 2)
 
 
 def _check_writable(path: str):
@@ -162,6 +169,9 @@ def cmd_spectral(config: RunConfig) -> SuiteReport:
         convention, conv_residuals = select_convention(pf, g)
     except PerronError as exc:
         raise UsageError(str(exc)) from None
+    if pf.exact:
+        below, top = path_counts(g, config.n_cap)[-2:]
+        _check_dense_size("Cuntz-Krieger check", f"{top} x {below} paths", top * below)
     checks = []
     checks.append(CheckResult(
         "perron", {}, True, "pass",
@@ -251,7 +261,8 @@ def cmd_verify(config: RunConfig) -> SuiteReport:
     except ValueError as exc:
         raise UsageError(str(exc)) from None
     if convention == SOURCE_APPEND:
-        _check_dirac_stack(ctx.providers[0].dim, path_counts(g, config.n_cap)[-1])
+        _check_dirac_stack(ctx.providers[0].dim, path_counts(g, config.n_cap)[-1],
+                           config.n_cap)
         report_checks = run_identity_suite(ctx, k_max=config.k_max, l_max=config.l_max)
     else:
         # forced rejected convention: run the negative control only
@@ -272,7 +283,7 @@ def cmd_cuntz(config: RunConfig) -> SuiteReport:
     flavors = [config.flavor] if config.flavor in (FREE_UNITARY, MAGIC) else [FREE_UNITARY, MAGIC]
     if MAGIC in flavors and len(g.vertices) == 1:
         # the S_n provider over the n^n_cap loop words of the top level
-        _check_dirac_stack(math.factorial(n), n ** config.n_cap)
+        _check_dirac_stack(math.factorial(n), n ** config.n_cap, config.n_cap)
     for flavor in flavors:
         started = time.monotonic()
         try:

@@ -55,8 +55,6 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .graphs import (
     DirectedGraph, Path, SOURCE_APPEND, enumerate_paths, extends, refine, s_pairs,
     s_star_pairs, vertex_path,
@@ -382,11 +380,12 @@ def check_kms_invariance(ctx: VerificationContext, lam: Path, mu: Path) -> Check
 # ---------------------------------------------------------------------------
 # Dirac commutation
 
-def evaluate_corep_matrix(ctx: VerificationContext, k: int,
-                          provider: RepresentationProvider) -> np.ndarray:
+def evaluate_corep_matrix(ctx: VerificationContext, k: int, provider: RepresentationProvider):
     """The level-k corepresentation under a provider, one level matrix
-    per one-dimensional summand: shape (dim, paths, paths), with entry
-    [s, eta, lam] the value of Q[eta, lam] on summand s."""
+    per one-dimensional summand: a complex numpy array of shape (dim,
+    paths, paths), with entry [s, eta, lam] the value of Q[eta, lam] on
+    summand s."""
+    import numpy as np
     table = ctx.level(k)
     out = np.zeros((provider.dim, len(table.basis), len(table.basis)), dtype=complex)
     for i, eta in enumerate(table.basis):
@@ -395,14 +394,17 @@ def evaluate_corep_matrix(ctx: VerificationContext, k: int,
     return out
 
 
-def _max_norm(stack: np.ndarray) -> float:
-    """Operator 2-norm of the direct sum of a stack of matrices: the
-    largest norm among them."""
+def _max_norm(stack) -> float:
+    """Operator 2-norm of the direct sum of a numpy stack of matrices:
+    the largest norm among them, exactly 0.0 for an all-zero stack
+    without an SVD."""
+    import numpy as np
+    if not stack.any():
+        return 0.0
     return float(np.linalg.norm(stack, 2, axis=(1, 2)).max())
 
 
-def check_dirac_commutation(ctx: VerificationContext,
-                            scalar_override: np.ndarray | None = None,
+def check_dirac_commutation(ctx: VerificationContext, scalar_override=None,
                             welldefined: dict[tuple[int, int], bool] | None = None
                             ) -> CheckResult:
     """Structural: the corepresentation preserves each level and is
@@ -414,11 +416,13 @@ def check_dirac_commutation(ctx: VerificationContext,
     summand and the largest is kept, which is the norm of the sum.
 
     *scalar_override* replaces the providers by the point evaluation at
-    a concrete matrix (negative control: a non-magic unitary must fail).
+    a concrete matrix, any nested sequence (negative control: a
+    non-magic unitary must fail).
     *welldefined* maps (l, k) to the pass flag of a well-definedness
     check already run; only the pairs missing from it are checked
     here.
     """
+    import numpy as np
     started = time.monotonic()
     n_cap = ctx.n_cap
     trace = ReductionTrace()

@@ -105,7 +105,7 @@ def letter_by_letter_value(provider, terms, gens) -> np.ndarray:
     for word, coeff in sorted(terms.items(), key=lambda t: (len(t[0]), t[0])):
         v = np.ones(provider.dim, dtype=complex)
         for g in word:
-            v = v * provider.values(gens[g])
+            v = v * np.array(provider.values(gens[g]), dtype=complex)
         total += float(coeff) * v
     return total
 

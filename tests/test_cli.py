@@ -353,9 +353,17 @@ def test_report_digest_tracks_graph_file(tmp_path):
 
 
 @pytest.mark.parametrize("command, text, extra, size", [
-    ("cuntz", _loops(6), [], "720 summands x 216^2 paths = 33,592,320 entries"),
-    ("cuntz", _loops(7), [], "5040 summands x 343^2 paths = 592,950,960 entries"),
-    ("verify", K4_TEXT, ["--level", "5"], "24 summands x 972^2 paths = 22,674,816 entries"),
+    ("cuntz", _loops(6), [],
+     "(720 summands + 5 projections) x 216^2 paths = 33,825,600 entries"),
+    ("cuntz", _loops(7), [],
+     "(5040 summands + 5 projections) x 343^2 paths = 593,539,205 entries"),
+    ("verify", K4_TEXT, ["--level", "5"],
+     "(24 summands + 7 projections) x 972^2 paths = 29,288,304 entries"),
+    ("verify", (GRAPHS / "asym4.g").read_text(), ["--level", "9"],
+     "(1 summands + 11 projections) x 2048^2 paths = 50,331,648 entries"),
+    ("cuntz", (GRAPHS / "cuntz2.g").read_text(), ["--level", "11"],
+     "(2 summands + 13 projections) x 2048^2 paths = 62,914,560 entries"),
+    ("spectral", K5_TEXT, ["--level", "6"], "20480 x 5120 paths = 104,857,600 entries"),
 ])
 def test_oversized_dirac_stack_exits_2_up_front(command, text, extra, size, tmp_path, capsys):
     graph = tmp_path / "big.g"
@@ -363,7 +371,8 @@ def test_oversized_dirac_stack_exits_2_up_front(command, text, extra, size, tmp_
     started = time.monotonic()
     assert main([command, "--graph", str(graph), *extra]) == 2
     assert time.monotonic() - started < 1.0
-    assert f"the Dirac check would hold {size}" in capsys.readouterr().err
+    check = "Cuntz-Krieger check" if command == "spectral" else "Dirac check"
+    assert f"the {check} would hold {size}" in capsys.readouterr().err
 
 
 def test_dirac_stack_limit_admits_k5_verify_and_five_loops():
@@ -371,6 +380,9 @@ def test_dirac_stack_limit_admits_k5_verify_and_five_loops():
     from qisograph.hilbert import path_counts
     k5 = parse_graph(K5_TEXT)
     assert (len(graph_automorphisms(k5)), path_counts(k5, 3)[-1]) == (120, 320)
-    for summands, paths in ((120, 320), (math.factorial(5), 5 ** 3)):
-        _check_dirac_stack(summands, paths)
-        assert summands * paths ** 2 <= DIRAC_STACK_MAX
+    for summands, paths, n_cap in ((120, 320, 3), (math.factorial(5), 5 ** 3, 3),
+                                   (1, 1024, 8)):        # asym4 --level 8
+        _check_dirac_stack(summands, paths, n_cap)
+        assert (summands + n_cap + 2) * paths ** 2 <= DIRAC_STACK_MAX
+    assert path_counts(k5, 5)[-2:] == [1280, 5120]
+    assert 5120 * 1280 <= DIRAC_STACK_MAX        # K5 spectral --level 5

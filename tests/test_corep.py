@@ -8,13 +8,13 @@ from qisograph.corep import (
     VERTEX_PAIR, VerificationContext, build_corep,
     check_comultiplicative, check_density, check_dirac_commutation,
     check_implementation, check_isometry, check_isometry_mixed, check_kms_invariance,
-    check_welldefined, evaluate_corep_matrix, isometry_obligation,
+    check_welldefined, evaluate_corep_matrix, isometry_obligation, level_pairs,
     run_identity_suite,
 )
 from qisograph.graphs import RANGE_PREPEND, SOURCE_APPEND, edge_path, enumerate_paths, vertex_path
 from qisograph.exprlang import parse_expression
 from qisograph.ncpoly import q
-from qisograph.providers import fourier_unitary
+from qisograph.providers import fourier_unitary, permutation_diag_rep
 from qisograph.relations import magic_relations
 from qisograph.rewrite import is_zero, normal_form
 from qisograph.verdict import PROVED_ZERO, UNKNOWN
@@ -85,7 +85,7 @@ def test_action_consistent_with_classical(contexts):
     for e in ctx.level(1).basis:
         for f in ctx.level(1).basis:
             values = provider.value({ctx.level(1).entries[(f, e)]: 1}, ctx.rels.alphabet.gens)
-            assert values.shape == (len(autos),)
+            assert len(values) == len(autos)
             for sigma, val in zip(autos, values):
                 expected = 1.0 if (sigma[e.range], sigma[e.source]) == (f.range, f.source) else 0.0
                 assert abs(val - expected) < 1e-12
@@ -323,7 +323,7 @@ def test_dirac_commutation_matches_dense_oracle(contexts):
         ids = ctx.rels.universe
         mats = (fourier_unitary(len(ids)), rotation_unitary(len(ids), 0.3))
         skew = RepresentationProvider("skew", 2, {
-            q(a, b): np.array([m[i, j] for m in mats])
+            q(a, b): tuple(m[i][j] for m in mats)
             for i, a in enumerate(ids) for j, b in enumerate(ids)})
         for provider in (ctx.providers[0], skew):
             for n_cap in (1, 2, 3):
@@ -332,6 +332,37 @@ def test_dirac_commutation_matches_dense_oracle(contexts):
                 assert abs(res.residuals["commutator"] - comm) < 1e-12
                 assert abs(res.residuals["gram_unitarity"] - unitary) < 1e-12
                 assert (unitary > 1e-3) == (provider is skew)
+
+
+def test_max_norm_skips_the_svd_of_a_zero_stack(monkeypatch):
+    from qisograph.corep import _max_norm
+    monkeypatch.setattr(np.linalg, "norm", None)        # must not be called
+    assert _max_norm(np.zeros((2, 3, 3), dtype=complex)) == 0.0
+
+
+def test_non_automorphism_dirac_residuals_are_the_svd_values(graphs, perron_data, qaut_rels):
+    """asym4 has trivial Aut(G); under a vertex swap that is not an
+    automorphism the stacks are nonzero, and the check reports their
+    largest 2-norms, taken by SVD."""
+    from qisograph.hilbert import dirac
+    g, pf = graphs["asym4"], perron_data["asym4"]
+    provider = permutation_diag_rep("swap(1,2)", g.vertices,
+                                    [{"1": "2", "2": "1", "3": "3", "4": "4"}])
+    ctx = VerificationContext(g, pf, qaut_rels["asym4"], VERTEX_PAIR, [provider], 3)
+    res = check_dirac_commutation(ctx, welldefined=dict.fromkeys(level_pairs(3), True))
+    u = evaluate_corep_matrix(ctx, 3, provider)
+    triple = dirac(g, pf, 3)
+    gmat = np.diag([float(x) for x in triple.gram])
+    hats = [np.array([[float(x) for x in row] for row in m])
+            for m in (*triple.xi_hat, triple.constants_projection)]
+
+    def svd_norm(stack):
+        return float(np.linalg.norm(stack, 2, axis=(1, 2)).max())
+
+    unitary = svd_norm(u.conj().transpose(0, 2, 1) @ gmat @ u - gmat)
+    comm = max(svd_norm(u @ hat - hat @ u) for hat in hats)
+    assert res.residuals == {"commutator": comm, "gram_unitarity": unitary}
+    assert comm > 1e-3 and unitary > 1e-3 and not res.passed
 
 
 def test_suite_builds_each_entry_once(contexts, monkeypatch):
