@@ -116,7 +116,10 @@ def _check_dense_size(check: str, shape: str, size: int):
 
 
 def _check_dirac_stack(summands: int, paths: int, n_cap: int):
-    """The Dirac check's stack and its n_cap + 2 eigenprojections."""
+    """The Dirac check's stack and its n_cap + 2 eigenprojections.  The
+    summands term bounds the dense float fallback, which only providers
+    whose summands are not all invariant permutations build; the bound
+    counts every summand, so it refuses the same runs either way."""
     _check_dense_size("Dirac check", f"({summands} summands + {n_cap + 2} projections) "
                       f"x {paths}^2 paths", (summands + n_cap + 2) * paths ** 2)
 

@@ -48,12 +48,22 @@ residual stays below NUMERIC_TOL.  The truncation level is the
 context's n_cap.  Every refinement is source-append, the side the
 Perron measure is additive on; only the negative control of
 well-definedness refines the argument on the other side.
+
+The Dirac check needs well-definedness for every pair l < k <= n_cap.
+Source-append refinement composes, so it runs only the one-step pairs
+(l, l+1) that the suite has not run.  Its numeric part reads each
+summand of a 0/1 provider off the bitmasks of the level-n_cap entry
+words: a permutation of the basis that keeps the float Gram diagonal
+and projections gives residuals of exactly 0.0, as the dense stacks
+would.  Every other provider goes through those complex numpy stacks,
+the one place this module imports numpy.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 from .graphs import (
     DirectedGraph, Path, SOURCE_APPEND, enumerate_paths, extends, refine, s_pairs,
@@ -404,6 +414,52 @@ def _max_norm(stack) -> float:
     return float(np.linalg.norm(stack, 2, axis=(1, 2)).max())
 
 
+def _summand_permutations(ctx: VerificationContext, provider: RepresentationProvider):
+    """For a provider whose values are all 0 or 1: per summand, the
+    permutation pi of the level-n_cap basis (as a list of indices) whose
+    matrix the summand evaluates to, Q[pi(j), j] = 1 and every other
+    entry 0.  None for any other provider, or when some summand's
+    matrix is not a permutation."""
+    table = ctx.level(ctx.n_cap)
+    n = len(table.basis)
+    gens = ctx.rels.alphabet.gens
+    perms = [[None] * n for _ in range(provider.dim)]
+    for j, lam in enumerate(table.basis):
+        for i, eta in enumerate(table.basis):
+            mask = provider.word_mask(table.entries[(eta, lam)], gens)
+            if mask is None:
+                return None
+            while mask:
+                low = mask & -mask
+                perm = perms[low.bit_length() - 1]
+                if perm[j] is not None:             # two ones in column j
+                    return None
+                perm[j] = i
+                mask ^= low
+    if any(None in perm or len(set(perm)) < n for perm in perms):
+        return None
+    return perms
+
+
+def _certified(ctx: VerificationContext, provider: RepresentationProvider,
+               gram: tuple[float, ...], hats: list[list[tuple[float, ...]]]) -> bool:
+    """Every summand of *provider* evaluates the level-n_cap matrix to a
+    permutation pi that keeps the float Gram diagonal and every float
+    projection: gram[pi j] == gram[j] and H[pi a][pi l] == H[a][l].
+    On a one-element basis ``itemgetter`` returns a bare float, never
+    equal to a tuple, so that case is left to the dense stacks."""
+    perms = _summand_permutations(ctx, provider)
+    if perms is None:
+        return False
+    for perm in perms:
+        permute = itemgetter(*perm)
+        if permute(gram) != gram:
+            return False
+        if any(permute(hat[p]) != row for hat in hats for p, row in zip(perm, hat)):
+            return False
+    return True
+
+
 def check_dirac_commutation(ctx: VerificationContext, scalar_override=None,
                             welldefined: dict[tuple[int, int], bool] | None = None
                             ) -> CheckResult:
@@ -415,14 +471,29 @@ def check_dirac_commutation(ctx: VerificationContext, scalar_override=None,
     one-dimensional representations, so both norms are taken per
     summand and the largest is kept, which is the norm of the sum.
 
+    Source-append refinement composes, E_{l->k} = E_{k-1->k} ... E_{l->l+1},
+    so U_k E_{l->k} = E_{l->k} U_l follows from the one-step pairs
+    (l, l+1), and so does the embedding's Gram isometry.  The structural
+    part is therefore the pass flags in *welldefined*, which maps (l, k)
+    to the result of a well-definedness check already run, for the pairs
+    with k <= n_cap (pairs above n_cap are ignored), ANDed with the
+    one-step pairs, of which only the ones missing from *welldefined*
+    are run, stopping at the first failure.  Each pair l < k <= n_cap
+    is one trace event, the pair accounted for.
+
+    A provider whose values are all 0 or 1 and whose every summand
+    evaluates the level-n_cap matrix to a permutation pi of the basis,
+    with the float Gram diagonal and every float projection invariant
+    under pi, contributes exactly 0.0 to both residuals: the float
+    products with a permutation matrix are exact, so the dense stacks
+    would be all zero.  Every other provider, and *scalar_override*,
+    runs through the dense numpy stacks; that is the only place the
+    check imports numpy.
+
     *scalar_override* replaces the providers by the point evaluation at
     a concrete matrix, any nested sequence (negative control: a
     non-magic unitary must fail).
-    *welldefined* maps (l, k) to the pass flag of a well-definedness
-    check already run; only the pairs missing from it are checked
-    here.
     """
-    import numpy as np
     started = time.monotonic()
     n_cap = ctx.n_cap
     trace = ReductionTrace()
@@ -433,25 +504,33 @@ def check_dirac_commutation(ctx: VerificationContext, scalar_override=None,
         for l, k in level_pairs(n_cap):
             if structural_ok:
                 passed = known.get((l, k))
-                structural_ok = (check_welldefined(ctx, l, k).passed
-                                 if passed is None else passed)
+                if passed is None and k == l + 1:
+                    passed = check_welldefined(ctx, l, k).passed
+                if passed is not None:
+                    structural_ok = passed
             trace.add(f"welldefined:{l}->{k}")
     else:
         providers = [matrix_point_provider("scalar-override", ctx.rels.universe,
                                            scalar_override, kind=ctx.rels.gen_kind)]
 
     triple = dirac(ctx.g, ctx.pf, n_cap)
-    gmat = np.diag([float(x) for x in triple.gram])
-    hats = [np.array([[float(x) for x in row] for row in m]) for m in triple.xi_hat]
-    hats.append(np.array([[float(x) for x in row] for row in triple.constants_projection]))
+    gram = tuple(float(x) for x in triple.gram)
+    hats = [[tuple(float(x) for x in row) for row in m]
+            for m in (*triple.xi_hat, triple.constants_projection)]
 
+    if scalar_override is None:
+        providers = [p for p in providers if not _certified(ctx, p, gram, hats)]
     worst_comm = 0.0
     worst_unitary = 0.0
+    if providers:
+        import numpy as np
+        gmat = np.diag(gram)
+        hat_arrays = [np.array(hat) for hat in hats]
     for provider in providers:
         u = evaluate_corep_matrix(ctx, n_cap, provider)
         u_adj = u.conj().transpose(0, 2, 1)
         worst_unitary = max(worst_unitary, _max_norm(u_adj @ gmat @ u - gmat))
-        for hat in hats:
+        for hat in hat_arrays:
             worst_comm = max(worst_comm, _max_norm(u @ hat - hat @ u))
 
     passed = structural_ok and worst_comm < NUMERIC_TOL and worst_unitary < NUMERIC_TOL

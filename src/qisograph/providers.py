@@ -10,12 +10,15 @@ coefficient dict, with its alphabet's ``gens`` as the letter table,
 summand by summand and words in (length, word) order; the operator norm
 of the direct sum is the largest |value| over the summands.  When every
 value is exactly 0 or 1 (the permutation providers), a word's values
-are the AND of its letters' summand bitmasks, and each coefficient is
-added to the sum of every set bit, in plain Python.  Point providers
-multiply numpy value vectors letter by letter; that float path, and
-the Dirac check in ``corep``, are the only places numpy is imported,
-so building, registering and evaluating the permutation providers
-never loads it.
+are the AND of its letters' summand bitmasks (``word_mask``), and each
+coefficient is added to the sum of every set bit, in plain Python; the
+Dirac check in ``corep`` reads each summand's level matrix off the same
+masks.  Point providers multiply numpy value vectors letter by letter;
+that float path, and the Dirac check's dense fallback, which a
+provider whose summands are permutations keeping the Gram form and
+the Dirac projections never reaches, are the only places numpy is
+imported, so building, registering and evaluating the permutation
+providers, and certifying them, never load it.
 
 The classical provider for a graph sums over its automorphism group:
 q[i,j] takes the value delta_{i, sigma(j)} on the summand sigma.  Point
@@ -32,7 +35,7 @@ import math
 from dataclasses import dataclass
 
 from .graphs import DirectedGraph, graph_automorphisms
-from .ncpoly import Generator, IntTerms, QKIND, UKIND, USTAR
+from .ncpoly import Generator, IntTerms, IntWord, QKIND, UKIND, USTAR
 from .relations import RelationSet
 from .verdict import UNKNOWN, WITNESSED_NONZERO, Verdict
 
@@ -70,6 +73,23 @@ class RepresentationProvider:
         except KeyError:
             raise KeyError(f"provider {self.name} has no values for {gen}") from None
 
+    def word_mask(self, word: IntWord, gens) -> int | None:
+        """The summands on which *word* takes the value 1, as the AND of
+        its letters' masks, stopped once it is 0; None unless every
+        value is 0 or 1."""
+        masks = self._masks
+        if masks is None:
+            return None
+        mask = (1 << self.dim) - 1
+        for g in word:
+            try:
+                mask &= masks[gens[g]]
+            except KeyError:
+                self.values(gens[g])                # raises the missing-generator error
+            if not mask:
+                break
+        return mask
+
     def value(self, terms: IntTerms, gens):
         """The value of *terms* on each summand, words in (length, word)
         order: a list of floats on masks, where the words whose mask is
@@ -85,15 +105,8 @@ class RepresentationProvider:
             return total
         live = []
         for word, coeff in terms.items():
-            mask = (1 << self.dim) - 1
-            for g in word:
-                try:
-                    mask &= self._masks[gens[g]]
-                except KeyError:
-                    self.values(gens[g])            # raises the missing-generator error
-                if not mask:
-                    break
-            else:
+            mask = self.word_mask(word, gens)
+            if mask:
                 live.append((len(word), word, mask, float(coeff)))
         sums = [0.0] * self.dim
         for _, _, mask, c in sorted(live):

@@ -250,12 +250,13 @@ def test_suite_checks_each_welldefined_pair_once(contexts, monkeypatch):
     monkeypatch.setattr(corep, "check_welldefined", counting)
     ctx = contexts["three-cycle"]
     results = run_identity_suite(ctx, k_max=2)
-    # the suite checks l < k <= 2, the Dirac check adds the pairs up to 3
-    assert sorted(calls) == [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
+    # the suite checks l < k <= 2; the Dirac check adds only the one-step
+    # pair (2, 3), since (0, 3) and (1, 3) compose from one-step pairs
+    assert sorted(calls) == [(0, 1), (0, 2), (1, 2), (2, 3)]
     shared = results[-1]
     calls.clear()
     alone = check_dirac_commutation(ctx)
-    assert len(calls) == 6
+    assert calls == [(0, 1), (1, 2), (2, 3)]
     assert (shared.reductions, shared.trace_digest, shared.detail) == \
         (alone.reductions, alone.trace_digest, alone.detail)
 
@@ -363,6 +364,176 @@ def test_non_automorphism_dirac_residuals_are_the_svd_values(graphs, perron_data
     comm = max(svd_norm(u @ hat - hat @ u) for hat in hats)
     assert res.residuals == {"commutator": comm, "gram_unitarity": unitary}
     assert comm > 1e-3 and unitary > 1e-3 and not res.passed
+
+
+K4 = "graph k4\n" + "".join(f"v {v}\n" for v in "1234") + "".join(
+    f"e e{r}{s} {r} {s}\n" for s in "1234" for r in "1234" if r != s)
+LOOPS4 = "graph cuntz4\nv w\n" + "".join(f"e l{i} w w\n" for i in range(1, 5))
+
+
+def _float_dirac_residuals(ctx, triple=None):
+    """The dense float form of the numeric Dirac check under every
+    provider of *ctx*: ``evaluate_corep_matrix`` stacks and ``_max_norm``."""
+    from qisograph.corep import _max_norm
+    from qisograph.hilbert import dirac
+    triple = triple or dirac(ctx.g, ctx.pf, ctx.n_cap)
+    gmat = np.diag([float(x) for x in triple.gram])
+    hats = [np.array([[float(x) for x in row] for row in m])
+            for m in (*triple.xi_hat, triple.constants_projection)]
+    comm = unitary = 0.0
+    for provider in ctx.providers:
+        u = evaluate_corep_matrix(ctx, ctx.n_cap, provider)
+        unitary = max(unitary, _max_norm(u.conj().transpose(0, 2, 1) @ gmat @ u - gmat))
+        for hat in hats:
+            comm = max(comm, _max_norm(u @ hat - hat @ u))
+    return {"commutator": comm, "gram_unitarity": unitary}
+
+
+def _count_dense_evaluations(monkeypatch):
+    from qisograph import corep
+    calls = []
+    original = corep.evaluate_corep_matrix
+
+    def counting(ctx, k, provider):
+        calls.append(provider.name)
+        return original(ctx, k, provider)
+
+    monkeypatch.setattr(corep, "evaluate_corep_matrix", counting)
+    return calls
+
+
+def _known_welldefined(ctx):
+    return dict.fromkeys(level_pairs(ctx.n_cap), True)
+
+
+def test_permutation_certificate_matches_the_dense_residuals(contexts, graphs, monkeypatch):
+    """The automorphism and loop-permutation providers are certified
+    without a dense stack, on every bundled graph, K4 and the 4-loop
+    magic suite, and report the dense residuals bit for bit."""
+    from qisograph.cuntz import MAGIC, cuntz_setup, sn_plus_context
+    from qisograph.graphs import parse_graph
+    from qisograph.perron import perron
+    from qisograph.providers import classical_rep
+    from qisograph.relations import qaut_relations
+    k4 = parse_graph(K4)
+    k4_pf = perron(k4)
+    k4_rels = qaut_relations(k4, k4_pf)
+    cases = dict(contexts)
+    cases["k4"] = VerificationContext(k4, k4_pf, k4_rels, VERTEX_PAIR,
+                                      [classical_rep(k4, k4_rels)], 3)
+    for name, g in (("cuntz2", graphs["cuntz2"]), ("cuntz3", graphs["cuntz3"]),
+                    ("loops4", parse_graph(LOOPS4))):
+        cases[name] = sn_plus_context(cuntz_setup(g, MAGIC))
+    assert len(cases) == 8
+    for name, ctx in cases.items():
+        calls = _count_dense_evaluations(monkeypatch)
+        res = check_dirac_commutation(ctx, welldefined=_known_welldefined(ctx))
+        assert calls == [], name
+        monkeypatch.undo()
+        assert res.residuals == _float_dirac_residuals(ctx), name
+        assert res.passed, name
+
+
+def test_non_injective_zero_one_provider_takes_the_dense_path(contexts, monkeypatch):
+    """q[i,j] = delta_{i,f(j)} for a non-injective f is 0/1 but no
+    summand is a permutation: that provider alone is evaluated densely
+    and the check reports the SVD values of the oracle."""
+    ctx = contexts["k3"]
+    collapse = permutation_diag_rep("collapse", ctx.g.vertices, [{"1": "1", "2": "1", "3": "3"}])
+    ctx = replace(ctx, providers=[ctx.providers[0], collapse])
+    oracle = _float_dirac_residuals(ctx)
+    calls = _count_dense_evaluations(monkeypatch)
+    res = check_dirac_commutation(ctx, welldefined=_known_welldefined(ctx))
+    assert calls == ["collapse"]
+    assert res.residuals == oracle
+    assert oracle["commutator"] > 1e-3 and oracle["gram_unitarity"] > 1e-3 and not res.passed
+
+
+def test_function_summand_is_not_a_permutation(monkeypatch):
+    """On the undirected 4-cycle, folding 3 onto 1 and 4 onto 2 is a
+    graph map: each column of its level matrix holds one 1, but two
+    columns share a row.  A constant Gram diagonal and
+    constant projections are kept by any map of the basis, yet the
+    summand is no permutation, and the dense stacks read nonzero."""
+    from qisograph import corep
+    from qisograph.graphs import parse_graph
+    from qisograph.hilbert import TruncatedTriple, dirac
+    from qisograph.perron import perron
+    from qisograph.relations import qaut_relations
+    g = parse_graph("graph ucyc4\n" + "".join(f"v {v}\n" for v in "1234") + "".join(
+        f"e e{r}{s} {r} {s}\n" for r in "1234" for s in "1234" if (int(r) - int(s)) % 2))
+    pf = perron(g)
+    rels = qaut_relations(g, pf)
+    collapse = permutation_diag_rep("collapse", g.vertices, [{"1": "1", "2": "2", "3": "1", "4": "2"}])
+    ctx = VerificationContext(g, pf, rels, VERTEX_PAIR, [collapse], 3)
+    triple = dirac(g, pf, ctx.n_cap)
+    n = len(triple.gram)
+    constant = [[Fraction(1, n)] * n for _ in range(n)]
+    flat = TruncatedTriple((Fraction(1),) * n, [constant] * len(triple.xi_hat), constant)
+    oracle = _float_dirac_residuals(ctx, flat)
+    monkeypatch.setattr(corep, "dirac", lambda g, pf, n_cap: flat)
+    calls = _count_dense_evaluations(monkeypatch)
+    res = check_dirac_commutation(ctx, welldefined=_known_welldefined(ctx))
+    assert calls == ["collapse"]
+    assert res.residuals == oracle
+    assert oracle["commutator"] > 1e-3 and oracle["gram_unitarity"] > 1e-3 and not res.passed
+
+
+@pytest.mark.parametrize("part", ["gram", "xi-hat"])
+def test_invariance_miss_takes_the_dense_path(contexts, monkeypatch, part):
+    """A Gram diagonal or a projection that the automorphisms do not
+    keep sends the classical provider to the dense stacks, which
+    report the oracle's nonzero residuals."""
+    from qisograph import corep
+    from qisograph.hilbert import TruncatedTriple, dirac
+    ctx = contexts["k3"]
+    triple = dirac(ctx.g, ctx.pf, ctx.n_cap)
+    gram, xi_hat = list(triple.gram), [[list(row) for row in m] for m in triple.xi_hat]
+    if part == "gram":
+        gram[0] *= 2
+    else:
+        xi_hat[-1][0][1] += Fraction(1, 3)
+    skewed = TruncatedTriple(tuple(gram), xi_hat, triple.constants_projection)
+    oracle = _float_dirac_residuals(ctx, skewed)
+    monkeypatch.setattr(corep, "dirac", lambda g, pf, n_cap: skewed)
+    calls = _count_dense_evaluations(monkeypatch)
+    res = check_dirac_commutation(ctx, welldefined=_known_welldefined(ctx))
+    assert calls == [ctx.providers[0].name]
+    assert res.residuals == oracle and not res.passed
+    key = "gram_unitarity" if part == "gram" else "commutator"
+    assert oracle[key] > 1e-3
+
+
+def test_dirac_commutation_fails_on_a_failing_one_step_pair(contexts, monkeypatch):
+    from qisograph import corep
+    ctx = contexts["three-cycle"]
+    passing = check_dirac_commutation(ctx)
+    calls = []
+    original = corep.check_welldefined
+
+    def failing_1_2(ctx, l, k, convention=SOURCE_APPEND):
+        calls.append((l, k))
+        res = original(ctx, l, k, convention)
+        return replace(res, passed=False) if (l, k) == (1, 2) else res
+
+    monkeypatch.setattr(corep, "check_welldefined", failing_1_2)
+    res = check_dirac_commutation(ctx)
+    assert calls == [(0, 1), (1, 2)]                # stops at the first failure
+    assert not res.passed and res.detail["welldefined_passed"] is False
+    assert res.reductions == 6                      # every pair l < k <= 3
+    assert res.trace_digest == passing.trace_digest
+
+
+def test_dirac_commutation_ignores_known_pairs_above_n_cap(contexts, monkeypatch):
+    from qisograph import corep
+    ctx = replace(contexts["three-cycle"], n_cap=2)
+    known = _known_welldefined(ctx)
+    expected = check_dirac_commutation(ctx, welldefined=known)
+    monkeypatch.setattr(corep, "check_welldefined", None)   # must not be called
+    res = check_dirac_commutation(ctx, welldefined={**known, (2, 3): False, (0, 3): False})
+    assert res.passed
+    assert (res.residuals, res.reductions, res.trace_digest, res.detail) == \
+        (expected.residuals, expected.reductions, expected.trace_digest, expected.detail)
 
 
 def test_suite_builds_each_entry_once(contexts, monkeypatch):

@@ -12,6 +12,7 @@ from qisograph.hilbert import (
     embedding_gram_residual, level_space, multiplicities, path_counts, represent,
     theta_partial_sums, theta_tail_bound,
 )
+from qisograph.ratmat import rat_matmul
 from oracles import (
     dirac_matrix, gram_adjoint, projection_invariant_residual, rat_rank,
     theta_dominating_terms, xi_hat_ranks,
@@ -72,11 +73,19 @@ def test_embed_gram_isometry_exact(graphs, perron_data):
                 assert embedding_gram_residual(g, pf, l, k) == 0
 
 
-def test_embed_composition(graphs, perron_data):
-    g, pf = graphs["k3"], perron_data["k3"]
-    two_step = embed(g, 1, 3).mat
-    via = embed(g, 2, 3).compose(embed(g, 1, 2)).mat
-    assert two_step == via
+def test_embed_composition(graphs):
+    """Source-append refinement composes: E_{l->k} = E_{k-1->k} ... E_{l->l+1},
+    exactly, which is what lets well-definedness follow from the
+    one-step pairs."""
+    for g in graphs.values():
+        for l in range(4):
+            product = embed(g, l, l + 1).mat
+            for k in range(l + 1, 5):
+                if k > l + 1:
+                    product = rat_matmul(embed(g, k - 1, k).mat, product)
+                assert embed(g, l, k).mat == product
+    g = graphs["k3"]
+    assert embed(g, 1, 3).mat == embed(g, 2, 3).compose(embed(g, 1, 2)).mat
 
 
 def test_embed_prepend_not_isometric_on_asym4(graphs, perron_data):

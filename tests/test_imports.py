@@ -1,8 +1,9 @@
 """Import hygiene, each case in a fresh interpreter: numpy is imported
 only where float linear algebra runs (the point providers' float path
-and the Dirac check), and ``import qisograph.cli`` loads every module of
-the package, which ``perfbench/tracer.py`` relies on before it rebinds
-the traced boundaries."""
+and the Dirac check's dense fallback, which permutation providers never
+reach), and ``import qisograph.cli`` loads every module of the package,
+which ``perfbench/tracer.py`` relies on before it rebinds the traced
+boundaries."""
 
 import os
 import subprocess
@@ -40,13 +41,19 @@ def _main_loads_numpy(argv: list[str], exit_code: int = 0) -> bool:
       "sum(k, u*[k,l1]*u[k,l1]) - 1"], 0),
     # the negative control of well-definedness fails, by design
     (["verify", "--graph", str(GRAPHS / "asym4.g"), "--convention", "range-prepend"], 1),
-], ids=["spectral", "validate", "reduce-qaut", "reduce-free-unitary", "range-prepend"])
+    # the Dirac check certifies the automorphism providers exactly
+    (["verify", "--graph", str(GRAPHS / "three_cycle.g")], 0),
+    (["verify", "--graph", str(GRAPHS / "k3.g")], 0),
+], ids=["spectral", "validate", "reduce-qaut", "reduce-free-unitary", "range-prepend",
+        "verify-three-cycle", "verify-k3"])
 def test_commands_without_float_linear_algebra_leave_numpy_unloaded(argv, exit_code):
     assert not _main_loads_numpy(argv, exit_code)
 
 
-def test_verify_suite_loads_numpy_for_the_dirac_check():
-    assert _main_loads_numpy(["verify", "--graph", str(GRAPHS / "three_cycle.g")])
+def test_cuntz_loads_numpy_for_the_point_providers(tmp_path):
+    graph = tmp_path / "loops4.g"
+    graph.write_text("graph cuntz4\nv w\n" + "".join(f"e l{i} w w\n" for i in range(1, 5)))
+    assert _main_loads_numpy(["cuntz", "--graph", str(graph)])
 
 
 def test_building_and_registering_providers_leaves_numpy_unloaded():
