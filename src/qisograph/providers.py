@@ -11,14 +11,10 @@ summand by summand and words in (length, word) order; the operator norm
 of the direct sum is the largest |value| over the summands.  When every
 value is exactly 0 or 1 (the permutation providers), a word's values
 are the AND of its letters' summand bitmasks (``word_mask``), and each
-coefficient is added to the sum of every set bit, in plain Python; the
-Dirac check in ``corep`` reads each summand's level matrix off the same
-masks.  Point providers multiply numpy value vectors letter by letter;
-that float path, and the Dirac check's dense fallback, which a
-provider whose summands are permutations keeping the Gram form and
-the Dirac projections never reaches, are the only places numpy is
-imported, so building, registering and evaluating the permutation
-providers, and certifying them, never load it.
+coefficient is added to the sum of every set bit; the Dirac check in
+``corep`` reads each summand's level matrix off the same masks.  The
+other providers, the point evaluations, multiply complex values letter
+by letter.  Both paths are plain Python.
 
 The classical provider for a graph sums over its automorphism group:
 q[i,j] takes the value delta_{i, sigma(j)} on the summand sigma.  Point
@@ -55,7 +51,7 @@ class RepresentationProvider:
     maps each generator to a tuple of its *dim* values, one per summand,
     as plain Python numbers.  If they are all exactly 0 or 1, ``_masks``
     maps each generator to the int whose bit s is set where its value on
-    summand s is 1; otherwise evaluation runs on numpy vectors."""
+    summand s is 1; otherwise evaluation multiplies the values."""
 
     name: str
     dim: int
@@ -90,19 +86,20 @@ class RepresentationProvider:
                 break
         return mask
 
-    def value(self, terms: IntTerms, gens):
+    def value(self, terms: IntTerms, gens) -> list:
         """The value of *terms* on each summand, words in (length, word)
-        order: a list of floats on masks, where the words whose mask is
-        0 add nothing, else a complex numpy vector."""
+        order: floats on masks, where the words whose mask is 0 add
+        nothing, else complexes, each word's values multiplied letter
+        by letter."""
         if self._masks is None:
-            import numpy as np
-            total = np.zeros(self.dim, dtype=complex)
+            sums = [0j] * self.dim
             for word, coeff in sorted(terms.items(), key=lambda t: (len(t[0]), t[0])):
-                v = np.ones(self.dim, dtype=complex)
+                v = [1 + 0j] * self.dim
                 for g in word:
-                    v = v * np.array(self.values(gens[g]), dtype=complex)
-                total += float(coeff) * v
-            return total
+                    v = [x * y for x, y in zip(v, self.values(gens[g]))]
+                c = float(coeff)
+                sums = [s + c * x for s, x in zip(sums, v)]
+            return sums
         live = []
         for word, coeff in terms.items():
             mask = self.word_mask(word, gens)
@@ -117,11 +114,7 @@ class RepresentationProvider:
         return sums
 
     def norm(self, terms: IntTerms, gens) -> float:
-        sums = self.value(terms, gens)
-        if self._masks is None:
-            import numpy as np
-            return float(np.abs(sums).max())
-        return max(map(abs, sums))
+        return max(map(abs, self.value(terms, gens)))
 
 
 def _check(provider: RepresentationProvider, label: str, terms, target=0.0):

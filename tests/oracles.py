@@ -88,6 +88,31 @@ def dirac_matrix(triple, alpha) -> np.ndarray:
     return d
 
 
+def dense_dirac_residuals(ctx, provider, triple=None) -> dict[str, float]:
+    """The numeric Dirac check done densely: the level-``ctx.n_cap``
+    matrix under each one-dimensional summand of *provider*, entry
+    [s, eta, lam] the value of Q[eta, lam] on summand s, and the largest
+    2-norm, by SVD, of U*GU - G and of UH - HU over the summands and the
+    projections H of *triple* (default ``dirac(ctx.g, ctx.pf,
+    ctx.n_cap)``).  The norm of a direct sum is its largest summand's."""
+    from qisograph.hilbert import dirac
+    triple = triple or dirac(ctx.g, ctx.pf, ctx.n_cap)
+    table = ctx.level(ctx.n_cap)
+    u = np.array([[provider.value({table.entries[(eta, lam)]: 1}, ctx.rels.alphabet.gens)
+                   for lam in table.basis] for eta in table.basis], dtype=complex)
+    u = u.transpose(2, 0, 1)
+    gmat = np.diag([float(x) for x in triple.gram])
+
+    def norm(stack) -> float:
+        return float(np.linalg.norm(stack, 2, axis=(1, 2)).max())
+
+    comm = max(norm(u @ hat - hat @ u)
+               for hat in (np.array([[float(x) for x in row] for row in m])
+                           for m in (*triple.xi_hat, triple.constants_projection)))
+    return {"commutator": comm,
+            "gram_unitarity": norm(u.conj().transpose(0, 2, 1) @ gmat @ u - gmat)}
+
+
 def theta_dominating_terms(m_edges: int, t: float, eps: float, q_max: int) -> list[float]:
     """Terms exp(-t q^{1+2 eps}) m^q of the dominating series, q >= 1.
 

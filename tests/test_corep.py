@@ -1,20 +1,19 @@
 from dataclasses import replace
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
+from oracles import dense_dirac_residuals
 from qisograph.corep import (
     VERTEX_PAIR, VerificationContext, build_corep,
     check_comultiplicative, check_density, check_dirac_commutation,
     check_implementation, check_isometry, check_isometry_mixed, check_kms_invariance,
-    check_welldefined, evaluate_corep_matrix, isometry_obligation, level_pairs,
-    run_identity_suite,
+    check_welldefined, isometry_obligation, level_pairs, run_identity_suite,
 )
 from qisograph.graphs import RANGE_PREPEND, SOURCE_APPEND, edge_path, enumerate_paths, vertex_path
 from qisograph.exprlang import parse_expression
 from qisograph.ncpoly import q
-from qisograph.providers import fourier_unitary, permutation_diag_rep
+from qisograph.providers import fourier_unitary, matrix_point_provider, permutation_diag_rep
 from qisograph.relations import magic_relations
 from qisograph.rewrite import is_zero, normal_form
 from qisograph.verdict import PROVED_ZERO, UNKNOWN
@@ -271,56 +270,33 @@ def test_dirac_commutation_uses_given_welldefined_flags(contexts, monkeypatch):
     assert res.reductions == 3                    # tags for 0->1, 0->2, 1->2
 
 
+def _failed_uncertified(res, name):
+    """The Dirac check failed as Unknown on the uncertified provider
+    *name* alone."""
+    return (not res.passed and res.verdict == UNKNOWN
+            and res.detail["uncertified"] == [name])
+
+
 def test_dirac_commutation_negative_control(contexts):
-    ctx = contexts["k3"]
-    res = check_dirac_commutation(replace(ctx, n_cap=2), scalar_override=fourier_unitary(3))
-    assert not res.passed
-    assert res.residuals["commutator"] > 1e-3
-
-
-def test_evaluated_corep_gram_unitary(contexts):
-    from qisograph.hilbert import level_space
-    for name in ("three-cycle", "k3", "asym4"):
-        ctx = contexts[name]
-        provider = ctx.providers[0]
-        for k in (1, 2):
-            stack = evaluate_corep_matrix(ctx, k, provider)
-            gram = np.diag([float(x) for x in level_space(ctx.g, ctx.pf, k).gram])
-            assert stack.shape == (provider.dim,) + gram.shape
-            for mat in stack:     # one level matrix per one-dimensional summand
-                assert np.linalg.norm(mat.conj().T @ gram @ mat - gram, 2) < 1e-10
-
-
-def _dense_dirac_residuals(ctx, n_cap, provider):
-    """The block-matrix form of the numeric Dirac check: entry (eta, lam)
-    as a dim x dim diagonal block, projections tensored with the
-    identity, norms by full SVD."""
-    from qisograph.hilbert import dirac
-    basis = enumerate_paths(ctx.g, n_cap)
-    d = provider.dim
-    u_mat = np.zeros((len(basis) * d, len(basis) * d), dtype=complex)
-    for i, eta in enumerate(basis):
-        for j, lam in enumerate(basis):
-            u_mat[i * d:(i + 1) * d, j * d:(j + 1) * d] = \
-                np.diag(provider.value({ctx.level(n_cap).entries[(eta, lam)]: 1},
-                                       ctx.rels.alphabet.gens))
-    triple = dirac(ctx.g, ctx.pf, n_cap)
-    gmat = np.diag(np.kron([float(x) for x in triple.gram], np.ones(d)))
-    unitary = np.linalg.norm(u_mat.conj().T @ gmat @ u_mat - gmat, 2)
-    hats = list(triple.xi_hat) + [triple.constants_projection]
-    comm = 0.0
-    for hat in hats:
-        big = np.kron(np.array([[float(x) for x in row] for row in hat]), np.eye(d))
-        comm = max(comm, np.linalg.norm(u_mat @ big - big @ u_mat, 2))
-    return comm, unitary
+    """The point evaluation at a non-magic unitary is no sum of graph
+    automorphisms: the check fails, naming it, and the dense oracle
+    reads a nonzero commutator."""
+    ctx = replace(contexts["k3"], n_cap=2)
+    fourier = matrix_point_provider("fourier", ctx.rels.universe, fourier_unitary(3),
+                                    kind=ctx.rels.gen_kind)
+    ctx = replace(ctx, providers=[fourier])
+    assert _failed_uncertified(check_dirac_commutation(ctx), "fourier")
+    assert dense_dirac_residuals(ctx, fourier)["commutator"] > 1e-3
 
 
 def test_dirac_commutation_matches_dense_oracle(contexts):
+    """At every truncation level the automorphism provider passes with
+    the oracle's residuals, which are zero, so its level matrices are
+    Gram-unitary; a sum of two non-magic point evaluations fails as
+    uncertified, and the oracle reads it nonzero."""
     from qisograph.providers import RepresentationProvider, rotation_unitary
-    for name in ("three-cycle", "k3"):
+    for name in ("three-cycle", "k3", "asym4"):
         ctx = contexts[name]
-        # a sum of two non-magic point evaluations: the residuals are
-        # nonzero and differ between the summands
         ids = ctx.rels.universe
         mats = (fourier_unitary(len(ids)), rotation_unitary(len(ids), 0.3))
         skew = RepresentationProvider("skew", 2, {
@@ -328,42 +304,30 @@ def test_dirac_commutation_matches_dense_oracle(contexts):
             for i, a in enumerate(ids) for j, b in enumerate(ids)})
         for provider in (ctx.providers[0], skew):
             for n_cap in (1, 2, 3):
-                res = check_dirac_commutation(replace(ctx, providers=[provider], n_cap=n_cap))
-                comm, unitary = _dense_dirac_residuals(ctx, n_cap, provider)
-                assert abs(res.residuals["commutator"] - comm) < 1e-12
-                assert abs(res.residuals["gram_unitarity"] - unitary) < 1e-12
-                assert (unitary > 1e-3) == (provider is skew)
-
-
-def test_max_norm_skips_the_svd_of_a_zero_stack(monkeypatch):
-    from qisograph.corep import _max_norm
-    monkeypatch.setattr(np.linalg, "norm", None)        # must not be called
-    assert _max_norm(np.zeros((2, 3, 3), dtype=complex)) == 0.0
+                sub = replace(ctx, providers=[provider], n_cap=n_cap)
+                res = check_dirac_commutation(sub)
+                oracle = dense_dirac_residuals(sub, provider)
+                if provider is skew:
+                    assert _failed_uncertified(res, "skew"), name
+                    assert oracle["gram_unitarity"] > 1e-3, name
+                else:
+                    assert res.passed and "uncertified" not in res.detail, name
+                    assert res.residuals == oracle == {"commutator": 0.0,
+                                                       "gram_unitarity": 0.0}, name
 
 
 def test_non_automorphism_dirac_residuals_are_the_svd_values(graphs, perron_data, qaut_rels):
-    """asym4 has trivial Aut(G); under a vertex swap that is not an
-    automorphism the stacks are nonzero, and the check reports their
-    largest 2-norms, taken by SVD."""
-    from qisograph.hilbert import dirac
+    """asym4 has trivial Aut(G); a vertex swap that is not an
+    automorphism is no certified provider, so the check fails, naming
+    it, and the oracle's SVD values are nonzero."""
     g, pf = graphs["asym4"], perron_data["asym4"]
     provider = permutation_diag_rep("swap(1,2)", g.vertices,
                                     [{"1": "2", "2": "1", "3": "3", "4": "4"}])
     ctx = VerificationContext(g, pf, qaut_rels["asym4"], VERTEX_PAIR, [provider], 3)
     res = check_dirac_commutation(ctx, welldefined=dict.fromkeys(level_pairs(3), True))
-    u = evaluate_corep_matrix(ctx, 3, provider)
-    triple = dirac(g, pf, 3)
-    gmat = np.diag([float(x) for x in triple.gram])
-    hats = [np.array([[float(x) for x in row] for row in m])
-            for m in (*triple.xi_hat, triple.constants_projection)]
-
-    def svd_norm(stack):
-        return float(np.linalg.norm(stack, 2, axis=(1, 2)).max())
-
-    unitary = svd_norm(u.conj().transpose(0, 2, 1) @ gmat @ u - gmat)
-    comm = max(svd_norm(u @ hat - hat @ u) for hat in hats)
-    assert res.residuals == {"commutator": comm, "gram_unitarity": unitary}
-    assert comm > 1e-3 and unitary > 1e-3 and not res.passed
+    assert _failed_uncertified(res, "swap(1,2)")
+    oracle = dense_dirac_residuals(ctx, provider)
+    assert oracle["commutator"] > 1e-3 and oracle["gram_unitarity"] > 1e-3
 
 
 K4 = "graph k4\n" + "".join(f"v {v}\n" for v in "1234") + "".join(
@@ -371,45 +335,14 @@ K4 = "graph k4\n" + "".join(f"v {v}\n" for v in "1234") + "".join(
 LOOPS4 = "graph cuntz4\nv w\n" + "".join(f"e l{i} w w\n" for i in range(1, 5))
 
 
-def _float_dirac_residuals(ctx, triple=None):
-    """The dense float form of the numeric Dirac check under every
-    provider of *ctx*: ``evaluate_corep_matrix`` stacks and ``_max_norm``."""
-    from qisograph.corep import _max_norm
-    from qisograph.hilbert import dirac
-    triple = triple or dirac(ctx.g, ctx.pf, ctx.n_cap)
-    gmat = np.diag([float(x) for x in triple.gram])
-    hats = [np.array([[float(x) for x in row] for row in m])
-            for m in (*triple.xi_hat, triple.constants_projection)]
-    comm = unitary = 0.0
-    for provider in ctx.providers:
-        u = evaluate_corep_matrix(ctx, ctx.n_cap, provider)
-        unitary = max(unitary, _max_norm(u.conj().transpose(0, 2, 1) @ gmat @ u - gmat))
-        for hat in hats:
-            comm = max(comm, _max_norm(u @ hat - hat @ u))
-    return {"commutator": comm, "gram_unitarity": unitary}
-
-
-def _count_dense_evaluations(monkeypatch):
-    from qisograph import corep
-    calls = []
-    original = corep.evaluate_corep_matrix
-
-    def counting(ctx, k, provider):
-        calls.append(provider.name)
-        return original(ctx, k, provider)
-
-    monkeypatch.setattr(corep, "evaluate_corep_matrix", counting)
-    return calls
-
-
 def _known_welldefined(ctx):
     return dict.fromkeys(level_pairs(ctx.n_cap), True)
 
 
-def test_permutation_certificate_matches_the_dense_residuals(contexts, graphs, monkeypatch):
-    """The automorphism and loop-permutation providers are certified
-    without a dense stack, on every bundled graph, K4 and the 4-loop
-    magic suite, and report the dense residuals bit for bit."""
+def test_permutation_certificate_matches_the_dense_residuals(contexts, graphs):
+    """The automorphism and loop-permutation providers are certified on
+    every bundled graph, K4 and the 4-loop magic suite, and report the
+    dense oracle's residuals bit for bit."""
     from qisograph.cuntz import MAGIC, cuntz_setup, sn_plus_context
     from qisograph.graphs import parse_graph
     from qisograph.perron import perron
@@ -426,27 +359,22 @@ def test_permutation_certificate_matches_the_dense_residuals(contexts, graphs, m
         cases[name] = sn_plus_context(cuntz_setup(g, MAGIC))
     assert len(cases) == 8
     for name, ctx in cases.items():
-        calls = _count_dense_evaluations(monkeypatch)
         res = check_dirac_commutation(ctx, welldefined=_known_welldefined(ctx))
-        assert calls == [], name
-        monkeypatch.undo()
-        assert res.residuals == _float_dirac_residuals(ctx), name
-        assert res.passed, name
+        assert res.passed and "uncertified" not in res.detail, name
+        assert [dense_dirac_residuals(ctx, p) for p in ctx.providers] == [res.residuals], name
 
 
-def test_non_injective_zero_one_provider_takes_the_dense_path(contexts, monkeypatch):
+def test_non_injective_zero_one_provider_takes_the_dense_path(contexts):
     """q[i,j] = delta_{i,f(j)} for a non-injective f is 0/1 but no
-    summand is a permutation: that provider alone is evaluated densely
-    and the check reports the SVD values of the oracle."""
+    summand is a permutation: that provider alone is uncertified, and
+    only the dense oracle can measure it."""
     ctx = contexts["k3"]
     collapse = permutation_diag_rep("collapse", ctx.g.vertices, [{"1": "1", "2": "1", "3": "3"}])
     ctx = replace(ctx, providers=[ctx.providers[0], collapse])
-    oracle = _float_dirac_residuals(ctx)
-    calls = _count_dense_evaluations(monkeypatch)
     res = check_dirac_commutation(ctx, welldefined=_known_welldefined(ctx))
-    assert calls == ["collapse"]
-    assert res.residuals == oracle
-    assert oracle["commutator"] > 1e-3 and oracle["gram_unitarity"] > 1e-3 and not res.passed
+    assert _failed_uncertified(res, "collapse")
+    oracle = dense_dirac_residuals(ctx, collapse)
+    assert oracle["commutator"] > 1e-3 and oracle["gram_unitarity"] > 1e-3
 
 
 def test_function_summand_is_not_a_permutation(monkeypatch):
@@ -454,7 +382,8 @@ def test_function_summand_is_not_a_permutation(monkeypatch):
     graph map: each column of its level matrix holds one 1, but two
     columns share a row.  A constant Gram diagonal and
     constant projections are kept by any map of the basis, yet the
-    summand is no permutation, and the dense stacks read nonzero."""
+    summand is no permutation: it is uncertified, and the dense oracle
+    reads nonzero."""
     from qisograph import corep
     from qisograph.graphs import parse_graph
     from qisograph.hilbert import TruncatedTriple, dirac
@@ -470,20 +399,18 @@ def test_function_summand_is_not_a_permutation(monkeypatch):
     n = len(triple.gram)
     constant = [[Fraction(1, n)] * n for _ in range(n)]
     flat = TruncatedTriple((Fraction(1),) * n, [constant] * len(triple.xi_hat), constant)
-    oracle = _float_dirac_residuals(ctx, flat)
     monkeypatch.setattr(corep, "dirac", lambda g, pf, n_cap: flat)
-    calls = _count_dense_evaluations(monkeypatch)
     res = check_dirac_commutation(ctx, welldefined=_known_welldefined(ctx))
-    assert calls == ["collapse"]
-    assert res.residuals == oracle
-    assert oracle["commutator"] > 1e-3 and oracle["gram_unitarity"] > 1e-3 and not res.passed
+    assert _failed_uncertified(res, "collapse")
+    oracle = dense_dirac_residuals(ctx, collapse, flat)
+    assert oracle["commutator"] > 1e-3 and oracle["gram_unitarity"] > 1e-3
 
 
 @pytest.mark.parametrize("part", ["gram", "xi-hat"])
 def test_invariance_miss_takes_the_dense_path(contexts, monkeypatch, part):
     """A Gram diagonal or a projection that the automorphisms do not
-    keep sends the classical provider to the dense stacks, which
-    report the oracle's nonzero residuals."""
+    keep leaves the classical provider uncertified, and the dense oracle
+    reads the matching residual nonzero."""
     from qisograph import corep
     from qisograph.hilbert import TruncatedTriple, dirac
     ctx = contexts["k3"]
@@ -494,14 +421,11 @@ def test_invariance_miss_takes_the_dense_path(contexts, monkeypatch, part):
     else:
         xi_hat[-1][0][1] += Fraction(1, 3)
     skewed = TruncatedTriple(tuple(gram), xi_hat, triple.constants_projection)
-    oracle = _float_dirac_residuals(ctx, skewed)
     monkeypatch.setattr(corep, "dirac", lambda g, pf, n_cap: skewed)
-    calls = _count_dense_evaluations(monkeypatch)
     res = check_dirac_commutation(ctx, welldefined=_known_welldefined(ctx))
-    assert calls == [ctx.providers[0].name]
-    assert res.residuals == oracle and not res.passed
+    assert _failed_uncertified(res, ctx.providers[0].name)
     key = "gram_unitarity" if part == "gram" else "commutator"
-    assert oracle[key] > 1e-3
+    assert dense_dirac_residuals(ctx, ctx.providers[0], skewed)[key] > 1e-3
 
 
 def test_dirac_commutation_fails_on_a_failing_one_step_pair(contexts, monkeypatch):

@@ -1,8 +1,7 @@
-"""Import hygiene, each case in a fresh interpreter: numpy is imported
-only where float linear algebra runs (the point providers' float path
-and the Dirac check's dense fallback, which permutation providers never
-reach), and ``import qisograph.cli`` loads every module of the package,
-which ``perfbench/tracer.py`` relies on before it rebinds the traced
+"""Import hygiene, each case in a fresh interpreter: no module of the
+package imports numpy, which only the tests' oracles use, and
+``import qisograph.cli`` loads every module of the package, which
+``perfbench/tracer.py`` relies on before it rebinds the traced
 boundaries."""
 
 import os
@@ -44,16 +43,21 @@ def _main_loads_numpy(argv: list[str], exit_code: int = 0) -> bool:
     # the Dirac check certifies the automorphism providers exactly
     (["verify", "--graph", str(GRAPHS / "three_cycle.g")], 0),
     (["verify", "--graph", str(GRAPHS / "k3.g")], 0),
+    # the point providers evaluate in plain Python
+    (["cuntz", "--graph", "loops4.g"], 0),
 ], ids=["spectral", "validate", "reduce-qaut", "reduce-free-unitary", "range-prepend",
-        "verify-three-cycle", "verify-k3"])
-def test_commands_without_float_linear_algebra_leave_numpy_unloaded(argv, exit_code):
+        "verify-three-cycle", "verify-k3", "cuntz-loops4"])
+def test_commands_without_float_linear_algebra_leave_numpy_unloaded(argv, exit_code, tmp_path):
+    loops4 = tmp_path / "loops4.g"
+    loops4.write_text("graph cuntz4\nv w\n" + "".join(f"e l{i} w w\n" for i in range(1, 5)))
+    argv = [str(loops4) if arg == "loops4.g" else arg for arg in argv]
     assert not _main_loads_numpy(argv, exit_code)
 
 
-def test_cuntz_loads_numpy_for_the_point_providers(tmp_path):
-    graph = tmp_path / "loops4.g"
-    graph.write_text("graph cuntz4\nv w\n" + "".join(f"e l{i} w w\n" for i in range(1, 5)))
-    assert _main_loads_numpy(["cuntz", "--graph", str(graph)])
+def test_no_package_module_imports_numpy():
+    for path in PACKAGE.glob("*.py"):
+        text = path.read_text()
+        assert "import numpy" not in text and "from numpy" not in text, path.name
 
 
 def test_building_and_registering_providers_leaves_numpy_unloaded():
