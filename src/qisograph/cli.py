@@ -23,8 +23,7 @@ from .corep import (
     VERTEX_PAIR, VerificationContext, check_welldefined, level_pairs, run_identity_suite,
 )
 from .cuntz import (
-    FREE_UNITARY, MAGIC, cuntz_setup, derive_contradiction, non_isometry_verdict,
-    sn_plus_isometry_suite,
+    FREE_UNITARY, MAGIC, cuntz_setup, derive_contradiction, non_isometry_verdict, sn_plus_context,
 )
 from .exprlang import ExpressionError, parse_expression
 from .graphs import (
@@ -54,6 +53,9 @@ EXIT_USAGE = 2
 #: bit counted as an entry, so K5 verify counts (120 + 5) x 320^2;
 #: spectral's Cuntz-Krieger check holds a paths(n_cap) x paths(n_cap - 1) map
 DIRAC_STACK_MAX = 2 ** 24
+
+#: the most path vertices (d + 1 per degree-d cylinder) in the measure table: k3 depth 16 is 264 MB
+MEASURE_TABLE_MAX = 2 ** 22
 
 
 class UsageError(ValueError):
@@ -107,20 +109,34 @@ def _load_graph(config: RunConfig) -> tuple[DirectedGraph, str, str]:
     return g, text, text_digest(text)
 
 
-def _check_dense_size(check: str, shape: str, size: int):
-    """Reject a run whose *check* would hold more than DIRAC_STACK_MAX
-    dense entries, before any check runs."""
-    if size > DIRAC_STACK_MAX:
-        raise UsageError(f"the {check} would hold {shape} = {size:,} entries, "
-                         f"above the limit of {DIRAC_STACK_MAX:,}")
+def _check_size(check: str, shape: str, size: int, limit: int, unit: str):
+    """Reject a run whose *check* would hold more than *limit* *unit*,
+    before any check runs."""
+    if size > limit:
+        raise UsageError(f"the {check} would hold {shape} = {size:,} {unit}, "
+                         f"above the limit of {limit:,}")
 
 
 def _check_dirac_stack(summands: int, paths: int, n_cap: int):
     """The Dirac check's n_cap + 2 eigenprojections and the summand
     bitmasks of the level-n_cap entries, paths^2 masks of one bit per
     summand, from which it reads each summand's permutation."""
-    _check_dense_size("Dirac check", f"({summands} summands + {n_cap + 2} projections) "
-                      f"x {paths}^2 paths", (summands + n_cap + 2) * paths ** 2)
+    _check_size("Dirac check", f"({summands} summands + {n_cap + 2} projections) "
+                f"x {paths}^2 paths", (summands + n_cap + 2) * paths ** 2,
+                DIRAC_STACK_MAX, "entries")
+
+
+def _check_measure_table(g: DirectedGraph, depth: int):
+    """Sum the measure table's path counts up to doubling degrees, so that
+    a huge *depth* is refused once a prefix of the table is too large."""
+    reach = 0
+    while True:
+        reach = min(2 * reach + 1, depth)
+        size = sum((d + 1) * count for d, count in enumerate(path_counts(g, reach)))
+        if size > MEASURE_TABLE_MAX or reach == depth:
+            break
+    _check_size("cylinder-measure table", f"the paths of degree <= {reach}", size,
+                MEASURE_TABLE_MAX, "path vertices")
 
 
 def _check_writable(path: str):
@@ -173,7 +189,9 @@ def cmd_spectral(config: RunConfig) -> SuiteReport:
         raise UsageError(str(exc)) from None
     if pf.exact:
         below, top = path_counts(g, config.n_cap)[-2:]
-        _check_dense_size("Cuntz-Krieger check", f"{top} x {below} paths", top * below)
+        _check_size("Cuntz-Krieger check", f"{top} x {below} paths", top * below,
+                    DIRAC_STACK_MAX, "entries")
+    _check_measure_table(g, config.measure_depth)
     checks = []
     checks.append(CheckResult(
         "perron", {}, True, "pass",
@@ -294,7 +312,7 @@ def cmd_cuntz(config: RunConfig) -> SuiteReport:
             raise UsageError(str(exc)) from None
         derivation = derive_contradiction(setup)
         if flavor == FREE_UNITARY:
-            verdict = non_isometry_verdict(setup, derivation=derivation)
+            verdict = non_isometry_verdict(setup, derivation)
             ok = verdict.not_isometric and derivation.contradiction_pending
             checks.append(CheckResult(
                 "non-isometry", {"n": n, "flavor": flavor}, ok,
@@ -308,8 +326,8 @@ def cmd_cuntz(config: RunConfig) -> SuiteReport:
                 PROVED_ZERO if ok else UNKNOWN, {}, 0, "",
                 (time.monotonic() - started) * 1000.0,
                 detail=derivation.to_dict()))
-            checks.extend(sn_plus_isometry_suite(setup, k_max=config.k_max,
-                                                 n_cap=config.n_cap))
+            checks.extend(run_identity_suite(sn_plus_context(setup, config.n_cap),
+                                             k_max=config.k_max))
         notes.append({"flavor": flavor, "steps": [s.label for s in derivation.steps]})
     return SuiteReport("cuntz", __version__, g.name, digest, SOURCE_APPEND,
                        {"n": n, "flavor": config.flavor,

@@ -55,8 +55,9 @@ Source-append refinement composes, so it runs only the one-step pairs
 summand of a 0/1 provider off the bitmasks of the level-n_cap entry
 words: a permutation of the basis that keeps the float Gram diagonal
 and projections gives residuals of exactly 0.0.  A provider it cannot
-certify that way fails the check as Unknown; the dense evaluation that
-measures such a provider is a test oracle (``tests/oracles.py``).
+certify that way fails the check as Unknown with null residuals; the
+dense evaluation that measures such a provider is a test oracle
+(``tests/oracles.py``).
 """
 
 from __future__ import annotations
@@ -128,9 +129,9 @@ class VerificationContext:
     g: DirectedGraph
     pf: PerronData
     rels: RelationSet
-    scheme: str = VERTEX_PAIR
-    providers: list[RepresentationProvider] = field(default_factory=list)
-    n_cap: int = 3
+    scheme: str
+    providers: list[RepresentationProvider]
+    n_cap: int
     _levels: dict[int, LevelCorep] = field(default_factory=dict, init=False,
                                            repr=False, compare=False)
 
@@ -438,8 +439,7 @@ def _certified(ctx: VerificationContext, provider: RepresentationProvider,
 
 
 def check_dirac_commutation(ctx: VerificationContext,
-                            welldefined: dict[tuple[int, int], bool] | None = None
-                            ) -> CheckResult:
+                            welldefined: dict[tuple[int, int], bool]) -> CheckResult:
     """Structural: the corepresentation preserves each level and is
     compatible with every embedding (well-definedness for all l < k).
     Numeric: under each provider the evaluated level-n_cap matrix is
@@ -464,16 +464,16 @@ def check_dirac_commutation(ctx: VerificationContext,
     providers that ``verify`` and ``cuntz`` build are all such sums of
     graph automorphisms, so the residuals are reported as 0.0.  Any
     other provider fails the check as Unknown and is named in
-    ``detail["uncertified"]``.
+    ``detail["uncertified"]``; nothing measured its residuals, so both
+    read None (``null`` in the report).
     """
     started = time.monotonic()
     n_cap = ctx.n_cap
     trace = ReductionTrace()
     structural_ok = True
-    known = welldefined or {}
     for l, k in level_pairs(n_cap):
         if structural_ok:
-            passed = known.get((l, k))
+            passed = welldefined.get((l, k))
             if passed is None and k == l + 1:
                 passed = check_welldefined(ctx, l, k).passed
             if passed is not None:
@@ -491,10 +491,12 @@ def check_dirac_commutation(ctx: VerificationContext,
     if uncertified:
         detail["uncertified"] = uncertified
     # "negative_control" and both residual keys are fixed fields of the
-    # report schema, kept so that reports stay comparable across versions
+    # report schema, kept so that reports stay comparable across versions;
+    # a residual is the certified 0.0, or None when no value was measured
+    residual = None if uncertified else 0.0
     return CheckResult("dirac-commutation", {"n_cap": n_cap, "negative_control": False},
                        passed, PROVED_ZERO if passed else UNKNOWN,
-                       {"commutator": 0.0, "gram_unitarity": 0.0},
+                       {"commutator": residual, "gram_unitarity": residual},
                        trace.count, trace.digest(),
                        (time.monotonic() - started) * 1000.0, detail=detail)
 
@@ -502,7 +504,7 @@ def check_dirac_commutation(ctx: VerificationContext,
 # ---------------------------------------------------------------------------
 # the full suite
 
-def run_identity_suite(ctx: VerificationContext, k_max: int = 2,
+def run_identity_suite(ctx: VerificationContext, k_max: int,
                        l_max: int | None = None) -> list[CheckResult]:
     """Every identity check at levels l < k <= k_max, truncation
     ctx.n_cap; density runs on the vertex-pair scheme only."""

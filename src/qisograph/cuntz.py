@@ -18,15 +18,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .corep import EDGE_INDEX, VerificationContext, run_identity_suite
+from .corep import EDGE_INDEX, VerificationContext
 from .graphs import DirectedGraph
 from .ncpoly import FORMAL_UNITARY, FORMAL_UNITARY_STAR, Generator, IntTerms
 from .perron import PerronData, perron
-from .providers import (
-    RepresentationProvider, loop_permutation_rep, unitary_provider_portfolio, witness_nonzero,
-)
+from .providers import loop_permutation_rep, unitary_provider_portfolio, witness_nonzero
 from .relations import RelationSet, free_unitary_relations, magic_relations, with_formal_unitary
-from .report import CheckResult
 from .rewrite import normal_form, normal_form_verdict
 from .verdict import Verdict
 
@@ -156,16 +153,13 @@ class NonIsometryVerdict:
         }
 
 
-def non_isometry_verdict(setup: CuntzSetup,
-                         providers: list[RepresentationProvider] | None = None,
-                         derivation: DerivationReport | None = None) -> NonIsometryVerdict:
-    """NotIsometric when some obligation is witnessed nonzero under a
-    concrete representation of the relations."""
+def non_isometry_verdict(setup: CuntzSetup, derivation: DerivationReport) -> NonIsometryVerdict:
+    """NotIsometric when some obligation of *derivation* is witnessed
+    nonzero under a point evaluation of the unitary provider portfolio,
+    a concrete representation of the relations."""
     if setup.flavor != FREE_UNITARY:
         raise ValueError("the contradiction argument targets the free-unitary flavor")
-    derivation = derivation or derive_contradiction(setup)
-    if providers is None:
-        providers = unitary_provider_portfolio(setup.loop_ids, setup.rels)
+    providers = unitary_provider_portfolio(setup.loop_ids, setup.rels)
     witnesses = {}
     found = False
     for k, ob in sorted(derivation.obligations.items()):
@@ -176,16 +170,11 @@ def non_isometry_verdict(setup: CuntzSetup,
                               witnesses, derivation)
 
 
-def sn_plus_context(setup: CuntzSetup, n_cap: int = 3) -> VerificationContext:
-    """The edge-index verification context of a magic setup."""
+def sn_plus_context(setup: CuntzSetup, n_cap: int) -> VerificationContext:
+    """The edge-index verification context of a magic setup, for the
+    identity suite of the magic-unitary action on the n-loop graph; the
+    Perron vector is the unit, so the weighted sum schema degenerates to
+    plain row sums."""
     providers = [loop_permutation_rep(setup.loop_ids, setup.rels)]
     return VerificationContext(setup.graph, setup.pf, setup.rels, EDGE_INDEX,
                                providers, n_cap)
-
-
-def sn_plus_isometry_suite(setup: CuntzSetup, k_max: int = 2,
-                           n_cap: int = 3) -> list[CheckResult]:
-    """The identity suite for the magic-unitary action on the n-loop
-    graph; the Perron vector is the unit, so the weighted sum schema
-    degenerates to plain row sums."""
-    return run_identity_suite(sn_plus_context(setup, n_cap), k_max=k_max)

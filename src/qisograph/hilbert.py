@@ -3,10 +3,12 @@ the graph algebra on them, embeddings, the eigenprojections of the
 truncated Dirac operator, and the heat-trace numerics.
 
 The degree-k cylinder indicators form a basis of the level-k space; the
-inner product is the diagonal Gram form with entries M([eta]).  Maps
+inner product is the diagonal Gram form with entries M([eta]), a tuple
+in basis order (``level_gram``).  Maps
 between levels carry an explicit half-integer power of the spectral
 radius so that compositions such as S_e* S_e stay exactly rational.
-The embeddings and the generators S_lambda, S_lambda*, p_v are all
+The embeddings (source-append, the side the measure is additive on)
+and the generators S_lambda, S_lambda*, p_v are all
 path maps: each is its list of (eta, image) pairs of basis paths, from
 refine, s_pairs or s_star_pairs (p_v is S_v for the vertex v as a
 degree-0 path), and one builder turns such a list into its 0/1 int
@@ -34,23 +36,10 @@ class TruncationOverflowError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class LevelSpace:
-    k: int
-    basis: tuple[Path, ...]
-    gram: tuple[Fraction, ...]   # diagonal entries M([eta]) in basis order
-
-    @property
-    def dim(self) -> int:
-        return len(self.basis)
-
-
-def level_space(g: DirectedGraph, pf: PerronData, k: int) -> LevelSpace:
-    basis = tuple(enumerate_paths(g, k))
-    gram = tuple(cylinder_measure(pf, eta) for eta in basis)
-    if not pf.exact:
-        raise ValueError("level spaces require exact Perron data")
-    return LevelSpace(k, basis, gram)
+def level_gram(g: DirectedGraph, pf: PerronData, k: int) -> tuple[Fraction, ...]:
+    """The diagonal Gram form of the level-k space: M([eta]) for each
+    degree-k path eta, in enumerate_paths order."""
+    return tuple(cylinder_measure(pf, eta) for eta in enumerate_paths(g, k))
 
 
 @dataclass
@@ -99,12 +88,13 @@ def _path_map(g: DirectedGraph, l: int, k: int, pairs, half_power: int) -> Level
     return LevelMap(l, k, half_power, mat)
 
 
-def embed(g: DirectedGraph, l: int, k: int, convention: str = SOURCE_APPEND) -> LevelMap:
-    """Inclusion R_l -> R_k: columns are 0/1 refinement indicators."""
+def embed(g: DirectedGraph, l: int, k: int) -> LevelMap:
+    """Inclusion R_l -> R_k: columns are 0/1 source-append refinement
+    indicators."""
     if l > k:
         raise ValueError("embedding goes upward in level")
     return _path_map(g, l, k, ((lam, mu) for lam in enumerate_paths(g, l)
-                               for mu in refine(g, lam, k - l, convention)), 0)
+                               for mu in refine(g, lam, k - l, SOURCE_APPEND)), 0)
 
 
 def embedding_gram_residual(g: DirectedGraph, pf: PerronData, l: int, k: int,
@@ -166,10 +156,8 @@ def represent(g: DirectedGraph, pf: PerronData, ops, k: int, n_cap: int) -> Leve
 
 @dataclass(frozen=True)
 class CuntzKriegerReport:
-    n_cap: int
     residual_annihilation: Fraction    # max over S_e* S_e = p_{s(e)}
     residual_completeness: Fraction    # max over p_v = sum S_e S_e*
-    levels_checked: tuple[int, ...]
 
     @property
     def exact(self) -> bool:
@@ -188,7 +176,6 @@ def cuntz_krieger_check(g: DirectedGraph, pf: PerronData, n_cap: int) -> CuntzKr
         raise ValueError("need truncation level at least 2")
     res1 = Fraction(0)
     res2 = Fraction(0)
-    levels = tuple(range(n_cap))
     for k in range(n_cap):
         for e in g.sorted_edges:
             lam = edge_path(g, e.id)
@@ -206,7 +193,7 @@ def cuntz_krieger_check(g: DirectedGraph, pf: PerronData, n_cap: int) -> CuntzKr
                     [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(total.mat, term.mat)])
             rhs = represent(g, pf, [("p", v)], k, n_cap)
             res2 = max(res2, total.residual(rhs))
-    return CuntzKriegerReport(n_cap, res1, res2, levels)
+    return CuntzKriegerReport(res1, res2)
 
 
 # ---------------------------------------------------------------------------
@@ -234,8 +221,8 @@ def multiplicities(g: DirectedGraph, up_to: int) -> list[int]:
     return out
 
 
-def alpha_sequence(n_cap: int, kind: str = "power", eps: float = 0.25) -> tuple[float, ...]:
-    """Dirac eigenvalue scale: q^{1/2+eps} (default) or linear q."""
+def alpha_sequence(n_cap: int, kind: str, eps: float) -> tuple[float, ...]:
+    """Dirac eigenvalue scale: q^{1/2+eps} ("power") or q ("linear")."""
     if kind == "power":
         if not 0 < eps < 0.5:
             raise ValueError("eps must lie in (0, 1/2)")
@@ -263,7 +250,7 @@ def dirac(g: DirectedGraph, pf: PerronData, n_cap: int) -> TruncatedTriple:
     """Exact Gram-orthogonal eigenprojections of the truncated Dirac
     operator: Xi-hat_q = Xi_q - Xi_{q-1}, with Xi_q the projection onto
     level q (source-append embeddings) and Xi_{-1} onto the constants."""
-    gram = level_space(g, pf, n_cap).gram
+    gram = level_gram(g, pf, n_cap)
     dim = len(gram)
 
     ones = [[Fraction(1)] for _ in range(dim)]
@@ -273,7 +260,7 @@ def dirac(g: DirectedGraph, pf: PerronData, n_cap: int) -> TruncatedTriple:
     prev = constants
     for q in range(n_cap + 1):
         e = embed(g, q, n_cap).mat
-        gq = level_space(g, pf, q).gram
+        gq = level_gram(g, pf, q)
         # Xi_q = E G_q^{-1} E^T G_N with diagonal Gram blocks
         cols = len(e[0])
         left = [[e[i][j] / gq[j] for j in range(cols)] for i in range(dim)]

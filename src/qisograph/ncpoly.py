@@ -58,14 +58,6 @@ def q(row: str, col: str) -> Generator:
     return Generator(QKIND, row, col)
 
 
-def u(row: str, col: str) -> Generator:
-    return Generator(UKIND, row, col)
-
-
-def ustar(row: str, col: str) -> Generator:
-    return Generator(USTAR, row, col)
-
-
 FORMAL_UNITARY = Generator(WKIND, "", "")
 FORMAL_UNITARY_STAR = Generator(WSTAR, "", "")
 

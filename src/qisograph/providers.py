@@ -165,52 +165,46 @@ def register(provider: RepresentationProvider, rels: RelationSet) -> Representat
     return provider
 
 
-def permutation_diag_rep(name: str, ids, permutations,
-                         kind: str = QKIND) -> RepresentationProvider:
-    """Direct sum over a list of permutations (dicts): g[i,j] takes the
+def permutation_diag_rep(name: str, ids, permutations) -> RepresentationProvider:
+    """Direct sum over a list of permutations (dicts): q[i,j] takes the
     value delta_{i, sigma(j)} on the summand sigma."""
     ids = tuple(ids)
-    assignment = {Generator(kind, i, j): tuple(int(sigma[j] == i) for sigma in permutations)
+    assignment = {Generator(QKIND, i, j): tuple(int(sigma[j] == i) for sigma in permutations)
                   for i in ids for j in ids}
     return RepresentationProvider(name, len(permutations), assignment)
 
 
-def classical_rep(g: DirectedGraph, rels: RelationSet | None = None) -> RepresentationProvider:
-    """Abelianization through the classical automorphism group of *g*.
+def classical_rep(g: DirectedGraph, rels: RelationSet) -> RepresentationProvider:
+    """Abelianization through the classical automorphism group of *g*,
+    registered against *rels*.
 
     Dimension |Aut(g)|; a trivial automorphism group still yields a
     valid one-dimensional provider.
     """
     autos = graph_automorphisms(g)
-    provider = permutation_diag_rep(f"classical({g.name})", g.vertices, autos)
-    if rels is not None:
-        register(provider, rels)
-    return provider
+    return register(permutation_diag_rep(f"classical({g.name})", g.vertices, autos), rels)
 
 
-def loop_permutation_rep(ids, rels: RelationSet | None = None) -> RepresentationProvider:
+def loop_permutation_rep(ids, rels: RelationSet) -> RepresentationProvider:
     """Point evaluations at every permutation of *ids* (for edge-indexed
-    magic unitaries on the one-vertex loop graphs)."""
+    magic unitaries on the one-vertex loop graphs), registered against
+    *rels*."""
     ids = tuple(ids)
     perms = [dict(zip(ids, p)) for p in itertools.permutations(ids)]
-    provider = permutation_diag_rep(f"perms({len(ids)})", ids, perms)
-    if rels is not None:
-        register(provider, rels)
-    return provider
+    return register(permutation_diag_rep(f"perms({len(ids)})", ids, perms), rels)
 
 
-def matrix_point_provider(name: str, ids, mat, kind: str = UKIND) -> RepresentationProvider:
-    """Evaluate generators at the entries of a concrete matrix, any
-    nested sequence: scalars, i.e. a one-dimensional representation.
-    For the free-unitary kind the adjoint entries are the conjugates."""
+def matrix_point_provider(name: str, ids, mat) -> RepresentationProvider:
+    """Evaluate the free-unitary generators at the entries of a concrete
+    matrix, any nested sequence: scalars, i.e. a one-dimensional
+    representation; the adjoint entries are the conjugates."""
     ids = tuple(ids)
     assignment: dict[Generator, tuple] = {}
     for a, row in zip(ids, mat):
         for b, entry in zip(ids, row):
             z = complex(entry)
-            assignment[Generator(kind, a, b)] = (z,)
-            if kind == UKIND:
-                assignment[Generator(USTAR, a, b)] = (z.conjugate(),)
+            assignment[Generator(UKIND, a, b)] = (z,)
+            assignment[Generator(USTAR, a, b)] = (z.conjugate(),)
     return RepresentationProvider(name, 1, assignment)
 
 
@@ -218,12 +212,12 @@ def identity_unitary(n: int) -> list[list[float]]:
     return [[float(i == j) for j in range(n)] for i in range(n)]
 
 
-def rotation_unitary(n: int, theta: float = math.pi / 4) -> list[list[float]]:
-    """Plane rotation in the first two coordinates, identity elsewhere."""
+def rotation_unitary(n: int) -> list[list[float]]:
+    """Rotation by pi/4 in the first two coordinates, identity elsewhere."""
     if n < 2:
         raise ValueError("rotation needs n >= 2")
     m = identity_unitary(n)
-    c, s = math.cos(theta), math.sin(theta)
+    c, s = math.cos(math.pi / 4), math.sin(math.pi / 4)
     m[0][0], m[0][1], m[1][0], m[1][1] = c, -s, s, c
     return m
 

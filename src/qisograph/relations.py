@@ -38,7 +38,6 @@ class SumSchema:
     tag: str
     varying_axis: str                      # "row" or "col"
     weights: tuple[Fraction, ...] | None   # indexed like the universe; None = all ones
-    provenance: str = "axiom"
 
 
 @dataclass(frozen=True)
@@ -211,14 +210,15 @@ def _vanishing_closure(ids, rules, vanishing: set[Generator]) -> int:
     return added
 
 
-def qaut_relations(g: DirectedGraph, pf=None) -> RelationSet:
+def qaut_relations(g: DirectedGraph, pf) -> RelationSet:
     """Relation set of the quantum automorphism algebra of *g*.
 
     Magic-unitary rules over the vertex set, the edge-compatibility zero
     rules under both readings of the non-edge index pair, the adjacency
-    commutation linear relations, and, when exact Perron data is
-    supplied, the weighted sum schema sum_k x_k q[k,j] = x_j * 1 (an
-    invariance theorem, not an axiom).  Both readings hold classically:
+    commutation linear relations, and, when the Perron data *pf* is
+    exact, the weighted sum schema sum_k x_k q[k,j] = x_j * 1 (an
+    invariance theorem, not an axiom); on inexact data a "disabled"
+    event records its absence.  Both readings hold classically:
     a rule q[a,b] q[c,d] -> 0 has exactly one of the pairs (a,c), (b,d)
     an edge in its reading, and an automorphism sigma with sigma(b) = a
     and sigma(d) = c would carry (b,d) onto (a,c), so the rule vanishes
@@ -270,11 +270,10 @@ def qaut_relations(g: DirectedGraph, pf=None) -> RelationSet:
         SumSchema("row-sum", "col", None),
         SumSchema("col-sum", "row", None),
     ]
-    if pf is not None and pf.exact:
+    if pf.exact:
         weights = tuple(pf.exact_x[pf.vertices.index(v)] for v in ids)
-        schemas.append(SumSchema("weighted-col-sum", "row", weights,
-                                 provenance="derived-from-paper-theorem"))
-    elif pf is not None:
+        schemas.append(SumSchema("weighted-col-sum", "row", weights))
+    else:
         events.append({"family": "weighted-col-sum", "action": "disabled",
                        "reason": "Perron data not exact; numeric checks only"})
 

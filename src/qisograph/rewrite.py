@@ -89,7 +89,7 @@ _MISS = object()
 class ReductionTrace:
     """Ordered log of applied rules; digests identify a reduction path."""
 
-    events: list[str] = field(default_factory=list)
+    events: list[str] = field(default_factory=list, init=False)
 
     def add(self, tag: str):
         self.events.append(tag)

@@ -8,9 +8,29 @@ from fractions import Fraction
 import numpy as np
 
 from qisograph.graphs import enumerate_paths
-from qisograph.hilbert import LevelMap, level_space
+from qisograph.hilbert import LevelMap, level_gram
+from qisograph.ncpoly import Generator, QKIND, UKIND, USTAR
 from qisograph.perron import cylinder_measure
+from qisograph.providers import RepresentationProvider
 from qisograph.ratmat import rat_matmul, rat_max_abs, rat_nullspace, rat_sub, rat_zeros
+
+
+def u(row: str, col: str) -> Generator:
+    return Generator(UKIND, row, col)
+
+
+def ustar(row: str, col: str) -> Generator:
+    return Generator(USTAR, row, col)
+
+
+def q_point_provider(name: str, ids, *mats) -> RepresentationProvider:
+    """The direct sum of the point evaluations q[a,b] -> m[a][b], one
+    summand per matrix m of *mats*, each any nested sequence of scalars:
+    magic-unitary generators at points other than the permutations,
+    which are all the package builds."""
+    return RepresentationProvider(name, len(mats), {
+        Generator(QKIND, a, b): tuple(complex(m[i][j]) for m in mats)
+        for i, a in enumerate(ids) for j, b in enumerate(ids)})
 
 
 def rat_rank(a) -> int:
@@ -31,8 +51,8 @@ def total_level_mass(pf, g, k: int):
 
 def gram_adjoint(g, pf, m: LevelMap) -> LevelMap:
     """Adjoint with respect to the diagonal Gram forms (not Euclidean)."""
-    gs = level_space(g, pf, m.source_level).gram
-    gt = level_space(g, pf, m.target_level).gram
+    gs = level_gram(g, pf, m.source_level)
+    gt = level_gram(g, pf, m.target_level)
     rows = len(m.mat)
     cols = len(m.mat[0]) if rows else 0
     out = rat_zeros(cols, rows)
@@ -162,7 +182,6 @@ def all_pairs_transport(alpha) -> tuple[tuple[int, ...], ...]:
     pair rule onto a rule with the same tag and the permuted right-hand
     side and the vanishing set onto itself, and each symmetry fixes
     every schema weight."""
-    from qisograph.ncpoly import Generator
     from qisograph.rewrite import _MISS
     maps = [{alpha.rank[a]: alpha.rank[b] for a, b in s.items()} for s in alpha.symmetries]
     for table in alpha.sum_axes:

@@ -3,7 +3,8 @@
 import random
 from fractions import Fraction
 
-from qisograph.ncpoly import add, mul, q, u, ustar
+from oracles import u, ustar
+from qisograph.ncpoly import add, mul, q
 from qisograph.providers import classical_rep, loop_permutation_rep, unitary_provider_portfolio
 from qisograph.relations import free_unitary_relations, magic_relations, qaut_relations
 from qisograph.rewrite import ProofStore, normal_form

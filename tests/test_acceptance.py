@@ -11,8 +11,7 @@ import pytest
 
 from qisograph.corep import run_identity_suite, check_welldefined
 from qisograph.cuntz import (
-    FREE_UNITARY, MAGIC, cuntz_setup, derive_contradiction, non_isometry_verdict,
-    sn_plus_isometry_suite,
+    FREE_UNITARY, MAGIC, cuntz_setup, derive_contradiction, non_isometry_verdict, sn_plus_context,
 )
 from qisograph.graphs import RANGE_PREPEND, SOURCE_APPEND, enumerate_paths
 from qisograph.hilbert import (
@@ -130,8 +129,8 @@ def test_criterion_7_cuntz_contrast(graphs):
             assert verdict.not_isometric
             assert any(v.residual >= 0.4 for v in verdict.witnesses.values())
             assert all(v.residual >= 0.4 for v in verdict.witnesses.values() if v.witnessed)
-            results = sn_plus_isometry_suite(cuntz_setup(graphs[f"cuntz{n}"], MAGIC),
-                                             k_max=2, n_cap=3)
+            results = run_identity_suite(
+                sn_plus_context(cuntz_setup(graphs[f"cuntz{n}"], MAGIC), 3), k_max=2)
             assert all(r.passed for r in results)
 
 

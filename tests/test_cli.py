@@ -5,7 +5,9 @@ from pathlib import Path
 
 import pytest
 
-from qisograph.cli import DIRAC_STACK_MAX, RunConfig, UsageError, _check_dirac_stack, main
+from qisograph.cli import (
+    DIRAC_STACK_MAX, RunConfig, UsageError, _check_dirac_stack, _check_measure_table, main,
+)
 from qisograph.report import strip_wall_times
 
 GRAPHS = Path(__file__).resolve().parent.parent / "graphs"
@@ -386,3 +388,35 @@ def test_dirac_stack_limit_admits_k5_verify_and_five_loops():
         assert (summands + n_cap + 2) * paths ** 2 <= DIRAC_STACK_MAX
     assert path_counts(k5, 5)[-2:] == [1280, 5120]
     assert 5120 * 1280 <= DIRAC_STACK_MAX        # K5 spectral --level 5
+
+
+PLASTIC = "graph plastic\nv 1\nv 2\nv 3\ne a 2 1\ne b 1 2\ne c 3 2\ne d 1 3\n"
+
+
+@pytest.mark.parametrize("name, depth", [
+    ("k3", "40"), ("k3", "1000000000"), ("three_cycle", "1000000000"),
+    ("plastic", "60"),                          # float Perron data
+])
+def test_oversized_measure_table_exits_2_up_front(name, depth, tmp_path, capsys):
+    graph = tmp_path / f"{name}.g"
+    graph.write_text(PLASTIC if name == "plastic" else (GRAPHS / f"{name}.g").read_text())
+    started = time.monotonic()
+    assert main(["spectral", "--graph", str(graph), "--measure-depth", depth]) == 2
+    assert time.monotonic() - started < 1.0
+    assert "the cylinder-measure table would hold the paths of degree <= " in \
+        capsys.readouterr().err
+
+
+def test_measure_table_limit_admits_k3_to_depth_15_and_the_default(tmp_path):
+    from qisograph.graphs import parse_graph
+    k3 = parse_graph((GRAPHS / "k3.g").read_text())
+    _check_measure_table(k3, 15)
+    with pytest.raises(UsageError, match=r"degree <= 16 = 6,291,459 path vertices"):
+        _check_measure_table(k3, 16)
+    for text in ((GRAPHS / "k3.g").read_text(), PLASTIC):
+        graph = tmp_path / "g.g"
+        graph.write_text(text)
+        out = tmp_path / "spectral.json"
+        assert main(["spectral", "--graph", str(graph), "--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        assert report["checks"][1]["inputs"] == {"depth": 3}

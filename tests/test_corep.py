@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import dense_dirac_residuals
+from oracles import dense_dirac_residuals, q_point_provider
 from qisograph.corep import (
     VERTEX_PAIR, VerificationContext, build_corep,
     check_comultiplicative, check_density, check_dirac_commutation,
@@ -13,7 +13,7 @@ from qisograph.corep import (
 from qisograph.graphs import RANGE_PREPEND, SOURCE_APPEND, edge_path, enumerate_paths, vertex_path
 from qisograph.exprlang import parse_expression
 from qisograph.ncpoly import q
-from qisograph.providers import fourier_unitary, matrix_point_provider, permutation_diag_rep
+from qisograph.providers import fourier_unitary, permutation_diag_rep
 from qisograph.relations import magic_relations
 from qisograph.rewrite import is_zero, normal_form
 from qisograph.verdict import PROVED_ZERO, UNKNOWN
@@ -154,7 +154,8 @@ def test_comultiplicative_fails_without_edge_rules(graphs, perron_data, name, k,
     # the bare magic relations on the vertices have no edge-zero rules,
     # so the leg-wise difference survives reduction
     g = graphs[name]
-    ctx = VerificationContext(g, perron_data[name], magic_relations(tuple(g.vertices)))
+    ctx = VerificationContext(g, perron_data[name], magic_relations(tuple(g.vertices)),
+                              VERTEX_PAIR, [], 3)
     res = check_comultiplicative(ctx, k)
     assert not res.passed and res.verdict == UNKNOWN
     assert res.residuals == {"failed_pairs": failed_pairs, "worst_terms": worst_terms}
@@ -231,7 +232,7 @@ def test_kms_vertex_is_weighted_schema(contexts):
 
 def test_dirac_commutation(contexts):
     for name in ("three-cycle", "k3"):
-        res = check_dirac_commutation(contexts[name])
+        res = check_dirac_commutation(contexts[name], {})
         assert res.passed
         assert res.residuals["commutator"] < 1e-10
         assert res.residuals["gram_unitarity"] < 1e-10
@@ -254,7 +255,7 @@ def test_suite_checks_each_welldefined_pair_once(contexts, monkeypatch):
     assert sorted(calls) == [(0, 1), (0, 2), (1, 2), (2, 3)]
     shared = results[-1]
     calls.clear()
-    alone = check_dirac_commutation(ctx)
+    alone = check_dirac_commutation(ctx, {})
     assert calls == [(0, 1), (1, 2), (2, 3)]
     assert (shared.reductions, shared.trace_digest, shared.detail) == \
         (alone.reductions, alone.trace_digest, alone.detail)
@@ -263,8 +264,7 @@ def test_suite_checks_each_welldefined_pair_once(contexts, monkeypatch):
 def test_dirac_commutation_uses_given_welldefined_flags(contexts, monkeypatch):
     from qisograph import corep
     monkeypatch.setattr(corep, "check_welldefined", None)   # must not be called
-    res = check_dirac_commutation(replace(contexts["three-cycle"], n_cap=2),
-                                  welldefined={(0, 1): False})
+    res = check_dirac_commutation(replace(contexts["three-cycle"], n_cap=2), {(0, 1): False})
     assert not res.passed
     assert res.detail["welldefined_passed"] is False
     assert res.reductions == 3                    # tags for 0->1, 0->2, 1->2
@@ -272,9 +272,10 @@ def test_dirac_commutation_uses_given_welldefined_flags(contexts, monkeypatch):
 
 def _failed_uncertified(res, name):
     """The Dirac check failed as Unknown on the uncertified provider
-    *name* alone."""
+    *name* alone, and reports no residual value."""
     return (not res.passed and res.verdict == UNKNOWN
-            and res.detail["uncertified"] == [name])
+            and res.detail["uncertified"] == [name]
+            and res.residuals == {"commutator": None, "gram_unitarity": None})
 
 
 def test_dirac_commutation_negative_control(contexts):
@@ -282,10 +283,9 @@ def test_dirac_commutation_negative_control(contexts):
     automorphisms: the check fails, naming it, and the dense oracle
     reads a nonzero commutator."""
     ctx = replace(contexts["k3"], n_cap=2)
-    fourier = matrix_point_provider("fourier", ctx.rels.universe, fourier_unitary(3),
-                                    kind=ctx.rels.gen_kind)
+    fourier = q_point_provider("fourier", ctx.rels.universe, fourier_unitary(3))
     ctx = replace(ctx, providers=[fourier])
-    assert _failed_uncertified(check_dirac_commutation(ctx), "fourier")
+    assert _failed_uncertified(check_dirac_commutation(ctx, {}), "fourier")
     assert dense_dirac_residuals(ctx, fourier)["commutator"] > 1e-3
 
 
@@ -294,18 +294,15 @@ def test_dirac_commutation_matches_dense_oracle(contexts):
     the oracle's residuals, which are zero, so its level matrices are
     Gram-unitary; a sum of two non-magic point evaluations fails as
     uncertified, and the oracle reads it nonzero."""
-    from qisograph.providers import RepresentationProvider, rotation_unitary
+    from qisograph.providers import rotation_unitary
     for name in ("three-cycle", "k3", "asym4"):
         ctx = contexts[name]
         ids = ctx.rels.universe
-        mats = (fourier_unitary(len(ids)), rotation_unitary(len(ids), 0.3))
-        skew = RepresentationProvider("skew", 2, {
-            q(a, b): tuple(m[i][j] for m in mats)
-            for i, a in enumerate(ids) for j, b in enumerate(ids)})
+        skew = q_point_provider("skew", ids, fourier_unitary(len(ids)), rotation_unitary(len(ids)))
         for provider in (ctx.providers[0], skew):
             for n_cap in (1, 2, 3):
                 sub = replace(ctx, providers=[provider], n_cap=n_cap)
-                res = check_dirac_commutation(sub)
+                res = check_dirac_commutation(sub, {})
                 oracle = dense_dirac_residuals(sub, provider)
                 if provider is skew:
                     assert _failed_uncertified(res, "skew"), name
@@ -324,7 +321,7 @@ def test_non_automorphism_dirac_residuals_are_the_svd_values(graphs, perron_data
     provider = permutation_diag_rep("swap(1,2)", g.vertices,
                                     [{"1": "2", "2": "1", "3": "3", "4": "4"}])
     ctx = VerificationContext(g, pf, qaut_rels["asym4"], VERTEX_PAIR, [provider], 3)
-    res = check_dirac_commutation(ctx, welldefined=dict.fromkeys(level_pairs(3), True))
+    res = check_dirac_commutation(ctx, dict.fromkeys(level_pairs(3), True))
     assert _failed_uncertified(res, "swap(1,2)")
     oracle = dense_dirac_residuals(ctx, provider)
     assert oracle["commutator"] > 1e-3 and oracle["gram_unitarity"] > 1e-3
@@ -356,10 +353,10 @@ def test_permutation_certificate_matches_the_dense_residuals(contexts, graphs):
                                       [classical_rep(k4, k4_rels)], 3)
     for name, g in (("cuntz2", graphs["cuntz2"]), ("cuntz3", graphs["cuntz3"]),
                     ("loops4", parse_graph(LOOPS4))):
-        cases[name] = sn_plus_context(cuntz_setup(g, MAGIC))
+        cases[name] = sn_plus_context(cuntz_setup(g, MAGIC), 3)
     assert len(cases) == 8
     for name, ctx in cases.items():
-        res = check_dirac_commutation(ctx, welldefined=_known_welldefined(ctx))
+        res = check_dirac_commutation(ctx, _known_welldefined(ctx))
         assert res.passed and "uncertified" not in res.detail, name
         assert [dense_dirac_residuals(ctx, p) for p in ctx.providers] == [res.residuals], name
 
@@ -371,7 +368,7 @@ def test_non_injective_zero_one_provider_takes_the_dense_path(contexts):
     ctx = contexts["k3"]
     collapse = permutation_diag_rep("collapse", ctx.g.vertices, [{"1": "1", "2": "1", "3": "3"}])
     ctx = replace(ctx, providers=[ctx.providers[0], collapse])
-    res = check_dirac_commutation(ctx, welldefined=_known_welldefined(ctx))
+    res = check_dirac_commutation(ctx, _known_welldefined(ctx))
     assert _failed_uncertified(res, "collapse")
     oracle = dense_dirac_residuals(ctx, collapse)
     assert oracle["commutator"] > 1e-3 and oracle["gram_unitarity"] > 1e-3
@@ -400,7 +397,7 @@ def test_function_summand_is_not_a_permutation(monkeypatch):
     constant = [[Fraction(1, n)] * n for _ in range(n)]
     flat = TruncatedTriple((Fraction(1),) * n, [constant] * len(triple.xi_hat), constant)
     monkeypatch.setattr(corep, "dirac", lambda g, pf, n_cap: flat)
-    res = check_dirac_commutation(ctx, welldefined=_known_welldefined(ctx))
+    res = check_dirac_commutation(ctx, _known_welldefined(ctx))
     assert _failed_uncertified(res, "collapse")
     oracle = dense_dirac_residuals(ctx, collapse, flat)
     assert oracle["commutator"] > 1e-3 and oracle["gram_unitarity"] > 1e-3
@@ -422,7 +419,7 @@ def test_invariance_miss_takes_the_dense_path(contexts, monkeypatch, part):
         xi_hat[-1][0][1] += Fraction(1, 3)
     skewed = TruncatedTriple(tuple(gram), xi_hat, triple.constants_projection)
     monkeypatch.setattr(corep, "dirac", lambda g, pf, n_cap: skewed)
-    res = check_dirac_commutation(ctx, welldefined=_known_welldefined(ctx))
+    res = check_dirac_commutation(ctx, _known_welldefined(ctx))
     assert _failed_uncertified(res, ctx.providers[0].name)
     key = "gram_unitarity" if part == "gram" else "commutator"
     assert dense_dirac_residuals(ctx, ctx.providers[0], skewed)[key] > 1e-3
@@ -431,7 +428,7 @@ def test_invariance_miss_takes_the_dense_path(contexts, monkeypatch, part):
 def test_dirac_commutation_fails_on_a_failing_one_step_pair(contexts, monkeypatch):
     from qisograph import corep
     ctx = contexts["three-cycle"]
-    passing = check_dirac_commutation(ctx)
+    passing = check_dirac_commutation(ctx, {})
     calls = []
     original = corep.check_welldefined
 
@@ -441,7 +438,7 @@ def test_dirac_commutation_fails_on_a_failing_one_step_pair(contexts, monkeypatc
         return replace(res, passed=False) if (l, k) == (1, 2) else res
 
     monkeypatch.setattr(corep, "check_welldefined", failing_1_2)
-    res = check_dirac_commutation(ctx)
+    res = check_dirac_commutation(ctx, {})
     assert calls == [(0, 1), (1, 2)]                # stops at the first failure
     assert not res.passed and res.detail["welldefined_passed"] is False
     assert res.reductions == 6                      # every pair l < k <= 3
@@ -452,9 +449,9 @@ def test_dirac_commutation_ignores_known_pairs_above_n_cap(contexts, monkeypatch
     from qisograph import corep
     ctx = replace(contexts["three-cycle"], n_cap=2)
     known = _known_welldefined(ctx)
-    expected = check_dirac_commutation(ctx, welldefined=known)
+    expected = check_dirac_commutation(ctx, known)
     monkeypatch.setattr(corep, "check_welldefined", None)   # must not be called
-    res = check_dirac_commutation(ctx, welldefined={**known, (2, 3): False, (0, 3): False})
+    res = check_dirac_commutation(ctx, {**known, (2, 3): False, (0, 3): False})
     assert res.passed
     assert (res.residuals, res.reductions, res.trace_digest, res.detail) == \
         (expected.residuals, expected.reductions, expected.trace_digest, expected.detail)
@@ -500,7 +497,7 @@ def test_numeric_cross_check_sees_every_obligation(name, graphs, perron_data, mo
     from qisograph.relations import qaut_relations
     if name == "loops4":
         g = parse_graph("graph cuntz4\nv w\n" + "".join(f"e l{i} w w\n" for i in range(1, 5)))
-        ctx = sn_plus_context(cuntz_setup(g, MAGIC))
+        ctx = sn_plus_context(cuntz_setup(g, MAGIC), 3)
     else:
         g, pf = graphs[name], perron_data[name]
         rels = qaut_relations(g, pf)

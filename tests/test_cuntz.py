@@ -2,14 +2,14 @@ from fractions import Fraction
 
 import pytest
 
+from qisograph.corep import run_identity_suite
 from qisograph.cuntz import (
-    FREE_UNITARY, MAGIC, cuntz_setup, derive_contradiction,
-    non_isometry_verdict, sn_plus_context, sn_plus_isometry_suite,
+    FREE_UNITARY, MAGIC, cuntz_setup, derive_contradiction, non_isometry_verdict, sn_plus_context,
 )
 from qisograph.hilbert import multiplicities
 from qisograph.exprlang import parse_expression
 from qisograph.perron import cylinder_measure
-from qisograph.providers import unitary_provider_portfolio
+from qisograph.providers import unitary_provider_portfolio, witness_nonzero
 from qisograph.graphs import enumerate_paths, parse_graph
 from qisograph.rewrite import is_zero
 from qisograph.verdict import PROVED_ZERO, UNKNOWN, WITNESSED_NONZERO
@@ -88,14 +88,13 @@ def test_obligation_never_proved_zero_but_witnessed(graphs):
         # printed, then parsed into the w-free relation set's alphabet
         ob = parse_expression(der.rels.alphabet.text(ob), setup.rels)
         assert is_zero(ob, setup.rels).kind == UNKNOWN
-        from qisograph.providers import witness_nonzero
         assert witness_nonzero(ob, alpha.gens, providers).kind == WITNESSED_NONZERO
 
 
 def test_non_isometry_verdict(graphs):
     for n in (2, 3):
         setup = cuntz_setup(graphs[f"cuntz{n}"], FREE_UNITARY)
-        verdict = non_isometry_verdict(setup)
+        verdict = non_isometry_verdict(setup, derive_contradiction(setup))
         assert verdict.not_isometric
         assert all(v.witnessed for v in verdict.witnesses.values())
         assert all(v.residual >= 0.4 for v in verdict.witnesses.values())
@@ -103,31 +102,35 @@ def test_non_isometry_verdict(graphs):
 
 def test_identity_provider_alone_is_inconclusive(graphs):
     setup = cuntz_setup(graphs["cuntz2"], FREE_UNITARY)
-    providers = unitary_provider_portfolio(setup.loop_ids, setup.rels)
-    identity_only = [p for p in providers if p.name == "identity"]
-    verdict = non_isometry_verdict(setup, providers=identity_only)
-    assert not verdict.not_isometric       # permutation rows sum to one
-    rotation = [p for p in providers if p.name == "rotation"]
-    assert non_isometry_verdict(setup, providers=rotation).not_isometric
+    derivation = derive_contradiction(setup)
+    gens = derivation.rels.alphabet.gens
+    providers = {p.name: p for p in unitary_provider_portfolio(setup.loop_ids, setup.rels)}
+    obligations = derivation.obligations.values()
+    # permutation rows sum to one
+    assert all(not witness_nonzero(ob, gens, [providers["identity"]]).witnessed
+               for ob in obligations)
+    assert all(witness_nonzero(ob, gens, [providers["rotation"]]).witnessed
+               for ob in obligations)
 
 
 def test_non_isometry_requires_free_flavor(graphs):
     with pytest.raises(ValueError):
-        non_isometry_verdict(cuntz_setup(graphs["cuntz2"], MAGIC))
+        setup = cuntz_setup(graphs["cuntz2"], MAGIC)
+        non_isometry_verdict(setup, derive_contradiction(setup))
 
 
 def test_derivation_transcript_is_jsonable(graphs):
     import json
     setup = cuntz_setup(graphs["cuntz2"], FREE_UNITARY)
-    verdict = non_isometry_verdict(setup)
+    verdict = non_isometry_verdict(setup, derive_contradiction(setup))
     text = json.dumps(verdict.to_dict())
     assert "obligation" in text and "NotIsometric" in text
 
 
 def test_sn_plus_suite_passes(graphs):
     for n, k_max in ((2, 2), (3, 1)):
-        results = sn_plus_isometry_suite(cuntz_setup(graphs[f"cuntz{n}"], MAGIC),
-                                         k_max=k_max, n_cap=3)
+        results = run_identity_suite(sn_plus_context(cuntz_setup(graphs[f"cuntz{n}"], MAGIC), 3),
+                                     k_max=k_max)
         assert all(r.passed for r in results), [
             (r.name, r.inputs) for r in results if not r.passed]
         names = {r.name for r in results}

@@ -2,8 +2,9 @@ from fractions import Fraction
 
 import pytest
 
+from oracles import u, ustar
 from qisograph.exprlang import ExpressionError, parse_expression
-from qisograph.ncpoly import q, u, ustar
+from qisograph.ncpoly import q
 from qisograph.relations import free_unitary_relations, magic_relations
 from qisograph.rewrite import is_zero
 from qisograph.verdict import PROVED_ZERO

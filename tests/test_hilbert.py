@@ -5,11 +5,12 @@ import numpy as np
 import pytest
 
 from qisograph.graphs import (
-    RANGE_PREPEND, SOURCE_APPEND, edge_path, enumerate_paths, path_from_edges, vertex_path,
+    RANGE_PREPEND, SOURCE_APPEND, edge_path, enumerate_paths, path_from_edges, refine,
+    vertex_path,
 )
 from qisograph.hilbert import (
     TruncationOverflowError, alpha_sequence, cuntz_krieger_check, dirac, embed,
-    embedding_gram_residual, level_space, multiplicities, path_counts, represent,
+    embedding_gram_residual, level_gram, multiplicities, path_counts, represent,
     theta_partial_sums, theta_tail_bound,
 )
 from qisograph.ratmat import rat_matmul
@@ -20,11 +21,10 @@ from oracles import (
 
 
 def test_level_space_dims(graphs, perron_data):
-    assert level_space(graphs["three-cycle"], perron_data["three-cycle"], 4).dim == 3
-    sp = level_space(graphs["k3"], perron_data["k3"], 2)
-    assert sp.dim == 12
-    sp0 = level_space(graphs["k3"], perron_data["k3"], 0)
-    assert sp0.dim == 3 and set(sp0.gram) == {Fraction(1, 3)}
+    assert len(level_gram(graphs["three-cycle"], perron_data["three-cycle"], 4)) == 3
+    assert len(level_gram(graphs["k3"], perron_data["k3"], 2)) == 12
+    gram0 = level_gram(graphs["k3"], perron_data["k3"], 0)
+    assert len(gram0) == 3 and set(gram0) == {Fraction(1, 3)}
 
 
 def test_level_space_dimension_bound(graphs, perron_data):
@@ -94,15 +94,22 @@ def test_embed_prepend_not_isometric_on_asym4(graphs, perron_data):
 
 
 def test_embedding_gram_residual_matches_dense_product(graphs, perron_data):
-    # the additivity form against max |E^T G_k E - G_l| from the matrices
+    # the additivity form against max |E^T G_k E - G_l| from the 0/1
+    # refinement matrices E of either convention
     for name, g in graphs.items():
         pf = perron_data[name]
         for convention in (SOURCE_APPEND, RANGE_PREPEND):
             for k in range(4):
-                gk = level_space(g, pf, k).gram
+                gk = level_gram(g, pf, k)
+                row = {eta: i for i, eta in enumerate(enumerate_paths(g, k))}
                 for l in range(k + 1):
-                    e = embed(g, l, k, convention).mat
-                    gl = level_space(g, pf, l).gram
+                    e = [[0] * len(enumerate_paths(g, l)) for _ in row]
+                    for j, lam in enumerate(enumerate_paths(g, l)):
+                        for mu in refine(g, lam, k - l, convention):
+                            e[row[mu]][j] = 1
+                    if convention == SOURCE_APPEND:
+                        assert e == embed(g, l, k).mat
+                    gl = level_gram(g, pf, l)
                     dense = max(abs(sum(e[i][a] * gk[i] * e[i][b] for i in range(len(gk)))
                                     - (gl[a] if a == b else 0))
                                 for a in range(len(gl)) for b in range(len(gl)))
@@ -230,15 +237,15 @@ def test_dirac_projection_invariants(graphs, perron_data):
 
 def test_dirac_matrix_selfadjoint_wrt_gram(graphs, perron_data):
     tri = dirac(graphs["k3"], perron_data["k3"], 3)
-    d = dirac_matrix(tri, alpha_sequence(3))
+    d = dirac_matrix(tri, alpha_sequence(3, "power", 0.25))
     gram = np.diag([float(x) for x in tri.gram])
     assert np.linalg.norm(gram @ d - d.T @ gram) < 1e-12
 
 
 def test_alpha_sequences():
-    seq = alpha_sequence(5)
+    seq = alpha_sequence(5, "power", 0.25)
     assert seq[0] == 0 and abs(seq[2] - 2 ** 0.75) < 1e-12
-    lin = alpha_sequence(5, "linear")
+    lin = alpha_sequence(5, "linear", 0.25)
     assert lin == (0.0, 1.0, 2.0, 3.0, 4.0, 5.0)
     with pytest.raises(ValueError):
         alpha_sequence(5, "power", eps=0.7)

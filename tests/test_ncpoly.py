@@ -3,9 +3,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qisograph.ncpoly import (
-    FORMAL_UNITARY, FORMAL_UNITARY_STAR, add, comultiply, mul, q, u, ustar,
-)
+from oracles import u, ustar
+from qisograph.ncpoly import FORMAL_UNITARY, FORMAL_UNITARY_STAR, add, comultiply, mul, q
 from qisograph.relations import free_unitary_relations, magic_relations, with_formal_unitary
 
 IDS = ("1", "2", "3")

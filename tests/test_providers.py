@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from oracles import letter_by_letter_norm, letter_by_letter_value
+from oracles import letter_by_letter_norm, letter_by_letter_value, q_point_provider
 from qisograph.corep import NUMERIC_TOL, VERTEX_PAIR, VerificationContext, run_identity_suite
 from qisograph.exprlang import parse_expression
 from qisograph.graphs import graph_automorphisms, parse_graph
@@ -13,7 +13,7 @@ from qisograph.ncpoly import q
 from qisograph.perron import perron
 from qisograph.providers import (
     ProviderValidationError, RepresentationProvider, classical_rep, fourier_unitary,
-    identity_unitary, loop_permutation_rep, matrix_point_provider, permutation_diag_rep,
+    identity_unitary, loop_permutation_rep, permutation_diag_rep,
     register, rotation_unitary, unitary_provider_portfolio, witness_nonzero,
 )
 from qisograph.relations import free_unitary_relations, magic_relations, qaut_relations
@@ -35,8 +35,7 @@ def test_classical_rep_values(graphs, qaut_rels):
 
 def test_registration_rejects_bad_assignment():
     rels = magic_relations(("1", "2"))
-    bad = matrix_point_provider("bad", ("1", "2"),
-                                np.array([[0.5, 0.5], [0.5, 0.5]]), kind="q")
+    bad = q_point_provider("bad", ("1", "2"), np.array([[0.5, 0.5], [0.5, 0.5]]))
     with pytest.raises(ProviderValidationError):
         register(bad, rels)
 
@@ -46,15 +45,14 @@ def test_registration_rejects_non_finite_entries(entry):
     """A NaN residual compares False against any tolerance; registration
     must still fail."""
     rels = magic_relations(("1", "2"))
-    bad = matrix_point_provider("non-finite", ("1", "2"), [[entry, 0.0], [0.0, 1.0]], kind="q")
+    bad = q_point_provider("non-finite", ("1", "2"), [[entry, 0.0], [0.0, 1.0]])
     with pytest.raises(ProviderValidationError):
         register(bad, rels)
 
 
 def test_permutation_point_provider_is_valid_magic_rep():
     rels = magic_relations(("1", "2"))
-    swap = matrix_point_provider("swap", ("1", "2"),
-                                 np.array([[0.0, 1.0], [1.0, 0.0]]), kind="q")
+    swap = q_point_provider("swap", ("1", "2"), np.array([[0.0, 1.0], [1.0, 0.0]]))
     register(swap, rels)
 
 

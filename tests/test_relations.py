@@ -35,9 +35,9 @@ def test_magic_symmetries_are_the_index_permutations_up_to_the_limit():
     assert magic_relations(ids).alphabet.transport == ()
 
 
-def test_qaut_requires_aut_plus(graphs):
+def test_qaut_requires_aut_plus(graphs, perron_data):
     with pytest.raises(ValueError) as exc:
-        qaut_relations(graphs["cuntz2"])
+        qaut_relations(graphs["cuntz2"], perron_data["cuntz2"])
     assert "no-loops" in str(exc.value)
 
 
@@ -108,8 +108,15 @@ def test_qaut_adjacency_commutation_stored(qaut_rels):
 def test_weighted_schema_only_with_exact_perron(graphs, perron_data):
     rels = qaut_relations(graphs["k3"], perron_data["k3"])
     assert any(s.tag == "weighted-col-sum" for s in rels.sum_schemas)
-    bare = qaut_relations(graphs["k3"])
-    assert not any(s.tag == "weighted-col-sum" for s in bare.sum_schemas)
+    assert not any(e["family"] == "weighted-col-sum" for e in rels.events)
+    # an aut-plus graph whose spectral radius is the plastic number 1.3247...
+    g = parse_graph("graph plastic\nv 1\nv 2\nv 3\ne a 2 1\ne b 1 2\ne c 3 2\ne d 1 3\n")
+    pf = perron(g)
+    assert not pf.exact and abs(pf.rho - 1.3247179572) < 1e-9
+    inexact = qaut_relations(g, pf)
+    assert not any(s.tag == "weighted-col-sum" for s in inexact.sum_schemas)
+    assert [e["action"] for e in inexact.events if e["family"] == "weighted-col-sum"] == [
+        "disabled"]
 
 
 def test_vanishing_closure_on_rigid_graph(qaut_rels):

@@ -5,11 +5,12 @@ from fractions import Fraction
 
 import pytest
 
+from oracles import u
 from qisograph.corep import EDGE_INDEX, VERTEX_PAIR, VerificationContext, run_identity_suite
 from qisograph.cuntz import MAGIC, cuntz_setup
 from qisograph.exprlang import parse_expression
 from qisograph.graphs import parse_graph
-from qisograph.ncpoly import q, u
+from qisograph.ncpoly import q
 from qisograph.providers import classical_rep, loop_permutation_rep
 from qisograph.relations import free_unitary_relations, magic_relations, qaut_relations
 from qisograph.rewrite import (
@@ -113,7 +114,7 @@ def test_edge_rule_orientations_sound_under_classical(graphs, qaut_rels):
     the automorphism representation."""
     for name in ("three-cycle", "k3", "asym4"):
         rels = qaut_rels[name]
-        provider = classical_rep(graphs[name])
+        provider = classical_rep(graphs[name], rels)
         alpha = rels.alphabet
         for (g1, g2), rhs in rels.pair_rules.items():
             if rels.rule_tags[(g1, g2)] != "edge-zero":
@@ -197,7 +198,7 @@ def _mutants(rels):
     tags = {lhs: tag for lhs, tag in rels.rule_tags.items() if lhs != dropped}
     schemas = tuple(
         s if s.weights is None
-        else SumSchema(s.tag, s.varying_axis, (s.weights[0] * 2,) + s.weights[1:], s.provenance)
+        else SumSchema(s.tag, s.varying_axis, (s.weights[0] * 2,) + s.weights[1:])
         for s in rels.sum_schemas)
     assert schemas != rels.sum_schemas
     return {"edge-zero dropped": replace(rels, pair_rules=rules, rule_tags=tags),
@@ -224,7 +225,7 @@ def test_transport_off_for_relations_that_are_not_invariant(graphs, qaut_rels):
         assert mutant.alphabet.proofs == {}, name
     # dropping a rule keeps the relations sound, so its proofs still hold
     dropped = mutants["edge-zero dropped"]
-    provider = classical_rep(graphs["three-cycle"])
+    provider = classical_rep(graphs["three-cycle"], rels)
     proved = [p for p in polys if is_zero(p, dropped).kind == PROVED_ZERO]
     assert proved and all(provider.norm(p, dropped.alphabet.gens) < 1e-12 for p in proved)
 
@@ -252,7 +253,7 @@ def test_transport_keeps_every_suite_result(name, graphs, perron_data):
     for side, side_rels in (("on", rels), ("off", replace(rels, symmetries=()))):
         ctx = VerificationContext(g, pf, side_rels, scheme, [provider(side_rels)], 3)
         results[side] = [(c.name, c.inputs, c.verdict, c.reductions, c.trace_digest,
-                          c.residuals) for c in run_identity_suite(ctx)]
+                          c.residuals) for c in run_identity_suite(ctx, k_max=2)]
     assert results["on"] == results["off"]
     # every symmetry passed validation and is held as one rank map
     assert len(rels.alphabet.transport) == len(rels.symmetries)
@@ -264,7 +265,7 @@ def test_transported_forms_prove_zero_from_scratch(graphs, perron_data):
     g, pf = graphs["k3"], perron_data["k3"]
     rels = qaut_relations(g, pf)
     recorder = record_proofs(rels)
-    run_identity_suite(VerificationContext(g, pf, rels, VERTEX_PAIR, [], 3))
+    run_identity_suite(VerificationContext(g, pf, rels, VERTEX_PAIR, [], 3), k_max=2)
     hits = set(recorder.hits)
     assert len(hits) > 100
     for key, winning in hits:
