@@ -14,7 +14,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from fractions import Fraction
 from pathlib import Path as FsPath
 
@@ -67,7 +67,6 @@ class RunConfig:
     graph_path: str
     n_cap: int = 3
     k_max: int = 2
-    l_max: int | None = None
     epsilon: float = 0.25
     t_values: tuple[float, ...] = (0.5, 1.0, 2.0)
     convention: str = "auto"
@@ -76,7 +75,6 @@ class RunConfig:
     theta_csv: str | None = None
     measure_depth: int = 3
     profile: str = "aut-plus"
-    alpha_kind: str = "power"
     q_max: int = 20
 
     def validate(self):
@@ -84,8 +82,6 @@ class RunConfig:
             raise UsageError("truncation level must be at least 2")
         if self.k_max < 1:
             raise UsageError("max corepresentation level --k must be at least 1")
-        if self.l_max is not None and self.l_max < 0:
-            raise UsageError("max lower level --l must be at least 0")
         if self.measure_depth < 0:
             raise UsageError("--measure-depth must be at least 0")
         if self.q_max < 0:
@@ -227,7 +223,7 @@ def cmd_spectral(config: RunConfig) -> SuiteReport:
             0, "", (time.monotonic() - t0) * 1000.0))
 
     t0 = time.monotonic()
-    alpha = alpha_sequence(config.q_max, config.alpha_kind, config.epsilon)
+    alpha = alpha_sequence(config.q_max, config.epsilon)
     mults = multiplicities(g, config.q_max)
     spectrum = [{"q": q, "alpha_q": alpha[q], "multiplicity": mults[q]}
                 for q in range(config.q_max + 1)]
@@ -283,11 +279,11 @@ def cmd_verify(config: RunConfig) -> SuiteReport:
     if convention == SOURCE_APPEND:
         _check_dirac_stack(ctx.providers[0].dim, path_counts(g, config.n_cap)[-1],
                            config.n_cap)
-        report_checks = run_identity_suite(ctx, k_max=config.k_max, l_max=config.l_max)
+        report_checks = run_identity_suite(ctx, k_max=config.k_max)
     else:
         # forced rejected convention: run the negative control only
         report_checks = [check_welldefined(ctx, l, k, convention=convention)
-                         for l, k in level_pairs(config.k_max, config.l_max)]
+                         for l, k in level_pairs(config.k_max)]
     notes = [{"relation_events": list(ctx.rels.events)},
              {"convention_residuals": {k: str(v) for k, v in conv_residuals.items()}}]
     return SuiteReport("verify", __version__, g.name, digest, convention,
@@ -376,32 +372,29 @@ def _print_summary(report: SuiteReport):
     print(f"overall: {'pass' if report.passed else 'fail'}")
 
 
-#: flag -> add_argument keywords; defaults live in RunConfig
+#: flag -> add_argument keywords; build_parser adds RunConfig's defaults to the help
 _FLAGS = {
     "graph": dict(required=True, dest="graph_path", help="graph file path"),
-    "level": dict(type=int, dest="n_cap", help="truncation level N (default 3)"),
-    "k": dict(type=int, dest="k_max", help="max corepresentation level (default 2)"),
-    "l": dict(type=int, dest="l_max", help="max lower level for embedding checks"),
-    "epsilon": dict(type=float, help="Dirac exponent epsilon in (0, 1/2) (default 0.25)"),
+    "level": dict(type=int, dest="n_cap", help="truncation level N"),
+    "k": dict(type=int, dest="k_max", help="max corepresentation level"),
+    "epsilon": dict(type=float, help="Dirac exponent epsilon in (0, 1/2)"),
     "t": dict(type=float, action="append", dest="t_values",
-              help="heat-trace t value (repeatable; default 0.5 1 2)"),
-    "convention": dict(choices=("auto",) + CONVENTIONS),
-    "flavor": dict(choices=("both", FREE_UNITARY, MAGIC)),
+              help="heat-trace t value (repeatable)"),
+    "convention": dict(choices=("auto",) + CONVENTIONS, help="refinement convention"),
+    "flavor": dict(choices=("both", FREE_UNITARY, MAGIC), help="loop-graph relation flavor"),
     "out": dict(dest="out_path", help="report JSON path"),
     "theta-csv": dict(help="heat-trace partial sums CSV path"),
-    "measure-depth": dict(type=int, help="cylinder-measure table depth (default 3)"),
-    "alpha": dict(dest="alpha_kind", choices=("power", "linear")),
-    "q-max": dict(type=int, help="heat-trace partial sums up to Q (default 20)"),
-    "profile": dict(choices=tuple(PROFILES)),
+    "measure-depth": dict(type=int, help="cylinder-measure table depth"),
+    "q-max": dict(type=int, help="heat-trace partial sums up to Q"),
+    "profile": dict(choices=tuple(PROFILES), help="graph hypothesis profile"),
 }
 
 #: command -> (help, the flags it reads)
 COMMANDS = {
     "validate": ("check graph hypotheses", ("graph", "profile", "out")),
     "spectral": ("Perron data, measures, Dirac spectrum, heat traces",
-                 ("graph", "level", "epsilon", "t", "out", "theta-csv", "measure-depth",
-                  "alpha", "q-max")),
-    "verify": ("the full identity suite", ("graph", "level", "k", "l", "convention", "out")),
+                 ("graph", "level", "epsilon", "t", "out", "theta-csv", "measure-depth", "q-max")),
+    "verify": ("the full identity suite", ("graph", "level", "k", "convention", "out")),
     "cuntz": ("loop-graph derivation and contrast", ("graph", "level", "k", "flavor", "out")),
     "reduce": ("reduce an expression to normal form", ("graph", "flavor", "out")),
 }
@@ -411,12 +404,16 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qisograph",
         description="finite-truncation verification of quantum isometric actions "
-                    "on graph algebra spectral triples")
+                    "on graph algebra spectral triples", allow_abbrev=False)
     sub = parser.add_subparsers(dest="command", required=True)
+    defaults = {f.name: " ".join(map(str, f.default)) if isinstance(f.default, tuple) else f.default
+                for f in fields(RunConfig) if f.default not in (None, MISSING)}
     for command, (help_text, flags) in COMMANDS.items():
-        p = sub.add_parser(command, help=help_text)
+        p = sub.add_parser(command, help=help_text, allow_abbrev=False)
         for flag in flags:
-            p.add_argument(f"--{flag}", **_FLAGS[flag])
+            action = p.add_argument(f"--{flag}", **_FLAGS[flag])
+            if action.dest in defaults:
+                action.help += f" (default {defaults[action.dest]})"
     sub.choices["reduce"].add_argument("expression", help="expression in the mini-language")
     return parser
 

@@ -187,11 +187,10 @@ class _Obligations:
                            detail=detail or {})
 
 
-def level_pairs(k_max: int, l_max: int | None = None) -> list[tuple[int, int]]:
-    """The (l, k) pairs l < k <= k_max, l <= l_max, that
-    well-definedness is checked on, in suite order."""
-    return [(l, k) for k in range(1, k_max + 1)
-            for l in range(k if l_max is None else min(k, l_max + 1))]
+def level_pairs(k_max: int) -> list[tuple[int, int]]:
+    """The (l, k) pairs l < k <= k_max that well-definedness is checked
+    on, in suite order."""
+    return [(l, k) for k in range(1, k_max + 1) for l in range(k)]
 
 
 def check_welldefined(ctx: VerificationContext, l: int, k: int,
@@ -276,8 +275,6 @@ def check_comultiplicative(ctx: VerificationContext, k: int) -> CheckResult:
     """(U (x) id) U = (id (x) Delta) U, leg-wise, per basis vector: the
     pair counts of both sides must cancel once each leg is reduced."""
     started = time.monotonic()
-    if k > COMULTIPLICATIVE_MAX_LEVEL:
-        raise ValueError(f"comultiplicativity guarded to level {COMULTIPLICATIVE_MAX_LEVEL}")
     trace = ReductionTrace()
     table = ctx.level(k)
     basis, entries = table.basis, table.entries
@@ -309,10 +306,6 @@ def check_density(ctx: VerificationContext, lam: Path) -> CheckResult:
     """Row lam of Q Q* = 1: the finite combination
     sum_zeta U(chi_[zeta]) Q[lam,zeta]* recovers chi_[lam] (x) 1;
     degree 1 or 2."""
-    if ctx.scheme != VERTEX_PAIR:
-        raise ValueError("density combination is defined for the vertex-pair scheme")
-    if lam.degree not in (1, 2):
-        raise ValueError("density check covers degrees 1 and 2")
     obs = _Obligations(ctx)
     table = ctx.level(lam.degree)
     star = ctx.rels.alphabet.star
@@ -504,13 +497,12 @@ def check_dirac_commutation(ctx: VerificationContext,
 # ---------------------------------------------------------------------------
 # the full suite
 
-def run_identity_suite(ctx: VerificationContext, k_max: int,
-                       l_max: int | None = None) -> list[CheckResult]:
+def run_identity_suite(ctx: VerificationContext, k_max: int) -> list[CheckResult]:
     """Every identity check at levels l < k <= k_max, truncation
     ctx.n_cap; density runs on the vertex-pair scheme only."""
     results = []
     welldefined = {}
-    for l, k in level_pairs(k_max, l_max):
+    for l, k in level_pairs(k_max):
         results.append(check_welldefined(ctx, l, k))
         welldefined[(l, k)] = results[-1].passed
     for k in range(k_max + 1):
@@ -519,7 +511,7 @@ def run_identity_suite(ctx: VerificationContext, k_max: int,
     lam0 = edges1[0]
     for eta in paths2[:2]:
         results.append(check_isometry_mixed(ctx, lam0, eta))
-    for k in range(min(k_max, 2) + 1):
+    for k in range(min(k_max, COMULTIPLICATIVE_MAX_LEVEL) + 1):
         results.append(check_comultiplicative(ctx, k))
     if ctx.scheme == VERTEX_PAIR:
         for lam in edges1 + paths2:

@@ -48,8 +48,6 @@ def cuntz_setup(g: DirectedGraph, flavor: str) -> CuntzSetup:
     n = len(g.edges)
     if len(g.vertices) != 1 or any(e.range != e.source for e in g.edges) or n < 2:
         raise ValueError("the loop-graph contrast needs a one-vertex graph with n >= 2 loops")
-    if flavor not in (FREE_UNITARY, MAGIC):
-        raise ValueError(f"unknown flavor {flavor!r}")
     pf = perron(g)
     loop_ids = tuple(e.id for e in g.sorted_edges)
     if flavor == FREE_UNITARY:
@@ -157,8 +155,6 @@ def non_isometry_verdict(setup: CuntzSetup, derivation: DerivationReport) -> Non
     """NotIsometric when some obligation of *derivation* is witnessed
     nonzero under a point evaluation of the unitary provider portfolio,
     a concrete representation of the relations."""
-    if setup.flavor != FREE_UNITARY:
-        raise ValueError("the contradiction argument targets the free-unitary flavor")
     providers = unitary_provider_portfolio(setup.loop_ids, setup.rels)
     witnesses = {}
     found = False

@@ -1,12 +1,16 @@
+import argparse
 import json
 import math
+import re
 import time
+from dataclasses import MISSING, fields
 from pathlib import Path
 
 import pytest
 
 from qisograph.cli import (
-    DIRAC_STACK_MAX, RunConfig, UsageError, _check_dirac_stack, _check_measure_table, main,
+    _FLAGS, COMMANDS, DIRAC_STACK_MAX, RunConfig, UsageError, _check_dirac_stack,
+    _check_measure_table, main,
 )
 from qisograph.report import strip_wall_times
 
@@ -51,7 +55,6 @@ def test_usage_errors():
 def test_vacuous_ranges_exit_2(capsys):
     # each of these ran fewer checks than the suite has and still passed
     for argv in (["verify", "--graph", _graph("three_cycle.g"), "--k", "-1"],
-                 ["verify", "--graph", _graph("three_cycle.g"), "--l", "-1"],
                  ["cuntz", "--graph", _graph("cuntz2.g"), "--k", "-1"],
                  ["spectral", "--graph", _graph("k3.g"), "--measure-depth", "-1"],
                  ["spectral", "--graph", _graph("k3.g"), "--q-max", "-1"]):
@@ -123,6 +126,37 @@ def test_commands_reject_flags_they_do_not_read(tmp_path):
                  "--convention", "source-append"]) == 2
     assert main(["validate", "--graph", _graph("k3.g"), "--level", "3"]) == 2
     assert main(["reduce", "--graph", _graph("k3.g"), "--k", "2", "q[1,2]"]) == 2
+
+
+def test_flags_are_spelled_in_full(capsys):
+    # a deleted flag or a prefix of a flag is refused, never read as another flag
+    for argv in (["verify", "--l", "2"], ["verify", "--lev", "3"],
+                 ["spectral", "--alpha", "linear"], ["spectral", "--q", "3"]):
+        assert main([argv[0], "--graph", _graph("k3.g"), *argv[1:]]) == 2, argv
+        assert "unrecognized arguments" in capsys.readouterr().err, argv
+
+
+def _dest(flag: str) -> str:
+    return argparse.ArgumentParser().add_argument(f"--{flag}", **_FLAGS[flag]).dest
+
+
+def test_flag_destinations_are_the_run_config_fields():
+    assert sorted(map(_dest, _FLAGS)) == sorted(f.name for f in fields(RunConfig))
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_help_prints_each_run_config_default(command, capsys):
+    assert main([command, "--help"]) == 0
+    options = " ".join(capsys.readouterr().out.split("options:")[1].split())
+    entries = {entry.split()[0]: entry for entry in re.split(r" (?=--)", options)[1:]}
+    defaults = {f.name: f.default for f in fields(RunConfig)}
+    for flag in COMMANDS[command][1]:
+        default = defaults[_dest(flag)]
+        if default in (None, MISSING):
+            assert "(default" not in entries[f"--{flag}"], flag
+        else:
+            shown = " ".join(map(str, default)) if isinstance(default, tuple) else default
+            assert entries[f"--{flag}"].endswith(f"(default {shown})"), flag
 
 
 def test_spectral_theta_enclosure_on_k5(tmp_path):

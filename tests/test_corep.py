@@ -141,8 +141,6 @@ def test_comultiplicative(contexts):
         ctx = contexts[name]
         for k in (0, 1, 2):
             assert check_comultiplicative(ctx, k).passed
-    with pytest.raises(ValueError):
-        check_comultiplicative(contexts["k3"], 3)
 
 
 @pytest.mark.parametrize("name, k, failed_pairs, worst_terms", [
@@ -182,8 +180,6 @@ def test_density(contexts):
             assert check_density(ctx, lam).passed
         for lam in enumerate_paths(ctx.g, 2)[:4]:
             assert check_density(ctx, lam).passed
-    with pytest.raises(ValueError):
-        check_density(contexts["k3"], vertex_path("1"))
 
 
 def test_implementation_paper_case(contexts):

@@ -237,18 +237,24 @@ def test_dirac_projection_invariants(graphs, perron_data):
 
 def test_dirac_matrix_selfadjoint_wrt_gram(graphs, perron_data):
     tri = dirac(graphs["k3"], perron_data["k3"], 3)
-    d = dirac_matrix(tri, alpha_sequence(3, "power", 0.25))
+    d = dirac_matrix(tri, alpha_sequence(3, 0.25))
     gram = np.diag([float(x) for x in tri.gram])
     assert np.linalg.norm(gram @ d - d.T @ gram) < 1e-12
 
 
 def test_alpha_sequences():
-    seq = alpha_sequence(5, "power", 0.25)
+    seq = alpha_sequence(5, 0.25)
     assert seq[0] == 0 and abs(seq[2] - 2 ** 0.75) < 1e-12
-    lin = alpha_sequence(5, "linear", 0.25)
-    assert lin == (0.0, 1.0, 2.0, 3.0, 4.0, 5.0)
-    with pytest.raises(ValueError):
-        alpha_sequence(5, "power", eps=0.7)
+
+
+@pytest.mark.parametrize("eps", [0.01, 0.25, 0.49])
+def test_alpha_increases_with_gaps_at_most_one(eps):
+    # the Dirac spectrum q^{1/2+eps} of the triple: the first gap is
+    # exactly 1 and every later one is below 1/2 + eps
+    seq = alpha_sequence(200, eps)
+    gaps = [b - a for a, b in zip(seq, seq[1:])]
+    assert gaps[0] == 1
+    assert all(0 < gap < 0.5 + eps for gap in gaps[1:])
 
 
 def test_theta_partial_sums_oracle(graphs):
@@ -331,13 +337,3 @@ def test_theta_tail_bound_encloses_longer_partial_sums(graphs):
             at20, at40 = sums[20], sums[40]
             assert math.isfinite(tail)
             assert at20 + tail >= at40, (g.name, t)
-
-
-def test_theta_validates_arguments(graphs):
-    mults = multiplicities(graphs["k3"], 5)
-    with pytest.raises(ValueError):
-        theta_partial_sums(mults, -1.0, 0.25, 5)
-    with pytest.raises(ValueError):
-        theta_partial_sums(mults, 1.0, 0.6, 5)
-    with pytest.raises(ValueError):
-        theta_partial_sums(mults, 1.0, 0.25, 9)

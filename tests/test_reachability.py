@@ -12,15 +12,20 @@ A top-level name counts as loaded only inside its own module, in a
 file that imports it from that module, or as an attribute of that
 module (``cli.main``), so a local variable of the same name elsewhere
 does not keep it alive; a call of a top-level function or class
-resolves the same way.  A method cannot be resolved to its class
-statically: it counts as loaded by any attribute load of its name, and
-its defaulted parameters as passed by any ``.name(...)`` call.  A call
-with a ``*`` or ``**`` splat may pass anything, so it counts as passing
-every parameter.
+resolves the same way.  A member counts as loaded by an attribute load
+of its name whose receiver is of its class, and its defaulted
+parameters as passed by a ``.name(...)`` call on such a receiver.  The
+receiver's class is known statically when it is ``self`` or ``cls`` in
+a method of that class, a parameter or variable annotated with it, a
+name every binding of which in its scope is a call of the class, the
+class itself, or such a call; any other receiver may be of any class,
+so its load or call counts for every member of that name.  A receiver
+counts for exactly its own class: no package class derives from
+another.  A call with a ``*`` or ``**`` splat may pass anything, so it
+counts as passing every parameter.
 """
 
 import ast
-from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -120,21 +125,89 @@ def unreached_definitions() -> set[str]:
             if (module, d.name) not in loaded}
 
 
-def _attribute_loads(node) -> Counter:
-    return Counter(sub.attr for sub in ast.walk(node)
-                   if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load))
+_SCOPES = (ast.FunctionDef, ast.Lambda, ast.ClassDef)
+
+
+def _scope_nodes(scope):
+    """The nodes of *scope*'s own body: nested functions and classes are
+    yielded but not entered."""
+    todo = list(ast.iter_child_nodes(scope))
+    while todo:
+        node = todo.pop()
+        yield node
+        if not isinstance(node, _SCOPES):
+            todo.extend(ast.iter_child_nodes(node))
+
+
+def _receivers(sources) -> dict[int, tuple]:
+    """id of each attribute load or method call whose receiver's class is
+    known statically -> the (module, name) of that package class."""
+    classes = {(path.stem, d.name) for path, tree in sources if path.parent == PACKAGE
+               for d in tree.body if isinstance(d, ast.ClassDef)}
+    out = {}
+    for path, tree in sources:
+        names, modules = _bindings(path, tree)
+
+        def class_of(node):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                node = ast.Name(node.value)
+            target = _resolve(node, path, names, modules) if node else None
+            return target if target in classes else None
+
+        def constructed(node):
+            return class_of(node.func) if isinstance(node, ast.Call) else None
+
+        owners = {id(fn): (_module(path), d.name) for d in tree.body
+                  if isinstance(d, ast.ClassDef) for fn in d.body
+                  if isinstance(fn, ast.FunctionDef) and "staticmethod" not in _decorators(fn)}
+        for scope in [tree] + [n for n in ast.walk(tree) if isinstance(n, _SCOPES)]:
+            bound: dict[str, set] = {}
+            if not isinstance(scope, (ast.Module, ast.ClassDef)):
+                params = scope.args.posonlyargs + scope.args.args + scope.args.kwonlyargs
+                for i, a in enumerate(params):
+                    owner = owners.get(id(scope)) if i == 0 else None
+                    bound.setdefault(a.arg, set()).add(owner or class_of(a.annotation))
+                for a in (scope.args.vararg, scope.args.kwarg):
+                    if a:
+                        bound.setdefault(a.arg, set()).add(None)
+            handled = set()
+            for node in _scope_nodes(scope):
+                if (isinstance(node, ast.Assign) and len(node.targets) == 1
+                        and isinstance(node.targets[0], ast.Name)):
+                    handled.add(id(node.targets[0]))
+                    bound.setdefault(node.targets[0].id, set()).add(constructed(node.value))
+                elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                    handled.add(id(node.target))
+                    bound.setdefault(node.target.id, set()).add(class_of(node.annotation))
+                elif (isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Load)
+                      and id(node) not in handled):
+                    bound.setdefault(node.id, set()).add(None)
+            for node in _scope_nodes(scope):
+                if not (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)):
+                    continue
+                recv = node.value
+                if isinstance(recv, ast.Name) and recv.id in bound:
+                    keys = bound[recv.id]
+                    key = next(iter(keys)) if len(keys) == 1 else None
+                else:
+                    key = class_of(recv) if isinstance(recv, ast.Name) else constructed(recv)
+                if key:
+                    out[id(node)] = key
+    return out
+
+
+def _member_loads(sources) -> list[tuple[str, tuple | None, ast.Attribute]]:
+    """(name, receiver class or None when unknown, node) of every
+    attribute load."""
+    receivers = _receivers(sources)
+    return [(sub.attr, receivers.get(id(sub)), sub) for _, tree in sources
+            for sub in ast.walk(tree)
+            if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load)]
 
 
 def _public_methods(cls: ast.ClassDef):
     return [fn for fn in cls.body
             if isinstance(fn, ast.FunctionDef) and not fn.name.startswith("_")]
-
-
-def _attribute_totals(sources) -> Counter:
-    total = Counter()
-    for _, tree in sources:
-        total.update(_attribute_loads(tree))
-    return total
 
 
 def _public_classes(sources):
@@ -144,25 +217,31 @@ def _public_classes(sources):
 
 def unreached_methods() -> set[str]:
     """"module.Class.method" of each public method or property of a
-    package class whose name no attribute load outside its own body
-    reads."""
+    package class that no attribute load outside its own body reads on
+    a receiver that may be of the class."""
     sources = _sources()
-    total = _attribute_totals(sources)
-    return {f"{module}.{cls.name}.{fn.name}" for module, cls in _public_classes(sources)
-            for fn in _public_methods(cls)
-            if total[fn.name] == _attribute_loads(fn)[fn.name]}
+    loads = _member_loads(sources)
+    out = set()
+    for module, cls in _public_classes(sources):
+        for fn in _public_methods(cls):
+            inside = {id(sub) for sub in ast.walk(fn)}
+            if not any(name == fn.name and key in (None, (module, cls.name))
+                       and id(node) not in inside for name, key, node in loads):
+                out.add(f"{module}.{cls.name}.{fn.name}")
+    return out
 
 
 def unread_fields() -> set[str]:
     """"module.Class.field" of each public annotated field of a package
-    class, a dataclass field or a NamedTuple's, whose name no attribute
-    load reads."""
+    class, a dataclass field or a NamedTuple's, that no attribute load
+    reads on a receiver that may be of the class."""
     sources = _sources()
-    total = _attribute_totals(sources)
+    read = {(name, key) for name, key, _ in _member_loads(sources)}
     return {f"{module}.{cls.name}.{stmt.target.id}" for module, cls in _public_classes(sources)
             for stmt in cls.body
             if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
-            and not stmt.target.id.startswith("_") and not total[stmt.target.id]}
+            and not stmt.target.id.startswith("_")
+            and not read & {(stmt.target.id, None), (stmt.target.id, (module, cls.name))}}
 
 
 def _decorators(node) -> set[str]:
@@ -206,7 +285,7 @@ def _callables(sources):
     """(label, key, positional parameters, defaulted ones, definition)
     for each public function, class and method of the package; the key
     is ("def", module, name) for a top-level definition, whose calls
-    resolve by name, and ("attr", name) for a method.  A class's
+    resolve by name, and ("attr", (module, class), name) for a method.  A class's
     parameters are its dataclass fields or its ``__init__``'s."""
     for module, d in _public_definitions(sources):
         key = ("def", module, d.name)
@@ -220,7 +299,8 @@ def _callables(sources):
         elif init:
             yield f"{module}.{d.name}", key, *_parameters(init), init
         for fn in _public_methods(d):
-            yield f"{module}.{d.name}.{fn.name}", ("attr", fn.name), *_parameters(fn), fn
+            yield (f"{module}.{d.name}.{fn.name}", ("attr", (module, d.name), fn.name),
+                   *_parameters(fn), fn)
 
 
 def unpassed_defaults() -> set[str]:
@@ -228,6 +308,8 @@ def unpassed_defaults() -> set[str]:
     field that no call outside the callable's own body passes, by
     position or by keyword."""
     sources = _sources()
+    receivers = _receivers(sources)
+    methods = [key for _, key, *_ in _callables(sources) if key[0] == "attr"]
     calls = []                          # (key, positional count, keywords, splat, node)
     for path, names, modules, stmt, _ in _sites(sources):
         for call in ast.walk(stmt):
@@ -238,7 +320,10 @@ def unpassed_defaults() -> set[str]:
             if target:
                 keys.append(("def", *target))
             if isinstance(call.func, ast.Attribute):
-                keys.append(("attr", call.func.attr))
+                # a receiver of unknown class may be of any class
+                owner = receivers.get(id(call.func))
+                keys += [("attr", owner, call.func.attr)] if owner else [
+                    key for key in methods if key[2] == call.func.attr]
             splat = (any(isinstance(a, ast.Starred) for a in call.args)
                      or any(k.arg is None for k in call.keywords))
             for key in keys:
