@@ -50,6 +50,7 @@ def test_usage_errors():
     assert main(["spectral", "--graph", _graph("k3.g"), "--level", "1"]) == 2
     assert main(["spectral", "--graph", _graph("k3.g"), "--epsilon", "0.9"]) == 2
     assert main(["spectral", "--graph", _graph("k3.g"), "--t", "-1"]) == 2
+    assert main(["cuntz", "--graph", _graph("cuntz2.g"), "--flavor", "bogus"]) == 2
 
 
 def test_vacuous_ranges_exit_2(capsys):

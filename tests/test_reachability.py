@@ -139,9 +139,39 @@ def _scope_nodes(scope):
             todo.extend(ast.iter_child_nodes(node))
 
 
+def _scope_bindings(scope, owner, class_of, constructed) -> dict[str, set]:
+    """Local name -> the classes (None for an unknown one) that its
+    bindings in *scope* give it: a parameter's annotation, or *owner*
+    for a method's first parameter; an assignment's constructor call;
+    a variable's annotation; None for any other binding."""
+    bound: dict[str, set] = {}
+    if isinstance(scope, (ast.FunctionDef, ast.Lambda)):
+        params = scope.args.posonlyargs + scope.args.args + scope.args.kwonlyargs
+        for i, a in enumerate(params):
+            bound.setdefault(a.arg, set()).add(owner if owner and i == 0
+                                               else class_of(a.annotation))
+        for a in (scope.args.vararg, scope.args.kwarg):
+            if a:
+                bound.setdefault(a.arg, set()).add(None)
+    handled = set()
+    for node in _scope_nodes(scope):
+        if (isinstance(node, ast.Assign) and len(node.targets) == 1
+                and isinstance(node.targets[0], ast.Name)):
+            handled.add(id(node.targets[0]))
+            bound.setdefault(node.targets[0].id, set()).add(constructed(node.value))
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            handled.add(id(node.target))
+            bound.setdefault(node.target.id, set()).add(class_of(node.annotation))
+        elif (isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Load)
+              and id(node) not in handled):
+            bound.setdefault(node.id, set()).add(None)
+    return bound
+
+
 def _receivers(sources) -> dict[int, tuple]:
-    """id of each attribute load or method call whose receiver's class is
-    known statically -> the (module, name) of that package class."""
+    """id of each attribute load (a method call's included) whose
+    receiver's class is known statically -> the (module, name) of that
+    package class."""
     classes = {(path.stem, d.name) for path, tree in sources if path.parent == PACKAGE
                for d in tree.body if isinstance(d, ast.ClassDef)}
     out = {}
@@ -161,27 +191,7 @@ def _receivers(sources) -> dict[int, tuple]:
                   if isinstance(d, ast.ClassDef) for fn in d.body
                   if isinstance(fn, ast.FunctionDef) and "staticmethod" not in _decorators(fn)}
         for scope in [tree] + [n for n in ast.walk(tree) if isinstance(n, _SCOPES)]:
-            bound: dict[str, set] = {}
-            if not isinstance(scope, (ast.Module, ast.ClassDef)):
-                params = scope.args.posonlyargs + scope.args.args + scope.args.kwonlyargs
-                for i, a in enumerate(params):
-                    owner = owners.get(id(scope)) if i == 0 else None
-                    bound.setdefault(a.arg, set()).add(owner or class_of(a.annotation))
-                for a in (scope.args.vararg, scope.args.kwarg):
-                    if a:
-                        bound.setdefault(a.arg, set()).add(None)
-            handled = set()
-            for node in _scope_nodes(scope):
-                if (isinstance(node, ast.Assign) and len(node.targets) == 1
-                        and isinstance(node.targets[0], ast.Name)):
-                    handled.add(id(node.targets[0]))
-                    bound.setdefault(node.targets[0].id, set()).add(constructed(node.value))
-                elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
-                    handled.add(id(node.target))
-                    bound.setdefault(node.target.id, set()).add(class_of(node.annotation))
-                elif (isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Load)
-                      and id(node) not in handled):
-                    bound.setdefault(node.id, set()).add(None)
+            bound = _scope_bindings(scope, owners.get(id(scope)), class_of, constructed)
             for node in _scope_nodes(scope):
                 if not (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)):
                     continue
@@ -189,8 +199,10 @@ def _receivers(sources) -> dict[int, tuple]:
                 if isinstance(recv, ast.Name) and recv.id in bound:
                     keys = bound[recv.id]
                     key = next(iter(keys)) if len(keys) == 1 else None
+                elif isinstance(recv, ast.Name):
+                    key = class_of(recv)
                 else:
-                    key = class_of(recv) if isinstance(recv, ast.Name) else constructed(recv)
+                    key = constructed(recv)
                 if key:
                     out[id(node)] = key
     return out
