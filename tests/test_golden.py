@@ -42,7 +42,7 @@ def _benchmark_graph_texts() -> dict[str, str]:
     workloads = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = workloads      # dataclasses look their module up
     spec.loader.exec_module(workloads)
-    return {"loops4.g": workloads.LOOPS4_TEXT}
+    return {"loops4.g": workloads.LOOPS4_TEXT, "k4.g": workloads.K4_TEXT}
 
 
 #: graph file name -> text, for the cases on graphs that are not bundled
