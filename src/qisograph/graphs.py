@@ -73,7 +73,9 @@ class DirectedGraph:
     @cached_property
     def memo(self) -> dict:
         """Derived values, freed with the graph: ("paths", k, v) -> the
-        degree-k paths with range v; ("automorphisms",) -> Aut(G)."""
+        degree-k paths with range v; ("basis index", k) -> each degree-k
+        path's position in enumerate_paths order, shared by the path maps
+        of ``hilbert``; ("automorphisms",) -> Aut(G)."""
         return {}
 
     @cached_property

@@ -12,7 +12,8 @@ and the generators S_lambda, S_lambda*, p_v are all
 path maps: each is its list of (eta, image) pairs of basis paths, from
 refine, s_pairs or s_star_pairs (p_v is S_v for the vertex v as a
 degree-0 path), and one builder turns such a list into its 0/1 int
-matrix.  Products of path maps stay int; a word's power of rho is
+matrix.  Path maps share one basis index per level, kept in
+``g.memo``.  Products of path maps stay int; a word's power of rho is
 normalised once, when ``represent`` returns.  Operator identities are
 asserted only on interior levels: a finite window cannot represent
 S_e on its top level.
@@ -21,6 +22,7 @@ S_e on its top level.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -73,15 +75,27 @@ class LevelMap:
     def residual(self, other: "LevelMap") -> Fraction:
         if self.half_power != other.half_power:
             return rat_max_abs(self.mat) + rat_max_abs(other.mat)
-        return rat_max_abs(rat_sub(self.mat, other.mat))
+        # rows that compare equal, a comparison made in C, add nothing
+        return Fraction(max((abs(x - y) for ra, rb in zip(self.mat, other.mat) if ra != rb
+                             for x, y in zip(ra, rb)), default=0))
+
+
+def _basis_index(g: DirectedGraph, k: int) -> dict[Path, int]:
+    """Position of each degree-k path in enumerate_paths order, built
+    once per graph and level."""
+    key = ("basis index", k)
+    index = g.memo.get(key)
+    if index is None:
+        index = g.memo[key] = {p: i for i, p in enumerate(enumerate_paths(g, k))}
+    return index
 
 
 def _path_map(g: DirectedGraph, l: int, k: int, pairs, half_power: int) -> LevelMap:
     """The 0/1 matrix from the level-l basis to the level-k basis with a
     one at (image, eta) for each pair (eta, image) in *pairs*, times
     rho^{half_power/2}."""
-    src_index = {p: j for j, p in enumerate(enumerate_paths(g, l))}
-    tgt_index = {p: i for i, p in enumerate(enumerate_paths(g, k))}
+    src_index = _basis_index(g, l)
+    tgt_index = _basis_index(g, k)
     mat = rat_zeros(len(tgt_index), len(src_index))
     for eta, out in pairs:
         mat[tgt_index[out]][src_index[eta]] += 1
@@ -188,7 +202,7 @@ def cuntz_krieger_check(g: DirectedGraph, pf: PerronData, n_cap: int) -> CuntzKr
                 term = represent(g, pf, [("s", lam), ("s*", lam)], k, n_cap)
                 total = term if total is None else LevelMap(
                     k, k, term.half_power,
-                    [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(total.mat, term.mat)])
+                    [list(map(operator.add, ra, rb)) for ra, rb in zip(total.mat, term.mat)])
             rhs = represent(g, pf, [("p", v)], k, n_cap)
             res2 = max(res2, total.residual(rhs))
     return CuntzKriegerReport(res1, res2)

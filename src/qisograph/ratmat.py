@@ -1,8 +1,14 @@
-"""Small dense exact-rational matrix helpers (Gaussian elimination)."""
+"""Small dense exact-rational matrix helpers (Gaussian elimination).
+
+The product visits only nonzero entries: each row of the left factor
+is scanned for its nonzero positions, and each row of the right factor
+that one of them reaches is reduced to its (column, value) nonzero
+pairs once, on first use."""
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import compress
 
 Mat = list[list[Fraction | int]]   # int entries stay int until a Fraction enters
 
@@ -16,18 +22,20 @@ def rat_zeros(m: int, n: int) -> Mat:
 
 
 def rat_matmul(a: Mat, b: Mat) -> Mat:
-    n, k, m = len(a), len(b), len(b[0])
-    out = rat_zeros(n, m)
-    for i in range(n):
-        ai = a[i]
-        oi = out[i]
-        for t in range(k):
+    m = len(b[0])
+    inner = range(len(b))
+    nonzero: list[list | None] = [None] * len(b)
+    out = []
+    for ai in a:
+        oi = [0] * m
+        for t in compress(inner, ai):
+            bt = nonzero[t]
+            if bt is None:
+                bt = nonzero[t] = list(compress(enumerate(b[t]), b[t]))
             c = ai[t]
-            if c:
-                bt = b[t]
-                for j in range(m):
-                    if bt[j]:
-                        oi[j] += c * bt[j]
+            for j, x in bt:
+                oi[j] += c * x
+        out.append(oi)
     return out
 
 

@@ -33,6 +33,21 @@ def q_point_provider(name: str, ids, *mats) -> RepresentationProvider:
         for i, a in enumerate(ids) for j, b in enumerate(ids)})
 
 
+def dense_matmul(a, b):
+    """a b by the triple loop over every entry, skipping zero terms: the
+    reference for ``rat_matmul``, which visits only nonzero entries."""
+    n, k, m = len(a), len(b), len(b[0])
+    out = rat_zeros(n, m)
+    for i in range(n):
+        for t in range(k):
+            c = a[i][t]
+            if c:
+                for j in range(m):
+                    if b[t][j]:
+                        out[i][j] += c * b[t][j]
+    return out
+
+
 def rat_rank(a) -> int:
     """Rank by rank-nullity: columns minus the nullspace dimension."""
     if not a:

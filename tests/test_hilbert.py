@@ -8,8 +8,9 @@ from qisograph.graphs import (
     RANGE_PREPEND, SOURCE_APPEND, edge_path, enumerate_paths, path_from_edges, refine,
     vertex_path,
 )
+from qisograph import hilbert
 from qisograph.hilbert import (
-    TruncationOverflowError, alpha_sequence, cuntz_krieger_check, dirac, embed,
+    LevelMap, TruncationOverflowError, alpha_sequence, cuntz_krieger_check, dirac, embed,
     embedding_gram_residual, level_gram, multiplicities, path_counts, represent,
     theta_partial_sums, theta_tail_bound,
 )
@@ -215,6 +216,28 @@ def test_cuntz_krieger_exact(graphs, perron_data):
         assert rep.exact
     rep4 = cuntz_krieger_check(graphs["three-cycle"], perron_data["three-cycle"], 4)
     assert rep4.exact
+
+
+def test_cuntz_krieger_check_sees_a_dropped_entry(graphs, perron_data, monkeypatch):
+    """Negative control: p_v on level 2 of k3 with one of its 1s set to 0
+    breaks both relations by exactly 1."""
+    g, pf = graphs["k3"], perron_data["k3"]
+    map_p = hilbert._map_p
+
+    def dropped(g, v, k):
+        m = map_p(g, v, k)
+        if k != 2 or v != g.vertices[0]:
+            return m
+        mat = [row[:] for row in m.mat]
+        i, j = next((i, j) for i, row in enumerate(mat) for j, x in enumerate(row) if x)
+        mat[i][j] = 0
+        return LevelMap(m.source_level, m.target_level, m.half_power, mat)
+
+    monkeypatch.setattr(hilbert, "_map_p", dropped)
+    rep = cuntz_krieger_check(g, pf, 4)
+    assert rep.residual_annihilation == Fraction(1)
+    assert rep.residual_completeness == Fraction(1)
+    assert not rep.exact
 
 
 def test_dirac_multiplicities(graphs, perron_data):

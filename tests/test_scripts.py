@@ -70,3 +70,18 @@ def test_benchmark_traced_smoke_run_covers_every_layer(monkeypatch, capsys):
     printed = capsys.readouterr().out
     assert result["correct"], printed
     assert result["failed"] == 0, printed
+
+
+def test_benchmark_traced_spectral_run_covers_its_layers(monkeypatch, capsys):
+    """A traced benchmark run of one small spectral invocation meets its
+    known answer and the coverage map of the spectral command, so a
+    change that stops calling hilbert.represent or ratmat.rat_matmul
+    there fails here too."""
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))   # run.py imports its siblings
+    run = _load(ROOT / "perfbench" / "run.py")
+    from workloads import Invocation, Workload
+    workload = Workload("spectral-smoke", (Invocation("spectral", "k3", ("--level", "5")),))
+    result = run.measure(workload, 7, 0.0, 1)
+    printed = capsys.readouterr().out
+    assert result["correct"], printed
+    assert result["failed"] == 0, printed
