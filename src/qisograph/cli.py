@@ -113,13 +113,14 @@ def _check_size(check: str, shape: str, size: int, limit: int, unit: str):
                          f"above the limit of {limit:,}")
 
 
-def _check_dirac_stack(summands: int, paths: int, n_cap: int):
+def _check_dirac_stack(summands: int, paths: int, n_cap: int, at_least: bool = False):
     """The Dirac check's n_cap + 2 eigenprojections and the summand
     bitmasks of the level-n_cap entries, paths^2 masks of one bit per
-    summand, from which it reads each summand's permutation."""
-    _check_size("Dirac check", f"({summands} summands + {n_cap + 2} projections) "
-                f"x {paths}^2 paths", (summands + n_cap + 2) * paths ** 2,
-                DIRAC_STACK_MAX, "entries")
+    summand, from which it reads each summand's permutation.  With
+    *at_least*, *summands* is a lower bound on the provider's dimension."""
+    _check_size("Dirac check", f"{'at least ' if at_least else ''}({summands} summands + "
+                f"{n_cap + 2} projections) x {paths}^2 paths",
+                (summands + n_cap + 2) * paths ** 2, DIRAC_STACK_MAX, "entries")
 
 
 def _check_measure_table(g: DirectedGraph, depth: int):
@@ -265,6 +266,11 @@ def cmd_spectral(config: RunConfig) -> SuiteReport:
 
 def cmd_verify(config: RunConfig) -> SuiteReport:
     g, _, digest = _load_graph(config)
+    paths = path_counts(g, config.n_cap)[-1]
+    if config.convention in ("auto", SOURCE_APPEND):      # auto selects source-append
+        # the identity automorphism is a summand of every Aut(G) provider,
+        # so this refuses a run too large for any Aut(G) before building it
+        _check_dirac_stack(1, paths, config.n_cap, at_least=True)
     try:
         pf = perron(g)
         if config.convention == "auto":
@@ -277,8 +283,7 @@ def cmd_verify(config: RunConfig) -> SuiteReport:
     except ValueError as exc:
         raise UsageError(str(exc)) from None
     if convention == SOURCE_APPEND:
-        _check_dirac_stack(ctx.providers[0].dim, path_counts(g, config.n_cap)[-1],
-                           config.n_cap)
+        _check_dirac_stack(ctx.providers[0].dim, paths, config.n_cap)
         report_checks = run_identity_suite(ctx, k_max=config.k_max)
     else:
         # forced rejected convention: run the negative control only

@@ -12,11 +12,18 @@ implements it.
 
 ``VerificationContext.level(k)`` is the one source of the level-k
 matrix: built once per context, it holds the degree-k basis in
-``enumerate_paths`` order and the entry word Q[eta,lambda] for every
-pair of basis paths, encoded once as an int word over the relation
-set's alphabet (see ``rewrite``).  The level-1 table is also the action
-on the edge isometries, alpha(S_e) = sum_f S_f (x) Q[f,e], and the
-level-0 table its action on the vertex projections.
+``enumerate_paths`` order, the graph's index of that basis (path ->
+position) and the rows of Q_k by position, each entry word encoded once
+as an int word over the relation set's alphabet (see ``rewrite``).
+Levels 0 and 1 are encoded from their generator words.  Entry words are
+per-edge products in both schemes, so the row of a path of degree
+k >= 2 is the level-1 row of its first edge followed, entry by entry,
+by the level-(k-1) row of its tail.  The level-1 table is also the
+action on the edge isometries, alpha(S_e) = sum_f S_f (x) Q[f,e], and
+the level-0 table its action on the vertex projections.  Every check
+reads the tables, and the path shifts, by basis position: the shift
+maps of S_xi and S_xi* (``graphs.shift_map``) are built once per graph
+and shared with the path maps of ``hilbert``.
 
 Each identity of the isometry theorem is a matrix identity over these
 tables, with X = diag(x_{s(zeta)}) the Perron weights:
@@ -28,8 +35,8 @@ tables, with X = diag(x_{s(zeta)}) the Perron weights:
 - well-definedness: Q_l followed by the embedding equals the embedding
   followed by Q_k;
 - implementation: alpha(S_lam*) and alpha(S_lam) intertwine Q under the
-  path shifts, each given by its nonzero (path, image) pairs
-  (s_star_pairs, s_pairs);
+  path shifts, each given by its shift map of (position, image
+  position) pairs;
 - comultiplicativity: sum_eta Q[xi,eta] (x) Q[eta,lam] = Delta(Q[xi,lam]),
   leg-wise; every term on both sides is a word pair with coefficient 1,
   so each entry is a signed count of word pairs, reduced leg by leg.
@@ -67,8 +74,7 @@ from dataclasses import dataclass, field
 from operator import itemgetter
 
 from .graphs import (
-    DirectedGraph, Path, SOURCE_APPEND, enumerate_paths, extends, refine, s_pairs,
-    s_star_pairs, vertex_path,
+    DirectedGraph, Path, SOURCE_APPEND, basis_index, extends, refine, shift_map, vertex_path,
 )
 from .hilbert import dirac, embedding_gram_residual
 from .ncpoly import Coeff, Generator, IntTerms, IntWord, Word, comultiply
@@ -108,20 +114,15 @@ def corep_entry_word(g: DirectedGraph, scheme: str, kind: str,
 
 @dataclass(frozen=True)
 class LevelCorep:
-    """The level-k corepresentation matrix: the degree-k basis in
-    enumerate_paths order and the entry word Q[eta, lam], as an int word
-    over the relation set's alphabet, keyed by the pair of basis paths."""
+    """The level-k corepresentation matrix addressed by basis position:
+    the degree-k basis in enumerate_paths order, its index (path ->
+    position, ``graphs.basis_index``) and ``rows``, where rows[i][j] is
+    the entry word Q[basis[i], basis[j]] as an int word over the
+    relation set's alphabet."""
 
     basis: tuple[Path, ...]
-    entries: dict[tuple[Path, Path], IntWord]
-
-
-def build_corep(g: DirectedGraph, k: int, scheme: str, rels: RelationSet) -> LevelCorep:
-    basis = tuple(enumerate_paths(g, k))
-    encode = rels.alphabet.encode
-    entries = {(eta, lam): encode(corep_entry_word(g, scheme, rels.gen_kind, eta, lam))
-               for eta in basis for lam in basis}
-    return LevelCorep(basis, entries)
+    index: dict[Path, int]
+    rows: tuple[tuple[IntWord, ...], ...]
 
 
 @dataclass
@@ -142,10 +143,26 @@ class VerificationContext:
             raise ValueError("the symbolic identity suite requires exact Perron data")
 
     def level(self, k: int) -> LevelCorep:
-        """The level-k corepresentation table, built on first use."""
+        """The level-k corepresentation table, built on first use; a
+        level k >= 2 is built from levels 1 and k - 1."""
         table = self._levels.get(k)
         if table is None:
-            table = self._levels[k] = build_corep(self.g, k, self.scheme, self.rels)
+            index = basis_index(self.g, k)
+            basis = tuple(index)
+            if k <= 1:
+                encode, kind = self.rels.alphabet.encode, self.rels.gen_kind
+                rows = tuple(tuple(encode(corep_entry_word(self.g, self.scheme, kind, eta, lam))
+                                   for lam in basis) for eta in basis)
+            else:
+                first, rest = self.level(1), self.level(k - 1)
+                # each path e t as the positions (e, t): enumerate_paths lists
+                # the paths by first edge e, each with its tails t in the
+                # order of S_e on level k - 1
+                parts = [(e, t) for e, edge in enumerate(first.basis)
+                         for t, _ in shift_map(self.g, "s", edge, k - 1)]
+                rows = tuple(tuple(first.rows[a][e] + rest.rows[b][t] for e, t in parts)
+                             for a, b in parts)
+            table = self._levels[k] = LevelCorep(basis, index, rows)
         return table
 
 
@@ -205,16 +222,19 @@ def check_welldefined(ctx: VerificationContext, l: int, k: int,
     """
     obs = _Obligations(ctx)
     table_l, table_k = ctx.level(l), ctx.level(k)
-    for lam in table_l.basis:
-        diff: dict[Path, IntTerms] = {eta: {} for eta in table_k.basis}
-        for xi in table_l.basis:
-            word = table_l.entries[(xi, lam)]
-            for ext in refine(ctx.g, xi, k - l, SOURCE_APPEND):
-                _add(diff[ext], word, 1)
+    # the source-append refinements of each level-l path: the image of S_xi
+    refinements = [[ext for _, ext in shift_map(ctx.g, "s", xi, k - l)]
+                   for xi in table_l.basis]
+    for j, lam in enumerate(table_l.basis):
+        diff: list[IntTerms] = [{} for _ in table_k.basis]
+        for row, exts in zip(table_l.rows, refinements):
+            for ext in exts:
+                _add(diff[ext], row[j], 1)
         for mu in refine(ctx.g, lam, k - l, convention):
-            for eta in table_k.basis:
-                _add(diff[eta], table_k.entries[(eta, mu)], -1)
-        for ob in diff.values():
+            at = table_k.index[mu]
+            for ob, row in zip(diff, table_k.rows):
+                _add(ob, row[at], -1)
+        for ob in diff:
             obs.add(ob)
     gram = embedding_gram_residual(ctx.g, ctx.pf, l, k, convention)
     return obs.result("welldefined", {"l": l, "k": k, "convention": convention},
@@ -231,8 +251,9 @@ def _weighted_products(ctx: VerificationContext, pairs, star_first: bool,
     ob: IntTerms = {}
     for lam, eta in pairs:
         table = ctx.level(lam.degree)
-        for zeta in table.basis:
-            w1, w2 = table.entries[(zeta, lam)], table.entries[(zeta, eta)]
+        i, j = table.index[lam], table.index[eta]
+        for zeta, row in zip(table.basis, table.rows):
+            w1, w2 = row[i], row[j]
             word = star(w1) + w2 if star_first else w1 + star(w2)
             _add(ob, word, ctx.pf.x_of(zeta.source))
     if unit:
@@ -276,18 +297,16 @@ def check_comultiplicative(ctx: VerificationContext, k: int) -> CheckResult:
     pair counts of both sides must cancel once each leg is reduced."""
     started = time.monotonic()
     trace = ReductionTrace()
-    table = ctx.level(k)
-    basis, entries = table.basis, table.entries
+    rows = ctx.level(k).rows
     failures = 0
     worst_terms = 0
-    for lam in basis:
-        for xi in basis:
+    for lam, column in enumerate(zip(*rows)):
+        for row in rows:
             # +1 per pair Q[xi,eta] (x) Q[eta,lam], -1 per pair of Delta(Q[xi,lam])
             counts: dict[tuple[IntWord, IntWord], int] = {}
-            for eta in basis:
-                key = (entries[(xi, eta)], entries[(eta, lam)])
+            for key in zip(row, column):
                 counts[key] = counts.get(key, 0) + 1
-            for key in comultiply(entries[(xi, lam)], ctx.rels.alphabet.split):
+            for key in comultiply(row[lam], ctx.rels.alphabet.split):
                 counts[key] = counts.get(key, 0) - 1
             diff = tensor_reduce(counts, ctx.rels)
             if diff:
@@ -309,12 +328,13 @@ def check_density(ctx: VerificationContext, lam: Path) -> CheckResult:
     obs = _Obligations(ctx)
     table = ctx.level(lam.degree)
     star = ctx.rels.alphabet.star
-    mults = [star(table.entries[(lam, zeta)]) for zeta in table.basis]
-    for eta in table.basis:
+    at = table.index[lam]
+    mults = [star(w) for w in table.rows[at]]
+    for i, row in enumerate(table.rows):
         ob: IntTerms = {}
-        for zeta, mult in zip(table.basis, mults):
-            _add(ob, table.entries[(eta, zeta)] + mult, 1)
-        if eta == lam:
+        for w, mult in zip(row, mults):
+            _add(ob, w + mult, 1)
+        if i == at:
             _add(ob, (), -1)
         obs.add(ob)
     return obs.result("density", {"lam": lam.label})
@@ -324,25 +344,34 @@ def check_density(ctx: VerificationContext, lam: Path) -> CheckResult:
 # implementation on the spectral data
 
 def _intertwining(obs: _Obligations, ctx: VerificationContext, lam: Path, eta: Path,
-                  pairs, coeff, out_level: int):
+                  kind: str, coeff, out_level: int):
     """(pi (x) .) alpha(T_lam) U(chi_eta) = U(pi(T_lam) chi_eta) on the
-    level-*out_level* basis, where T_xi sends chi_zeta to chi_out for
-    each (zeta, out) in pairs(g, xi, d(eta)) and kills every other
-    basis path, and alpha(T_lam) = sum_xi T_xi (x) coeff(Q[xi, lam]),
-    *coeff* a map on words."""
+    level-*out_level* basis, where T_xi is S_xi (*kind* "s") or S_xi*
+    ("s*"): it sends the basis path at position a to the one at b for
+    each (a, b) of shift_map(g, kind, xi, d(eta)) and kills every other,
+    and alpha(T_lam) = sum_xi T_xi (x) coeff(Q[xi, lam]), *coeff* a map
+    on words.  Obligations come in output basis order; an output that
+    no term lands on has none."""
     m = eta.degree
     table_lam, table_eta, table_out = (ctx.level(lam.degree), ctx.level(m),
                                        ctx.level(out_level))
-    diff: dict[Path, IntTerms] = {out: {} for out in table_out.basis}
-    for xi in table_lam.basis:
-        c = coeff(table_lam.entries[(xi, lam)])
-        for zeta, out in pairs(ctx.g, xi, m):
-            _add(diff[out], c + table_eta.entries[(zeta, eta)], 1)
-    target = dict(pairs(ctx.g, lam, m)).get(eta)
-    for out, ob in diff.items():
+    j, col = table_lam.index[lam], table_eta.index[eta]
+    eta_rows = table_eta.rows
+    diff: list[IntTerms | None] = [None] * len(table_out.rows)
+    for xi, row in zip(table_lam.basis, table_lam.rows):
+        c = coeff(row[j])
+        for zeta, out in shift_map(ctx.g, kind, xi, m):
+            ob = diff[out]
+            if ob is None:
+                ob = diff[out] = {}
+            _add(ob, c + eta_rows[zeta][col], 1)
+    target = next((out for zeta, out in shift_map(ctx.g, kind, lam, m) if zeta == col), None)
+    for ob, row in zip(diff, table_out.rows):
         if target is not None:
-            _add(ob, table_out.entries[(out, target)], -1)
-        obs.add(ob)
+            ob = {} if ob is None else ob
+            _add(ob, row[target], -1)
+        if ob is not None:
+            obs.add(ob)
 
 
 def check_implementation(ctx: VerificationContext, lam: Path, eta: Path) -> CheckResult:
@@ -351,12 +380,12 @@ def check_implementation(ctx: VerificationContext, lam: Path, eta: Path) -> Chec
     checked explicitly rather than trusted by symmetry."""
     obs = _Obligations(ctx)
     n, m = lam.degree, eta.degree
-    _intertwining(obs, ctx, lam, eta, s_star_pairs, ctx.rels.alphabet.star, max(m - n, 0))
+    _intertwining(obs, ctx, lam, eta, "s*", ctx.rels.alphabet.star, max(m - n, 0))
     # the non-starred identity is asserted only when its image level
     # stays inside the truncation window
     non_starred = n + m <= ctx.n_cap
     if non_starred:
-        _intertwining(obs, ctx, lam, eta, s_pairs, lambda w: w, n + m)
+        _intertwining(obs, ctx, lam, eta, "s", lambda w: w, n + m)
     return obs.result("implementation",
                       {"lam": lam.label, "eta": eta.label,
                        "case": _implementation_case(lam, eta)},
@@ -390,13 +419,13 @@ def _summand_permutations(ctx: VerificationContext, provider: RepresentationProv
     matrix the summand evaluates to, Q[pi(j), j] = 1 and every other
     entry 0.  None for any other provider, or when some summand's
     matrix is not a permutation."""
-    table = ctx.level(ctx.n_cap)
-    n = len(table.basis)
+    rows = ctx.level(ctx.n_cap).rows
+    n = len(rows)
     gens = ctx.rels.alphabet.gens
     perms = [[None] * n for _ in range(provider.dim)]
-    for j, lam in enumerate(table.basis):
-        for i, eta in enumerate(table.basis):
-            mask = provider.word_mask(table.entries[(eta, lam)], gens)
+    for j in range(n):
+        for i, row in enumerate(rows):
+            mask = provider.word_mask(row[j], gens)
             if mask is None:
                 return None
             while mask:

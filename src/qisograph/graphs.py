@@ -9,13 +9,16 @@ downstream (cylinder sets, level spaces, corepresentation matrices) is
 indexed uniformly by path words.  The path operators S_lam and
 S_lam* are each given by their nonzero (path, image) pairs on a level
 (``s_pairs``, ``s_star_pairs``), and ``refine`` gives the cylinder
-refinement lam -> {lam mu}.
+refinement lam -> {lam mu}.  ``basis_index`` numbers each level's paths
+and ``shift_map`` gives S_lam and S_lam* on those numbers; both are
+built once per graph.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 
 class GraphFormatError(ValueError):
@@ -74,8 +77,11 @@ class DirectedGraph:
     def memo(self) -> dict:
         """Derived values, freed with the graph: ("paths", k, v) -> the
         degree-k paths with range v; ("basis index", k) -> each degree-k
-        path's position in enumerate_paths order, shared by the path maps
-        of ``hilbert``; ("automorphisms",) -> Aut(G)."""
+        path's position in enumerate_paths order; ("shift", kind, lam, k)
+        -> the shift map of S_lam (kind "s") or S_lam* ("s*") on the
+        degree-k basis, as (source position, target position) pairs.  The
+        level tables of ``corep`` and the path maps of ``hilbert`` both
+        read the last two.  ("automorphisms",) -> Aut(G)."""
         return {}
 
     @cached_property
@@ -213,9 +219,9 @@ def adjacency_matrix(g: DirectedGraph) -> list[list[int]]:
 # ---------------------------------------------------------------------------
 # paths
 
-@dataclass(frozen=True, order=True)
-class Path:
-    """Composable edge word; degree-0 paths are vertices."""
+class Path(NamedTuple):
+    """Composable edge word; degree-0 paths are vertices.  Ordered,
+    hashed and compared as the tuple (edges, range, source)."""
 
     edges: tuple[str, ...]
     range: str
@@ -310,6 +316,34 @@ def enumerate_paths(g: DirectedGraph, k: int) -> list[Path]:
         for tail in _paths_with_range(g, k - 1, e.source):
             out.append(Path((e.id,) + tail.edges, e.range, tail.source))
     return out
+
+
+def basis_index(g: DirectedGraph, k: int) -> dict[Path, int]:
+    """Position of each degree-k path in enumerate_paths order, built
+    once per graph and level; its keys, in order, are the basis."""
+    key = ("basis index", k)
+    index = g.memo.get(key)
+    if index is None:
+        index = g.memo[key] = {p: i for i, p in enumerate(enumerate_paths(g, k))}
+    return index
+
+
+def shift_map(g: DirectedGraph, kind: str, lam: Path, k: int) -> tuple[tuple[int, int], ...]:
+    """S_lam (*kind* "s") or S_lam* ("s*") on the degree-k basis: the
+    pairs of ``s_pairs`` or ``s_star_pairs`` as (source position, target
+    position) pairs in the two levels' basis indexes, built once per
+    graph.  The source-append refinements of lam by n are the targets
+    of shift_map(g, "s", lam, n), in ``refine`` order."""
+    key = ("shift", kind, lam, k)
+    pairs = g.memo.get(key)
+    if pairs is None:
+        if kind == "s":
+            path_pairs, out = s_pairs(g, lam, k), k + lam.degree
+        else:
+            path_pairs, out = s_star_pairs(g, lam, k), max(k - lam.degree, 0)
+        src, tgt = basis_index(g, k), basis_index(g, out)
+        pairs = g.memo[key] = tuple((src[eta], tgt[image]) for eta, image in path_pairs)
+    return pairs
 
 
 #: Refinement conventions; the measure-additivity test selects the

@@ -8,13 +8,13 @@ in basis order (``level_gram``).  Maps
 between levels carry an explicit half-integer power of the spectral
 radius so that compositions such as S_e* S_e stay exactly rational.
 The embeddings (source-append, the side the measure is additive on)
-and the generators S_lambda, S_lambda*, p_v are all
-path maps: each is its list of (eta, image) pairs of basis paths, from
-refine, s_pairs or s_star_pairs (p_v is S_v for the vertex v as a
-degree-0 path), and one builder turns such a list into its 0/1 int
-matrix.  Path maps share one basis index per level, kept in
-``g.memo``.  Products of path maps stay int; a word's power of rho is
-normalised once, when ``represent`` returns.  Operator identities are
+and the generators S_lambda, S_lambda*, p_v are all path maps: each is
+its list of (source position, target position) pairs of basis paths,
+read off the graph's shift maps (``graphs.shift_map``; p_v is S_v for
+the vertex v as a degree-0 path, and the embedding of lam is the image
+of S_lam), and one builder turns such a list into its 0/1 int matrix.
+Products of path maps stay int; a word's power of rho is normalised
+once, when ``represent`` returns.  Operator identities are
 asserted only on interior levels: a finite window cannot represent
 S_e on its top level.
 """
@@ -27,8 +27,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .graphs import (
-    DirectedGraph, Path, SOURCE_APPEND, adjacency_matrix, edge_path, enumerate_paths, refine,
-    s_pairs, s_star_pairs, vertex_path,
+    DirectedGraph, Path, SOURCE_APPEND, adjacency_matrix, basis_index, edge_path,
+    enumerate_paths, shift_map, vertex_path,
 )
 from .perron import PerronData, additivity_residual, cylinder_measure
 from .ratmat import Mat, rat_matmul, rat_max_abs, rat_sub, rat_zeros
@@ -80,25 +80,13 @@ class LevelMap:
                              for x, y in zip(ra, rb)), default=0))
 
 
-def _basis_index(g: DirectedGraph, k: int) -> dict[Path, int]:
-    """Position of each degree-k path in enumerate_paths order, built
-    once per graph and level."""
-    key = ("basis index", k)
-    index = g.memo.get(key)
-    if index is None:
-        index = g.memo[key] = {p: i for i, p in enumerate(enumerate_paths(g, k))}
-    return index
-
-
 def _path_map(g: DirectedGraph, l: int, k: int, pairs, half_power: int) -> LevelMap:
     """The 0/1 matrix from the level-l basis to the level-k basis with a
-    one at (image, eta) for each pair (eta, image) in *pairs*, times
-    rho^{half_power/2}."""
-    src_index = _basis_index(g, l)
-    tgt_index = _basis_index(g, k)
-    mat = rat_zeros(len(tgt_index), len(src_index))
-    for eta, out in pairs:
-        mat[tgt_index[out]][src_index[eta]] += 1
+    one at (target, source) for each pair of basis positions (source,
+    target) in *pairs*, times rho^{half_power/2}."""
+    mat = rat_zeros(len(basis_index(g, k)), len(basis_index(g, l)))
+    for src, tgt in pairs:
+        mat[tgt][src] += 1
     return LevelMap(l, k, half_power, mat)
 
 
@@ -107,8 +95,8 @@ def embed(g: DirectedGraph, l: int, k: int) -> LevelMap:
     indicators."""
     if l > k:
         raise ValueError("embedding goes upward in level")
-    return _path_map(g, l, k, ((lam, mu) for lam in enumerate_paths(g, l)
-                               for mu in refine(g, lam, k - l, SOURCE_APPEND)), 0)
+    return _path_map(g, l, k, ((i, mu) for i, lam in enumerate(basis_index(g, l))
+                               for _, mu in shift_map(g, "s", lam, k - l)), 0)
 
 
 def embedding_gram_residual(g: DirectedGraph, pf: PerronData, l: int, k: int,
@@ -132,15 +120,15 @@ def _map_s(g, lam: Path, k: int, n_cap: int) -> LevelMap:
     d = lam.degree
     if k + d > n_cap:
         raise TruncationOverflowError(f"S_{lam.label} on level {k} exceeds truncation {n_cap}")
-    return _path_map(g, k, k + d, s_pairs(g, lam, k), d)
+    return _path_map(g, k, k + d, shift_map(g, "s", lam, k), d)
 
 
 def _map_s_star(g, lam: Path, k: int) -> LevelMap:
-    return _path_map(g, k, max(k - lam.degree, 0), s_star_pairs(g, lam, k), -lam.degree)
+    return _path_map(g, k, max(k - lam.degree, 0), shift_map(g, "s*", lam, k), -lam.degree)
 
 
 def _map_p(g, v: str, k: int) -> LevelMap:
-    return _path_map(g, k, k, s_pairs(g, vertex_path(v), k), 0)
+    return _path_map(g, k, k, shift_map(g, "s", vertex_path(v), k), 0)
 
 
 def represent(g: DirectedGraph, pf: PerronData, ops, k: int, n_cap: int) -> LevelMap:

@@ -126,15 +126,16 @@ def dirac_matrix(triple, alpha) -> np.ndarray:
 def dense_dirac_residuals(ctx, provider, triple=None) -> dict[str, float]:
     """The numeric Dirac check done densely: the level-``ctx.n_cap``
     matrix under each one-dimensional summand of *provider*, entry
-    [s, eta, lam] the value of Q[eta, lam] on summand s, and the largest
-    2-norm, by SVD, of U*GU - G and of UH - HU over the summands and the
-    projections H of *triple* (default ``dirac(ctx.g, ctx.pf,
-    ctx.n_cap)``).  The norm of a direct sum is its largest summand's."""
+    [s, i, j] the value of the level table's rows[i][j] on summand s,
+    and the largest 2-norm, by SVD, of U*GU - G and of UH - HU over the
+    summands and the projections H of *triple* (default
+    ``dirac(ctx.g, ctx.pf, ctx.n_cap)``).  The norm of a direct sum is
+    its largest summand's."""
     from qisograph.hilbert import dirac
     triple = triple or dirac(ctx.g, ctx.pf, ctx.n_cap)
-    table = ctx.level(ctx.n_cap)
-    u = np.array([[provider.value({table.entries[(eta, lam)]: 1}, ctx.rels.alphabet.gens)
-                   for lam in table.basis] for eta in table.basis], dtype=complex)
+    gens = ctx.rels.alphabet.gens
+    u = np.array([[provider.value({word: 1}, gens) for word in row]
+                  for row in ctx.level(ctx.n_cap).rows], dtype=complex)
     u = u.transpose(2, 0, 1)
     gmat = np.diag([float(x) for x in triple.gram])
 

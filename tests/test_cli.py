@@ -19,6 +19,8 @@ K5_TEXT = "graph k5\n" + "".join(f"v {v}\n" for v in "12345") + "".join(
     f"e e{r}{s} {r} {s}\n" for s in "12345" for r in "12345" if r != s)
 K4_TEXT = "graph k4\n" + "".join(f"v {v}\n" for v in "1234") + "".join(
     f"e e{r}{s} {r} {s}\n" for s in "1234" for r in "1234" if r != s)
+K8_TEXT = "graph k8\n" + "".join(f"v {v}\n" for v in "12345678") + "".join(
+    f"e e{r}{s} {r} {s}\n" for s in "12345678" for r in "12345678" if r != s)
 
 
 def _loops(n: int) -> str:
@@ -397,7 +399,10 @@ def test_report_digest_tracks_graph_file(tmp_path):
     ("verify", K4_TEXT, ["--level", "5"],
      "(24 summands + 7 projections) x 972^2 paths = 29,288,304 entries"),
     ("verify", (GRAPHS / "asym4.g").read_text(), ["--level", "9"],
-     "(1 summands + 11 projections) x 2048^2 paths = 50,331,648 entries"),
+     "at least (1 summands + 11 projections) x 2048^2 paths = 50,331,648 entries"),
+    # refused on the identity summand alone, before Aut(K8) (40,320 summands) is built
+    ("verify", K8_TEXT, [],
+     "at least (1 summands + 5 projections) x 2744^2 paths = 45,177,216 entries"),
     ("cuntz", (GRAPHS / "cuntz2.g").read_text(), ["--level", "11"],
      "(2 summands + 13 projections) x 2048^2 paths = 62,914,560 entries"),
     ("spectral", K5_TEXT, ["--level", "6"], "20480 x 5120 paths = 104,857,600 entries"),

@@ -5,12 +5,15 @@ import pytest
 
 from oracles import dense_dirac_residuals, q_point_provider
 from qisograph.corep import (
-    VERTEX_PAIR, VerificationContext, build_corep,
-    check_comultiplicative, check_density, check_dirac_commutation,
-    check_implementation, check_isometry, check_isometry_mixed, check_kms_invariance,
-    check_welldefined, isometry_obligation, level_pairs, run_identity_suite,
+    VERTEX_PAIR, VerificationContext, check_comultiplicative, check_density,
+    check_dirac_commutation, check_implementation, check_isometry, check_isometry_mixed,
+    check_kms_invariance, check_welldefined, corep_entry_word, isometry_obligation, level_pairs,
+    run_identity_suite,
 )
-from qisograph.graphs import RANGE_PREPEND, SOURCE_APPEND, edge_path, enumerate_paths, vertex_path
+from qisograph.graphs import (
+    RANGE_PREPEND, SOURCE_APPEND, basis_index, edge_path, enumerate_paths, s_pairs, s_star_pairs,
+    shift_map, vertex_path,
+)
 from qisograph.exprlang import parse_expression
 from qisograph.ncpoly import q
 from qisograph.providers import fourier_unitary, permutation_diag_rep
@@ -19,32 +22,36 @@ from qisograph.rewrite import is_zero, normal_form
 from qisograph.verdict import PROVED_ZERO, UNKNOWN
 
 
-def test_corep_level0_is_magic_unitary(graphs, qaut_rels):
-    g, rels = graphs["three-cycle"], qaut_rels["three-cycle"]
-    corep = build_corep(g, 0, VERTEX_PAIR, rels)
+def test_corep_level0_is_magic_unitary(contexts):
+    ctx = contexts["three-cycle"]
+    corep = ctx.level(0)
     assert len(corep.basis) == 3
-    assert len(corep.entries) == 9
-    for (eta, lam), word in corep.entries.items():
-        assert word == rels.alphabet.encode((q(eta.range, lam.range),))
+    assert [len(row) for row in corep.rows] == [3, 3, 3]
+    for eta, row in zip(corep.basis, corep.rows):
+        for lam, word in zip(corep.basis, row):
+            assert word == ctx.rels.alphabet.encode((q(eta.range, lam.range),))
 
 
-def test_corep_level1_entries(graphs, qaut_rels):
-    g, rels = graphs["k3"], qaut_rels["k3"]
-    corep = build_corep(g, 1, VERTEX_PAIR, rels)
+def test_corep_level1_entries(contexts):
+    ctx = contexts["k3"]
+    corep = ctx.level(1)
     assert len(corep.basis) == 6
     eta, lam = corep.basis[0], corep.basis[3]
-    word = corep.entries[(eta, lam)]
-    assert word == rels.alphabet.encode((q(eta.range, lam.range), q(eta.source, lam.source)))
+    assert (corep.index[eta], corep.index[lam]) == (0, 3)
+    word = corep.rows[0][3]
+    assert word == ctx.rels.alphabet.encode((q(eta.range, lam.range), q(eta.source, lam.source)))
 
 
-def test_corep_level2_word_lengths(graphs, qaut_rels):
-    alpha = qaut_rels["k3"].alphabet
-    corep = build_corep(graphs["k3"], 2, VERTEX_PAIR, qaut_rels["k3"])
+def test_corep_level2_word_lengths(contexts):
+    ctx = contexts["k3"]
+    alpha = ctx.rels.alphabet
+    corep = ctx.level(2)
     assert len(corep.basis) == 12
-    assert set(corep.entries) == {(eta, lam) for eta in corep.basis for lam in corep.basis}
-    assert all(len(w) == 4 for w in corep.entries.values())
+    assert [len(row) for row in corep.rows] == [12] * 12
+    words = [w for row in corep.rows for w in row]
+    assert all(len(w) == 4 for w in words)
     # entries are words of self-adjoint generators: star reverses them
-    for word in corep.entries.values():
+    for word in words:
         assert alpha.star(word) == word[::-1]
 
 
@@ -62,16 +69,16 @@ def test_action_image_counts(contexts):
     g, enc = ctx.g, ctx.rels.alphabet.encode
     edges, vertices = ctx.level(1), ctx.level(0)
     assert edges.basis == tuple(edge_path(g, e.id) for e in g.sorted_edges)
-    for lam in edges.basis:
-        row = [(f, word) for (f, e), word in edges.entries.items() if e == lam]
-        assert len(row) == 6
-        for f, word in row:
+    for j, lam in enumerate(edges.basis):
+        column = [(f, row[j]) for f, row in zip(edges.basis, edges.rows)]
+        assert len(column) == 6
+        for f, word in column:
             assert word == enc((q(f.range, lam.range), q(f.source, lam.source)))
     assert vertices.basis == tuple(vertex_path(v) for v in g.vertices)
-    for v in vertices.basis:
-        row = [(w, word) for (w, u), word in vertices.entries.items() if u == v]
-        assert len(row) == 3
-        assert all(word == enc((q(w.range, v.range),)) for w, word in row)
+    for j, v in enumerate(vertices.basis):
+        column = [(w, row[j]) for w, row in zip(vertices.basis, vertices.rows)]
+        assert len(column) == 3
+        assert all(word == enc((q(w.range, v.range),)) for w, word in column)
 
 
 def test_action_consistent_with_classical(contexts):
@@ -81,9 +88,10 @@ def test_action_consistent_with_classical(contexts):
     provider = ctx.providers[0]
     from qisograph.graphs import graph_automorphisms
     autos = graph_automorphisms(ctx.g)
-    for e in ctx.level(1).basis:
-        for f in ctx.level(1).basis:
-            values = provider.value({ctx.level(1).entries[(f, e)]: 1}, ctx.rels.alphabet.gens)
+    table = ctx.level(1)
+    for j, e in enumerate(table.basis):
+        for f, row in zip(table.basis, table.rows):
+            values = provider.value({row[j]: 1}, ctx.rels.alphabet.gens)
             assert len(values) == len(autos)
             for sigma, val in zip(autos, values):
                 expected = 1.0 if (sigma[e.range], sigma[e.source]) == (f.range, f.source) else 0.0
@@ -164,7 +172,8 @@ def test_coefficients_stay_native(contexts):
     ctx = contexts["asym4"]
     basis = ctx.level(1).basis
     a, b = basis[0], basis[1]
-    ob = {ctx.level(1).entries[(a, a)]: 2, ctx.level(1).entries[(b, b)]: -1}
+    rows = ctx.level(1).rows
+    ob = {rows[0][0]: 2, rows[1][1]: -1}
     nf = normal_form(ob, ctx.rels)
     assert nf
     assert all(type(c) is int for c in nf.values())
@@ -332,10 +341,11 @@ def _known_welldefined(ctx):
     return dict.fromkeys(level_pairs(ctx.n_cap), True)
 
 
-def test_permutation_certificate_matches_the_dense_residuals(contexts, graphs):
-    """The automorphism and loop-permutation providers are certified on
-    every bundled graph, K4 and the 4-loop magic suite, and report the
-    dense oracle's residuals bit for bit."""
+def _every_graph_context(contexts, graphs) -> dict:
+    """A truncation-3 context on every bundled graph, K4 and 4 loops:
+    the aut-plus graphs and K4 with their automorphism provider in the
+    vertex-pair scheme, the loop graphs with the magic suite's
+    loop-permutation provider in the edge-index scheme."""
     from qisograph.cuntz import MAGIC, cuntz_setup, sn_plus_context
     from qisograph.graphs import parse_graph
     from qisograph.perron import perron
@@ -351,7 +361,44 @@ def test_permutation_certificate_matches_the_dense_residuals(contexts, graphs):
                     ("loops4", parse_graph(LOOPS4))):
         cases[name] = sn_plus_context(cuntz_setup(g, MAGIC), 3)
     assert len(cases) == 8
-    for name, ctx in cases.items():
+    return cases
+
+
+def test_level_rows_and_shift_maps_match_their_definitions(contexts, graphs):
+    """On every bundled graph, K4 and 4 loops, each level table row is
+    the encoded entry word of its pair of basis paths, in both schemes,
+    and each memoised shift map is the pairs of ``s_pairs`` or
+    ``s_star_pairs`` through the basis index."""
+    definitions = {"s": s_pairs, "s*": s_star_pairs}
+    for name, ctx in _every_graph_context(contexts, graphs).items():
+        g, encode = ctx.g, ctx.rels.alphabet.encode
+        for k in range(ctx.n_cap + 1):
+            table = ctx.level(k)
+            assert table.basis == tuple(enumerate_paths(g, k)), (name, k)
+            assert table.index == {p: i for i, p in enumerate(table.basis)}, (name, k)
+            assert table.rows == tuple(
+                tuple(encode(corep_entry_word(g, ctx.scheme, ctx.rels.gen_kind, eta, lam))
+                      for lam in table.basis) for eta in table.basis), (name, k)
+        for d in range(3):
+            for lam in enumerate_paths(g, d):
+                for k in range(ctx.n_cap + 1 - d):
+                    shift_map(g, "s", lam, k)
+                    shift_map(g, "s*", lam, k + d)
+        check_implementation(ctx, ctx.level(1).basis[0], ctx.level(2).basis[-1])
+        shifts = [key for key in g.memo if key[0] == "shift"]
+        assert len(shifts) > 0, name
+        for _, kind, lam, k in shifts:
+            pairs = definitions[kind](g, lam, k)
+            out = basis_index(g, pairs[0][1].degree) if pairs else {}
+            assert g.memo[("shift", kind, lam, k)] == tuple(
+                (basis_index(g, k)[eta], out[image]) for eta, image in pairs), (name, kind, lam, k)
+
+
+def test_permutation_certificate_matches_the_dense_residuals(contexts, graphs):
+    """The automorphism and loop-permutation providers are certified on
+    every bundled graph, K4 and the 4-loop magic suite, and report the
+    dense oracle's residuals bit for bit."""
+    for name, ctx in _every_graph_context(contexts, graphs).items():
         res = check_dirac_commutation(ctx, _known_welldefined(ctx))
         assert res.passed and "uncertified" not in res.detail, name
         assert [dense_dirac_residuals(ctx, p) for p in ctx.providers] == [res.residuals], name
@@ -457,18 +504,26 @@ def test_suite_builds_each_entry_once(contexts, monkeypatch):
     from collections import Counter
     from qisograph import corep
     calls = Counter()
-    original = corep.corep_entry_word
+    tables = Counter()
+    original_word, original_table = corep.corep_entry_word, corep.LevelCorep
 
-    def counting(g, scheme, kind, eta, lam):
+    def counting_word(g, scheme, kind, eta, lam):
         calls[(eta, lam)] += 1
-        return original(g, scheme, kind, eta, lam)
+        return original_word(g, scheme, kind, eta, lam)
 
-    monkeypatch.setattr(corep, "corep_entry_word", counting)
+    def counting_table(basis, index, rows):
+        tables[len(basis[0].edges)] += 1
+        return original_table(basis, index, rows)
+
+    monkeypatch.setattr(corep, "corep_entry_word", counting_word)
+    monkeypatch.setattr(corep, "LevelCorep", counting_table)
     ctx = replace(contexts["three-cycle"])          # no level tables yet
     run_identity_suite(ctx, k_max=2)
+    # levels 0..n_cap, each built once; only levels 0 and 1 are encoded
+    # from generator words, each pair of same-degree paths exactly once
+    assert tables == {k: 1 for k in range(4)}
     assert set(calls.values()) == {1}
-    # levels 0..n_cap, each pair of same-degree basis paths exactly once
-    assert set(calls) == {(eta, lam) for k in range(4)
+    assert set(calls) == {(eta, lam) for k in range(2)
                           for eta in enumerate_paths(ctx.g, k)
                           for lam in enumerate_paths(ctx.g, k)}
 

@@ -7,7 +7,7 @@ from qisograph.graphs import (
     PROFILES, RANGE_PREPEND, SOURCE_APPEND, GraphFormatError, NonComposableError,
     adjacency_matrix, compose, edge_path, enumerate_paths, extends, graph_automorphisms,
     hypothesis_witnesses, parse_graph, path_from_edges, refine, s_pairs, s_star_pairs,
-    vertex_path,
+    shift_map, vertex_path,
 )
 
 GRAPH_DIR = Path(__file__).resolve().parent.parent / "graphs"
@@ -249,7 +249,8 @@ def test_graph_caches_die_with_the_graph():
     import weakref
     # a name of its own, so the graph equals no other graph in the session
     text = (GRAPH_DIR / "k3.g").read_text().replace("graph k3", "graph k3-dropped")
-    for derive in (lambda g: enumerate_paths(g, 3), graph_automorphisms):
+    for derive in (lambda g: enumerate_paths(g, 3), graph_automorphisms,
+                   lambda g: shift_map(g, "s*", edge_path(g, "e12"), 2)):
         g = parse_graph(text)
         derive(g)
         ref = weakref.ref(g)
