@@ -45,8 +45,14 @@ def _benchmark_graph_texts() -> dict[str, str]:
     return {"loops4.g": workloads.LOOPS4_TEXT, "k4.g": workloads.K4_TEXT}
 
 
+#: a strongly connected graph whose spectral radius is the plastic number
+#: 1.3247..., so its Perron data are floats; it is not bundled because
+#: many tests take every bundled graph to have an integer radius
+PLASTIC_TEXT = ("graph plastic\nv 1\nv 2\nv 3\n"
+                "e p12 2 1\ne p21 1 2\ne p23 3 2\ne p31 1 3\n")
+
 #: graph file name -> text, for the cases on graphs that are not bundled
-WRITTEN = _benchmark_graph_texts()
+WRITTEN = {**_benchmark_graph_texts(), "plastic.g": PLASTIC_TEXT}
 
 
 def sha256(text: str) -> str:
