@@ -15,7 +15,6 @@ import os
 import sys
 import time
 from dataclasses import MISSING, dataclass, fields
-from fractions import Fraction
 from pathlib import Path as FsPath
 
 from . import __version__
@@ -92,7 +91,7 @@ class RunConfig:
             raise UsageError("t values must be positive and finite")
 
 
-def _load_graph(config: RunConfig) -> tuple[DirectedGraph, str, str]:
+def _load_graph(config: RunConfig) -> tuple[DirectedGraph, str]:
     path = FsPath(config.graph_path)
     try:
         text = path.read_text()
@@ -102,7 +101,7 @@ def _load_graph(config: RunConfig) -> tuple[DirectedGraph, str, str]:
         g = parse_graph(text)
     except (GraphFormatError, ValueError) as exc:
         raise UsageError(f"{path}: {exc}") from None
-    return g, text, text_digest(text)
+    return g, text_digest(text)
 
 
 def _check_size(check: str, shape: str, size: int, limit: int, unit: str):
@@ -160,7 +159,7 @@ def _write(path: str, text: str):
 
 
 def cmd_validate(config: RunConfig) -> SuiteReport:
-    g, _, digest = _load_graph(config)
+    g, digest = _load_graph(config)
     started = time.monotonic()
     required = PROFILES[config.profile]
     checks = []
@@ -177,7 +176,7 @@ def cmd_validate(config: RunConfig) -> SuiteReport:
 
 
 def cmd_spectral(config: RunConfig) -> SuiteReport:
-    g, _, digest = _load_graph(config)
+    g, digest = _load_graph(config)
     started = time.monotonic()
     try:
         pf = perron(g)
@@ -194,14 +193,14 @@ def cmd_spectral(config: RunConfig) -> SuiteReport:
         "perron", {}, True, "pass",
         {"eigen_residual": 0.0 if pf.exact else PERRON_TOL},
         0, "", (time.monotonic() - started) * 1000.0,
-        detail={"rho": str(pf.rho_value()), "x": {v: str(pf.x_of(v)) for v in g.vertices},
+        detail={"rho": str(pf.rho), "x": {v: str(c) for v, c in pf.x.items()},
                 "exact": pf.exact}))
 
     t0 = time.monotonic()
     measures = {}
     mass_ok = True
     for d in range(config.measure_depth + 1):
-        total = Fraction(0) if pf.exact else 0.0
+        total = 0
         for lam in enumerate_paths(g, d):
             m = cylinder_measure(pf, lam)
             measures[lam.label] = str(m)
@@ -237,7 +236,7 @@ def cmd_spectral(config: RunConfig) -> SuiteReport:
             raise UsageError(f"the heat-trace partial sum at t={t} exceeds float range")
         monotone = all(b >= a for a, b in zip(values, values[1:]))
         # the trace lies in [values[-1], values[-1] + tail]
-        tail = theta_tail_bound(pf.rho, min(pf.x), t, config.epsilon, config.q_max)
+        tail = theta_tail_bound(pf.rho, min(pf.x.values()), t, config.epsilon, config.q_max)
         tail_bound = max(tail_bound, tail)
         theta_ok = theta_ok and monotone and math.isfinite(tail)
         for q, v in enumerate(values):
@@ -265,7 +264,7 @@ def cmd_spectral(config: RunConfig) -> SuiteReport:
 
 
 def cmd_verify(config: RunConfig) -> SuiteReport:
-    g, _, digest = _load_graph(config)
+    g, digest = _load_graph(config)
     paths = path_counts(g, config.n_cap)[-1]
     if config.convention in ("auto", SOURCE_APPEND):      # auto selects source-append
         # the identity automorphism is a summand of every Aut(G) provider,
@@ -297,7 +296,7 @@ def cmd_verify(config: RunConfig) -> SuiteReport:
 
 
 def cmd_cuntz(config: RunConfig) -> SuiteReport:
-    g, _, digest = _load_graph(config)
+    g, digest = _load_graph(config)
     n = len(g.edges)
     checks = []
     notes = []
@@ -337,7 +336,7 @@ def cmd_cuntz(config: RunConfig) -> SuiteReport:
 
 
 def cmd_reduce(config: RunConfig, expression: str) -> SuiteReport:
-    g, _, digest = _load_graph(config)
+    g, digest = _load_graph(config)
     loop_graph = len(g.vertices) == 1 and any(e.range == e.source for e in g.edges)
     started = time.monotonic()
     if config.flavor in (FREE_UNITARY, MAGIC) and not loop_graph:

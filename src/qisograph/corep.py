@@ -255,7 +255,7 @@ def _weighted_products(ctx: VerificationContext, pairs, star_first: bool,
         for zeta, row in zip(table.basis, table.rows):
             w1, w2 = row[i], row[j]
             word = star(w1) + w2 if star_first else w1 + star(w2)
-            _add(ob, word, ctx.pf.x_of(zeta.source))
+            _add(ob, word, ctx.pf.x[zeta.source])
     if unit:
         _add(ob, (), -unit)
     return ob
@@ -265,7 +265,7 @@ def isometry_obligation(ctx: VerificationContext, lam: Path, eta: Path) -> IntTe
     """(Q* X Q - X)[lam, eta] with X = diag(x_{s(zeta)}); the common
     rho^{-k} factor cancels."""
     return _weighted_products(ctx, [(lam, eta)], star_first=True,
-                              unit=ctx.pf.x_of(lam.source) if lam == eta else 0)
+                              unit=ctx.pf.x[lam.source] if lam == eta else 0)
 
 
 def check_isometry(ctx: VerificationContext, k: int) -> CheckResult:
@@ -287,7 +287,7 @@ def check_isometry_mixed(ctx: VerificationContext, lam: Path, eta: Path) -> Chec
     pairs = ((lam2, eta2)
              for lam2 in refine(ctx.g, lam, top - lam.degree, SOURCE_APPEND)
              for eta2 in refine(ctx.g, eta, top - eta.degree, SOURCE_APPEND))
-    target = cylinder_intersection_measure(ctx.pf, lam, eta) * ctx.pf.exact_rho ** top
+    target = cylinder_intersection_measure(ctx.pf, lam, eta) * ctx.pf.rho ** top
     obs.add(_weighted_products(ctx, pairs, star_first=True, unit=target))
     return obs.result("isometry-mixed", {"lam": lam.label, "eta": eta.label})
 
@@ -406,7 +406,7 @@ def check_kms_invariance(ctx: VerificationContext, lam: Path, mu: Path) -> Check
     # different degrees: the state kills every term on both sides
     if lam.degree == mu.degree:
         obs.add(_weighted_products(ctx, [(lam, mu)], star_first=False,
-                                   unit=ctx.pf.x_of(lam.source) if lam == mu else 0))
+                                   unit=ctx.pf.x[lam.source] if lam == mu else 0))
     return obs.result("kms-invariance", {"lam": lam.label, "mu": mu.label})
 
 

@@ -60,7 +60,7 @@ class LevelMap:
         if half in (0, 1):
             return self
         even, rem = divmod(half, 2)
-        scale = pf.exact_rho ** even
+        scale = pf.rho ** even
         return LevelMap(self.source_level, self.target_level, rem,
                         [[scale * x for x in row] for row in self.mat])
 
@@ -105,8 +105,6 @@ def embedding_gram_residual(g: DirectedGraph, pf: PerronData, l: int, k: int,
     convention (the embedding is then a Gram isometry).  Distinct paths
     have disjoint refinements, so the difference is the diagonal of
     additivity residuals of M."""
-    if not pf.exact:
-        raise ValueError("the embedding Gram residual requires exact Perron data")
     if l == k:
         return Fraction(0)
     return max(additivity_residual(pf, g, lam, k - l, convention)

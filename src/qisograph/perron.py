@@ -3,10 +3,12 @@ measure, and the values of the distinguished state on vertex
 projections.
 
 The measure of a cylinder set is M([lambda]) = rho^{-d} x_{s(lambda)}.
-Whenever the spectral radius is rational (hence an integer), the whole
-measure layer is verified and served in exact rational arithmetic;
-otherwise values are floats and downstream exactness claims are
-disabled rather than silently rounded.
+The Perron pair (rho, x) has one representation whose number type
+carries its exactness: Fractions, verified by the exact eigen equation,
+whenever the spectral radius is rational (hence an integer), and the
+power-iteration floats otherwise.  Everything computed from the pair,
+measures and residuals included, has the same type, and downstream
+exactness claims are disabled rather than silently rounded.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from fractions import Fraction
 
 from .graphs import (
     DirectedGraph, Path, SOURCE_APPEND, RANGE_PREPEND,
-    adjacency_matrix, extends, is_strongly_connected, refine,
+    adjacency_matrix, enumerate_paths, extends, is_strongly_connected, refine,
 )
 from .ratmat import rat_matrix, rat_nullspace
 
@@ -36,25 +38,19 @@ class PerronError(ValueError):
 
 @dataclass(frozen=True)
 class PerronData:
-    vertices: tuple[str, ...]
-    rho: float
-    x: tuple[float, ...]
-    exact_rho: Fraction | None
-    exact_x: tuple[Fraction, ...] | None
+    """The spectral radius *rho* and the mass-one Perron vector *x*, a
+    map from each vertex, in vertex order, to its weight: Fractions when
+    rho is an integer, floats otherwise."""
+
+    rho: Fraction | float
+    x: dict[str, Fraction | float]
 
     @property
     def exact(self) -> bool:
-        return self.exact_rho is not None
-
-    def x_of(self, v: str):
-        i = self.vertices.index(v)
-        return self.exact_x[i] if self.exact else self.x[i]
-
-    def rho_value(self):
-        return self.exact_rho if self.exact else self.rho
+        return isinstance(self.rho, Fraction)
 
 
-def _try_exact(a, rho_float: float, vertices) -> tuple[Fraction, tuple[Fraction, ...]] | None:
+def _try_exact(a, rho_float: float) -> tuple[Fraction, list[Fraction]] | None:
     """Exact radius and Perron vector when the radius is rational.
 
     The radius is a root of the monic integer characteristic polynomial,
@@ -63,7 +59,7 @@ def _try_exact(a, rho_float: float, vertices) -> tuple[Fraction, tuple[Fraction,
     eigen equation below accepts or rejects it.
     """
     rho = Fraction(round(rho_float))
-    n = len(vertices)
+    n = len(a)
     m = rat_matrix(a)
     for i in range(n):
         m[i][i] -= rho
@@ -78,12 +74,10 @@ def _try_exact(a, rho_float: float, vertices) -> tuple[Fraction, tuple[Fraction,
     total = sum(vec)
     vec = [c / total for c in vec]
     # re-check the eigen equation exactly
-    arat = rat_matrix(a)
-    for i in range(n):
-        lhs = sum(arat[i][j] * vec[j] for j in range(n))
-        if lhs != rho * vec[i]:
+    for row, c in zip(a, vec):
+        if sum(aij * xj for aij, xj in zip(row, vec)) != rho * c:
             return None
-    return rho, tuple(vec)
+    return rho, vec
 
 
 def perron(g: DirectedGraph) -> PerronData:
@@ -113,19 +107,13 @@ def perron(g: DirectedGraph) -> PerronData:
         raise PerronError(f"power iteration did not converge within {PERRON_MAX_ITER} "
                           "iterations")
     rho = rho_shifted - 1.0
-    exact = _try_exact(a, rho, g.vertices)
-    if exact is not None:
-        exact_rho, exact_x = exact
-        return PerronData(g.vertices, float(exact_rho), tuple(float(c) for c in exact_x),
-                          exact_rho, exact_x)
-    return PerronData(g.vertices, rho, tuple(x), None, None)
+    rho, x = _try_exact(a, rho) or (rho, x)
+    return PerronData(rho, dict(zip(g.vertices, x)))
 
 
 def cylinder_measure(pf: PerronData, lam: Path):
     """M([lambda]) = rho^{-d(lambda)} x_{s(lambda)}; Fraction when exact."""
-    if pf.exact:
-        return pf.exact_rho ** (-lam.degree) * pf.x_of(lam.source)
-    return pf.rho ** (-lam.degree) * pf.x_of(lam.source)
+    return pf.rho ** (-lam.degree) * pf.x[lam.source]
 
 
 def additivity_residual(pf: PerronData, g: DirectedGraph, lam: Path, n: int, side: str):
@@ -149,23 +137,16 @@ def cylinder_intersection_measure(pf: PerronData, lam: Path, eta: Path):
     lo, hi = (lam, eta) if lam.degree <= eta.degree else (eta, lam)
     if extends(hi, lo):
         return cylinder_measure(pf, hi)
-    return Fraction(0) if pf.exact else 0.0
+    return type(pf.rho)(0)
 
 
 def convention_residuals(pf: PerronData, g: DirectedGraph) -> dict[str, object]:
     """Worst additivity residual per side over small cylinders."""
-    out = {}
-    from .graphs import enumerate_paths
-    for side in (SOURCE_APPEND, RANGE_PREPEND):
-        worst = Fraction(0) if pf.exact else 0.0
-        for d in range(ADDITIVITY_MAX_DEGREE + 1):
-            for lam in enumerate_paths(g, d):
-                for n in range(1, ADDITIVITY_MAX_DEPTH + 1):
-                    r = additivity_residual(pf, g, lam, n, side)
-                    if r > worst:
-                        worst = r
-        out[side] = worst
-    return out
+    return {side: max(additivity_residual(pf, g, lam, n, side)
+                      for d in range(ADDITIVITY_MAX_DEGREE + 1)
+                      for lam in enumerate_paths(g, d)
+                      for n in range(1, ADDITIVITY_MAX_DEPTH + 1))
+            for side in (SOURCE_APPEND, RANGE_PREPEND)}
 
 
 def select_convention(pf: PerronData, g: DirectedGraph) -> tuple[str, dict[str, object]]:

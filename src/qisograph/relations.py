@@ -19,7 +19,9 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import permutations
 
-from .graphs import PROFILES, DirectedGraph, graph_automorphisms, hypothesis_witnesses
+from .graphs import (
+    PROFILES, DirectedGraph, adjacency_matrix, graph_automorphisms, hypothesis_witnesses,
+)
 from .ncpoly import FORMAL_UNITARY, FORMAL_UNITARY_STAR, Generator, QKIND, UKIND, USTAR, q
 
 #: sentinel RHS meaning the monomial rewrites to zero
@@ -251,7 +253,6 @@ def qaut_relations(g: DirectedGraph, pf) -> RelationSet:
                        "rules": added})
 
     # adjacency commutation UA = AU, stored for provider validation
-    from .graphs import adjacency_matrix
     a = adjacency_matrix(g)
     linear = []
     for i, vi in enumerate(ids):
@@ -271,7 +272,7 @@ def qaut_relations(g: DirectedGraph, pf) -> RelationSet:
         SumSchema("col-sum", "row", None),
     ]
     if pf.exact:
-        weights = tuple(pf.exact_x[pf.vertices.index(v)] for v in ids)
+        weights = tuple(pf.x[v] for v in ids)
         schemas.append(SumSchema("weighted-col-sum", "row", weights))
     else:
         events.append({"family": "weighted-col-sum", "action": "disabled",

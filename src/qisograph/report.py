@@ -19,8 +19,6 @@ TOOL_NAME = "qisograph"
 def _jsonable(value):
     if isinstance(value, Fraction):
         return str(value)
-    if isinstance(value, float):
-        return value
     if isinstance(value, dict):
         return {k: _jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):

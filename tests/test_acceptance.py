@@ -43,11 +43,12 @@ def test_criterion_1_measure_correctness(graphs, perron_data):
             g, pf = graphs[name], perron_data[name]
             side, _ = select_convention(pf, g)
             assert side == SOURCE_APPEND
-            rho, x = pf.exact_rho, pf.exact_x
+            assert pf.exact, name
+            rho, x = pf.rho, pf.x
             for d in range(6):
                 for lam in enumerate_paths(g, d):
                     value = cylinder_measure(pf, lam)
-                    assert value == rho ** (-d) * x[pf.vertices.index(lam.source)]
+                    assert value == rho ** (-d) * x[lam.source]
                     assert 0 < value <= 1
                     for n in range(1, 4):
                         assert additivity_residual(pf, g, lam, n, side) == 0

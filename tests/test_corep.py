@@ -230,8 +230,8 @@ def test_kms_vertex_is_weighted_schema(contexts):
     # (phi (x) id) alpha(p_v) - phi(p_v) 1 is literally the weighted sum
     ctx = contexts["k3"]
     v = "2"
-    ob = {ctx.rels.alphabet.encode((q(k, v),)): ctx.pf.x_of(k) for k in ctx.g.vertices}
-    ob[()] = -ctx.pf.x_of(v)
+    ob = {ctx.rels.alphabet.encode((q(k, v),)): ctx.pf.x[k] for k in ctx.g.vertices}
+    ob[()] = -ctx.pf.x[v]
     assert is_zero(ob, ctx.rels).kind == PROVED_ZERO
 
 

@@ -17,12 +17,13 @@ from qisograph.verdict import PROVED_ZERO, UNKNOWN, WITNESSED_NONZERO
 
 def test_setup_basics(graphs):
     setup = cuntz_setup(graphs["cuntz2"], FREE_UNITARY)
-    assert setup.pf.exact_rho == 2
-    assert setup.pf.exact_x == (Fraction(1),)
+    assert setup.pf.exact and setup.pf.rho == 2
+    assert setup.pf.x == {"w": Fraction(1)}
     assert setup.rels.gen_kind == "u"
     magic = cuntz_setup(graphs["cuntz2"], MAGIC)
     assert magic.rels.gen_kind == "q"
-    assert cuntz_setup(graphs["cuntz3"], FREE_UNITARY).pf.exact_rho == 3
+    pf3 = cuntz_setup(graphs["cuntz3"], FREE_UNITARY).pf
+    assert pf3.exact and pf3.rho == 3
 
 
 def test_setup_rejects_small_n(graphs):

@@ -355,7 +355,7 @@ def test_theta_tail_bound_encloses_longer_partial_sums(graphs):
         pf = perron(g)
         mults = multiplicities(g, 40)
         for t in (0.5, 1.0, 2.0):
-            tail = theta_tail_bound(pf.rho, min(pf.x), t, 0.25, 20)
+            tail = theta_tail_bound(pf.rho, min(pf.x.values()), t, 0.25, 20)
             sums = theta_partial_sums(mults, t, 0.25, 40)
             at20, at40 = sums[20], sums[40]
             assert math.isfinite(tail)

@@ -17,38 +17,39 @@ from oracles import total_level_mass
 
 def test_perron_three_cycle(perron_data):
     pf = perron_data["three-cycle"]
-    assert pf.exact_rho == 1
-    assert pf.exact_x == (Fraction(1, 3),) * 3
+    assert pf.exact and pf.rho == 1
+    assert list(pf.x.values()) == [Fraction(1, 3)] * 3
 
 
 def test_perron_two_cycle(perron_data):
     pf = perron_data["two-cycle"]
-    assert pf.exact_rho == 1
-    assert pf.exact_x == (Fraction(1, 2), Fraction(1, 2))
+    assert pf.exact and pf.rho == 1
+    assert list(pf.x.values()) == [Fraction(1, 2), Fraction(1, 2)]
 
 
 def test_perron_k3_against_dense_eigensolver(graphs, perron_data):
     pf = perron_data["k3"]
-    assert pf.exact_rho == 2
-    assert pf.exact_x == (Fraction(1, 3),) * 3
+    assert pf.exact and pf.rho == 2
+    assert list(pf.x.values()) == [Fraction(1, 3)] * 3
     a = np.array(adjacency_matrix(graphs["k3"]), dtype=float)
     eigvals, eigvecs = np.linalg.eig(a)
     top = np.argmax(eigvals.real)
-    assert abs(eigvals[top].real - float(pf.exact_rho)) < 1e-12
+    assert abs(eigvals[top].real - float(pf.rho)) < 1e-12
     vec = np.abs(eigvecs[:, top].real)
     vec /= vec.sum()
-    assert np.allclose(vec, [float(x) for x in pf.exact_x], atol=1e-12)
+    assert np.allclose(vec, [float(x) for x in pf.x.values()], atol=1e-12)
 
 
 def test_perron_invariants(graphs, perron_data):
     for name, pf in perron_data.items():
         a = adjacency_matrix(graphs[name])
-        n = len(pf.vertices)
-        assert sum(pf.exact_x) == 1
-        assert all(x > 0 for x in pf.exact_x)
+        assert pf.exact and list(pf.x) == list(graphs[name].vertices)
+        x = list(pf.x.values())
+        n = len(x)
+        assert sum(x) == 1
+        assert all(c > 0 for c in x)
         for i in range(n):
-            assert sum(Fraction(a[i][j]) * pf.exact_x[j] for j in range(n)) \
-                == pf.exact_rho * pf.exact_x[i]
+            assert sum(Fraction(a[i][j]) * x[j] for j in range(n)) == pf.rho * x[i]
 
 
 def test_perron_rejects_disconnected():
@@ -68,20 +69,27 @@ def test_doubled_multiplicities_scale_rho(graphs):
     base = graphs["two-cycle"]
     doubled = parse_graph("graph t2\nv 1\nv 2\ne f 2 1\ne f2 2 1\ne g 1 2\ne g2 1 2\n")
     pf1, pf2 = perron(base), perron(doubled)
-    assert pf2.exact_rho == 2 * pf1.exact_rho
-    assert pf2.exact_x == pf1.exact_x
+    assert pf1.exact and pf2.exact and pf2.rho == 2 * pf1.rho
+    assert pf2.x == pf1.x
 
 
 def test_exactness_follows_integer_radius():
     # a rational eigenvalue of an integer matrix is an integer
     integer = parse_graph("graph int2\nv 1\nv 2\ne a 1 1\ne b 1 2\ne c 1 2\ne d 2 1\n")
     pf = perron(integer)
-    assert pf.exact and pf.exact_rho == 2
-    assert sorted(pf.exact_x) == [Fraction(1, 3), Fraction(2, 3)]
+    assert pf.exact and pf.rho == 2
+    assert sorted(pf.x.values()) == [Fraction(1, 3), Fraction(2, 3)]
+    # the number type carries exactness: rho, x and every measure share it
+    lam = enumerate_paths(integer, 2)[0]
+    for value in (pf.rho, *pf.x.values(), cylinder_measure(pf, lam)):
+        assert isinstance(value, Fraction)
     golden = parse_graph("graph golden\nv 1\nv 2\ne a 1 1\ne b 2 1\ne c 1 2\n")
     pf = perron(golden)
     assert not pf.exact
     assert abs(pf.rho - (1 + 5 ** 0.5) / 2) < 1e-9
+    lam = enumerate_paths(golden, 2)[0]
+    for value in (pf.rho, *pf.x.values(), cylinder_measure(pf, lam)):
+        assert isinstance(value, float)
 
 
 def test_cylinder_measures(graphs, perron_data):
@@ -104,11 +112,11 @@ def test_cuntz_measure_formula(graphs, perron_data):
 
 
 def test_kms_vertex_values(graphs, perron_data):
-    assert perron_data["three-cycle"].x_of("2") == Fraction(1, 3)
-    assert perron_data["k3"].x_of("1") == Fraction(1, 3)
-    assert perron_data["cuntz2"].x_of("w") == 1
+    assert perron_data["three-cycle"].x["2"] == Fraction(1, 3)
+    assert perron_data["k3"].x["1"] == Fraction(1, 3)
+    assert perron_data["cuntz2"].exact and perron_data["cuntz2"].x["w"] == 1
     for name, pf in perron_data.items():
-        assert sum(pf.x_of(v) for v in pf.vertices) == 1
+        assert pf.exact and sum(pf.x.values()) == 1
 
 
 def test_additivity_source_append_exact_zero(graphs, perron_data):

@@ -54,8 +54,8 @@ def test_inner_product_sum_reduces(graphs, perron_data, qaut_rels):
     ob = {}
     for f in enumerate_paths(g, 1):
         w = alpha.encode((q(f.range, e.range), q(f.source, e.source)))
-        ob[alpha.star(w) + w] = pf.x_of(f.source)
-    ob[()] = -pf.x_of(e.source)
+        ob[alpha.star(w) + w] = pf.x[f.source]
+    ob[()] = -pf.x[e.source]
     tr = ReductionTrace()
     assert is_zero(ob, rels, tr).kind == PROVED_ZERO
     assert tr.count > 0 and len(tr.digest()) == 16
