@@ -51,7 +51,7 @@ one collector, which drops zero coefficients, reduces each nonzero
 obligation symbolically once and evaluates it under the registered
 numeric providers; a check passes only when every symbolic verdict is
 ProvedZero (and the stated structural condition holds) and the numeric
-residual stays below NUMERIC_TOL.  The truncation level is the
+residual stays below PROVIDER_TOL.  The truncation level is the
 context's n_cap.  Every refinement is source-append, the side the
 Perron measure is additive on; only the negative control of
 well-definedness refines the argument on the other side.
@@ -79,7 +79,7 @@ from .graphs import (
 from .hilbert import dirac, embedding_gram_residual
 from .ncpoly import Coeff, Generator, IntTerms, IntWord, Word, comultiply
 from .perron import PerronData, cylinder_intersection_measure
-from .providers import RepresentationProvider
+from .providers import PROVIDER_TOL, RepresentationProvider
 from .relations import RelationSet
 from .report import CheckResult
 from .rewrite import ReductionTrace, is_zero, tensor_reduce
@@ -88,7 +88,6 @@ from .verdict import PROVED_ZERO, UNKNOWN
 VERTEX_PAIR = "vertex-pair"
 EDGE_INDEX = "edge-index"
 
-NUMERIC_TOL = 1e-10
 COMULTIPLICATIVE_MAX_LEVEL = 2
 
 
@@ -197,7 +196,7 @@ class _Obligations:
                        for terms in self.diffs), default=0.0)
         residuals = {"numeric": numeric}
         residuals.update(extra_residuals or {})
-        passed = all_proved and structural_ok and numeric < NUMERIC_TOL
+        passed = all_proved and structural_ok and numeric < PROVIDER_TOL
         return CheckResult(name, inputs, passed, PROVED_ZERO if all_proved else UNKNOWN,
                            residuals, self.trace.count, self.trace.digest(),
                            (time.monotonic() - self.started) * 1000.0,

@@ -1,7 +1,9 @@
 """Numeric representation providers: concrete assignments for the
 abstract generators, validated against their relation set at
 registration, used as nonzero-ness oracles and as cross-checks for the
-symbolic prover.
+symbolic prover.  Registration evaluates each of the relation set's
+relators with ``value``, the evaluator every obligation's cross-check
+runs, so a provider whose masks break a relation is refused.
 
 Every provider is a direct sum of one-dimensional representations, so a
 generator is stored as a tuple of plain Python numbers, its value on
@@ -117,51 +119,17 @@ class RepresentationProvider:
         return max(map(abs, self.value(terms, gens)))
 
 
-def _check(provider: RepresentationProvider, label: str, terms, target=0.0):
-    """Raise unless sum(c * product of the word's values) over *terms*,
-    pairs (c, generator word), is within PROVIDER_TOL of *target* on
-    every summand; a NaN residual fails."""
-    ones = [1] * provider.dim                   # the value of the empty word
-    totals = [0] * provider.dim
-    for c, word in terms:
-        products = map(math.prod, zip(ones, *map(provider.values, word)))
-        totals = [t + c * p for t, p in zip(totals, products)]
-    for total in totals:
-        err = abs(total - target)
-        if not err <= PROVIDER_TOL:
-            raise ProviderValidationError(
-                f"provider {provider.name} violates {label} (residual {err:.3g})")
-
-
 def register(provider: RepresentationProvider, rels: RelationSet) -> RepresentationProvider:
-    """Validate every relation of *rels* under the provider's values."""
-    for (g1, g2), rhs in rels.pair_rules.items():
-        if rhs is None:
-            _check(provider, f"rule {g1}{g2}->0", [(1, (g1, g2))])
-        else:
-            _check(provider, f"rule {g1}{g2}", [(1, (g1, g2)), (-1, rhs)])
-    for schema in rels.sum_schemas:
-        for fixed in rels.universe:
-            terms = [(float(rels.weight_of(schema, var)),
-                      (Generator(rels.gen_kind, var, fixed) if schema.varying_axis == "row"
-                       else Generator(rels.gen_kind, fixed, var),))
-                     for var in rels.universe]
-            _check(provider, f"schema {schema.tag}@{fixed}", terms,
-                   float(rels.weight_of(schema, fixed)))
-    for schema in rels.unitary_schemas:
-        kind1, kind2 = schema.kinds
-        ax1, ax2 = schema.shared_axes
-        for i in rels.universe:
-            for j in rels.universe:
-                terms = [(1, (Generator(kind1, k, i) if ax1 == "row" else Generator(kind1, i, k),
-                              Generator(kind2, k, j) if ax2 == "row" else Generator(kind2, j, k)))
-                         for k in rels.universe]
-                _check(provider, f"schema {schema.tag}@({i},{j})", terms,
-                       1.0 if i == j else 0.0)
-    for idx, p in enumerate(rels.linear_relations):
-        _check(provider, f"linear relation #{idx}", [(float(c), (g,)) for g, c in p.items()])
-    for gen in sorted(rels.vanishing):
-        _check(provider, f"vanishing generator {gen}", [(1, (gen,))])
+    """Validate every relation of *rels* under the provider: each of
+    ``rels.relators()`` must take a value within PROVIDER_TOL of 0 on
+    every summand, evaluated by ``value`` as any obligation is; a NaN
+    fails."""
+    gens = rels.alphabet.gens
+    for label, poly in rels.relators():
+        for v in provider.value(poly, gens):
+            if not abs(v) <= PROVIDER_TOL:
+                raise ProviderValidationError(
+                    f"provider {provider.name} violates {label} (residual {abs(v):.3g})")
     return provider
 
 

@@ -2,14 +2,15 @@
 graph-derived edge-compatibility rules, free-unitary relations, and the
 weighted Perron sum schema.
 
-Monomial rules all have two-letter left-hand sides and rewrite to a
-word (possibly empty, meaning the unit) or to zero; they are closed
-under the formal adjoint.  Full-index sums cannot be oriented as
-terminating word rules, so they live as sum schemas consumed by a
-polynomial-level collapse pass in the rewriter.  The linear relations
-(adjacency commutation) are single-letter combinations, each a
-``dict[Generator, int]`` of nonzero coefficients; only provider
-registration reads them, so they never need the rewriter's alphabet.
+A monomial rule maps its two-letter left-hand side to one record, its
+right-hand side (a word, possibly empty for the unit, or ``ZERO``) and
+its tag; the rules are closed under the formal adjoint.  Full-index
+sums cannot be oriented as terminating word rules, so they live as sum
+schemas consumed by a polynomial-level collapse pass in the rewriter.
+The linear relations (adjacency commutation) are single-letter
+combinations, ``dict[Generator, int]``s that only providers read.
+``RelationSet.relators`` states every relation as a polynomial over the
+rewriter's alphabet that must vanish; registration evaluates those.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
-from itertools import permutations
+from itertools import permutations, product
 
 from .graphs import (
     PROFILES, DirectedGraph, adjacency_matrix, graph_automorphisms, hypothesis_witnesses,
@@ -28,18 +29,20 @@ from .ncpoly import FORMAL_UNITARY, FORMAL_UNITARY_STAR, Generator, QKIND, UKIND
 ZERO = None
 
 PairRule = tuple[Generator, Generator]
+#: a pair rule's record: the right-hand side word (ZERO for zero) and its tag
+RuleRecord = tuple[tuple[Generator, ...] | None, str]
 
 
 @dataclass(frozen=True)
 class SumSchema:
     """Single-generator full-index sum: over the varying axis of a
     q-generator, sum_k (weight_k * g) collapses to value * unit, where
-    value is the weight at the fixed index (1 for a plain row/column
-    sum, whose weights are None)."""
+    value is the weight at the fixed index; *weights* maps each index
+    to its weight, and is None for a plain row/column sum (all 1)."""
 
     tag: str
     varying_axis: str                      # "row" or "col"
-    weights: tuple[Fraction, ...] | None   # indexed like the universe; None = all ones
+    weights: dict[str, Fraction] | None
 
 
 @dataclass(frozen=True)
@@ -62,11 +65,14 @@ UNITARY_SCHEMAS = (
 
 @dataclass(frozen=True)
 class RelationSet:
+    """One generator family's relations over *universe*.  Each pair rule
+    maps its left-hand side to its ``(rhs, tag)`` record, and
+    ``relators`` states every relation as a polynomial that must vanish."""
+
     name: str
     gen_kind: str                          # "q" or "u"
     universe: tuple[str, ...]
-    pair_rules: dict[PairRule, tuple[Generator, ...] | None]
-    rule_tags: dict[PairRule, str]
+    pair_rules: dict[PairRule, RuleRecord]
     sum_schemas: tuple[SumSchema, ...]
     unitary_schemas: tuple[UnitarySchema, ...]
     linear_relations: tuple[dict[Generator, int], ...] = ()
@@ -85,29 +91,47 @@ class RelationSet:
         from .rewrite import Alphabet
         return Alphabet(self)
 
-    def weight_of(self, schema: SumSchema, idx: str) -> Fraction | int:
-        if schema.weights is None:
-            return 1
-        return schema.weights[self.universe.index(idx)]
+    def relators(self):
+        """Each relation as ``(label, poly)``, *poly* an int-word ->
+        coefficient dict over ``alphabet`` that must vanish."""
+        enc, ids, kind = self.alphabet.encode, self.universe, self.gen_kind
+        for (g1, g2), (rhs, _) in self.pair_rules.items():
+            yield ((f"rule {g1}{g2}->0", {enc((g1, g2)): 1}) if rhs is ZERO
+                   else (f"rule {g1}{g2}", {enc((g1, g2)): 1, enc(rhs): -1}))
+        for schema in self.sum_schemas:
+            w = schema.weights or dict.fromkeys(ids, 1)
+            for fixed in ids:
+                poly = {enc((_placed(kind, schema.varying_axis, k, fixed),)): w[k] for k in ids}
+                yield f"schema {schema.tag}@{fixed}", {**poly, (): -w[fixed]}
+        for schema in self.unitary_schemas:
+            (kind1, kind2), (ax1, ax2) = schema.kinds, schema.shared_axes
+            for i, j in product(ids, ids):
+                poly = {enc((_placed(kind1, ax1, k, i), _placed(kind2, ax2, k, j))): 1 for k in ids}
+                yield f"schema {schema.tag}@({i},{j})", {**poly, (): -1} if i == j else poly
+        for idx, p in enumerate(self.linear_relations):
+            yield f"linear relation #{idx}", {enc((g,)): c for g, c in p.items()}
+        for gen in sorted(self.vanishing):
+            yield f"vanishing generator {gen}", {enc((gen,)): 1}
+
+
+def _placed(kind: str, axis: str, idx: str, other: str) -> Generator:
+    """The generator of *kind* with *idx* on *axis*, *other* on the other."""
+    return Generator(kind, idx, other) if axis == "row" else Generator(kind, other, idx)
 
 
 def _magic_pair_rules(ids: tuple[str, ...]):
     """Idempotency, row orthogonality, column orthogonality."""
-    rules: dict[PairRule, tuple[Generator, ...] | None] = {}
-    tags: dict[PairRule, str] = {}
+    rules: dict[PairRule, RuleRecord] = {}
     for a in ids:
         for b in ids:
             gen = q(a, b)
-            rules[(gen, gen)] = (gen,)
-            tags[(gen, gen)] = "idem"
+            rules[(gen, gen)] = ((gen,), "idem")
             for c in ids:
                 if c != b:
-                    rules[(q(a, b), q(a, c))] = ZERO
-                    tags[(q(a, b), q(a, c))] = "row-orth"
+                    rules[(q(a, b), q(a, c))] = (ZERO, "row-orth")
                 if c != a:
-                    rules[(q(a, b), q(c, b))] = ZERO
-                    tags[(q(a, b), q(c, b))] = "col-orth"
-    return rules, tags
+                    rules[(q(a, b), q(c, b))] = (ZERO, "col-orth")
+    return rules
 
 
 #: the most indices whose permutations ``magic_relations`` lists as
@@ -131,14 +155,14 @@ def magic_relations(ids, name: str = "magic") -> RelationSet:
     are searched one by one.
     """
     ids = tuple(ids)
-    rules, tags = _magic_pair_rules(ids)
+    rules = _magic_pair_rules(ids)
     schemas = (
         SumSchema("row-sum", "col", None),
         SumSchema("col-sum", "row", None),
     )
     symmetries = (tuple(dict(zip(ids, p)) for p in permutations(ids))
                   if len(ids) <= MAGIC_SYMMETRY_MAX_IDS else ())
-    return RelationSet(name, QKIND, ids, rules, tags, schemas, (), symmetries=symmetries)
+    return RelationSet(name, QKIND, ids, rules, schemas, (), symmetries=symmetries)
 
 
 def _edge_rule_candidates(g: DirectedGraph, reading: str):
@@ -182,7 +206,7 @@ def _vanishing_closure(ids, rules, vanishing: set[Generator]) -> int:
     def pair_zero(g1: Generator, g2: Generator) -> bool:
         if g1 in vanishing or g2 in vanishing:
             return True
-        return rules.get((g1, g2), "miss") is None
+        return (g1, g2) in rules and rules[(g1, g2)][0] is ZERO
 
     def annihilated(gen: Generator) -> bool:
         for r in ids:
@@ -240,14 +264,13 @@ def qaut_relations(g: DirectedGraph, pf) -> RelationSet:
         raise ValueError(f"graph {g.name} fails aut-plus validation: {', '.join(failed)}")
 
     ids = g.vertices
-    rules, tags = _magic_pair_rules(ids)
+    rules = _magic_pair_rules(ids)
     events = []
     for reading in ("sr", "rs"):
         added = 0
         for rule in _edge_rule_candidates(g, reading):
             if rule not in rules:
-                rules[rule] = ZERO
-                tags[rule] = "edge-zero"
+                rules[rule] = (ZERO, "edge-zero")
                 added += 1
         events.append({"family": f"edge-zero[{reading}]", "action": "installed",
                        "rules": added})
@@ -272,8 +295,7 @@ def qaut_relations(g: DirectedGraph, pf) -> RelationSet:
         SumSchema("col-sum", "row", None),
     ]
     if pf.exact:
-        weights = tuple(pf.x[v] for v in ids)
-        schemas.append(SumSchema("weighted-col-sum", "row", weights))
+        schemas.append(SumSchema("weighted-col-sum", "row", dict(pf.x)))
     else:
         events.append({"family": "weighted-col-sum", "action": "disabled",
                        "reason": "Perron data not exact; numeric checks only"})
@@ -290,7 +312,7 @@ def qaut_relations(g: DirectedGraph, pf) -> RelationSet:
         events.append({"family": "vanishing-generators", "action": "derived",
                        "generators": sorted(str(v) for v in vanishing)})
 
-    return RelationSet(f"qaut({g.name})", QKIND, ids, rules, tags,
+    return RelationSet(f"qaut({g.name})", QKIND, ids, rules,
                        tuple(schemas), (), tuple(linear), tuple(events),
                        vanishing=frozenset(vanishing), symmetries=graph_automorphisms(g))
 
@@ -299,15 +321,12 @@ def free_unitary_relations(ids, name: str = "free-unitary") -> RelationSet:
     """Universal relations making (u[i,j]) and its entrywise adjoint
     unitary; there are no monomial rules, only the four sum schemas."""
     ids = tuple(ids)
-    return RelationSet(name, UKIND, ids, {}, {}, (), UNITARY_SCHEMAS)
+    return RelationSet(name, UKIND, ids, {}, (), UNITARY_SCHEMAS)
 
 
 def with_formal_unitary(rels: RelationSet) -> RelationSet:
     """Adjoin one formal unitary w with w w* = w* w = 1."""
     rules = dict(rels.pair_rules)
-    tags = dict(rels.rule_tags)
-    rules[(FORMAL_UNITARY, FORMAL_UNITARY_STAR)] = ()
-    rules[(FORMAL_UNITARY_STAR, FORMAL_UNITARY)] = ()
-    tags[(FORMAL_UNITARY, FORMAL_UNITARY_STAR)] = "w-unitary"
-    tags[(FORMAL_UNITARY_STAR, FORMAL_UNITARY)] = "w-unitary"
-    return replace(rels, name=rels.name + "+w", pair_rules=rules, rule_tags=tags)
+    rules[(FORMAL_UNITARY, FORMAL_UNITARY_STAR)] = ((), "w-unitary")
+    rules[(FORMAL_UNITARY_STAR, FORMAL_UNITARY)] = ((), "w-unitary")
+    return replace(rels, name=rels.name + "+w", pair_rules=rules)

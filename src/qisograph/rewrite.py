@@ -119,7 +119,7 @@ class Alphabet:
         universe = rels.universe
         kinds = {rels.gen_kind} | {k for s in rels.unitary_schemas for k in s.kinds}
         gens = {Generator(k, i, j) for k in kinds for i in universe for j in universe}
-        for lhs, rhs in rels.pair_rules.items():
+        for lhs, (rhs, _) in rels.pair_rules.items():
             gens.update(lhs)
             gens.update(rhs or ())
         gens.update(rels.vanishing)
@@ -136,10 +136,10 @@ class Alphabet:
         # pair (a, b) lives at a * n + b: _MISS, None (rewrites to zero) or the RHS word
         self.pair_rules: list = [_MISS] * (n * n)
         self.pair_tags: list = [None] * (n * n)
-        for (g1, g2), rhs in rels.pair_rules.items():
+        for (g1, g2), (rhs, tag) in rels.pair_rules.items():
             at = self.ids[g1] * n + self.ids[g2]
             self.pair_rules[at] = None if rhs is None else self.encode(rhs)
-            self.pair_tags[at] = "mono:" + rels.rule_tags[(g1, g2)]
+            self.pair_tags[at] = "mono:" + tag
         self.vanishing = frozenset(self.ids[g] for g in rels.vanishing)
 
         indexed = set(universe)
@@ -316,8 +316,7 @@ class _SumAxis:
             for g in range(alpha.size)]
         self.schemas = tuple(
             ("collapse:" + s.tag,
-             None if s.weights is None
-             else {alpha.rank[i]: rels.weight_of(s, i) for i in rels.universe})
+             None if s.weights is None else {alpha.rank[i]: w for i, w in s.weights.items()})
             for s in schemas)
 
     def candidates(self, terms: IntTerms, reduce, out: list):

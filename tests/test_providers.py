@@ -6,13 +6,13 @@ import numpy as np
 import pytest
 
 from oracles import letter_by_letter_norm, letter_by_letter_value, q_point_provider
-from qisograph.corep import NUMERIC_TOL, VERTEX_PAIR, VerificationContext, run_identity_suite
+from qisograph.corep import VERTEX_PAIR, VerificationContext, run_identity_suite
 from qisograph.exprlang import parse_expression
 from qisograph.graphs import graph_automorphisms, parse_graph
 from qisograph.ncpoly import q
 from qisograph.perron import perron
 from qisograph.providers import (
-    ProviderValidationError, RepresentationProvider, classical_rep, fourier_unitary,
+    PROVIDER_TOL, ProviderValidationError, RepresentationProvider, classical_rep, fourier_unitary,
     identity_unitary, loop_permutation_rep, permutation_diag_rep,
     register, rotation_unitary, unitary_provider_portfolio, witness_nonzero,
 )
@@ -48,6 +48,17 @@ def test_registration_rejects_non_finite_entries(entry):
     bad = q_point_provider("non-finite", ("1", "2"), [[entry, 0.0], [0.0, 1.0]])
     with pytest.raises(ProviderValidationError):
         register(bad, rels)
+
+
+def test_registration_runs_the_mask_engine(graphs, qaut_rels):
+    """Registration evaluates the relators with ``value``, as every
+    obligation's cross-check does, so a bit flipped in a generator's
+    mask is refused although its ``values`` still satisfy the relations."""
+    rels = qaut_rels["k3"]
+    provider = classical_rep(graphs["k3"], rels)
+    provider._masks[q("1", "1")] ^= 1
+    with pytest.raises(ProviderValidationError, match=r"violates schema row-sum@1 \(residual 1\)"):
+        register(provider, rels)
 
 
 def test_permutation_point_provider_is_valid_magic_rep():
@@ -214,7 +225,7 @@ def test_non_automorphism_fails_on_the_mask_engine(graphs, perron_data, qaut_rel
     assert provider._masks is not None
     ctx = VerificationContext(g, perron_data["asym4"], rels, VERTEX_PAIR, [provider], 3)
     results = run_identity_suite(ctx, k_max=2)
-    assert any(not r.passed and r.residuals.get("numeric", 0.0) > NUMERIC_TOL for r in results)
+    assert any(not r.passed and r.residuals.get("numeric", 0.0) > PROVIDER_TOL for r in results)
     residuals = {(r.name, str(r.inputs)): r.residuals.get("numeric") for r in results}
     monkeypatch.setattr(RepresentationProvider, "norm", letter_by_letter_norm)
     oracle = {(r.name, str(r.inputs)): r.residuals.get("numeric")

@@ -13,11 +13,11 @@ from qisograph.rewrite import reduce_word
 
 def test_magic_rule_inventory():
     rels = magic_relations(("1", "2"))
-    assert rels.pair_rules[(q("1", "1"), q("1", "1"))] == (q("1", "1"),)
-    assert rels.pair_rules[(q("1", "1"), q("1", "2"))] is None
-    assert rels.pair_rules[(q("1", "1"), q("2", "1"))] is None
+    assert rels.pair_rules[(q("1", "1"), q("1", "1"))] == ((q("1", "1"),), "idem")
+    assert rels.pair_rules[(q("1", "1"), q("1", "2"))] == (None, "row-orth")
+    assert rels.pair_rules[(q("1", "1"), q("2", "1"))] == (None, "col-orth")
     assert (q("1", "1"), q("2", "2")) not in rels.pair_rules
-    tags = set(rels.rule_tags.values())
+    tags = {tag for _, tag in rels.pair_rules.values()}
     assert tags == {"idem", "row-orth", "col-orth"}
     assert {s.tag for s in rels.sum_schemas} == {"row-sum", "col-sum"}
 
@@ -45,7 +45,7 @@ def test_qaut_k3_edge_rules_degenerate(qaut_rels):
     # on the complete graph the edge relations reduce to the
     # orthogonality rules: non-edge pairs are exactly the diagonal
     rels = qaut_rels["k3"]
-    assert not any(tag == "edge-zero" for tag in rels.rule_tags.values())
+    assert not any(tag == "edge-zero" for _, tag in rels.pair_rules.values())
     # the specialization q[s(gamma),i] q[r(gamma),i] -> 0 is column
     # orthogonality, present for every edge and vertex
     for gamma_r, gamma_s in (("2", "1"), ("3", "2")):
@@ -55,11 +55,11 @@ def test_qaut_k3_edge_rules_degenerate(qaut_rels):
 
 def test_qaut_three_cycle_edge_rules_present(qaut_rels):
     rels = qaut_rels["three-cycle"]
-    assert sum(1 for tag in rels.rule_tags.values() if tag == "edge-zero") == 18
+    assert sum(1 for _, tag in rels.pair_rules.values() if tag == "edge-zero") == 18
     installed = {e["family"] for e in rels.events if e["action"] == "installed"}
     assert installed == {"edge-zero[sr]", "edge-zero[rs]"}
     # the worked instance: rows are an edge pair, columns are not
-    assert rels.pair_rules[(q("2", "1"), q("1", "2"))] is None
+    assert rels.pair_rules[(q("2", "1"), q("1", "2"))] == (None, "edge-zero")
 
 
 @st.composite
@@ -93,11 +93,11 @@ def test_both_edge_readings_installed_and_classically_sound(g):
 def test_qaut_star_closure_of_rules(qaut_rels):
     from qisograph.ncpoly import adjoint_generator
     for rels in qaut_rels.values():
-        for (g1, g2), rhs in rels.pair_rules.items():
+        for (g1, g2), (rhs, _) in rels.pair_rules.items():
             mirrored = (adjoint_generator(g2), adjoint_generator(g1))
             assert mirrored in rels.pair_rules
             if rhs is None:
-                assert rels.pair_rules[mirrored] is None
+                assert rels.pair_rules[mirrored][0] is None
 
 
 def test_qaut_adjacency_commutation_stored(qaut_rels):
@@ -135,7 +135,7 @@ def test_free_unitary_has_no_monomial_rules():
 
 def test_formal_unitary_extension():
     rels = with_formal_unitary(magic_relations(("1", "2")))
-    assert [pair for pair, tag in rels.rule_tags.items() if tag == "w-unitary"] == [
+    assert [pair for pair, (_, tag) in rels.pair_rules.items() if tag == "w-unitary"] == [
         (FORMAL_UNITARY, FORMAL_UNITARY_STAR), (FORMAL_UNITARY_STAR, FORMAL_UNITARY)]
     enc = rels.alphabet.encode
     assert reduce_word(enc((FORMAL_UNITARY, FORMAL_UNITARY_STAR)), rels) == ()
