@@ -19,7 +19,8 @@ from pathlib import Path as FsPath
 
 from . import __version__
 from .corep import (
-    VERTEX_PAIR, VerificationContext, check_welldefined, level_pairs, run_identity_suite,
+    VERTEX_PAIR, VerificationContext, check_welldefined, level_pairs, require_exact,
+    run_identity_suite,
 )
 from .cuntz import (
     FREE_UNITARY, MAGIC, cuntz_setup, derive_contradiction, non_isometry_verdict, sn_plus_context,
@@ -27,7 +28,7 @@ from .cuntz import (
 from .exprlang import ExpressionError, parse_expression
 from .graphs import (
     CONVENTIONS, PROFILES, SOURCE_APPEND, DirectedGraph, GraphFormatError, enumerate_paths,
-    hypothesis_witnesses, parse_graph,
+    graph_automorphisms, hypothesis_witnesses, parse_graph,
 )
 from .hilbert import (
     alpha_sequence, cuntz_krieger_check, multiplicities, path_counts, theta_partial_sums,
@@ -266,12 +267,20 @@ def cmd_spectral(config: RunConfig) -> SuiteReport:
 def cmd_verify(config: RunConfig) -> SuiteReport:
     g, digest = _load_graph(config)
     paths = path_counts(g, config.n_cap)[-1]
-    if config.convention in ("auto", SOURCE_APPEND):      # auto selects source-append
+    dirac = config.convention in ("auto", SOURCE_APPEND)      # auto selects source-append
+    if dirac:
         # the identity automorphism is a summand of every Aut(G) provider,
         # so this refuses a run too large for any Aut(G) before building it
         _check_dirac_stack(1, paths, config.n_cap, at_least=True)
     try:
         pf = perron(g)
+        require_exact(pf)
+        if dirac and paths:
+            # Aut(G) is the provider's summands: enumerate no more of it
+            # than the Dirac check admits
+            allowance = DIRAC_STACK_MAX // paths ** 2 - (config.n_cap + 2)
+            _check_dirac_stack(len(graph_automorphisms(g, allowance)), paths, config.n_cap,
+                               at_least=True)
         if config.convention == "auto":
             convention, conv_residuals = select_convention(pf, g)
         else:
@@ -282,7 +291,6 @@ def cmd_verify(config: RunConfig) -> SuiteReport:
     except ValueError as exc:
         raise UsageError(str(exc)) from None
     if convention == SOURCE_APPEND:
-        _check_dirac_stack(ctx.providers[0].dim, paths, config.n_cap)
         report_checks = run_identity_suite(ctx, k_max=config.k_max)
     else:
         # forced rejected convention: run the negative control only

@@ -124,6 +124,14 @@ class LevelCorep:
     rows: tuple[tuple[IntWord, ...], ...]
 
 
+def require_exact(pf: PerronData):
+    """Refuse inexact Perron data: the obligations carry state weights
+    as exact coefficients, and an irrational spectral radius would force
+    silent rounding."""
+    if not pf.exact:
+        raise ValueError("the symbolic identity suite requires exact Perron data")
+
+
 @dataclass
 class VerificationContext:
     g: DirectedGraph
@@ -136,10 +144,7 @@ class VerificationContext:
                                            repr=False, compare=False)
 
     def __post_init__(self):
-        # the obligations carry state weights as exact coefficients;
-        # an irrational spectral radius would force silent rounding
-        if not self.pf.exact:
-            raise ValueError("the symbolic identity suite requires exact Perron data")
+        require_exact(self.pf)
 
     def level(self, k: int) -> LevelCorep:
         """The level-k corepresentation table, built on first use; a

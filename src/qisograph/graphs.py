@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import islice
 from typing import NamedTuple
 
 
@@ -370,10 +371,14 @@ def refine(g: DirectedGraph, lam: Path, n: int, side: str) -> list[Path]:
     raise ValueError(f"unknown refinement side {side!r}")
 
 
-def graph_automorphisms(g: DirectedGraph) -> tuple[dict[str, str], ...]:
+def graph_automorphisms(g: DirectedGraph, limit: int | None = None) -> tuple[dict[str, str], ...]:
     """Vertex permutations preserving every edge-pair multiplicity, in
     the lexicographic order of their image tuples (vertex order),
     enumerated once per graph (kept in ``g.memo``).
+
+    With *limit*, the enumeration stops at the first limit + 1 maps, so
+    a result longer than *limit* is a prefix of the group and says only
+    that the group is larger; only a complete enumeration is kept.
 
     Backtracking: vertices are assigned in vertex order, each to an
     unused vertex with the same (in-degree, out-degree, loop count),
@@ -392,12 +397,11 @@ def graph_automorphisms(g: DirectedGraph) -> tuple[dict[str, str], ...]:
 
     order = g.vertices
     kind = {v: (len(g.edges_into[v]), len(g.edges_out_of[v]), count(v, v)) for v in order}
-    autos: list[dict[str, str]] = []
     sigma: dict[str, str] = {}
 
     def extend(i: int):
         if i == len(order):
-            autos.append(dict(sigma))
+            yield dict(sigma)
             return
         v = order[i]
         used = set(sigma.values())
@@ -407,9 +411,10 @@ def graph_automorphisms(g: DirectedGraph) -> tuple[dict[str, str], ...]:
             if all(count(v, u) == count(c, su) and count(u, v) == count(su, c)
                    for u, su in sigma.items()):
                 sigma[v] = c
-                extend(i + 1)
+                yield from extend(i + 1)
                 del sigma[v]
 
-    extend(0)
-    autos = g.memo[("automorphisms",)] = tuple(autos)
+    autos = tuple(islice(extend(0), None if limit is None else limit + 1))
+    if limit is None or len(autos) <= limit:
+        g.memo[("automorphisms",)] = autos
     return autos

@@ -50,8 +50,16 @@ when its image is.  ``Alphabet.transport`` checks that mechanically on
 the id tables for the one-sided pairs (sigma, id) and (id, tau), which
 compose to every pair, and is empty when any check fails.
 
-A search's key is its start form scaled to coprime integer
-coefficients.  The alphabet's ``proofs`` (a :class:`ProofStore`) keeps
+Every search runs on its key, the start form scaled to coprime integer
+coefficients (its primitive form), and each weighted sum schema holds
+its weights scaled to coprime ints, so the search's forms, groups and
+``seen`` set hold ints unless a collapse leaves a fraction.  The search
+is scale-equivariant: groups and candidate sort keys never read a
+coefficient, a group fits a schema at c*f exactly when it fits at f and
+collapses to c times the value, and children scale with their parent;
+so the primitive form wins with the start form's tags.
+
+The alphabet's ``proofs`` (a :class:`ProofStore`) keeps
 one representative per proved orbit, and its negation, under an
 invariant: the multiset of (coefficient, word shape), where a word's
 shape renumbers its row and its column indices each by first
@@ -71,6 +79,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
+from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
 from operator import itemgetter
@@ -316,7 +325,8 @@ class _SumAxis:
             for g in range(alpha.size)]
         self.schemas = tuple(
             ("collapse:" + s.tag,
-             None if s.weights is None else {alpha.rank[i]: w for i, w in s.weights.items()})
+             None if s.weights is None else _coprime_ints(
+                 {alpha.rank[i]: w for i, w in s.weights.items()}))
             for s in schemas)
 
     def candidates(self, terms: IntTerms, reduce, out: list):
@@ -353,15 +363,21 @@ class _SumAxis:
 
 def _collapsed_value(members: dict, fixed: int, weights: dict | None) -> Coeff | None:
     """What a sum group collapses to under a plain (weights None) or
-    weighted schema, or None when its coefficients do not fit it."""
+    weighted schema, or None when its coefficients do not fit it.
+
+    Weights are the schema's coprime ints W, a positive multiple of its
+    weights: the group fits when every c * W[first] equals
+    c0 * W[idx], and collapses to c0 * W[fixed] / W[first], an int when
+    the division is exact and an exact Fraction otherwise."""
     rest = iter(members.items())
     first_idx, (c0, _, _) = next(rest)
     if weights is None:
         return None if any(c != c0 for _, (c, _, _) in rest) else c0
-    base = c0 / weights[first_idx]
-    if any(c != base * weights[idx] for idx, (c, _, _) in rest):
+    w0 = weights[first_idx]
+    if any(c * w0 != c0 * weights[idx] for idx, (c, _, _) in rest):
         return None
-    return base * weights[fixed]
+    value = c0 * weights[fixed]
+    return value // w0 if value % w0 == 0 else Fraction(value, w0)
 
 
 class _UnitaryTable:
@@ -406,8 +422,10 @@ class _UnitaryTable:
 
 def _search_zero(start: IntTerms, alpha: Alphabet, limit: int):
     """Depth-first search over collapse choices for an empty form,
-    starting from a nonzero monomial fixed point; returns the applied
-    collapse tags on success, None on failure.
+    starting from a nonzero monomial fixed point (the primitive integer
+    form, when ``_prove_zero`` calls it: any nonzero multiple returns the
+    same tags); returns the applied collapse tags on success, None on
+    failure.
 
     A collapse deletes its group and adds one shorter word, so a child
     is again a monomial fixed point once that word alone is reduced.
@@ -454,12 +472,18 @@ def _search_zero(start: IntTerms, alpha: Alphabet, limit: int):
     return None
 
 
+def _coprime_ints(values: dict) -> dict:
+    """*values* scaled to coprime ints, sign kept: times the lcm of
+    their denominators, then divided by the gcd of the products."""
+    den = lcm(*(c.denominator for c in values.values()))
+    ints = {k: c.numerator * (den // c.denominator) for k, c in values.items()}
+    common = gcd(*ints.values())
+    return {k: c // common for k, c in ints.items()}
+
+
 def _primitive(terms: IntTerms) -> frozenset:
     """The items of *terms* scaled to coprime int coefficients, sign kept."""
-    den = lcm(*(c.denominator for c in terms.values()))
-    ints = [(w, c.numerator * (den // c.denominator)) for w, c in terms.items()]
-    common = gcd(*(c for _, c in ints))
-    return frozenset((w, c // common) for w, c in ints)
+    return frozenset(_coprime_ints(terms).items())
 
 
 class ProofStore(dict):
@@ -556,18 +580,20 @@ class ProofStore(dict):
 def _prove_zero(start: IntTerms, alpha: Alphabet):
     """The winning collapse tags for *start*, or None.
 
-    Without transport this is one search.  With it, a start form that
-    ``alpha.proofs`` matches is a (sigma, tau) image of a nonzero
-    multiple of a proved form, and those permutations map the relation
-    ideal onto itself, so it takes that proof's tags.  Otherwise it is
-    searched, and a proof is stored; a failed search stores nothing.
+    Every search runs on the primitive integer form of *start*, which
+    is also the proof store's key.  Without transport this is one
+    search.  With it, a start form that ``alpha.proofs`` matches is a
+    (sigma, tau) image of a nonzero multiple of a proved form, and those
+    permutations map the relation ideal onto itself, so it takes that
+    proof's tags.  Otherwise it is searched, and a proof is stored; a
+    failed search stores nothing.
     """
-    if not alpha.transport:
-        return _search_zero(start, alpha, SEARCH_LIMIT)
     key = _primitive(start)
+    if not alpha.transport:
+        return _search_zero(dict(key), alpha, SEARCH_LIMIT)
     winning = alpha.proofs.find(key)
     if winning is None:
-        winning = _search_zero(start, alpha, SEARCH_LIMIT)
+        winning = _search_zero(dict(key), alpha, SEARCH_LIMIT)
         if winning is not None:
             alpha.proofs.add(key, winning)
     return winning

@@ -15,6 +15,15 @@ from qisograph.providers import RepresentationProvider
 from qisograph.ratmat import rat_matmul, rat_max_abs, rat_nullspace, rat_sub, rat_zeros
 
 
+#: a strongly connected graph with rho = 2, the unequal Perron weights
+#: x = (1/3, 2/9, 5/18, 1/6) and trivial Aut(G): every bundled graph has
+#: a uniform Perron vector, so this one alone has weighted collapses
+#: whose weights differ
+UNEQUAL4_TEXT = ("graph unequal4\nv 1\nv 2\nv 3\nv 4\n"
+                 "e e12 1 2\ne e13 1 3\ne e14 1 4\ne e23 2 3\n"
+                 "e e24 2 4\ne e31 3 1\ne e32 3 2\ne e41 4 1\n")
+
+
 def u(row: str, col: str) -> Generator:
     return Generator(UKIND, row, col)
 

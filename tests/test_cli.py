@@ -23,6 +23,13 @@ K8_TEXT = "graph k8\n" + "".join(f"v {v}\n" for v in "12345678") + "".join(
     f"e e{r}{s} {r} {s}\n" for s in "12345678" for r in "12345678" if r != s)
 
 
+def _star(n: int) -> str:
+    """A hub h with *n* spokes, an edge each way between h and each spoke:
+    rho = sqrt(n) and Aut(G) is the symmetric group on the spokes."""
+    return f"graph star{n}\nv h\n" + "".join(f"v {i}\n" for i in range(1, n + 1)) + "".join(
+        f"e a{i} {i} h\ne b{i} h {i}\n" for i in range(1, n + 1))
+
+
 def _loops(n: int) -> str:
     return f"graph cuntz{n}\nv w\n" + "".join(f"e l{i} w w\n" for i in range(1, n + 1))
 
@@ -382,6 +389,18 @@ def test_spectral_float_mode_irrational_radius(tmp_path):
     assert main(["verify", "--graph", str(gfile)]) == 2
 
 
+def test_verify_refuses_inexact_perron_data_before_building_aut(tmp_path, capsys):
+    # rho = 2 sqrt(2): Aut(G) has 8! = 40,320 maps, which the run
+    # must neither enumerate nor register before it refuses
+    graph = tmp_path / "star8.g"
+    graph.write_text(_star(8))
+    started = time.monotonic()
+    assert main(["verify", "--graph", str(graph)]) == 2
+    assert time.monotonic() - started < 1.0
+    assert "error: the symbolic identity suite requires exact Perron data" in \
+        capsys.readouterr().err
+
+
 def test_report_digest_tracks_graph_file(tmp_path):
     out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
     main(["validate", "--graph", _graph("k3.g"), "--out", str(out1)])
@@ -396,8 +415,9 @@ def test_report_digest_tracks_graph_file(tmp_path):
      "(720 summands + 5 projections) x 216^2 paths = 33,825,600 entries"),
     ("cuntz", _loops(7), [],
      "(5040 summands + 5 projections) x 343^2 paths = 593,539,205 entries"),
+    # Aut(K4) is enumerated only up to the 10 summands the check admits
     ("verify", K4_TEXT, ["--level", "5"],
-     "(24 summands + 7 projections) x 972^2 paths = 29,288,304 entries"),
+     "at least (11 summands + 7 projections) x 972^2 paths = 17,006,112 entries"),
     ("verify", (GRAPHS / "asym4.g").read_text(), ["--level", "9"],
      "at least (1 summands + 11 projections) x 2048^2 paths = 50,331,648 entries"),
     # refused on the identity summand alone, before Aut(K8) (40,320 summands) is built
@@ -406,6 +426,9 @@ def test_report_digest_tracks_graph_file(tmp_path):
     ("cuntz", (GRAPHS / "cuntz2.g").read_text(), ["--level", "11"],
      "(2 summands + 13 projections) x 2048^2 paths = 62,914,560 entries"),
     ("spectral", K5_TEXT, ["--level", "6"], "20480 x 5120 paths = 104,857,600 entries"),
+    # rho = 3: refused at the 635th automorphism, before 9! = 362,880 are built
+    ("verify", _star(9), [],
+     "at least (635 summands + 5 projections) x 162^2 paths = 16,796,160 entries"),
 ])
 def test_oversized_dirac_stack_exits_2_up_front(command, text, extra, size, tmp_path, capsys):
     graph = tmp_path / "big.g"
@@ -422,6 +445,12 @@ def test_dirac_stack_limit_admits_k5_verify_and_five_loops():
     from qisograph.hilbert import path_counts
     k5 = parse_graph(K5_TEXT)
     assert (len(graph_automorphisms(k5)), path_counts(k5, 3)[-1]) == (120, 320)
+    # verify's bound on Aut(G) at level 3 keeps every map of K4 and K5
+    for text, autos, allowance in ((K4_TEXT, 24, 1433), (K5_TEXT, 120, 158)):
+        g = parse_graph(text)
+        paths = path_counts(g, 3)[-1]
+        assert DIRAC_STACK_MAX // paths ** 2 - 5 == allowance
+        assert len(graph_automorphisms(g, allowance)) == autos
     for summands, paths, n_cap in ((120, 320, 3), (math.factorial(5), 5 ** 3, 3),
                                    (1, 1024, 8)):        # asym4 --level 8
         _check_dirac_stack(summands, paths, n_cap)

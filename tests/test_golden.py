@@ -13,8 +13,8 @@ report with its wall times stripped (``json.dumps`` with
 ``sort_keys``) and of stdout.  A refactor that must keep reports
 byte-identical is checked by this file; a deliberate report change
 re-records it.  Each case runs the CLI once for both checks.  A case
-whose graph file is not bundled runs on the benchmark's text for it,
-written next to the report.
+whose graph file is not bundled runs on the text ``WRITTEN`` holds for
+it (the benchmark's, or a test graph's), written next to the report.
 """
 
 import hashlib
@@ -27,6 +27,7 @@ from pathlib import Path
 
 import pytest
 
+from oracles import UNEQUAL4_TEXT
 from qisograph.cli import main
 from qisograph.report import strip_wall_times
 
@@ -52,7 +53,7 @@ PLASTIC_TEXT = ("graph plastic\nv 1\nv 2\nv 3\n"
                 "e p12 2 1\ne p21 1 2\ne p23 3 2\ne p31 1 3\n")
 
 #: graph file name -> text, for the cases on graphs that are not bundled
-WRITTEN = {**_benchmark_graph_texts(), "plastic.g": PLASTIC_TEXT}
+WRITTEN = {**_benchmark_graph_texts(), "plastic.g": PLASTIC_TEXT, "unequal4.g": UNEQUAL4_TEXT}
 
 
 def sha256(text: str) -> str:

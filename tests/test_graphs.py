@@ -244,6 +244,16 @@ def test_automorphisms_match_brute_force(graphs):
     assert [len(graph_automorphisms(g)) for g in extra] == [24, 120, 8]
 
 
+def test_bounded_automorphism_enumeration_keeps_only_a_complete_group():
+    k5 = parse_graph(_complete_graph(5))
+    prefix = graph_automorphisms(k5, 10)
+    assert len(prefix) == 11 and ("automorphisms",) not in k5.memo
+    autos = graph_automorphisms(k5, 120)
+    assert len(autos) == 120 and autos[:11] == prefix
+    # a complete group is kept, and answers any later bound
+    assert graph_automorphisms(k5, 10) is autos is graph_automorphisms(k5)
+
+
 def test_graph_caches_die_with_the_graph():
     import gc
     import weakref

@@ -4,8 +4,9 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from oracles import u
+from oracles import UNEQUAL4_TEXT, u
 from qisograph.corep import EDGE_INDEX, VERTEX_PAIR, VerificationContext, run_identity_suite
 from qisograph.cuntz import MAGIC, cuntz_setup
 from qisograph.exprlang import parse_expression
@@ -14,7 +15,8 @@ from qisograph.ncpoly import q
 from qisograph.providers import classical_rep, loop_permutation_rep
 from qisograph.relations import free_unitary_relations, magic_relations, qaut_relations
 from qisograph.rewrite import (
-    SEARCH_LIMIT, ReductionTrace, _search_zero, is_zero, normal_form, reduce_word,
+    SEARCH_LIMIT, ReductionTrace, _collapsed_value, _search_zero, is_zero, normal_form,
+    reduce_word,
 )
 from qisograph.verdict import PROVED_ZERO, UNKNOWN
 from soundness import record_proofs
@@ -80,6 +82,66 @@ def test_weighted_schema():
     p = {rels.alphabet.encode((q(k, "2"),)): w for k, w in weights.items()}
     p[()] = -weights["2"]
     assert is_zero(p, rels).kind == PROVED_ZERO
+
+
+def _unequal4_rels():
+    from qisograph.perron import perron
+    g = parse_graph(UNEQUAL4_TEXT)
+    return qaut_relations(g, perron(g))
+
+
+def test_collapsed_value_keeps_a_non_integral_collapse_exact():
+    rels = _unequal4_rels()
+    (x,) = [s.weights for s in rels.sum_schemas if s.weights]
+    (weights,) = [w for table in rels.alphabet.sum_axes for _, w in table.schemas if w]
+    rank = rels.alphabet.rank
+    # x = (1/3, 2/9, 5/18, 1/6) scales to the coprime ints (6, 4, 5, 3)
+    assert weights == {rank[v]: w for v, w in zip("1234", (6, 4, 5, 3))}
+    # 3 q[1,j] + 2 q[2,j] fits x (3 : 2 = 1/3 : 2/9); at j = 3 it
+    # collapses to 3 * 5 / 6, at j = 1 to 3 * 6 / 6
+    members = {rank["1"]: (3, (), None), rank["2"]: (2, (), None)}
+    value = _collapsed_value(members, rank["3"], weights)
+    assert value == Fraction(5, 2) == 3 / x["1"] * x["3"]
+    assert type(_collapsed_value(members, rank["1"], weights)) is int
+    assert _collapsed_value({**members, rank["4"]: (2, (), None)}, rank["3"], weights) is None
+
+
+@pytest.fixture(scope="module")
+def scaling_sets(graphs, perron_data):
+    return {"k3": qaut_relations(graphs["k3"], perron_data["k3"]),
+            "magic4": magic_relations(("1", "2", "3", "4")),
+            "unequal4": _unequal4_rels()}
+
+
+@settings(max_examples=60, deadline=None)
+@given(name=st.sampled_from(("k3", "magic4", "unequal4")), data=st.data())
+def test_search_is_scale_equivariant(scaling_sets, name, data):
+    """A search finds the same winning tags, or fails alike, on a form
+    and on any nonzero multiple of it, so it may run on the primitive
+    integer form.  Forms are random multiples of schema relators with
+    random words around them, maybe plus a stray word, reduced by the
+    monomial pass."""
+    rels = scaling_sets[name]
+    alpha = rels.alphabet
+    relators = [poly for label, poly in rels.relators() if label.startswith("schema")]
+    letters = [alpha.ids[q(a, b)] for a in rels.universe for b in rels.universe]
+    words = st.lists(st.sampled_from(letters), max_size=2).map(tuple)
+    coeffs = st.sampled_from((1, -1, 2, Fraction(1, 2), Fraction(-2, 3)))
+    pieces = data.draw(st.lists(st.tuples(st.sampled_from(relators), words, words, coeffs),
+                                min_size=1, max_size=3))
+    terms = data.draw(st.lists(st.tuples(words, coeffs), max_size=1))
+    terms += [(left + w + right, c * a) for poly, left, right, c in pieces
+              for w, a in poly.items()]
+    form = {}
+    for w, c in terms:
+        r = alpha.rewrite(w)
+        if r is not None:
+            form[r] = form.get(r, 0) + c
+    form = {w: c for w, c in form.items() if c}
+    assume(form)
+    winning = _search_zero(form, alpha, 300)
+    for s in (2, -3, Fraction(5, 7)):
+        assert _search_zero({w: s * c for w, c in form.items()}, alpha, 300) == winning
 
 
 def test_rewriter_proves_the_relations_it_installs(graphs, perron_data):
