@@ -105,22 +105,23 @@ def _load_graph(config: RunConfig) -> tuple[DirectedGraph, str]:
     return g, text_digest(text)
 
 
-def _check_size(check: str, shape: str, size: int, limit: int, unit: str):
+def _check_size(check: str, shape: str, size: int, limit: int, unit: str, note: str = ""):
     """Reject a run whose *check* would hold more than *limit* *unit*,
-    before any check runs."""
+    before any check runs; *note* ends the message."""
     if size > limit:
         raise UsageError(f"the {check} would hold {shape} = {size:,} {unit}, "
-                         f"above the limit of {limit:,}")
+                         f"above the limit of {limit:,}{note}")
 
 
-def _check_dirac_stack(summands: int, paths: int, n_cap: int, at_least: bool = False):
+def _check_dirac_stack(summands: int, paths: int, n_cap: int, at_least: bool = False,
+                       note: str = ""):
     """The Dirac check's n_cap + 2 eigenprojections and the summand
     bitmasks of the level-n_cap entries, paths^2 masks of one bit per
     summand, from which it reads each summand's permutation.  With
     *at_least*, *summands* is a lower bound on the provider's dimension."""
     _check_size("Dirac check", f"{'at least ' if at_least else ''}({summands} summands + "
                 f"{n_cap + 2} projections) x {paths}^2 paths",
-                (summands + n_cap + 2) * paths ** 2, DIRAC_STACK_MAX, "entries")
+                (summands + n_cap + 2) * paths ** 2, DIRAC_STACK_MAX, "entries", note)
 
 
 def _check_measure_table(g: DirectedGraph, depth: int):
@@ -267,20 +268,22 @@ def cmd_spectral(config: RunConfig) -> SuiteReport:
 def cmd_verify(config: RunConfig) -> SuiteReport:
     g, digest = _load_graph(config)
     paths = path_counts(g, config.n_cap)[-1]
-    dirac = config.convention in ("auto", SOURCE_APPEND)      # auto selects source-append
-    if dirac:
-        # the identity automorphism is a summand of every Aut(G) provider,
-        # so this refuses a run too large for any Aut(G) before building it
-        _check_dirac_stack(1, paths, config.n_cap, at_least=True)
+    # a forced convention runs only the well-definedness control, but is
+    # refused wherever the default run, with its Dirac check, would be
+    note = ("" if config.convention in ("auto", SOURCE_APPEND) else
+            f"; the {config.convention} control is admitted only where the default run is")
+    # the identity automorphism is a summand of every Aut(G) provider,
+    # so this refuses a run too large for any Aut(G) before building it
+    _check_dirac_stack(1, paths, config.n_cap, at_least=True, note=note)
     try:
         pf = perron(g)
         require_exact(pf)
-        if dirac and paths:
+        if paths:
             # Aut(G) is the provider's summands: enumerate no more of it
             # than the Dirac check admits
             allowance = DIRAC_STACK_MAX // paths ** 2 - (config.n_cap + 2)
             _check_dirac_stack(len(graph_automorphisms(g, allowance)), paths, config.n_cap,
-                               at_least=True)
+                               at_least=True, note=note)
         if config.convention == "auto":
             convention, conv_residuals = select_convention(pf, g)
         else:

@@ -61,16 +61,63 @@ Source-append refinement composes, so it runs only the one-step pairs
 (l, l+1) that the suite has not run.  Its numeric part reads each
 summand of a 0/1 provider off the bitmasks of the level-n_cap entry
 words: a permutation of the basis that keeps the float Gram diagonal
-and projections gives residuals of exactly 0.0.  A provider it cannot
+and projections gives residuals of exactly 0.0, and when the summands
+form a group only its generators are compared.  A provider it cannot
 certify that way fails the check as Unknown with null residuals; the
 dense evaluation that measures such a provider is a test oracle
 (``tests/oracles.py``).
+
+Rows are replayed along graph symmetries.  The relation set's
+symmetries (Aut(G) on the vertices for qaut, the edge-id permutations
+of the loop graph for magic) act on paths edge by edge
+(``path_maps``), and the level tables are equivariant: Q[sigma xi,
+sigma lam] is the image of Q[xi, lam] under the letter map
+q[a,b] -> q[sigma a, sigma b], since sigma commutes with the range and
+source maps, hence with the shift maps, and keeps x.  So the
+obligations of the implementation and KMS-invariance rows at
+(sigma lam, sigma eta) are the images of those at (lam, eta), term for
+term, and ``run_identity_suite`` computes such a row only when no row
+of its orbit has passed, emitting every later member as the passed
+result with its own inputs and wall time.  It replays only when:
+
+1. ``Alphabet.transport`` is not empty: the letter maps carry the
+   relation ideal onto itself, so a zero proof carries;
+2. every provider's summands, read as permutations off the level-0
+   (vertex-pair) or level-1 (edge-index) table, are carried onto
+   themselves by pi -> sigma^-1 pi sigma: an image obligation takes on
+   summand pi the original's value on sigma^-1 pi sigma, so the largest
+   value is the same.  ``classical_rep`` (Aut(G)) and
+   ``loop_permutation_rep`` (every permutation) qualify; a point
+   provider blocks replay;
+3. the row passed.  A failed search proves nothing, and the search is
+   not equivariant in failure (its candidate order reads letter order),
+   so every member of a failed row's orbit is computed.
+
+What carries, and why.  Per-term rule tags are sigma-invariant
+(``transport`` checks tags), so each image obligation has the image
+monomial fixed point and as many tags; its primitive form lies in the
+stored orbit of the representative's, so ``ProofStore.find`` replays
+the same winning tags.  Verdict, pass flag, reduction count and detail
+therefore carry, and no member would search or store a proof, so the
+proof store is that of a run computing every row.  Implementation
+terms have integer coefficients, so each summand's float sum is exact
+in any order.  Two things are checked, not proved: the trace digest
+hashes the tags in term order, which follows the xi and zeta basis
+loops of ``_intertwining`` and ``_weighted_products`` and so is permuted
+by sigma, and terms with different tag sequences do share obligations
+(162 of k3's 3,780 implementation obligations); and a KMS obligation's
+Perron-weight floats are summed in the image's word order.  Both
+are orbit-invariant on every bundled graph, K4, the undirected 8-cycle,
+K5 minus a directed 5-cycle, 4 and 5 loops and relabelled copies
+(``tests/test_replay.py``), where stripped reports are identical with
+and without replay.  ``density`` stays computed: its digests differ
+inside orbits.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from operator import itemgetter
 
 from .graphs import (
@@ -390,16 +437,16 @@ def check_implementation(ctx: VerificationContext, lam: Path, eta: Path) -> Chec
     non_starred = n + m <= ctx.n_cap
     if non_starred:
         _intertwining(obs, ctx, lam, eta, "s", lambda w: w, n + m)
-    return obs.result("implementation",
-                      {"lam": lam.label, "eta": eta.label,
-                       "case": _implementation_case(lam, eta)},
+    return obs.result("implementation", _implementation_inputs(lam, eta),
                       detail={"non_starred_checked": non_starred})
 
 
-def _implementation_case(lam: Path, eta: Path) -> str:
+def _implementation_inputs(lam: Path, eta: Path) -> dict:
     if lam.degree >= eta.degree:
-        return "extends" if extends(lam, eta) else "incompatible-long"
-    return "prefix" if extends(eta, lam) else "incompatible-short"
+        case = "extends" if extends(lam, eta) else "incompatible-long"
+    else:
+        case = "prefix" if extends(eta, lam) else "incompatible-short"
+    return {"lam": lam.label, "eta": eta.label, "case": case}
 
 
 def check_kms_invariance(ctx: VerificationContext, lam: Path, mu: Path) -> CheckResult:
@@ -411,19 +458,24 @@ def check_kms_invariance(ctx: VerificationContext, lam: Path, mu: Path) -> Check
     if lam.degree == mu.degree:
         obs.add(_weighted_products(ctx, [(lam, mu)], star_first=False,
                                    unit=ctx.pf.x[lam.source] if lam == mu else 0))
-    return obs.result("kms-invariance", {"lam": lam.label, "mu": mu.label})
+    return obs.result("kms-invariance", _kms_inputs(lam, mu))
+
+
+def _kms_inputs(lam: Path, mu: Path) -> dict:
+    return {"lam": lam.label, "mu": mu.label}
 
 
 # ---------------------------------------------------------------------------
 # Dirac commutation
 
-def _summand_permutations(ctx: VerificationContext, provider: RepresentationProvider):
+def _summand_permutations(ctx: VerificationContext, provider: RepresentationProvider,
+                          k: int):
     """For a provider whose values are all 0 or 1: per summand, the
-    permutation pi of the level-n_cap basis (as a list of indices) whose
+    permutation pi of the level-*k* basis (as a list of indices) whose
     matrix the summand evaluates to, Q[pi(j), j] = 1 and every other
     entry 0.  None for any other provider, or when some summand's
     matrix is not a permutation."""
-    rows = ctx.level(ctx.n_cap).rows
+    rows = ctx.level(k).rows
     n = len(rows)
     gens = ctx.rels.alphabet.gens
     perms = [[None] * n for _ in range(provider.dim)]
@@ -444,18 +496,49 @@ def _summand_permutations(ctx: VerificationContext, provider: RepresentationProv
     return perms
 
 
+def _generators(perms: list[list[int]]) -> list[tuple[int, ...]] | None:
+    """Summands generating a group that holds every summand: each one
+    not in the group generated by those before it is added, and the
+    group regrown from its generators.  None once that group holds more
+    permutations than there are distinct summands, so *perms* is no
+    group; growing stops there."""
+    summands = {tuple(p) for p in perms}
+    group = {tuple(range(len(perms[0])))}
+    gens: list[tuple[int, ...]] = []
+    for perm in map(tuple, perms):
+        if perm in group:
+            continue
+        gens.append(perm)
+        frontier = list(group)
+        while frontier:
+            new = []
+            for a in frontier:
+                for b in gens:
+                    c = itemgetter(*b)(a)           # a after b
+                    if c not in group:
+                        group.add(c)
+                        new.append(c)
+            if len(group) > len(summands):
+                return None
+            frontier = new
+    return gens
+
+
 def _certified(ctx: VerificationContext, provider: RepresentationProvider,
                gram: tuple[float, ...], hats: list[list[tuple[float, ...]]]) -> bool:
     """Every summand of *provider* evaluates the level-n_cap matrix to a
     permutation pi that keeps the float Gram diagonal and every float
     projection: gram[pi j] == gram[j] and H[pi a][pi l] == H[a][l].
-    On a one-element basis, which no command builds, ``itemgetter``
-    returns a bare float, never equal to a tuple, so nothing is
-    certified there."""
-    perms = _summand_permutations(ctx, provider)
+
+    The permutations that keep them form a group, so when the summands
+    form a group (``_generators``), its generators are checked alone;
+    otherwise every summand is.  On a one-element basis, which no
+    command builds, ``itemgetter`` returns a bare float, never equal to
+    a tuple, so nothing is certified there."""
+    perms = _summand_permutations(ctx, provider, ctx.n_cap)
     if perms is None:
         return False
-    for perm in perms:
+    for perm in _generators(perms) or perms:
         permute = itemgetter(*perm)
         if permute(gram) != gram:
             return False
@@ -530,9 +613,87 @@ def check_dirac_commutation(ctx: VerificationContext,
 # ---------------------------------------------------------------------------
 # the full suite
 
+def path_maps(ctx: VerificationContext, degree: int) -> tuple[dict[Path, Path], ...]:
+    """The relation set's symmetries as maps of the paths of degree <=
+    *degree*, one per symmetry, edge by edge.  In the vertex-pair scheme
+    a symmetry sigma is a vertex map and sends an edge e to the edge
+    (sigma r(e), sigma s(e)); in the edge-index scheme, on a one-vertex
+    graph, it is the edge-id permutation.  Empty unless each is a graph
+    automorphism that keeps the Perron vector: no multiple edges
+    (vertex-pair), both maps bijections, x_{sigma v} = x_v."""
+    g, x = ctx.g, ctx.pf.x
+    by_ends = {(e.range, e.source): e.id for e in g.edges}
+    if (len(by_ends) < len(g.edges) if ctx.scheme == VERTEX_PAIR else len(g.vertices) > 1):
+        return ()
+    maps = []
+    for sigma in ctx.rels.symmetries:
+        if ctx.scheme == VERTEX_PAIR:
+            vmap = sigma
+            emap = {e.id: by_ends.get((sigma[e.range], sigma[e.source])) for e in g.edges}
+        else:
+            vmap, emap = {v: v for v in g.vertices}, sigma
+        if (set(vmap) != set(g.vertices) or set(vmap.values()) != set(g.vertices)
+                or set(emap.values()) != set(g.edge_by_id)
+                or any(x[vmap[v]] != xv for v, xv in x.items())):
+            return ()
+        maps.append({p: Path(tuple(map(emap.__getitem__, p.edges)), vmap[p.range],
+                             vmap[p.source])
+                     for d in range(degree + 1) for p in basis_index(g, d)})
+    return tuple(maps)
+
+
+def _orbit_maps(ctx: VerificationContext) -> tuple[dict[Path, Path], ...]:
+    """The path maps ``run_identity_suite`` replays rows along, or none
+    when Aut is trivial or a replay condition fails: the letter maps
+    must carry the relation ideal onto itself (``Alphabet.transport`` is
+    not empty), and every provider's summand permutations, read off the
+    level-0 table (vertex-pair) or level-1 table (edge-index), must be
+    carried onto themselves by pi -> sigma^-1 pi sigma."""
+    maps = path_maps(ctx, 2)
+    if len(maps) < 2 or not ctx.rels.alphabet.transport:
+        return ()
+    k = 0 if ctx.scheme == VERTEX_PAIR else 1
+    basis, index = ctx.level(k).basis, ctx.level(k).index
+    sigmas = [[index[m[p]] for p in basis] for m in maps]
+    for provider in ctx.providers:
+        perms = _summand_permutations(ctx, provider, k)
+        if perms is None:
+            return ()
+        summands = set(map(tuple, perms))
+        for sigma in sigmas:
+            inverse = sorted(range(len(sigma)), key=sigma.__getitem__)
+            if {tuple(inverse[pi[j]] for j in sigma) for pi in summands} != summands:
+                return ()
+    return maps
+
+
+def _replaying(ctx: VerificationContext, check, inputs, maps):
+    """*check* on (ctx, lam, eta), computed once per orbit of rows under
+    *maps*: a row with no stored result is computed, and one that
+    passes is stored under (m[lam], m[eta]) for every map m; a later
+    row with a stored result is that result with its own *inputs* and
+    wall time."""
+    known: dict[tuple[Path, Path], CheckResult] = {}
+
+    def row(lam: Path, eta: Path) -> CheckResult:
+        started = time.monotonic()
+        rep = known.get((lam, eta))
+        if rep is None:
+            rep = check(ctx, lam, eta)
+            if rep.passed:
+                for m in maps:
+                    known[m[lam], m[eta]] = rep
+            return rep
+        return replace(rep, inputs=inputs(lam, eta),
+                       wall_ms=(time.monotonic() - started) * 1000.0)
+    return row
+
+
 def run_identity_suite(ctx: VerificationContext, k_max: int) -> list[CheckResult]:
     """Every identity check at levels l < k <= k_max, truncation
-    ctx.n_cap; density runs on the vertex-pair scheme only."""
+    ctx.n_cap; density runs on the vertex-pair scheme only.  The
+    implementation and KMS-invariance rows are replayed along the path
+    symmetries (see the module docstring)."""
     results = []
     welldefined = {}
     for l, k in level_pairs(k_max):
@@ -549,20 +710,23 @@ def run_identity_suite(ctx: VerificationContext, k_max: int) -> list[CheckResult
     if ctx.scheme == VERTEX_PAIR:
         for lam in edges1 + paths2:
             results.append(check_density(ctx, lam))
+    maps = _orbit_maps(ctx)
+    implementation = _replaying(ctx, check_implementation, _implementation_inputs, maps)
     deg_cap = min(2, k_max)
     for dl in range(1, deg_cap + 1):
         for dm in range(1, deg_cap + 1):
             for lam in ctx.level(dl).basis:
                 for eta in ctx.level(dm).basis:
-                    results.append(check_implementation(ctx, lam, eta))
+                    results.append(implementation(lam, eta))
+    kms = _replaying(ctx, check_kms_invariance, _kms_inputs, maps)
     for v in ctx.g.vertices:
-        results.append(check_kms_invariance(ctx, vertex_path(v), vertex_path(v)))
+        results.append(kms(vertex_path(v), vertex_path(v)))
     for lam in edges1:
         for mu in edges1:
-            results.append(check_kms_invariance(ctx, lam, mu))
+            results.append(kms(lam, mu))
     for lam in paths2:
-        results.append(check_kms_invariance(ctx, lam, lam))
-    results.append(check_kms_invariance(ctx, paths2[0], paths2[-1]))
-    results.append(check_kms_invariance(ctx, edges1[0], paths2[0]))
+        results.append(kms(lam, lam))
+    results.append(kms(paths2[0], paths2[-1]))
+    results.append(kms(edges1[0], paths2[0]))
     results.append(check_dirac_commutation(ctx, welldefined=welldefined))
     return results

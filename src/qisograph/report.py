@@ -11,6 +11,7 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 SCHEMA_VERSION = 1
 TOOL_NAME = "qisograph"
@@ -81,7 +82,60 @@ class SuiteReport:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
+        """``json.dumps(self.to_dict(), indent=2, sort_keys=True)`` and a
+        newline, written by ``_write_json``: with an indent the standard
+        library leaves its C encoder for a pure-Python one."""
+        out: list[str] = []
+        _write_json(self.to_dict(), "\n", out)
+        out.append("\n")
+        return "".join(out)
+
+
+_INF = float("inf")
+
+
+def _write_json(value, newline: str, out: list[str]):
+    """Append *value*'s text, as ``json.dumps(indent=2, sort_keys=True)``
+    writes it, to *out*; *newline* is a newline and the current
+    indentation.  Every report's keys are strings.  bool is tested
+    before int, which it subclasses."""
+    if isinstance(value, str):
+        out.append(encode_basestring_ascii(value))
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key, item in sorted(value.items()):
+            out.append(sep + encode_basestring_ascii(key) + ": ")
+            _write_json(item, inner, out)
+            sep = "," + inner
+        out.append(newline + "}")
+    elif value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    elif isinstance(value, float):
+        out.append(float.__repr__(value) if -_INF < value < _INF else
+                   "NaN" if value != value else "Infinity" if value > 0 else "-Infinity")
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        sep = "[" + inner
+        for item in value:
+            out.append(sep)
+            _write_json(item, inner, out)
+            sep = "," + inner
+        out.append(newline + "]")
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def strip_wall_times(report_dict: dict) -> dict:

@@ -9,6 +9,23 @@ from qisograph.providers import classical_rep
 from qisograph.relations import qaut_relations
 
 
+def pytest_addoption(parser):
+    parser.addoption("--run-slow", action="store_true", help="also run the tests marked slow")
+
+
+def pytest_configure(config):
+    config.addinivalue_line("markers", "slow: takes tens of seconds; runs with --run-slow")
+
+
+def pytest_collection_modifyitems(config, items):
+    if config.getoption("--run-slow"):
+        return
+    skip = pytest.mark.skip(reason="slow; run with --run-slow")
+    for item in items:
+        if "slow" in item.keywords:
+            item.add_marker(skip)
+
+
 @pytest.fixture(scope="session")
 def graphs():
     """The bundled graph files, keyed by each file's graph name."""

@@ -4,9 +4,11 @@ used to check the package's results from a second angle."""
 import itertools
 import math
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 
+from qisograph import corep
 from qisograph.graphs import enumerate_paths
 from qisograph.hilbert import LevelMap, level_gram
 from qisograph.ncpoly import Generator, QKIND, UKIND, USTAR
@@ -232,3 +234,15 @@ def all_pairs_transport(alpha) -> tuple[tuple[int, ...], ...]:
                 return ()
             perms.append(perm)
     return tuple(perms)
+
+
+def unreplayed_suite(ctx, k_max: int):
+    """``run_identity_suite`` with every row computed: with no path
+    maps, no orbit of rows has a second member to replay."""
+    with mock.patch.object(corep, "path_maps", lambda ctx, degree: ()):
+        return corep.run_identity_suite(ctx, k_max)
+
+
+def stripped_rows(results) -> list[dict]:
+    """Each check's report record without its wall time."""
+    return [{k: v for k, v in r.to_dict().items() if k != "wall_ms"} for r in results]

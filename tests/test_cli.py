@@ -21,6 +21,8 @@ K4_TEXT = "graph k4\n" + "".join(f"v {v}\n" for v in "1234") + "".join(
     f"e e{r}{s} {r} {s}\n" for s in "1234" for r in "1234" if r != s)
 K8_TEXT = "graph k8\n" + "".join(f"v {v}\n" for v in "12345678") + "".join(
     f"e e{r}{s} {r} {s}\n" for s in "12345678" for r in "12345678" if r != s)
+K7_TEXT = "graph k7\n" + "".join(f"v {v}\n" for v in "1234567") + "".join(
+    f"e e{r}{s} {r} {s}\n" for s in "1234567" for r in "1234567" if r != s)
 
 
 def _star(n: int) -> str:
@@ -438,6 +440,25 @@ def test_oversized_dirac_stack_exits_2_up_front(command, text, extra, size, tmp_
     assert time.monotonic() - started < 1.0
     check = "Cuntz-Krieger check" if command == "spectral" else "Dirac check"
     assert f"the {check} would hold {size}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text, size", [
+    # refused at its third automorphism: Aut(K7) has 5,040
+    (K7_TEXT, "at least (3 summands + 5 projections) x 1512^2 paths = 18,289,152 entries"),
+    (K8_TEXT, "at least (1 summands + 5 projections) x 2744^2 paths = 45,177,216 entries"),
+])
+def test_range_prepend_control_is_refused_where_the_default_run_is(text, size, tmp_path,
+                                                                  capsys):
+    """The control runs no Dirac check, yet it is admitted only where
+    the default run, which does, would be: K7 and K8 exit 2 at once."""
+    graph = tmp_path / "big.g"
+    graph.write_text(text)
+    started = time.monotonic()
+    assert main(["verify", "--graph", str(graph), "--convention", "range-prepend"]) == 2
+    assert time.monotonic() - started < 1.0
+    assert (f"the Dirac check would hold {size}, above the limit of 16,777,216; the "
+            "range-prepend control is admitted only where the default run is") in \
+        capsys.readouterr().err
 
 
 def test_dirac_stack_limit_admits_k5_verify_and_five_loops():

@@ -468,6 +468,62 @@ def test_invariance_miss_takes_the_dense_path(contexts, monkeypatch, part):
     assert dense_dirac_residuals(ctx, ctx.providers[0], skewed)[key] > 1e-3
 
 
+def _float_triple(ctx):
+    """The Gram diagonal and the projections as ``check_dirac_commutation``
+    hands them to ``_certified``."""
+    from qisograph.hilbert import dirac
+    triple = dirac(ctx.g, ctx.pf, ctx.n_cap)
+    return (tuple(float(x) for x in triple.gram),
+            [[tuple(float(x) for x in row) for row in m]
+             for m in (*triple.xi_hat, triple.constants_projection)])
+
+
+def test_certificate_on_generators_matches_every_summand(contexts, graphs, monkeypatch):
+    """On every bundled graph, K4, and 4 and 5 loops the summands form a
+    group, and checking its generators gives the verdict of checking
+    every summand, on the true Gram diagonal and on one doubled at a
+    path."""
+    from qisograph import corep
+    from qisograph.cuntz import MAGIC, cuntz_setup, sn_plus_context
+    from qisograph.graphs import parse_graph
+    cases = _every_graph_context(contexts, graphs)
+    loops5 = "graph cuntz5\nv w\n" + "".join(f"e l{i} w w\n" for i in range(1, 6))
+    cases["loops5"] = sn_plus_context(cuntz_setup(parse_graph(loops5), MAGIC), 3)
+    grown = corep._generators
+    for name, ctx in cases.items():
+        provider = ctx.providers[0]
+        perms = corep._summand_permutations(ctx, provider, ctx.n_cap)
+        gens = grown(perms)
+        assert gens is not None and len(gens) < max(len(perms), 2), name
+        gram, hats = _float_triple(ctx)
+        verdicts = []
+        for generators in (grown, lambda perms: None):
+            monkeypatch.setattr(corep, "_generators", generators)
+            verdicts.append([corep._certified(ctx, provider, g, hats)
+                             for g in (gram, (2 * gram[0],) + gram[1:])])
+        assert verdicts[0] == verdicts[1], name
+        assert verdicts[0][0], name
+
+
+def test_non_closed_summands_are_each_checked(contexts, monkeypatch):
+    """Summands id, c, c^2 and t on a three-path basis, c a 3-cycle that
+    keeps a circulant projection and t a transposition that does not:
+    they form no group, so every summand is checked and the provider
+    fails.  Checking only the generators grown before the group outgrew
+    the summands, c alone, would pass it."""
+    from qisograph import corep
+    ident, c, c2, t = (0, 1, 2), (1, 2, 0), (2, 0, 1), (1, 0, 2)
+    perms = [list(p) for p in (ident, c, c2, t)]
+    gram = (1.0, 1.0, 1.0)
+    hats = [[(0.0, 1.0, 2.0), (2.0, 0.0, 1.0), (1.0, 2.0, 0.0)]]
+    ctx = contexts["k3"]
+    monkeypatch.setattr(corep, "_summand_permutations", lambda ctx, provider, k: perms)
+    assert corep._generators(perms) is None
+    assert not corep._certified(ctx, ctx.providers[0], gram, hats)
+    monkeypatch.setattr(corep, "_generators", lambda perms: [c])
+    assert corep._certified(ctx, ctx.providers[0], gram, hats)
+
+
 def test_dirac_commutation_fails_on_a_failing_one_step_pair(contexts, monkeypatch):
     from qisograph import corep
     ctx = contexts["three-cycle"]
