@@ -40,6 +40,10 @@ tables, with X = diag(x_{s(zeta)}) the Perron weights:
 - comultiplicativity: sum_eta Q[xi,eta] (x) Q[eta,lam] = Delta(Q[xi,lam]),
   leg-wise; every term on both sides is a word pair with coefficient 1,
   so each entry is a signed count of word pairs, reduced leg by leg.
+  Delta is expanded letter by letter and a pair dropped once its left
+  prefix rewrites to zero: monomial rewriting of a zero prefix p
+  reaches zero on p + s by the same steps, so the pair is one leg-wise
+  reduction drops, and the reduced difference is unchanged.
 
 Every entry of every such difference is an obligation: one int word ->
 coefficient dict accumulated straight from the level tables (a product
@@ -345,10 +349,19 @@ def check_isometry_mixed(ctx: VerificationContext, lam: Path, eta: Path) -> Chec
 
 def check_comultiplicative(ctx: VerificationContext, k: int) -> CheckResult:
     """(U (x) id) U = (id (x) Delta) U, leg-wise, per basis vector: the
-    pair counts of both sides must cancel once each leg is reduced."""
+    pair counts of both sides must cancel once each leg is reduced.
+
+    Delta(Q[xi,lam]) comes without the pairs whose left leg dies: a
+    zero prefix stays zero in every extension (``comultiply``), so
+    ``tensor_reduce`` would drop each such pair, and a + pair
+    (Q[xi,eta], Q[eta,lam]) with its key has the same dead left leg.
+    Every entry's reduced difference, hence ``failed_pairs``,
+    ``worst_terms`` and the trace, is that of the full expansion.  The
+    memo of live prefixes lives for this call."""
     started = time.monotonic()
     trace = ReductionTrace()
     rows = ctx.level(k).rows
+    alive: dict = {}
     failures = 0
     worst_terms = 0
     for lam, column in enumerate(zip(*rows)):
@@ -357,7 +370,7 @@ def check_comultiplicative(ctx: VerificationContext, k: int) -> CheckResult:
             counts: dict[tuple[IntWord, IntWord], int] = {}
             for key in zip(row, column):
                 counts[key] = counts.get(key, 0) + 1
-            for key in comultiply(row[lam], ctx.rels.alphabet.split):
+            for key in comultiply(row[lam], ctx.rels.alphabet, alive):
                 counts[key] = counts.get(key, 0) - 1
             diff = tensor_reduce(counts, ctx.rels)
             if diff:

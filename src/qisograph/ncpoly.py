@@ -24,6 +24,11 @@ The coproduct acts on the rewriter's int words (see ``rewrite``):
 Delta(w) is a list of word pairs, the terms of an element of the
 algebraic tensor square, each with coefficient 1, and each letter is
 expanded through the alphabet's per-id table of (left, right) pairs.
+The expansion keeps only pairs whose left leg is alive: a pair is
+dropped as soon as its left prefix rewrites to zero under the
+alphabet's monomial rules, and a zero prefix stays zero in every
+extension (``comultiply`` states why), so a dropped pair is one that
+leg-wise reduction would drop anyway.
 """
 
 from __future__ import annotations
@@ -96,16 +101,45 @@ def mul(p: IntTerms, r: IntTerms) -> IntTerms:
     return {w: c for w, c in out.items() if c}
 
 
-def comultiply(word: IntWord, split) -> list[tuple[IntWord, IntWord]]:
-    """Delta(word) as its (left, right) int-word pairs, each with
-    coefficient 1: each letter expands through *split*, the alphabet's
-    per-id (left, right) pairs of Delta(g[i,j]) = sum_k g[i,k] (x) g[k,j],
-    extended multiplicatively; the empty word maps to the single pair of
-    empty words."""
+def comultiply(word: IntWord, alpha, alive: dict) -> list[tuple[IntWord, IntWord]]:
+    """The terms of Delta(word) whose left leg is alive, as (left,
+    right) int-word pairs, each with coefficient 1, in the order of the
+    full expansion.
+
+    Each letter expands through ``alpha.split``, the alphabet's per-id
+    (left, right) pairs of Delta(g[i,j]) = sum_k g[i,k] (x) g[k,j],
+    extended multiplicatively; the empty word maps to the single pair
+    of empty words.  A pair is dropped as soon as its left prefix p
+    rewrites to zero (``alpha.rewrite(p) is None``).  *alive* is the
+    caller's memo, shared by its calls: (live prefix, letter) -> the
+    prefix's live one-letter extensions, each with its right letter, so
+    each prefix is rewritten once.
+
+    A dropped pair's whole left leg p + s rewrites to zero too, so
+    leg-wise reduction (``rewrite.tensor_reduce``) would drop it anyway.
+    ``rewrite`` first looks for a vanishing letter in the whole word,
+    and p + s holds every letter of p.  Otherwise its leftmost-first
+    pointer never passes a redex, and every step of its run on p reads
+    a letter pair inside the current form of p; so on p + s it repeats
+    that run step for step, up to the rule with no right-hand side
+    that ends it.
+
+    Every letter is looked up even once no pair is left, so a letter
+    with no coproduct (the formal unitary w) is a ``ValueError``
+    whatever its prefix.
+    """
+    split, rewrite = alpha.split, alpha.rewrite
     pairs: list[tuple[IntWord, IntWord]] = [((), ())]
     for g in word:
         legs = split[g]
         if legs is None:
             raise ValueError(f"no coproduct for letter {g}")
-        pairs = [(w1 + (a,), w2 + (b,)) for (w1, w2) in pairs for a, b in legs]
+        grown: list[tuple[IntWord, IntWord]] = []
+        for w1, w2 in pairs:
+            live = alive.get((w1, g))
+            if live is None:
+                lefts = [(w1 + (a,), b) for a, b in legs]
+                live = alive[w1, g] = [(p, b) for p, b in lefts if rewrite(p) is not None]
+            grown += [(p, w2 + (b,)) for p, b in live]
+        pairs = grown
     return pairs

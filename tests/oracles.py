@@ -9,12 +9,14 @@ from unittest import mock
 import numpy as np
 
 from qisograph import corep
-from qisograph.graphs import enumerate_paths
+from qisograph.cuntz import MAGIC, cuntz_setup, sn_plus_context
+from qisograph.graphs import enumerate_paths, parse_graph
 from qisograph.hilbert import LevelMap, level_gram
-from qisograph.ncpoly import Generator, QKIND, UKIND, USTAR
-from qisograph.perron import cylinder_measure
-from qisograph.providers import RepresentationProvider
+from qisograph.ncpoly import Generator, IntWord, QKIND, UKIND, USTAR
+from qisograph.perron import cylinder_measure, perron
+from qisograph.providers import RepresentationProvider, classical_rep
 from qisograph.ratmat import rat_matmul, rat_max_abs, rat_nullspace, rat_sub, rat_zeros
+from qisograph.relations import qaut_relations
 
 
 #: a strongly connected graph with rho = 2, the unequal Perron weights
@@ -24,6 +26,45 @@ from qisograph.ratmat import rat_matmul, rat_max_abs, rat_nullspace, rat_sub, ra
 UNEQUAL4_TEXT = ("graph unequal4\nv 1\nv 2\nv 3\nv 4\n"
                  "e e12 1 2\ne e13 1 3\ne e14 1 4\ne e23 2 3\n"
                  "e e24 2 4\ne e31 3 1\ne e32 3 2\ne e41 4 1\n")
+
+#: the complete digraph on four vertices, the loop graph with four
+#: loops, and the undirected and directed 8-cycles
+K4 = "graph k4\n" + "".join(f"v {v}\n" for v in "1234") + "".join(
+    f"e e{r}{s} {r} {s}\n" for s in "1234" for r in "1234" if r != s)
+LOOPS4 = "graph cuntz4\nv w\n" + "".join(f"e l{i} w w\n" for i in range(1, 5))
+UCYCLE8 = "graph ucycle8\n" + "".join(f"v {v}\n" for v in range(8)) + "".join(
+    f"e e{r}_{s} {r} {s}\n" for r in range(8) for s in range(8) if (r - s) % 8 in (1, 7))
+DCYCLE8 = "graph dcycle8\n" + "".join(f"v {v}\n" for v in range(8)) + "".join(
+    f"e e{r} {r} {(r + 1) % 8}\n" for r in range(8))
+
+
+def suite_context(text: str, magic: bool, n_cap: int = 3) -> corep.VerificationContext:
+    """A fresh context on the graph *text*, with its own relation set and
+    so its own proof store: the magic suite on a loop graph (*magic*),
+    otherwise qaut(G) with the automorphism provider in the vertex-pair
+    scheme."""
+    g = parse_graph(text)
+    if magic:
+        return sn_plus_context(cuntz_setup(g, MAGIC), n_cap)
+    pf = perron(g)
+    rels = qaut_relations(g, pf)
+    return corep.VerificationContext(g, pf, rels, corep.VERTEX_PAIR,
+                                     [classical_rep(g, rels)], n_cap)
+
+
+def full_comultiply(word: IntWord, split) -> list[tuple[IntWord, IntWord]]:
+    """Delta(word) in full, as its (left, right) int-word pairs, each
+    with coefficient 1: each letter expands through *split*, the
+    alphabet's per-id (left, right) pairs, and nothing is dropped.  The
+    reference for ``ncpoly.comultiply``, which keeps the pairs whose
+    left leg is alive."""
+    pairs: list[tuple[IntWord, IntWord]] = [((), ())]
+    for g in word:
+        legs = split[g]
+        if legs is None:
+            raise ValueError(f"no coproduct for letter {g}")
+        pairs = [(w1 + (a,), w2 + (b,)) for (w1, w2) in pairs for a, b in legs]
+    return pairs
 
 
 def u(row: str, col: str) -> Generator:

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import dense_dirac_residuals, q_point_provider
+from oracles import K4, LOOPS4, dense_dirac_residuals, q_point_provider
 from qisograph.corep import (
     VERTEX_PAIR, VerificationContext, check_comultiplicative, check_density,
     check_dirac_commutation, check_implementation, check_isometry, check_isometry_mixed,
@@ -330,11 +330,6 @@ def test_non_automorphism_dirac_residuals_are_the_svd_values(graphs, perron_data
     assert _failed_uncertified(res, "swap(1,2)")
     oracle = dense_dirac_residuals(ctx, provider)
     assert oracle["commutator"] > 1e-3 and oracle["gram_unitarity"] > 1e-3
-
-
-K4 = "graph k4\n" + "".join(f"v {v}\n" for v in "1234") + "".join(
-    f"e e{r}{s} {r} {s}\n" for s in "1234" for r in "1234" if r != s)
-LOOPS4 = "graph cuntz4\nv w\n" + "".join(f"e l{i} w w\n" for i in range(1, 5))
 
 
 def _known_welldefined(ctx):

@@ -27,7 +27,7 @@ from pathlib import Path
 
 import pytest
 
-from oracles import UNEQUAL4_TEXT
+from oracles import UCYCLE8, UNEQUAL4_TEXT
 from qisograph.cli import main
 from qisograph.report import strip_wall_times
 
@@ -53,7 +53,8 @@ PLASTIC_TEXT = ("graph plastic\nv 1\nv 2\nv 3\n"
                 "e p12 2 1\ne p21 1 2\ne p23 3 2\ne p31 1 3\n")
 
 #: graph file name -> text, for the cases on graphs that are not bundled
-WRITTEN = {**_benchmark_graph_texts(), "plastic.g": PLASTIC_TEXT, "unequal4.g": UNEQUAL4_TEXT}
+WRITTEN = {**_benchmark_graph_texts(), "plastic.g": PLASTIC_TEXT, "unequal4.g": UNEQUAL4_TEXT,
+           "ucycle8.g": UCYCLE8}
 
 
 def sha256(text: str) -> str:

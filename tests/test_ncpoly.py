@@ -1,9 +1,10 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import u, ustar
+from oracles import full_comultiply, u, ustar
 from qisograph.ncpoly import FORMAL_UNITARY, FORMAL_UNITARY_STAR, add, comultiply, mul, q
 from qisograph.relations import free_unitary_relations, magic_relations, with_formal_unitary
 
@@ -92,17 +93,18 @@ def test_multiplication_laws(p, r, s):
 
 
 def test_comultiply_unit():
-    assert comultiply((), MAGIC.split) == [((), ())]
+    assert comultiply((), MAGIC, {}) == full_comultiply((), MAGIC.split) == [((), ())]
 
 
 def test_comultiply_generator():
     enc = MAGIC.encode
-    pairs = comultiply(enc((q("1", "2"),)), MAGIC.split)
+    pairs = comultiply(enc((q("1", "2"),)), MAGIC, {})
     assert pairs == [(enc((q("1", k),)), enc((q(k, "2"),))) for k in IDS]
 
 
 def test_comultiply_word_expands_legwise():
-    pairs = comultiply(MAGIC.encode((q("1", "1"), q("1", "2"))), MAGIC.split)
+    word = MAGIC.encode((q("1", "1"), q("1", "2")))
+    pairs = full_comultiply(word, MAGIC.split)
     assert len(pairs) == len(set(pairs)) == 9
     gens = MAGIC.gens
     for w1, w2 in pairs:
@@ -111,9 +113,25 @@ def test_comultiply_word_expands_legwise():
             ("1", "1", "1", "2")
         # the inner indices match across the legs, letter by letter
         assert [gens[a].col for a in w1] == [gens[b].row for b in w2]
+    # row orthogonality kills q[1,k] q[1,l] for k != l: three pairs live
+    live = [(w1, w2) for w1, w2 in pairs if MAGIC.rewrite(w1) is not None]
+    assert comultiply(word, MAGIC, {}) == live and len(live) == 3
 
 
 def test_comultiply_rejects_formal_unitary():
     alpha = with_formal_unitary(magic_relations(IDS)).alphabet
     with pytest.raises(ValueError):
-        comultiply(alpha.encode((FORMAL_UNITARY,)), alpha.split)
+        comultiply(alpha.encode((FORMAL_UNITARY,)), alpha, {})
+
+
+def test_comultiply_rejects_formal_unitary_after_every_pair_died():
+    # row 1 declared vanishing: each left leg q[1,k] of Delta(q[1,1]) is
+    # dead, and the letter w after it must still be refused.  No sound
+    # relation set kills every pair of a q-word: the identity point
+    # q[a,b] -> [a = b] sends the left leg q[a1,a1]...q[an,an] to 1
+    rels = with_formal_unitary(magic_relations(IDS))
+    alpha = replace(rels, vanishing=frozenset(q("1", k) for k in IDS)).alphabet
+    dead = alpha.encode((q("1", "1"),))
+    assert comultiply(dead, alpha, {}) == []
+    with pytest.raises(ValueError, match="no coproduct"):
+        comultiply(dead + alpha.encode((FORMAL_UNITARY,)), alpha, {})

@@ -9,25 +9,17 @@ from pathlib import Path as FsPath
 
 import pytest
 
-from oracles import q_point_provider, stripped_rows, unreplayed_suite
-from qisograph import corep
-from qisograph.corep import (
-    VERTEX_PAIR, VerificationContext, _orbit_maps, path_maps, run_identity_suite,
+from oracles import (
+    K4, LOOPS4, UCYCLE8, q_point_provider, stripped_rows, suite_context, unreplayed_suite,
 )
-from qisograph.cuntz import MAGIC, cuntz_setup, sn_plus_context
-from qisograph.graphs import Path, parse_graph
+from qisograph import corep
+from qisograph.corep import VerificationContext, _orbit_maps, path_maps, run_identity_suite
+from qisograph.graphs import Path
 from qisograph.ncpoly import Generator
-from qisograph.perron import perron
-from qisograph.providers import classical_rep, fourier_unitary, permutation_diag_rep
-from qisograph.relations import qaut_relations
+from qisograph.providers import fourier_unitary, permutation_diag_rep
 
 GRAPHS = FsPath(__file__).resolve().parent.parent / "graphs"
 
-K4 = "graph k4\n" + "".join(f"v {v}\n" for v in "1234") + "".join(
-    f"e e{r}{s} {r} {s}\n" for s in "1234" for r in "1234" if r != s)
-LOOPS4 = "graph cuntz4\nv w\n" + "".join(f"e l{i} w w\n" for i in range(1, 5))
-UCYCLE8 = "graph ucycle8\n" + "".join(f"v {v}\n" for v in range(8)) + "".join(
-    f"e e{r}_{s} {r} {s}\n" for r in range(8) for s in range(8) if (r - s) % 8 in (1, 7))
 #: K5 without the directed 5-cycle 0->4->2->1->3->0
 _CYCLE = {("0", "4"), ("4", "2"), ("2", "1"), ("1", "3"), ("3", "0")}
 K5_MINUS_C5 = "graph k5-c5\n" + "".join(f"v {v}\n" for v in "01234") + "".join(
@@ -68,13 +60,7 @@ SUITES = {
 def _context(name: str) -> VerificationContext:
     """A fresh truncation-3 context: its own relation set, so its own
     proof store."""
-    text, magic = SUITES[name]
-    g = parse_graph(text)
-    if magic:
-        return sn_plus_context(cuntz_setup(g, MAGIC), 3)
-    pf = perron(g)
-    rels = qaut_relations(g, pf)
-    return VerificationContext(g, pf, rels, VERTEX_PAIR, [classical_rep(g, rels)], 3)
+    return suite_context(*SUITES[name])
 
 
 _BOTH_WAYS: dict = {}

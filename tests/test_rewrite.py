@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from oracles import UNEQUAL4_TEXT, u
+from oracles import UNEQUAL4_TEXT, full_comultiply, u
 from qisograph.corep import EDGE_INDEX, VERTEX_PAIR, VerificationContext, run_identity_suite
 from qisograph.cuntz import MAGIC, cuntz_setup
 from qisograph.exprlang import parse_expression
@@ -222,11 +222,10 @@ def test_trace_reports_applied_rules(qaut_rels):
 def test_comultiply_of_zero_word_reduces_legwise(qaut_rels):
     # Delta(q11 q12) expands to sum_{k,l} q1k q1l (x) qk1 ql2; row
     # orthogonality on the legs kills every pair
-    from qisograph.ncpoly import comultiply
     from qisograph.rewrite import tensor_reduce
     rels = qaut_rels["k3"]
     alpha = rels.alphabet
-    pairs = comultiply(alpha.encode((q("1", "1"), q("1", "2"))), alpha.split)
+    pairs = full_comultiply(alpha.encode((q("1", "1"), q("1", "2"))), alpha.split)
     assert len(set(pairs)) == 9
     assert tensor_reduce(dict.fromkeys(pairs, 1), rels) == {}
 
