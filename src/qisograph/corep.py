@@ -55,10 +55,11 @@ one collector, which drops zero coefficients, reduces each nonzero
 obligation symbolically once and evaluates it under the registered
 numeric providers; a check passes only when every symbolic verdict is
 ProvedZero (and the stated structural condition holds) and the numeric
-residual stays below PROVIDER_TOL.  The truncation level is the
-context's n_cap.  Every refinement is source-append, the side the
-Perron measure is additive on; only the negative control of
-well-definedness refines the argument on the other side.
+residual, an exact provider value, is exactly 0; the report writes it
+as a float.  The truncation level is the context's n_cap.  Every
+refinement is source-append, the side the Perron measure is additive
+on; only the negative control of well-definedness refines the argument
+on the other side.
 
 The Dirac check needs well-definedness for every pair l < k <= n_cap.
 Source-append refinement composes, so it runs only the one-step pairs
@@ -103,16 +104,15 @@ monomial fixed point and as many tags; its primitive form lies in the
 stored orbit of the representative's, so ``ProofStore.find`` replays
 the same winning tags.  Verdict, pass flag, reduction count and detail
 therefore carry, and no member would search or store a proof, so the
-proof store is that of a run computing every row.  Implementation
-terms have integer coefficients, so each summand's float sum is exact
-in any order.  Two things are checked, not proved: the trace digest
+proof store is that of a run computing every row.  Provider values are
+exact, so each summand's sum, Perron weights included, is the same in
+any term order.  One thing is checked, not proved: the trace digest
 hashes the tags in term order, which follows the xi and zeta basis
 loops of ``_intertwining`` and ``_weighted_products`` and so is permuted
 by sigma, and terms with different tag sequences do share obligations
-(162 of k3's 3,780 implementation obligations); and a KMS obligation's
-Perron-weight floats are summed in the image's word order.  Both
-are orbit-invariant on every bundled graph, K4, the undirected 8-cycle,
-K5 minus a directed 5-cycle, 4 and 5 loops and relabelled copies
+(162 of k3's 3,780 implementation obligations).  It is
+orbit-invariant on every bundled graph, K4, the undirected 8-cycle, K5
+minus a directed 5-cycle, 4 and 5 loops and relabelled copies
 (``tests/test_replay.py``), where stripped reports are identical with
 and without replay.  ``density`` stays computed: its digests differ
 inside orbits.
@@ -130,7 +130,7 @@ from .graphs import (
 from .hilbert import dirac, embedding_gram_residual
 from .ncpoly import Coeff, Generator, IntTerms, IntWord, Word, comultiply
 from .perron import PerronData, cylinder_intersection_measure
-from .providers import PROVIDER_TOL, RepresentationProvider
+from .providers import RepresentationProvider
 from .relations import RelationSet
 from .report import CheckResult
 from .rewrite import ReductionTrace, is_zero, tensor_reduce
@@ -249,10 +249,10 @@ class _Obligations:
         all_proved = all(v.kind == PROVED_ZERO for v in self.verdicts)
         gens = self.ctx.rels.alphabet.gens
         numeric = max((provider.norm(terms, gens) for provider in self.ctx.providers
-                       for terms in self.diffs), default=0.0)
-        residuals = {"numeric": numeric}
+                       for terms in self.diffs), default=0)
+        residuals = {"numeric": float(numeric)}
         residuals.update(extra_residuals or {})
-        passed = all_proved and structural_ok and numeric < PROVIDER_TOL
+        passed = all_proved and structural_ok and numeric == 0
         return CheckResult(name, inputs, passed, PROVED_ZERO if all_proved else UNKNOWN,
                            residuals, self.trace.count, self.trace.digest(),
                            (time.monotonic() - self.started) * 1000.0,

@@ -10,8 +10,9 @@ U(1) = 1 (x) w; the implementation identity then pins U on the loop
 indicators, and comparing coefficients in the refinement of 1 leaves
 the obligations sum_i q[k,i] w - w, hence (times w*) sum_i q[k,i] - 1.
 For the magic family these collapse to zero; for the free-unitary
-family they are witnessed nonzero by concrete unitary matrices, which
-are genuine representations, so the witness is a sound disproof.
+family they are witnessed nonzero, exactly, by rational orthogonal
+matrices, which are genuine representations, so the witness is a sound
+disproof.
 """
 
 from __future__ import annotations

@@ -144,6 +144,8 @@ def parse_graph(text: str) -> DirectedGraph:
             raise GraphFormatError(f"unknown directive {kind!r}", lineno)
     if name is None:
         raise GraphFormatError("missing 'graph <name>' line", 1)
+    if not vertices:
+        raise GraphFormatError("no vertices", 1)
     return DirectedGraph(name, tuple(vertices), tuple(edges))
 
 

@@ -6,41 +6,37 @@ relators with ``value``, the evaluator every obligation's cross-check
 runs, so a provider whose masks break a relation is refused.
 
 Every provider is a direct sum of one-dimensional representations, so a
-generator is stored as a tuple of plain Python numbers, its value on
-each summand.  What is evaluated is the checker's int-word ->
-coefficient dict, with its alphabet's ``gens`` as the letter table,
-summand by summand and words in (length, word) order; the operator norm
-of the direct sum is the largest |value| over the summands.  When every
-value is exactly 0 or 1 (the permutation providers), a word's values
-are the AND of its letters' summand bitmasks (``word_mask``), and each
-coefficient is added to the sum of every set bit; the Dirac check in
-``corep`` reads each summand's level matrix off the same masks.  The
-other providers, the point evaluations, multiply complex values letter
-by letter.  Both paths are plain Python.
+generator is stored as a tuple of exact numbers (ints and Fractions),
+its value on each summand.  What is evaluated is the checker's int-word
+-> coefficient dict, with its alphabet's ``gens`` as the letter table,
+summand by summand; the operator norm of the direct sum is the largest
+|value| over the summands.  There is one arithmetic, exact, so a value
+is the same in any term order, registration demands exactly 0 and a
+witness is an exactly nonzero value.  When every value is 0 or 1 (the
+permutation providers), a word's values are the AND of its letters'
+summand bitmasks (``word_mask``), and each coefficient is added to the
+sum of every set bit; the Dirac check in ``corep`` reads each summand's
+level matrix off the same masks.  The other providers, the point
+evaluations, multiply rational values letter by letter.
 
 The classical provider for a graph sums over its automorphism group:
 q[i,j] takes the value delta_{i, sigma(j)} on the summand sigma.  Point
-providers evaluate free-unitary generators at the entries of a concrete
-unitary matrix, which is a genuine one-dimensional *-representation of
-the universal relations, so a nonzero value there is a sound disproof.
+providers evaluate free-unitary generators at the entries of a rational
+orthogonal matrix, which is a genuine one-dimensional *-representation
+of the universal relations, so a nonzero value there is a sound
+disproof.
 """
 
 from __future__ import annotations
 
-import cmath
 import itertools
-import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .graphs import DirectedGraph, graph_automorphisms
-from .ncpoly import Generator, IntTerms, IntWord, QKIND, UKIND, USTAR
+from .ncpoly import Coeff, Generator, IntTerms, IntWord, QKIND, UKIND, USTAR
 from .relations import RelationSet
 from .verdict import UNKNOWN, WITNESSED_NONZERO, Verdict
-
-
-#: the tolerance every relation is validated to at registration; a
-#: value ten times larger witnesses nonzero-ness
-PROVIDER_TOL = 1e-10
 
 
 class ProviderValidationError(ValueError):
@@ -51,7 +47,7 @@ class ProviderValidationError(ValueError):
 class RepresentationProvider:
     """Direct sum of *dim* one-dimensional representations; *assignment*
     maps each generator to a tuple of its *dim* values, one per summand,
-    as plain Python numbers.  If they are all exactly 0 or 1, ``_masks``
+    as exact numbers.  If they are all exactly 0 or 1, ``_masks``
     maps each generator to the int whose bit s is set where its value on
     summand s is 1; otherwise evaluation multiplies the values."""
 
@@ -88,48 +84,40 @@ class RepresentationProvider:
                 break
         return mask
 
-    def value(self, terms: IntTerms, gens) -> list:
-        """The value of *terms* on each summand, words in (length, word)
-        order: floats on masks, where the words whose mask is 0 add
-        nothing, else complexes, each word's values multiplied letter
-        by letter."""
+    def value(self, terms: IntTerms, gens) -> list[Coeff]:
+        """The exact value of *terms* on each summand: on masks each
+        coefficient is added on the summands its word's mask sets, else
+        each word's values are multiplied letter by letter."""
+        sums = [0] * self.dim
         if self._masks is None:
-            sums = [0j] * self.dim
-            for word, coeff in sorted(terms.items(), key=lambda t: (len(t[0]), t[0])):
-                v = [1 + 0j] * self.dim
+            for word, coeff in terms.items():
+                v = [coeff] * self.dim
                 for g in word:
                     v = [x * y for x, y in zip(v, self.values(gens[g]))]
-                c = float(coeff)
-                sums = [s + c * x for s, x in zip(sums, v)]
+                sums = [s + x for s, x in zip(sums, v)]
             return sums
-        live = []
         for word, coeff in terms.items():
             mask = self.word_mask(word, gens)
-            if mask:
-                live.append((len(word), word, mask, float(coeff)))
-        sums = [0.0] * self.dim
-        for _, _, mask, c in sorted(live):
             while mask:
                 low = mask & -mask
-                sums[low.bit_length() - 1] += c
+                sums[low.bit_length() - 1] += coeff
                 mask ^= low
         return sums
 
-    def norm(self, terms: IntTerms, gens) -> float:
+    def norm(self, terms: IntTerms, gens) -> Coeff:
         return max(map(abs, self.value(terms, gens)))
 
 
 def register(provider: RepresentationProvider, rels: RelationSet) -> RepresentationProvider:
     """Validate every relation of *rels* under the provider: each of
-    ``rels.relators()`` must take a value within PROVIDER_TOL of 0 on
-    every summand, evaluated by ``value`` as any obligation is; a NaN
-    fails."""
+    ``rels.relators()`` must take exactly the value 0 on every summand,
+    evaluated by ``value`` as any obligation is."""
     gens = rels.alphabet.gens
     for label, poly in rels.relators():
         for v in provider.value(poly, gens):
-            if not abs(v) <= PROVIDER_TOL:
+            if v != 0:
                 raise ProviderValidationError(
-                    f"provider {provider.name} violates {label} (residual {abs(v):.3g})")
+                    f"provider {provider.name} violates {label} (residual {abs(v)})")
     return provider
 
 
@@ -164,55 +152,41 @@ def loop_permutation_rep(ids, rels: RelationSet) -> RepresentationProvider:
 
 def matrix_point_provider(name: str, ids, mat) -> RepresentationProvider:
     """Evaluate the free-unitary generators at the entries of a concrete
-    matrix, any nested sequence: scalars, i.e. a one-dimensional
-    representation; the adjoint entries are the conjugates."""
+    rational matrix, any nested sequence: scalars, i.e. a
+    one-dimensional representation.  An entry is real, so its adjoint
+    entry is the entry itself."""
     ids = tuple(ids)
     assignment: dict[Generator, tuple] = {}
     for a, row in zip(ids, mat):
         for b, entry in zip(ids, row):
-            z = complex(entry)
-            assignment[Generator(UKIND, a, b)] = (z,)
-            assignment[Generator(USTAR, a, b)] = (z.conjugate(),)
+            assignment[Generator(UKIND, a, b)] = assignment[Generator(USTAR, a, b)] = (entry,)
     return RepresentationProvider(name, 1, assignment)
 
 
-def identity_unitary(n: int) -> list[list[float]]:
-    return [[float(i == j) for j in range(n)] for i in range(n)]
-
-
-def rotation_unitary(n: int) -> list[list[float]]:
-    """Rotation by pi/4 in the first two coordinates, identity elsewhere."""
-    if n < 2:
-        raise ValueError("rotation needs n >= 2")
-    m = identity_unitary(n)
-    c, s = math.cos(math.pi / 4), math.sin(math.pi / 4)
-    m[0][0], m[0][1], m[1][0], m[1][1] = c, -s, s, c
-    return m
-
-
-def fourier_unitary(n: int) -> list[list[complex]]:
-    """Discrete-Fourier-type unitary F[j,k] = omega^{jk} / sqrt(n)."""
-    omega = cmath.exp(2j * cmath.pi / n)
-    return [[omega ** (j * k) / math.sqrt(n) for k in range(n)] for j in range(n)]
-
-
 def unitary_provider_portfolio(ids, rels: RelationSet) -> list[RepresentationProvider]:
-    """Identity, generic rotation, and Fourier-type point evaluations,
-    each registered against the free-unitary relations."""
+    """Two exact point evaluations, each registered against the
+    free-unitary relations: -I, under which every row sum
+    sum_i u[k,i] - 1 is -2, and the Cayley rotation
+    [[3/5, -4/5], [4/5, 3/5]] in the first two coordinates, identity
+    elsewhere."""
     n = len(ids)
-    providers = [
-        matrix_point_provider("identity", ids, identity_unitary(n)),
-        matrix_point_provider("rotation", ids, rotation_unitary(n)),
-        matrix_point_provider("fourier", ids, fourier_unitary(n)),
-    ]
+    if n < 2:
+        raise ValueError("the unitary portfolio needs n >= 2")
+    minus_identity = [[-int(i == j) for j in range(n)] for i in range(n)]
+    cayley = [[int(i == j) for j in range(n)] for i in range(n)]
+    c, s = Fraction(3, 5), Fraction(4, 5)
+    cayley[0][:2], cayley[1][:2] = [c, -s], [s, c]
+    providers = [matrix_point_provider("minus-identity", ids, minus_identity),
+                 matrix_point_provider("cayley", ids, cayley)]
     return [register(p, rels) for p in providers]
 
 
 def witness_nonzero(terms: IntTerms, gens, providers) -> Verdict:
-    """WitnessedNonzero when some provider maps *terms* to a value of
-    norm above ten times its tolerance; otherwise Unknown."""
+    """WitnessedNonzero when some provider maps *terms* to an exactly
+    nonzero value, with its norm as the exact residual; otherwise
+    Unknown."""
     for provider in providers:
         norm = provider.norm(terms, gens)
-        if norm > 10 * PROVIDER_TOL:
-            return Verdict(WITNESSED_NONZERO, provider=provider.name, residual=norm)
+        if norm:
+            return Verdict(WITNESSED_NONZERO, provider=provider.name, residual=Fraction(norm))
     return Verdict(UNKNOWN)

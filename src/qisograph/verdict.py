@@ -2,12 +2,15 @@
 
 A nonzero normal form never proves nonzero-ness (the rewriting system is
 not complete); only a numeric witness under a registered representation
-does.  ProvedZero, on the other hand, is sound by construction.
+does.  ProvedZero, on the other hand, is sound by construction.  A
+witness's residual is the exact norm of the witnessing value; it is
+printed through float with three significant digits.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 PROVED_ZERO = "ProvedZero"
 UNKNOWN = "Unknown"
@@ -18,7 +21,7 @@ WITNESSED_NONZERO = "WitnessedNonzero"
 class Verdict:
     kind: str
     provider: str | None = None
-    residual: float | None = None
+    residual: Fraction | None = None
     detail: str | None = None
 
     @property
@@ -34,7 +37,7 @@ class Verdict:
         if self.provider:
             extra.append(f"provider={self.provider}")
         if self.residual is not None:
-            extra.append(f"residual={self.residual:.3g}")
+            extra.append(f"residual={float(self.residual):.3g}")
         if self.detail:
             extra.append(self.detail)
         return self.kind + (f" ({', '.join(extra)})" if extra else "")

@@ -1,6 +1,7 @@
 """Test oracles: exact and numeric recomputations that no command needs,
 used to check the package's results from a second angle."""
 
+import cmath
 import itertools
 import math
 from fractions import Fraction
@@ -83,6 +84,38 @@ def q_point_provider(name: str, ids, *mats) -> RepresentationProvider:
     return RepresentationProvider(name, len(mats), {
         Generator(QKIND, a, b): tuple(complex(m[i][j]) for m in mats)
         for i, a in enumerate(ids) for j, b in enumerate(ids)})
+
+
+def rotation_unitary(n: int) -> list[list[float]]:
+    """Rotation by pi/4 in the first two coordinates, identity elsewhere."""
+    m = [[float(i == j) for j in range(n)] for i in range(n)]
+    c, s = math.cos(math.pi / 4), math.sin(math.pi / 4)
+    m[0][:2], m[1][:2] = [c, -s], [s, c]
+    return m
+
+
+def fourier_unitary(n: int) -> list[list[complex]]:
+    """Discrete-Fourier-type unitary F[j,k] = omega^{jk} / sqrt(n)."""
+    omega = cmath.exp(2j * cmath.pi / n)
+    return [[omega ** (j * k) / math.sqrt(n) for k in range(n)] for j in range(n)]
+
+
+def fourier_point(ids) -> RepresentationProvider:
+    """The free-unitary generators at the Fourier matrix times the phase
+    e^{i pi/3}: u[a,b] -> z and u*[a,b] -> its conjugate.  The phase
+    keeps the point complex on two ids, where the Fourier matrix is
+    real, so unlike the package's real rational points it tells u from
+    its adjoint: u u^T = e^{2 i pi/3} F F^T is not 1.  Its values are
+    floats, so it is unregistered and evaluated by ``numpy_norm`` within
+    a tolerance."""
+    ids = tuple(ids)
+    phase = cmath.exp(1j * cmath.pi / 3)
+    assignment = {}
+    for a, row in zip(ids, fourier_unitary(len(ids))):
+        for b, z in zip(ids, row):
+            assignment[Generator(UKIND, a, b)] = (phase * z,)
+            assignment[Generator(USTAR, a, b)] = ((phase * z).conjugate(),)
+    return RepresentationProvider("fourier", 1, assignment)
 
 
 def dense_matmul(a, b):
@@ -211,20 +244,34 @@ def theta_dominating_terms(m_edges: int, t: float, eps: float, q_max: int) -> li
     return [math.exp(-t * q ** (1 + 2 * eps)) * m_edges ** q for q in range(1, q_max + 1)]
 
 
-def letter_by_letter_value(provider, terms, gens) -> np.ndarray:
-    """A provider's value of *terms* on each summand, by multiplying its
-    value vectors letter by letter, words in (length, word) order."""
-    total = np.zeros(provider.dim, dtype=complex)
+def letter_by_letter_value(provider, terms, gens) -> list[Fraction]:
+    """A provider's exact value of *terms* on each summand, by
+    multiplying its value vectors letter by letter in Fraction
+    arithmetic, words in (length, word) order."""
+    total = [Fraction(0)] * provider.dim
     for word, coeff in sorted(terms.items(), key=lambda t: (len(t[0]), t[0])):
-        v = np.ones(provider.dim, dtype=complex)
+        v = [Fraction(coeff)] * provider.dim
         for g in word:
-            v = v * np.array(provider.values(gens[g]), dtype=complex)
-        total += float(coeff) * v
+            v = [x * Fraction(y) for x, y in zip(v, provider.values(gens[g]))]
+        total = [t + x for t, x in zip(total, v)]
     return total
 
 
-def letter_by_letter_norm(provider, terms, gens) -> float:
-    return float(np.abs(letter_by_letter_value(provider, terms, gens)).max())
+def letter_by_letter_norm(provider, terms, gens) -> Fraction:
+    return max(map(abs, letter_by_letter_value(provider, terms, gens)))
+
+
+def numpy_norm(provider, terms, gens) -> float:
+    """A provider's float norm of *terms*, its complex value vectors
+    multiplied letter by letter with numpy: the evaluation for a float
+    point such as ``fourier_point``."""
+    total = np.zeros(provider.dim, dtype=complex)
+    for word, coeff in terms.items():
+        v = np.full(provider.dim, float(coeff), dtype=complex)
+        for g in word:
+            v = v * np.array(provider.values(gens[g]), dtype=complex)
+        total += v
+    return float(np.abs(total).max())
 
 
 def brute_force_automorphisms(g) -> tuple[dict[str, str], ...]:

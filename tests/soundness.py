@@ -1,15 +1,25 @@
-"""Shared randomized soundness battery for the rewriting engine."""
+"""Shared randomized soundness battery for the rewriting engine.
+
+Every registered provider is exact, so a proved-zero polynomial must
+take exactly the value 0 under it.  The exact points of the free-unitary
+relations are real, so u*[a,b] = u[a,b] there and they cannot tell a
+word from its letter-wise adjoint; the complex Fourier point
+(``oracles.fourier_point``) can, and is checked beside them in float
+arithmetic within ``FLOAT_TOL``."""
 
 import random
 from fractions import Fraction
 
-from oracles import u, ustar
+from oracles import fourier_point, numpy_norm, u, ustar
 from qisograph.ncpoly import add, mul, q
 from qisograph.providers import classical_rep, loop_permutation_rep, unitary_provider_portfolio
 from qisograph.relations import free_unitary_relations, magic_relations, qaut_relations
 from qisograph.rewrite import ProofStore, normal_form
 
 SEED = 20240817
+
+#: the tolerance of the float Fourier point's evaluation
+FLOAT_TOL = 1e-10
 
 
 def random_poly(rng, alpha, gens, max_words=4, max_len=4):
@@ -28,17 +38,18 @@ def relation_suites(graphs, perron_data):
         rels = qaut_relations(graphs[name], perron_data[name])
         gens = [q(a, b) for a in rels.universe for b in rels.universe]
         providers = [classical_rep(graphs[name], rels)]
-        suites.append((rels, gens, providers))
+        suites.append((rels, gens, providers, []))
     urels = free_unitary_relations(("1", "2"))
     ugens = [u(a, b) for a in ("1", "2") for b in ("1", "2")]
     ugens += [ustar(a, b) for a in ("1", "2") for b in ("1", "2")]
-    suites.append((urels, ugens, unitary_provider_portfolio(("1", "2"), urels)))
+    suites.append((urels, ugens, unitary_provider_portfolio(("1", "2"), urels),
+                   [fourier_point(("1", "2"))]))
     # S_4^+: every index permutation is a symmetry (last, so the sets
     # above draw the same polynomials as without it)
     ids = ("1", "2", "3", "4")
     mrels = magic_relations(ids, name="magic(4)")
     suites.append((mrels, [q(a, b) for a in ids for b in ids],
-                   [loop_permutation_rep(ids, mrels)]))
+                   [loop_permutation_rep(ids, mrels)], []))
     return suites
 
 
@@ -69,17 +80,19 @@ TRANSPORTING = ("qaut(three-cycle)", "qaut(k3)", "magic(4)")
 
 
 def run_soundness_battery(graphs, perron_data, per_set=200):
-    """ProvedZero implies numerically zero under every provider, for
-    searched and transported proofs alike; the normal form is
-    idempotent and commutes with the formal adjoint."""
+    """ProvedZero implies exactly zero under every provider and zero
+    within FLOAT_TOL under every float point, for searched and
+    transported proofs alike; the normal form is idempotent and
+    commutes with the formal adjoint."""
     rng = random.Random(SEED)
-    for rels, gens, providers in relation_suites(graphs, perron_data):
+    for rels, gens, providers, points in relation_suites(graphs, perron_data):
         recorder = record_proofs(rels)
         alpha = rels.alphabet
 
         def star(terms):
             return {alpha.star(w): c for w, c in terms.items()}
 
+        relators = [poly for _, poly in rels.relators()]
         proved = 0
         for i in range(per_set):
             p = random_poly(rng, alpha, gens)
@@ -90,12 +103,18 @@ def run_soundness_battery(graphs, perron_data, per_set=200):
                 for k in rels.universe:
                     s = add(s, {alpha.encode((q(row, k),)): 1})
                 p = mul(add(s, {(): 1}, -1), p)
+            elif i % 3 == 0:
+                # engineered zero, drawing nothing so that the later sets
+                # keep their polynomials: a unitarity relator times p
+                p = mul(relators[i // 3 % len(relators)], p)
             nf = normal_form(p, rels)
             assert normal_form(nf, rels) == nf
             assert normal_form(star(p), rels) == star(nf)
             if not nf:
                 proved += 1
                 for provider in providers:
-                    assert provider.norm(p, alpha.gens) < 1e-10
-        assert proved > 0 or rels.gen_kind != "q"
+                    assert provider.norm(p, alpha.gens) == 0
+                for point in points:
+                    assert numpy_norm(point, p, alpha.gens) < FLOAT_TOL
+        assert proved > 0
         assert recorder.hits or rels.name not in TRANSPORTING, rels.name

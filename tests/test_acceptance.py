@@ -100,9 +100,9 @@ def test_criterion_5_identity_suite(contexts):
                 assert r.passed, (name, r.name, r.inputs, r.verdict, r.residuals)
                 numeric = r.residuals.get("numeric")
                 if numeric is not None:
-                    assert numeric < 1e-10
+                    assert numeric == 0.0
                 if r.name == "dirac-commutation":
-                    assert r.residuals["commutator"] < 1e-10
+                    assert r.residuals["commutator"] == 0.0
 
 
 def test_criterion_6_convention_negative_control(contexts):

@@ -56,6 +56,19 @@ def test_malformed_graph_exits_2(tmp_path, capsys):
     assert main(["validate", "--graph", str(tmp_path / "missing.g")]) == 2
 
 
+@pytest.mark.parametrize("command", ["validate", "spectral", "verify", "cuntz", "reduce"])
+def test_graph_without_vertices_exits_2(command, tmp_path, capsys):
+    """A graph file with no ``v`` line is refused by the parser, so every
+    command exits 2 with one message instead of failing in perron."""
+    empty = tmp_path / "empty.g"
+    empty.write_text("graph empty\n")
+    extra = ["q[1,1]"] if command == "reduce" else []
+    assert main([command, "--graph", str(empty), *extra]) == 2
+    err = capsys.readouterr().err
+    assert "no vertices" in err and "Traceback" not in err
+    assert err.count("\n") == 1
+
+
 def test_usage_errors():
     assert main(["validate"]) == 2                       # missing --graph
     assert main(["spectral", "--graph", _graph("k3.g"), "--level", "1"]) == 2

@@ -3,7 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import K4, LOOPS4, dense_dirac_residuals, q_point_provider
+from oracles import (
+    K4, LOOPS4, dense_dirac_residuals, fourier_unitary, q_point_provider, rotation_unitary,
+)
 from qisograph.corep import (
     VERTEX_PAIR, VerificationContext, check_comultiplicative, check_density,
     check_dirac_commutation, check_implementation, check_isometry, check_isometry_mixed,
@@ -16,7 +18,7 @@ from qisograph.graphs import (
 )
 from qisograph.exprlang import parse_expression
 from qisograph.ncpoly import q
-from qisograph.providers import fourier_unitary, permutation_diag_rep
+from qisograph.providers import permutation_diag_rep
 from qisograph.relations import magic_relations
 from qisograph.rewrite import is_zero, normal_form
 from qisograph.verdict import PROVED_ZERO, UNKNOWN
@@ -105,7 +107,7 @@ def test_welldefined_explicit_levels(contexts):
             res = check_welldefined(ctx, l, k)
             assert res.passed and res.verdict == PROVED_ZERO
             assert res.residuals["embedding_gram"] == 0
-            assert res.residuals["numeric"] < 1e-10
+            assert res.residuals["numeric"] == 0.0
 
 
 def test_welldefined_negative_control(contexts):
@@ -239,8 +241,8 @@ def test_dirac_commutation(contexts):
     for name in ("three-cycle", "k3"):
         res = check_dirac_commutation(contexts[name], {})
         assert res.passed
-        assert res.residuals["commutator"] < 1e-10
-        assert res.residuals["gram_unitarity"] < 1e-10
+        assert res.residuals["commutator"] == 0.0
+        assert res.residuals["gram_unitarity"] == 0.0
 
 
 def test_suite_checks_each_welldefined_pair_once(contexts, monkeypatch):
@@ -299,7 +301,6 @@ def test_dirac_commutation_matches_dense_oracle(contexts):
     the oracle's residuals, which are zero, so its level matrices are
     Gram-unitary; a sum of two non-magic point evaluations fails as
     uncertified, and the oracle reads it nonzero."""
-    from qisograph.providers import rotation_unitary
     for name in ("three-cycle", "k3", "asym4"):
         ctx = contexts[name]
         ids = ctx.rels.universe

@@ -9,7 +9,9 @@ from qisograph.cuntz import (
 from qisograph.hilbert import multiplicities
 from qisograph.exprlang import parse_expression
 from qisograph.perron import cylinder_measure
-from qisograph.providers import unitary_provider_portfolio, witness_nonzero
+from qisograph.providers import (
+    matrix_point_provider, register, unitary_provider_portfolio, witness_nonzero,
+)
 from qisograph.graphs import enumerate_paths, parse_graph
 from qisograph.rewrite import is_zero
 from qisograph.verdict import PROVED_ZERO, UNKNOWN, WITNESSED_NONZERO
@@ -97,19 +99,29 @@ def test_non_isometry_verdict(graphs):
         assert verdict.not_isometric
         assert all(v.witnessed for v in verdict.witnesses.values())
         assert all(v.residual >= 0.4 for v in verdict.witnesses.values())
+        assert {str(v) for v in verdict.witnesses.values()} == {
+            "WitnessedNonzero (provider=minus-identity, residual=2)"}
 
 
 def test_identity_provider_alone_is_inconclusive(graphs):
-    setup = cuntz_setup(graphs["cuntz2"], FREE_UNITARY)
+    """A permutation's rows sum to one, so the identity point leaves every
+    obligation sum_i u[k,i] - 1 exactly 0.  Under -I each is exactly -2;
+    under the Cayley rotation the two rotated rows give -6/5 and 2/5 and
+    the third 0, which no witness may read as nonzero."""
+    setup = cuntz_setup(graphs["cuntz3"], FREE_UNITARY)
     derivation = derive_contradiction(setup)
     gens = derivation.rels.alphabet.gens
+    identity = register(matrix_point_provider(
+        "identity", setup.loop_ids, [[int(i == j) for j in range(3)] for i in range(3)]),
+        setup.rels)
     providers = {p.name: p for p in unitary_provider_portfolio(setup.loop_ids, setup.rels)}
-    obligations = derivation.obligations.values()
-    # permutation rows sum to one
-    assert all(not witness_nonzero(ob, gens, [providers["identity"]]).witnessed
-               for ob in obligations)
-    assert all(witness_nonzero(ob, gens, [providers["rotation"]]).witnessed
-               for ob in obligations)
+    obligations = [derivation.obligations[k] for k in setup.loop_ids]
+    assert all(not witness_nonzero(ob, gens, [identity]).witnessed for ob in obligations)
+    assert [witness_nonzero(ob, gens, [providers["minus-identity"]]).residual
+            for ob in obligations] == [2, 2, 2]
+    cayley = [witness_nonzero(ob, gens, [providers["cayley"]]) for ob in obligations]
+    assert [v.residual for v in cayley] == [Fraction(6, 5), Fraction(2, 5), None]
+    assert cayley[2].kind == UNKNOWN
 
 
 def test_derivation_transcript_is_jsonable(graphs):
@@ -152,7 +164,7 @@ def test_free_unitary_fails_suite_welldefined(graphs):
     from qisograph.corep import EDGE_INDEX, VerificationContext, check_welldefined
     setup = cuntz_setup(graphs["cuntz2"], FREE_UNITARY)
     providers = [p for p in unitary_provider_portfolio(setup.loop_ids, setup.rels)
-                 if p.name == "rotation"]
+                 if p.name == "cayley"]
     ctx = VerificationContext(setup.graph, setup.pf, setup.rels, EDGE_INDEX, providers, 2)
     res = check_welldefined(ctx, 0, 1)
     assert not res.passed

@@ -12,16 +12,20 @@ here even when the verdict stays the same.
 report with its wall times stripped (``json.dumps`` with
 ``sort_keys``) and of stdout.  A refactor that must keep reports
 byte-identical is checked by this file; a deliberate report change
-re-records it.  Each case runs the CLI once for both checks.  A case
-whose graph file is not bundled runs on the text ``WRITTEN`` holds for
-it (the benchmark's, or a test graph's), written next to the report.
+re-records it.  Each case runs the CLI once per session
+(``golden_run``), for both checks here and for ``test_report``'s check
+of the report file's text.  A case whose graph file is not bundled runs
+on the text ``WRITTEN`` holds for it (the benchmark's, or a test
+graph's), written next to the report.
 """
 
+import functools
 import hashlib
 import importlib.util
 import io
 import json
 import sys
+import tempfile
 from contextlib import redirect_stdout
 from pathlib import Path
 
@@ -77,6 +81,15 @@ def run_case(argv, tmp_path) -> tuple[int, dict, str]:
     return rc, json.loads(out.read_text()), stdout.getvalue()
 
 
+@functools.cache
+def golden_run(case: str) -> tuple[int, str, str]:
+    """Exit code, report file text and stdout of the golden case *case*,
+    run once in a temporary directory."""
+    with tempfile.TemporaryDirectory() as tmp:
+        rc, _, stdout = run_case(REPORTS[case]["argv"], Path(tmp))
+        return rc, (Path(tmp) / "report.json").read_text(), stdout
+
+
 def report_digests(rc: int, report: dict, stdout: str) -> dict:
     text = json.dumps(strip_wall_times(report), indent=2, sort_keys=True)
     return {"exit_code": rc, "report_sha256": sha256(text), "stdout_sha256": sha256(stdout)}
@@ -89,9 +102,10 @@ def test_every_trace_golden_has_a_report_golden():
 
 
 @pytest.mark.parametrize("case", sorted(REPORTS))
-def test_trace_digests_match_golden(case, tmp_path):
+def test_trace_digests_match_golden(case):
     expected = REPORTS[case]
-    rc, report, stdout = run_case(expected["argv"], tmp_path)
+    rc, text, stdout = golden_run(case)
+    report = json.loads(text)
     assert report_digests(rc, report, stdout) == {k: v for k, v in expected.items()
                                                   if k != "argv"}
     if case in GOLDEN:

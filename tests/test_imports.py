@@ -71,7 +71,7 @@ g = parse_graph(open({str(GRAPHS / "k3.g")!r}).read())
 assert classical_rep(g, qaut_relations(g, perron(g))).dim == 6
 ids = ("l1", "l2", "l3", "l4")
 assert loop_permutation_rep(ids, magic_relations(ids)).dim == 24
-assert len(unitary_provider_portfolio(ids, free_unitary_relations(ids))) == 3
+assert len(unitary_provider_portfolio(ids, free_unitary_relations(ids))) == 2
 print('numpy' in sys.modules)
 """)
     assert loaded == "False"

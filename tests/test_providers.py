@@ -5,19 +5,19 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from oracles import letter_by_letter_norm, letter_by_letter_value, q_point_provider
+from oracles import letter_by_letter_norm, letter_by_letter_value, q_point_provider, u, ustar
 from qisograph.corep import VERTEX_PAIR, VerificationContext, run_identity_suite
 from qisograph.exprlang import parse_expression
 from qisograph.graphs import graph_automorphisms, parse_graph
 from qisograph.ncpoly import q
 from qisograph.perron import perron
 from qisograph.providers import (
-    PROVIDER_TOL, ProviderValidationError, RepresentationProvider, classical_rep, fourier_unitary,
-    identity_unitary, loop_permutation_rep, permutation_diag_rep,
-    register, rotation_unitary, unitary_provider_portfolio, witness_nonzero,
+    ProviderValidationError, RepresentationProvider, classical_rep, loop_permutation_rep,
+    matrix_point_provider, permutation_diag_rep, register, unitary_provider_portfolio,
+    witness_nonzero,
 )
 from qisograph.relations import free_unitary_relations, magic_relations, qaut_relations
-from qisograph.verdict import UNKNOWN, WITNESSED_NONZERO
+from qisograph.verdict import UNKNOWN, WITNESSED_NONZERO, Verdict
 
 
 def test_classical_rep_dimensions(graphs, qaut_rels):
@@ -42,8 +42,7 @@ def test_registration_rejects_bad_assignment():
 
 @pytest.mark.parametrize("entry", [math.nan, math.inf, complex(math.nan, 0.0), -math.inf])
 def test_registration_rejects_non_finite_entries(entry):
-    """A NaN residual compares False against any tolerance; registration
-    must still fail."""
+    """Registration demands exactly 0, which no NaN or infinity is."""
     rels = magic_relations(("1", "2"))
     bad = q_point_provider("non-finite", ("1", "2"), [[entry, 0.0], [0.0, 1.0]])
     with pytest.raises(ProviderValidationError):
@@ -61,6 +60,20 @@ def test_registration_runs_the_mask_engine(graphs, qaut_rels):
         register(provider, rels)
 
 
+@pytest.mark.parametrize("off", [Fraction(1, 10 ** 12), 1e-12])
+def test_registration_refuses_a_value_off_by_1e_12(off):
+    """Registration demands exactly 0: one value of -I or of a
+    permutation moved by 1e-12 breaks a relation by about that much,
+    and is refused."""
+    ids = ("1", "2")
+    unitary = matrix_point_provider("off", ids, [[-1 + off, 0], [0, -1]])
+    with pytest.raises(ProviderValidationError, match="provider off violates"):
+        register(unitary, free_unitary_relations(ids))
+    swap = q_point_provider("off-swap", ids, [[off, 1], [1, 0]])
+    with pytest.raises(ProviderValidationError, match="provider off-swap violates"):
+        register(swap, magic_relations(ids))
+
+
 def test_permutation_point_provider_is_valid_magic_rep():
     rels = magic_relations(("1", "2"))
     swap = q_point_provider("swap", ("1", "2"), np.array([[0.0, 1.0], [1.0, 0.0]]))
@@ -74,34 +87,52 @@ def test_loop_permutation_rep(graphs):
 
 
 def test_unitary_matrices():
-    for n in (2, 3):
-        for mat in (identity_unitary(n), rotation_unitary(n), fourier_unitary(n)):
-            mat = np.array(mat, dtype=complex)
-            assert np.allclose(mat @ mat.conj().T, np.eye(n), atol=1e-12)
+    """Both portfolio points are rational, and M M^T = I holds exactly;
+    u* takes the value of u, the conjugate of a real entry."""
+    for n in (2, 3, 5):
+        ids = tuple(str(i) for i in range(1, n + 1))
+        for provider in unitary_provider_portfolio(ids, free_unitary_relations(ids)):
+            m = [[provider.values(u(a, b))[0] for b in ids] for a in ids]
+            assert all(type(x) in (int, Fraction) for row in m for x in row)
+            assert [[sum(x * y for x, y in zip(r1, r2)) for r2 in m] for r1 in m] == \
+                [[int(i == j) for j in range(n)] for i in range(n)]
+            assert all(provider.values(ustar(a, b)) == provider.values(u(a, b))
+                       for a in ids for b in ids)
 
 
 def test_unitary_portfolio_registers():
     rels = free_unitary_relations(("1", "2", "3"))
     providers = unitary_provider_portfolio(("1", "2", "3"), rels)
-    assert [p.name for p in providers] == ["identity", "rotation", "fourier"]
+    assert [p.name for p in providers] == ["minus-identity", "cayley"]
+    with pytest.raises(ValueError, match="n >= 2"):
+        unitary_provider_portfolio(("1",), free_unitary_relations(("1",)))
 
 
 def test_witness_row_sum_under_rotation():
+    """Under the Cayley rotation the two row sums minus 1 are exactly
+    -6/5 and 2/5; under -I each is exactly -2."""
     rels = free_unitary_relations(("1", "2"))
-    providers = unitary_provider_portfolio(("1", "2"), rels)
-    row = parse_expression("u[1,1] + u[1,2] - 1", rels)
-    verdict = witness_nonzero(row, rels.alphabet.gens, providers[1:2])
-    assert verdict.kind == WITNESSED_NONZERO
-    # rotation by 45 degrees: first row sums to zero, so the deviation is 1
-    assert abs(verdict.residual - 1.0) < 1e-12
+    minus_identity, cayley = unitary_provider_portfolio(("1", "2"), rels)
+    gens = rels.alphabet.gens
+    for row, rotated in (("1", Fraction(6, 5)), ("2", Fraction(2, 5))):
+        poly = parse_expression(f"u[{row},1] + u[{row},2] - 1", rels)
+        verdict = witness_nonzero(poly, gens, [cayley])
+        assert verdict.kind == WITNESSED_NONZERO and verdict.residual == rotated
+        assert str(verdict) == f"WitnessedNonzero (provider=cayley, residual={float(rotated):.3g})"
+        assert witness_nonzero(poly, gens, [minus_identity]) == Verdict(
+            WITNESSED_NONZERO, provider="minus-identity", residual=Fraction(2))
 
 
 def test_witness_skips_identity_provider():
-    rels = free_unitary_relations(("1", "2"))
-    providers = unitary_provider_portfolio(("1", "2"), rels)
+    """A registered identity point leaves every row sum minus 1 exactly
+    0, so it witnesses nothing and the next provider is asked."""
+    ids = ("1", "2")
+    rels = free_unitary_relations(ids)
+    identity = register(matrix_point_provider("identity", ids, [[1, 0], [0, 1]]), rels)
     row, gens = parse_expression("u[1,1] + u[1,2] - 1", rels), rels.alphabet.gens
-    assert witness_nonzero(row, gens, providers[:1]).kind == UNKNOWN   # permutation rows sum to 1
-    assert witness_nonzero(row, gens, providers).kind == WITNESSED_NONZERO
+    assert witness_nonzero(row, gens, [identity]).kind == UNKNOWN
+    verdict = witness_nonzero(row, gens, [identity, *unitary_provider_portfolio(ids, rels)])
+    assert verdict.provider == "minus-identity"
 
 
 def test_witness_zero_poly_never_witnessed():
@@ -115,7 +146,7 @@ def test_witness_generator_under_classical(graphs, qaut_rels):
     provider = classical_rep(graphs["three-cycle"], rels)
     verdict = witness_nonzero({rels.alphabet.encode((q("1", "1"),)): 1}, rels.alphabet.gens,
                               [provider])
-    assert verdict.kind == WITNESSED_NONZERO and abs(verdict.residual - 1.0) < 1e-12
+    assert verdict.kind == WITNESSED_NONZERO and verdict.residual == 1
 
 
 # --- the mask engine against the letter-by-letter oracle -------------------
@@ -124,8 +155,7 @@ K4 = "graph k4\n" + "".join(f"v {v}\n" for v in "1234") + "".join(
     f"e e{r}{s} {r} {s}\n" for s in "1234" for r in "1234" if r != s)
 LOOPS = ("l1", "l2", "l3", "l4")
 
-#: Perron-like fractional weights, negatives, and sums that cancel only
-#: up to rounding, so that a change of summation order shows
+#: Perron-like fractional weights and negatives
 COEFFS = (1, -1, 2, Fraction(1, 3), Fraction(-1, 3), Fraction(2, 7), Fraction(1, 10),
           Fraction(-3, 10), Fraction(5, 11), Fraction(-22, 7))
 
@@ -133,7 +163,8 @@ COEFFS = (1, -1, 2, Fraction(1, 3), Fraction(-1, 3), Fraction(2, 7), Fraction(1,
 def _random_obligation(rng: random.Random, gens, diagonal) -> dict:
     """A random int-word dict; half its letters are diagonal generators,
     which every identity summand maps to 1, and one word set sums a
-    fraction several times against its negated total."""
+    fraction several times against its negated total, which cancels
+    exactly on the summands where every letter is 1."""
     letters = range(len(gens))
 
     def word():
@@ -164,34 +195,28 @@ def _engine_cases(graphs, qaut_rels):
 
 
 def test_norm_and_value_equal_the_letter_by_letter_oracle(graphs, qaut_rels):
-    """Bit for bit on the masks; within 1e-12 on the point providers,
-    since numpy's vectorised complex multiply and CPython's can differ
-    in the last bit on random operands."""
+    """Exactly, on the masks and on the point providers alike."""
     rng = random.Random(16)
     cases = _engine_cases(graphs, qaut_rels)
-    assert [p._masks is not None for p, _ in cases] == [True] * 5 + [False, False]
+    assert [p._masks is not None for p, _ in cases] == [True] * 4 + [False, False]
     for provider, alpha in cases:
         diagonal = [g for g, gen in enumerate(alpha.gens) if gen.row == gen.col]
         for _ in range(300):
             terms = _random_obligation(rng, alpha.gens, diagonal)
-            expected = letter_by_letter_value(provider, terms, alpha.gens)
-            value = np.array(provider.value(terms, alpha.gens), dtype=complex)
-            norm = provider.norm(terms, alpha.gens)
-            expected_norm = letter_by_letter_norm(provider, terms, alpha.gens)
-            if provider._masks is not None:
-                assert value.tobytes() == expected.tobytes()
-                assert norm == expected_norm
-            else:
-                assert np.abs(value - expected).max() < 1e-12
-                assert abs(norm - expected_norm) < 1e-12
+            assert provider.value(terms, alpha.gens) == \
+                letter_by_letter_value(provider, terms, alpha.gens)
+            assert provider.norm(terms, alpha.gens) == \
+                letter_by_letter_norm(provider, terms, alpha.gens)
 
 
-def test_cuntz_witness_norms_equal_the_numpy_oracle_bit_for_bit():
+def test_cuntz_witnesses_equal_the_fraction_oracle():
     """The free-unitary derivation obligations of ``cuntz`` on 2 to 8
-    loops are the only point-provider values that reach a report: under
-    each of the three portfolio providers, all 105 norms equal the numpy
-    letter-by-letter oracle's."""
+    loops are the only point-provider values that reach a report: every
+    witness's residual is its provider's norm re-evaluated letter by
+    letter in Fraction arithmetic, and so is each of the 70 norms under
+    the two portfolio providers."""
     from qisograph.cuntz import FREE_UNITARY, cuntz_setup, derive_contradiction
+    from qisograph.cuntz import non_isometry_verdict
     norms = 0
     for n in range(2, 9):
         g = parse_graph(f"graph cuntz{n}\nv w\n"
@@ -199,11 +224,17 @@ def test_cuntz_witness_norms_equal_the_numpy_oracle_bit_for_bit():
         setup = cuntz_setup(g, FREE_UNITARY)
         derivation = derive_contradiction(setup)
         gens = derivation.rels.alphabet.gens
-        for provider in unitary_provider_portfolio(setup.loop_ids, setup.rels):
+        portfolio = {p.name: p for p in unitary_provider_portfolio(setup.loop_ids, setup.rels)}
+        for provider in portfolio.values():
             for ob in derivation.obligations.values():
                 assert provider.norm(ob, gens) == letter_by_letter_norm(provider, ob, gens)
                 norms += 1
-    assert norms == 105
+        verdict = non_isometry_verdict(setup, derivation)
+        assert verdict.not_isometric and len(verdict.witnesses) == n
+        for k, v in verdict.witnesses.items():
+            exact = letter_by_letter_norm(portfolio[v.provider], derivation.obligations[k], gens)
+            assert type(v.residual) is Fraction and v.residual == exact >= Fraction(2, 5)
+    assert norms == 70
 
 
 def test_mask_engine_keeps_the_missing_generator_error(graphs, qaut_rels):
@@ -225,7 +256,7 @@ def test_non_automorphism_fails_on_the_mask_engine(graphs, perron_data, qaut_rel
     assert provider._masks is not None
     ctx = VerificationContext(g, perron_data["asym4"], rels, VERTEX_PAIR, [provider], 3)
     results = run_identity_suite(ctx, k_max=2)
-    assert any(not r.passed and r.residuals.get("numeric", 0.0) > PROVIDER_TOL for r in results)
+    assert any(not r.passed and r.residuals.get("numeric", 0.0) > 0 for r in results)
     residuals = {(r.name, str(r.inputs)): r.residuals.get("numeric") for r in results}
     monkeypatch.setattr(RepresentationProvider, "norm", letter_by_letter_norm)
     oracle = {(r.name, str(r.inputs)): r.residuals.get("numeric")

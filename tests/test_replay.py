@@ -10,13 +10,14 @@ from pathlib import Path as FsPath
 import pytest
 
 from oracles import (
-    K4, LOOPS4, UCYCLE8, q_point_provider, stripped_rows, suite_context, unreplayed_suite,
+    K4, LOOPS4, UCYCLE8, fourier_unitary, q_point_provider, stripped_rows, suite_context,
+    unreplayed_suite,
 )
 from qisograph import corep
 from qisograph.corep import VerificationContext, _orbit_maps, path_maps, run_identity_suite
 from qisograph.graphs import Path
 from qisograph.ncpoly import Generator
-from qisograph.providers import fourier_unitary, permutation_diag_rep
+from qisograph.providers import permutation_diag_rep
 
 GRAPHS = FsPath(__file__).resolve().parent.parent / "graphs"
 

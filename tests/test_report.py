@@ -6,7 +6,7 @@ import json
 import pytest
 
 from qisograph.report import SuiteReport
-from test_golden import REPORTS, run_case
+from test_golden import REPORTS, golden_run
 
 
 def _dumps(value) -> str:
@@ -14,11 +14,11 @@ def _dumps(value) -> str:
 
 
 @pytest.mark.parametrize("case", sorted(REPORTS))
-def test_report_file_is_the_json_dumps_text(case, tmp_path):
+def test_report_file_is_the_json_dumps_text(case):
     """Every golden case's report file is json.dumps of its own data;
-    floats round-trip through ``json.loads`` exactly."""
-    run_case(REPORTS[case]["argv"], tmp_path)
-    text = (tmp_path / "report.json").read_text()
+    floats round-trip through ``json.loads`` exactly.  The case's CLI
+    run is the one ``test_golden`` checks."""
+    _, text, _ = golden_run(case)
     assert text == _dumps(json.loads(text))
 
 
