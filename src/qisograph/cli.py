@@ -82,6 +82,9 @@ class RunConfig:
             raise UsageError("truncation level must be at least 2")
         if self.k_max < 1:
             raise UsageError("max corepresentation level --k must be at least 1")
+        if self.k_max > self.n_cap:
+            raise UsageError("max corepresentation level --k must not exceed "
+                             "the truncation level --level")
         if self.measure_depth < 0:
             raise UsageError("--measure-depth must be at least 0")
         if self.q_max < 0:

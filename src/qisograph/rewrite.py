@@ -59,20 +59,20 @@ coefficient, a group fits a schema at c*f exactly when it fits at f and
 collapses to c times the value, and children scale with their parent;
 so the primitive form wins with the start form's tags.
 
-The alphabet's ``proofs`` (a :class:`ProofStore`) keeps
-one representative per proved orbit, and its negation, under an
-invariant: the multiset of (coefficient, word shape), where a word's
-shape renumbers its row and its column indices each by first
-appearance.  Every (sigma, tau) keeps the invariant.  A later start
-form with a stored invariant is matched against those representatives:
-row and column maps are grown word by word, backtracking over words of
-the same coefficient and shape, and a match counts only when each map
-extends to a symmetry.  Then the form is (sigma, tau)^-1 of a nonzero
-multiple of a proved form, so it replays the stored winning tags
-instead of searching.  The matcher tries every bijection, so it answers
-exactly the (sigma, tau) images of stored forms and their multiples.
-Only proofs are stored: a failed search proves nothing, so an unproved
-form is always searched again.
+The alphabet's ``proofs`` (a :class:`ProofStore`) answers every
+(sigma, tau) image of a proved form, and of its nonzero multiples, by
+exact lookups; a nonzero multiple of a primitive form P has primitive
+form P or -P.  The one-sided maps (sigma, id) and (id, tau) commute,
+so F = (sigma, tau) P exactly when (id, tau^-1) F = (sigma^-1, id) P:
+a proof files P and -P under each of their row images (sigma, id),
+and a start form is looked up under its column images (id, tau), only
+those whose column profile some proof has.  Soundness needs only that
+every listed map carries the relation ideal onto itself; completeness
+needs the listed symmetries to form a group, as Aut(G) and S_n do.  A
+hit is (sigma, tau)^-1 of a nonzero multiple of a proved form, so it
+replays the stored winning tags instead of searching.  Only proofs are
+stored: a failed search proves nothing, so an unproved form is always
+searched again.
 """
 
 from __future__ import annotations
@@ -142,23 +142,17 @@ class Alphabet:
         self.col = [self.rank[g.col] for g in self.gens]
         self.universe = tuple(self.rank[i] for i in universe)
 
-        # pair (a, b) lives at a * n + b: _MISS, None (rewrites to zero) or the RHS word
-        self.pair_rules: list = [_MISS] * (n * n)
-        self.pair_tags: list = [None] * (n * n)
-        for (g1, g2), (rhs, tag) in rels.pair_rules.items():
-            at = self.ids[g1] * n + self.ids[g2]
-            self.pair_rules[at] = None if rhs is None else self.encode(rhs)
-            self.pair_tags[at] = "mono:" + tag
+        #: pair (a, b) at a * n + b -> (RHS word, or None for zero; tag)
+        self.pair_rules: dict[int, tuple[IntWord | None, str]] = {
+            self.ids[g1] * n + self.ids[g2]: (None if rhs is None else self.encode(rhs),
+                                              "mono:" + tag)
+            for (g1, g2), (rhs, tag) in rels.pair_rules.items()}
         self.vanishing = frozenset(self.ids[g] for g in rels.vanishing)
 
         indexed = set(universe)
         #: per id, the generator's kind if both its indices lie in the index set
         self.schema_kind = [g.kind if g.row in indexed and g.col in indexed else None
                             for g in self.gens]
-        m = len(self.names)
-        kind_rank = {k: i for i, k in enumerate(sorted(set(self.schema_kind) - {None}))}
-        #: per id, the base its letter codes in a word ``shape`` count from
-        self.shape_base = [None if k is None else kind_rank[k] * m * m for k in self.schema_kind]
         self.adjoint = [self.ids[adjoint_generator(g)] for g in self.gens]
         #: per id, Delta(g[i,j]) = sum_k g[i,k] (x) g[k,j] as (left, right) id
         #: pairs, k in universe order; None off the index set (w)
@@ -174,13 +168,15 @@ class Alphabet:
         self.proofs = ProofStore(self)
 
     @cached_property
-    def transport(self) -> tuple[tuple[int, ...], ...]:
-        """The symmetries as rank maps (ranks off the index set fixed);
-        empty unless each of them fixes every schema weight, and each
-        one-sided letter map q[a,b] -> q[sigma a, b] and
-        q[a,b] -> q[a, sigma b] (generators outside the index set fixed)
-        carries every pair rule onto a rule with the same tag and the
-        permuted right-hand side, and the vanishing set onto itself.
+    def transport(self) -> tuple[tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]], ...]:
+        """The symmetries, each as (rank map, row letter map, column
+        letter map): the rank map fixes ranks off the index set, and the
+        letter maps, indexed by id, are q[a,b] -> q[sigma a, b] and
+        q[a,b] -> q[a, sigma b] (generators outside the index set fixed).
+        Empty unless each symmetry fixes every schema weight and each
+        letter map carries every pair rule onto a rule with the same tag
+        and the permuted right-hand side, and the vanishing set onto
+        itself.
 
         The letter map of a pair (sigma, tau) is the composite of its
         two one-sided maps, and a composite of maps that permute the
@@ -200,40 +196,23 @@ class Alphabet:
                 if weights and any(weights[m[r]] != w for m in maps for r, w in weights.items()):
                     return ()
         n = self.size
-        ruled = [at for at, rhs in enumerate(self.pair_rules) if rhs is not _MISS]
         at_index = {(kind, self.row[g], self.col[g]): g
                     for g, kind in enumerate(self.schema_kind) if kind is not None}
+        out = []
         for m in maps:
+            letters = []
             for rows, cols in ((m, ident), (ident, m)):
-                perm = [g if kind is None else at_index[kind, rows[self.row[g]], cols[self.col[g]]]
-                        for g, kind in enumerate(self.schema_kind)]
-                for at in ruled:
-                    image = perm[at // n] * n + perm[at % n]
-                    rhs = self.pair_rules[at]
-                    if (self.pair_tags[image] != self.pair_tags[at]
-                            or self.pair_rules[image] != (
-                                None if rhs is None else tuple(map(perm.__getitem__, rhs)))):
+                perm = tuple(
+                    g if kind is None else at_index[kind, rows[self.row[g]], cols[self.col[g]]]
+                    for g, kind in enumerate(self.schema_kind))
+                for at, (rhs, tag) in self.pair_rules.items():
+                    image = None if rhs is None else tuple(map(perm.__getitem__, rhs))
+                    if self.pair_rules.get(perm[at // n] * n + perm[at % n]) != (image, tag):
                         return ()
                 if {perm[g] for g in self.vanishing} != self.vanishing:
                     return ()
-        return tuple(maps)
-
-    def shape(self, w: IntWord) -> tuple[int, ...]:
-        """*w* with its row ranks and its column ranks each renumbered by
-        first appearance, one int per letter: shape_base + row * m + col
-        (m the number of ranks) inside the index set, -1 - id outside
-        it.  Every letter map q[a,b] -> q[sigma a, tau b] keeps it."""
-        base, row, col, m = self.shape_base, self.row, self.col, len(self.names)
-        rows: dict[int, int] = {}
-        cols: dict[int, int] = {}
-        out = []
-        for g in w:
-            b = base[g]
-            if b is None:
-                out.append(-1 - g)
-            else:
-                out.append(b + rows.setdefault(row[g], len(rows)) * m
-                           + cols.setdefault(col[g], len(cols)))
+                letters.append(perm)
+            out.append((m, *letters))
         return tuple(out)
 
     def axis(self, axis: str) -> list[int]:
@@ -279,16 +258,16 @@ class Alphabet:
         rules, n = self.pair_rules, self.size
         i = 0
         while i + 1 < len(w):
-            at = w[i] * n + w[i + 1]
-            hit = rules[at]
-            if hit is _MISS:
+            hit = rules.get(w[i] * n + w[i + 1])
+            if hit is None:
                 i += 1
                 continue
+            rhs, tag = hit
             if trace is not None:
-                trace.add(self.pair_tags[at])
-            if hit is None:
+                trace.add(tag)
+            if rhs is None:
                 return None
-            w = w[:i] + hit + w[i + 2:]
+            w = w[:i] + rhs + w[i + 2:]
             i = max(i - 1, 0)
         return w
 
@@ -487,110 +466,78 @@ def _primitive(terms: IntTerms) -> frozenset:
 
 
 class ProofStore(dict):
-    """Proved primitive forms, one representative per (sigma, tau) orbit.
+    """Proved primitive forms under their row images, filed by column
+    profile: profile -> {form: winning tags}.
 
-    Maps an invariant to ``(classes, winning tags)`` pairs, one per
-    stored form: the classes are the form's words grouped by
-    (coefficient, shape), and the invariant is the multiset of classes,
-    each with its word count.  A proof adds its primitive form and its
-    negation.  Orbits are disjoint and a form is only searched when no
-    stored orbit holds it, so each orbit keeps the tags of the one
-    search that proved it."""
+    A form's column profile counts, for each column rank, its letters
+    over the index set with that column.  Row maps keep it, so a proof's
+    row images and their negations share one profile; ``turns`` lists,
+    for a profile p, each column letter map (id, tau) that carries p to
+    a filed profile, with that profile's forms, so ``find`` looks up
+    only those column images.  Orbits are disjoint and a form is only
+    searched when no stored orbit holds it, so each orbit keeps the
+    tags of the one search that proved it."""
 
     def __init__(self, alpha: Alphabet):
         super().__init__()
         self.alpha = alpha
+        #: per id, the column rank of a letter over the index set, else None
+        self.column = [None if kind is None else c
+                       for kind, c in zip(alpha.schema_kind, alpha.col)]
+        self.turns: dict[tuple[int, ...], list[tuple[tuple[int, ...], dict]]] = {}
 
-    def _classify(self, key: frozenset) -> dict[tuple, tuple[IntWord, ...]]:
-        """The words of *key* grouped by (coefficient, shape)."""
-        classes: dict[tuple, list[IntWord]] = {}
-        for w, c in key:
-            classes.setdefault((c, self.alpha.shape(w)), []).append(w)
-        return {cls: tuple(ws) for cls, ws in classes.items()}
+    def _profile(self, key: frozenset) -> tuple[int, ...]:
+        counts = [0] * len(self.alpha.names)
+        for w, _ in key:
+            for g in w:
+                c = self.column[g]
+                if c is not None:
+                    counts[c] += 1
+        return tuple(counts)
 
     @staticmethod
-    def _invariant(classes: dict) -> frozenset:
-        return frozenset((cls, len(ws)) for cls, ws in classes.items())
+    def _image(key: frozenset, letters: tuple[int, ...]) -> frozenset:
+        return frozenset((tuple(map(letters.__getitem__, w)), c) for w, c in key)
 
     def find(self, key: frozenset) -> tuple[str, ...] | None:
         """The winning tags of the stored orbit holding *key*, or None."""
-        classes = self._classify(key)
-        for rep, winning in self.get(self._invariant(classes), ()):
-            if self._matches(classes, rep):
+        for cols, filed in self.turns.get(self._profile(key), ()):
+            winning = filed.get(self._image(key, cols))
+            if winning is not None:
                 return winning
         return None
 
     def add(self, key: frozenset, winning: tuple[str, ...]):
-        classes = self._classify(key)
-        for form in (classes, {(-c, shape): ws for (c, shape), ws in classes.items()}):
-            self.setdefault(self._invariant(form), []).append((form, winning))
-
-    def _matches(self, classes: dict, rep: dict) -> bool:
-        """Whether row and column maps, each extending to a symmetry,
-        send the words of *classes* onto those of *rep* class by class.
-
-        A depth-first search with one stack frame per matched word:
-        the maps so far, the symmetries extending them, and the
-        candidates of the same class not yet tried.  Words of small
-        classes and long words go first, as they pin the maps soonest;
-        every bijection between classes is tried, so no match is
-        missed."""
-        pending = sorted(((w, cls) for cls, ws in classes.items() for w in ws),
-                         key=lambda item: (len(rep[item[1]]), -len(item[0])))
-        maps = self.alpha.transport
-        stack = [(frozenset(), {}, {}, maps, maps, iter(rep[pending[0][1]]))]
-        while stack:
-            used, rows, cols, sigmas, taus, candidates = stack[-1]
-            w = pending[len(stack) - 1][0]
-            for v in candidates:
-                grown = None if v in used else self._align(w, v, rows, cols, sigmas, taus)
-                if grown is not None:
-                    break
-            else:
-                stack.pop()
-                continue
-            if len(stack) == len(pending):
-                return True
-            stack.append((used | {v}, *grown, iter(rep[pending[len(stack)][1]])))
-        return False
-
-    def _align(self, w: IntWord, v: IntWord, rows, cols, sigmas, taus):
-        """*rows*, *cols* and the symmetries still extending them, grown
-        so that *w* maps letter by letter onto *v* (a word of the same
-        shape); None when no symmetry pair does that."""
-        kinds, row, col = self.alpha.schema_kind, self.alpha.row, self.alpha.col
-        for g, h in zip(w, v):
-            if kinds[g] is None:
-                continue                      # equal shapes: g == h
-            a, b = row[g], row[h]
-            if a not in rows:
-                rows = {**rows, a: b}
-                sigmas = [s for s in sigmas if s[a] == b]
-            if rows[a] != b or not sigmas:
-                return None
-            a, b = col[g], col[h]
-            if a not in cols:
-                cols = {**cols, a: b}
-                taus = [t for t in taus if t[a] == b]
-            if cols[a] != b or not taus:
-                return None
-        return rows, cols, sigmas, taus
+        """File *key* and its negation under each of their row images."""
+        negation = frozenset((w, -c) for w, c in key)
+        images = {self._image(form, rows): winning
+                  for _, rows, _ in self.alpha.transport for form in (key, negation)}
+        if not images:
+            return
+        profile = self._profile(key)
+        filed = self.get(profile)
+        if filed is None:
+            filed = self[profile] = {}
+            for ranks, _, cols in self.alpha.transport:
+                # (id, tau) sends column c to ranks[c], so it carries
+                # profile[ranks[c]] for each c onto this profile
+                turned = tuple(map(profile.__getitem__, ranks))
+                self.turns.setdefault(turned, []).append((cols, filed))
+        filed.update(images)
 
 
 def _prove_zero(start: IntTerms, alpha: Alphabet):
     """The winning collapse tags for *start*, or None.
 
     Every search runs on the primitive integer form of *start*, which
-    is also the proof store's key.  Without transport this is one
-    search.  With it, a start form that ``alpha.proofs`` matches is a
-    (sigma, tau) image of a nonzero multiple of a proved form, and those
-    permutations map the relation ideal onto itself, so it takes that
-    proof's tags.  Otherwise it is searched, and a proof is stored; a
-    failed search stores nothing.
+    is also the proof store's key.  A start form that ``alpha.proofs``
+    answers is a (sigma, tau) image of a nonzero multiple of a proved
+    form, and those permutations map the relation ideal onto itself, so
+    it takes that proof's tags.  Otherwise it is searched, and a proof
+    is stored; a failed search, or a relation set without transport,
+    stores nothing.
     """
     key = _primitive(start)
-    if not alpha.transport:
-        return _search_zero(dict(key), alpha, SEARCH_LIMIT)
     winning = alpha.proofs.find(key)
     if winning is None:
         winning = _search_zero(dict(key), alpha, SEARCH_LIMIT)

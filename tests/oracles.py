@@ -297,26 +297,21 @@ def all_pairs_transport(alpha) -> tuple[tuple[int, ...], ...]:
     pair rule onto a rule with the same tag and the permuted right-hand
     side and the vanishing set onto itself, and each symmetry fixes
     every schema weight."""
-    from qisograph.rewrite import _MISS
     maps = [{alpha.rank[a]: alpha.rank[b] for a, b in s.items()} for s in alpha.symmetries]
     for table in alpha.sum_axes:
         for _, weights in table.schemas:
             if weights and any(weights[m[r]] != w for m in maps for r, w in weights.items()):
                 return ()
     n = alpha.size
-    ruled = [at for at, rhs in enumerate(alpha.pair_rules) if rhs is not _MISS]
     perms = []
     for sigma in alpha.symmetries:
         for tau in alpha.symmetries:
             perm = tuple(gid if alpha.schema_kind[gid] is None
                          else alpha.ids[Generator(kind, sigma[row], tau[col])]
                          for gid, (kind, row, col) in enumerate(alpha.gens))
-            for at in ruled:
-                image = perm[at // n] * n + perm[at % n]
-                rhs = alpha.pair_rules[at]
-                if (alpha.pair_tags[image] != alpha.pair_tags[at]
-                        or alpha.pair_rules[image] != (
-                            None if rhs is None else tuple(map(perm.__getitem__, rhs)))):
+            for at, (rhs, tag) in alpha.pair_rules.items():
+                image = alpha.pair_rules.get(perm[at // n] * n + perm[at % n])
+                if image != (None if rhs is None else tuple(map(perm.__getitem__, rhs)), tag):
                     return ()
             if {perm[g] for g in alpha.vanishing} != alpha.vanishing:
                 return ()

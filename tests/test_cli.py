@@ -87,6 +87,18 @@ def test_vacuous_ranges_exit_2(capsys):
         assert "must be at least" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, graph", [("verify", "k3.g"), ("cuntz", "cuntz2.g")])
+def test_k_above_the_truncation_level_exits_2(command, graph, capsys):
+    """The suite builds level tables up to --k, and no size guard counts
+    them, so --k above --level is refused before any check runs."""
+    started = time.monotonic()
+    assert main([command, "--graph", _graph(graph), "--level", "3", "--k", "4"]) == 2
+    assert time.monotonic() - started < 1.0
+    err = capsys.readouterr().err
+    assert "--k must not exceed the truncation level --level" in err
+    assert err.count("\n") == 1
+
+
 def test_convention_residuals_computed_once_per_run(monkeypatch):
     from qisograph import cli, perron
     calls = []

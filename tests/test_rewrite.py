@@ -1,5 +1,6 @@
 
 import re
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 
@@ -383,44 +384,113 @@ def test_store_answers_every_image_of_a_proved_orbit(monkeypatch):
         scaled = {w: c * scales[i % 4] for w, c in p.items()}
         assert is_zero(scaled, rels).kind == PROVED_ZERO
     assert len(searches) == 1
-    # one representative and its negation, not one key per image
-    assert sum(map(len, rels.alphabet.proofs.values())) == 2
+    # the store grows with the proof's row images, not with its 2 * 576
+    # signed images: at most 2|G| forms
+    assert sum(map(len, rels.alphabet.proofs.values())) <= 2 * len(rels.symmetries) == 48
 
 
-def test_store_matcher_backtracks_and_keeps_maps_consistent():
+def _shape_counts(alpha, form) -> Counter:
+    """The multiset of (coefficient, word shape) of *form*, a word's
+    shape being its generators with the row and the column indices each
+    renumbered by first appearance.  Every (sigma, tau) keeps it, so a
+    form with the same shape counts as a stored one is a hard case for
+    the store."""
+    def shape(w):
+        rows, cols = {}, {}
+        return tuple((alpha.gens[g].kind, rows.setdefault(alpha.gens[g].row, len(rows)),
+                      cols.setdefault(alpha.gens[g].col, len(cols))) for g in w)
+    return Counter((c, shape(w)) for w, c in form)
+
+
+def test_store_answers_images_and_refuses_inconsistent_relabellings():
     from qisograph.rewrite import ProofStore
     rels = magic_relations(("1", "2", "3", "4"))
     alpha = rels.alphabet
     ident = rels.symmetries[0]
     path = (("1", "2"), ("2", "3"), ("3", "4"))
 
-    def form(rows, cols, sigma=ident, tau=ident):
+    def form(rows, cols, sigma=ident, tau=ident, sign=1):
         """The sum over i of q[sigma r, tau c] q[sigma r', tau c'], where
         (r, r') = rows[i] and (c, c') = cols[i]."""
         return frozenset(
-            (alpha.encode((q(sigma[r], tau[c]), q(sigma[r2], tau[c2]))), 1)
+            (alpha.encode((q(sigma[r], tau[c]), q(sigma[r2], tau[c2]))), sign)
             for (r, r2), (c, c2) in zip(rows, cols))
 
     store = ProofStore(alpha)
     store.add(form(path, path), ("proved",))
-    # all three words share one class, so a first choice can dead-end
-    assert len(store) == 2
     for sigma in rels.symmetries:
         for tau in rels.symmetries:
-            assert store.find(form(path, path, sigma, tau)) == ("proved",)
-    # two words on the same two row indices against two on four: same
-    # invariant, but a row map would have to send 1 to both 1 and 3; the
-    # same on the columns
+            for sign in (1, -1):
+                assert store.find(form(path, path, sigma, tau, sign)) == ("proved",)
+    # two words on the same two row indices against two on four: the
+    # same shape counts, but a row map would have to send 1 to both 1
+    # and 3; the same on the columns.  The first stranger also has the
+    # stored form's letter count on every column, so only the exact
+    # lookup refuses it
     same, apart = (("1", "2"), ("1", "2")), (("1", "2"), ("3", "4"))
     store = ProofStore(alpha)
     store.add(form(apart, apart), ("proved",))
     for stranger in (form(same, apart), form(apart, same)):
-        assert next(iter(store)) == store._invariant(store._classify(stranger))
+        assert _shape_counts(alpha, stranger) == _shape_counts(alpha, form(apart, apart))
         assert store.find(stranger) is None
 
 
+@pytest.mark.parametrize("name", ["qaut(k3)", "magic(3)"])
+def test_store_answers_exactly_the_images_of_stored_proofs(name, qaut_rels):
+    """On random small forms, ``find`` answers exactly the images, under
+    every pair (sigma, tau) the all-pairs oracle lists, of a stored
+    proof or of its negation, with that proof's tags."""
+    import random
+    from oracles import all_pairs_transport
+    from qisograph.rewrite import ProofStore, _primitive
+    rels = qaut_rels["k3"] if name == "qaut(k3)" else magic_relations(IDS)
+    alpha = rels.alphabet
+    perms = all_pairs_transport(alpha)
+    assert len(perms) == 36
+    letters = [g for g, kind in enumerate(alpha.schema_kind) if kind is not None]
+    rng = random.Random(20240817)
+
+    def image(form, perm):
+        return frozenset((tuple(map(perm.__getitem__, w)), c) for w, c in form)
+
+    def negation(form):
+        return frozenset((w, -c) for w, c in form)
+
+    def random_form():
+        terms = {tuple(rng.choice(letters) for _ in range(rng.randint(0, 2))):
+                 rng.choice((-2, -1, 1, 3)) for _ in range(rng.randint(1, 3))}
+        return _primitive(terms)
+
+    store = ProofStore(alpha)
+    oracle: dict = {}
+    stored = 0
+    for i in range(40):
+        key, winning = random_form(), (f"proof {i}",)
+        if store.find(key) is None:      # as _prove_zero stores: a form no orbit holds
+            store.add(key, winning)
+            stored += 1
+            for perm in perms:
+                for form in (key, negation(key)):
+                    # the stored orbits are disjoint
+                    assert oracle.setdefault(image(form, perm), winning) == winning
+    assert stored > 20 and len(oracle) > 500
+    queries = list(oracle)
+    for form in rng.sample(queries, 300):
+        # the same words with one letter replaced: mostly outside every orbit
+        w, c = rng.choice(sorted(form))
+        if w:
+            at = rng.randrange(len(w))
+            moved = (w[:at] + (rng.choice(letters),) + w[at + 1:], c)
+            queries.append(frozenset(form - {(w, c)} | {moved}))
+    queries += [random_form() for _ in range(300)]
+    misses = 0
+    for form in queries:
+        assert store.find(form) == oracle.get(form), name
+        misses += form not in oracle
+    assert misses > 300
+
+
 def test_store_searches_a_relabelling_outside_the_symmetries(monkeypatch):
-    from collections import Counter
     from qisograph.perron import perron
     from qisograph.rewrite import _primitive, _prove_zero
     # the undirected 8-cycle: Aut(G) is the dihedral group of order 16
@@ -441,9 +511,6 @@ def test_store_searches_a_relabelling_outside_the_symmetries(monkeypatch):
             return alpha.ids[q(rows.get(gen.row, gen.row), cols.get(gen.col, gen.col))]
         return frozenset((tuple(map(letter, w)), c) for w, c in key)
 
-    def invariant(form):
-        return Counter((c, alpha.shape(w)) for w, c in form)
-
     # a rotation is a symmetry: its image is answered without a search
     rotation = {str(i): str(i % 8 + 1) for i in range(1, 9)}
     assert rotation in rels.symmetries
@@ -455,7 +522,7 @@ def test_store_searches_a_relabelling_outside_the_symmetries(monkeypatch):
     assert swap not in rels.symmetries
     for rows, cols in ((swap, {}), ({}, swap), (swap, swap)):
         stranger = relabelled(rows, cols)
-        assert stranger != key and invariant(stranger) == invariant(key)
+        assert stranger != key and _shape_counts(alpha, stranger) == _shape_counts(alpha, key)
         hits = len(recorder.hits)
         assert alpha.proofs.find(stranger) is None
         _prove_zero(dict(stranger), alpha)
@@ -515,8 +582,12 @@ def test_generator_validation_agrees_with_all_pairs(graphs, perron_data):
                 row, col = alpha.names[sigma[alpha.row[gid]]], alpha.names[tau[alpha.col[gid]]]
                 return alpha.ids[Generator(gen.kind, row, col)]
 
-            # the rank maps compose to exactly the oracle's id permutations
+            # the rank maps compose to exactly the oracle's id permutations,
+            # and so do the one-sided letter maps
             assert want == tuple(tuple(letter(g, sigma, tau) for g in range(alpha.size))
-                                 for sigma in alpha.transport
-                                 for tau in alpha.transport), rels.name
+                                 for sigma, _, _ in alpha.transport
+                                 for tau, _, _ in alpha.transport), rels.name
+            assert want == tuple(tuple(cols[rows[g]] for g in range(alpha.size))
+                                 for _, rows, _ in alpha.transport
+                                 for _, _, cols in alpha.transport), rels.name
     assert len(valid) == len(sets) - 5     # the mutants and the dropped rules

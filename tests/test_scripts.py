@@ -2,7 +2,7 @@ import importlib.util
 import sys
 from pathlib import Path
 
-from qisograph.cli import build_parser
+from qisograph.cli import _config_from_args, build_parser
 
 ROOT = Path(__file__).resolve().parent.parent
 SCRIPTS = ROOT / "scripts"
@@ -28,7 +28,8 @@ def test_convention_experiment_runs(capsys):
 
 def test_script_and_benchmark_argvs_parse():
     """Every command line that run_verification.py and the benchmark
-    workloads pass is accepted by the parser."""
+    workloads pass is accepted by the parser, and its run config by
+    ``RunConfig.validate``, so no bound refuses one of them."""
     parser = build_parser()
     argvs = [argv + [graph_file, "--out", "report.json"]
              for _, argv, graph_files in _load(SCRIPTS / "run_verification.py").PIPELINES
@@ -41,6 +42,7 @@ def test_script_and_benchmark_argvs_parse():
     for argv in argvs:
         args = parser.parse_args(argv)
         assert args.command == argv[0]
+        _config_from_args(args).validate()
 
 
 def test_traced_boundaries_exist():
