@@ -35,7 +35,8 @@ from .hilbert import (
     theta_tail_bound,
 )
 from .perron import (
-    PERRON_TOL, PerronError, convention_residuals, cylinder_measure, perron, select_convention,
+    PERRON_TOL, PerronData, PerronError, convention_residuals, cylinder_measure, perron,
+    select_convention,
 )
 from .providers import classical_rep
 from .relations import free_unitary_relations, magic_relations, qaut_relations
@@ -48,14 +49,18 @@ EXIT_FAIL = 1
 EXIT_USAGE = 2
 
 #: the most entries a run's dense matrices may hold.  The Dirac check
-#: holds n_cap + 2 exact eigenprojections of paths(n_cap)^2 entries each
+#: holds n_cap + 2 exact level projections of paths(n_cap)^2 entries each
 #: and reads paths(n_cap)^2 summand bitmasks, one bit per summand, each
 #: bit counted as an entry, so K5 verify counts (120 + 5) x 320^2;
-#: spectral's Cuntz-Krieger check holds a paths(n_cap) x paths(n_cap - 1) map
+#: spectral's Cuntz-Krieger check holds a paths(n_cap) x paths(n_cap - 1)
+#: map.  It also bounds the letters of the level tables and of the
+#: well-definedness searches behind verify's Dirac check
 DIRAC_STACK_MAX = 2 ** 24
 
-#: the most path vertices (d + 1 per degree-d cylinder) in the measure table: k3 depth 16 is 264 MB
-MEASURE_TABLE_MAX = 2 ** 22
+#: the most entries in a report table: path vertices (d + 1 per degree-d
+#: cylinder) in the measure table, where k3 depth 16 is 264 MB, and fields
+#: of the spectrum and heat-trace rows
+REPORT_TABLE_MAX = 2 ** 22
 
 
 class UsageError(ValueError):
@@ -118,7 +123,7 @@ def _check_size(check: str, shape: str, size: int, limit: int, unit: str, note: 
 
 def _check_dirac_stack(summands: int, paths: int, n_cap: int, at_least: bool = False,
                        note: str = ""):
-    """The Dirac check's n_cap + 2 eigenprojections and the summand
+    """The Dirac check's n_cap + 2 level projections and the summand
     bitmasks of the level-n_cap entries, paths^2 masks of one bit per
     summand, from which it reads each summand's permutation.  With
     *at_least*, *summands* is a lower bound on the provider's dimension."""
@@ -134,10 +139,42 @@ def _check_measure_table(g: DirectedGraph, depth: int):
     while True:
         reach = min(2 * reach + 1, depth)
         size = sum((d + 1) * count for d, count in enumerate(path_counts(g, reach)))
-        if size > MEASURE_TABLE_MAX or reach == depth:
+        if size > REPORT_TABLE_MAX or reach == depth:
             break
     _check_size("cylinder-measure table", f"the paths of degree <= {reach}", size,
-                MEASURE_TABLE_MAX, "path vertices")
+                REPORT_TABLE_MAX, "path vertices")
+
+
+def _check_spectrum(pf: PerronData, config: RunConfig):
+    """The spectrum and the heat-trace table, one row per q <= q_max and
+    one per (t, q), three fields each; and the report's multiplicities
+    n_q <= #degree-q paths <= rho^q / min x (``theta_tail_bound``),
+    written in decimal, which Python limits to
+    ``sys.get_int_max_str_digits()`` digits (0: no limit)."""
+    rows = (config.q_max + 1) * (1 + len(config.t_values))
+    _check_size("spectrum and heat-trace tables", f"{rows:,} rows of 3 fields", 3 * rows,
+                REPORT_TABLE_MAX, "entries")
+    digits = 1 + math.floor(config.q_max * math.log10(max(pf.rho, 1))
+                            - math.log10(min(pf.x.values())))
+    limit = sys.get_int_max_str_digits()
+    if limit:
+        _check_size("spectrum", f"a multiplicity of up to rho^{config.q_max} / min x",
+                    digits, limit, "digits", "; Python writes no longer int in decimal")
+
+
+def _check_level_searches(counts: list[int], note: str = ""):
+    """The level tables up to n_cap = len(counts) - 1, paths(k)^2
+    vertex-pair entry words of 2k letters (one at k = 0), and the
+    one-step well-definedness checks (k - 1, k) behind the Dirac check:
+    paths(k) x (paths(k - 1) + paths(k)) such words, each keyed by the
+    zero search at every letter by its prefix and suffix, at most (2k)^2
+    letters a word.  On a cycle, where paths(k) stays constant, this
+    alone grows with the level."""
+    size = counts[0] ** 2 + sum(2 * k * counts[k] ** 2
+                                + (2 * k) ** 2 * counts[k] * (counts[k - 1] + counts[k])
+                                for k in range(1, len(counts)))
+    _check_size("Dirac check", "the level tables and well-definedness searches up to level "
+                f"{len(counts) - 1}", size, DIRAC_STACK_MAX, "letters", note)
 
 
 def _check_writable(path: str):
@@ -193,6 +230,7 @@ def cmd_spectral(config: RunConfig) -> SuiteReport:
         _check_size("Cuntz-Krieger check", f"{top} x {below} paths", top * below,
                     DIRAC_STACK_MAX, "entries")
     _check_measure_table(g, config.measure_depth)
+    _check_spectrum(pf, config)
     checks = []
     checks.append(CheckResult(
         "perron", {}, True, "pass",
@@ -270,7 +308,8 @@ def cmd_spectral(config: RunConfig) -> SuiteReport:
 
 def cmd_verify(config: RunConfig) -> SuiteReport:
     g, digest = _load_graph(config)
-    paths = path_counts(g, config.n_cap)[-1]
+    counts = path_counts(g, config.n_cap)
+    paths = counts[-1]
     # a forced convention runs only the well-definedness control, but is
     # refused wherever the default run, with its Dirac check, would be
     note = ("" if config.convention in ("auto", SOURCE_APPEND) else
@@ -287,6 +326,7 @@ def cmd_verify(config: RunConfig) -> SuiteReport:
             allowance = DIRAC_STACK_MAX // paths ** 2 - (config.n_cap + 2)
             _check_dirac_stack(len(graph_automorphisms(g, allowance)), paths, config.n_cap,
                                at_least=True, note=note)
+        _check_level_searches(counts, note)
         if config.convention == "auto":
             convention, conv_residuals = select_convention(pf, g)
         else:

@@ -65,11 +65,11 @@ The Dirac check needs well-definedness for every pair l < k <= n_cap.
 Source-append refinement composes, so it runs only the one-step pairs
 (l, l+1) that the suite has not run.  Its numeric part reads each
 summand of a 0/1 provider off the bitmasks of the level-n_cap entry
-words: a permutation of the basis that keeps the float Gram diagonal
-and projections gives residuals of exactly 0.0, and when the summands
-form a group only its generators are compared.  A provider it cannot
-certify that way fails the check as Unknown with null residuals; the
-dense evaluation that measures such a provider is a test oracle
+words: a permutation of the basis that keeps the exact Gram diagonal
+and level projections gives residuals of exactly 0, and when the
+summands form a group only its generators are compared.  A provider it
+cannot certify that way fails the check as Unknown with null residuals;
+the dense evaluation that measures such a provider is a test oracle
 (``tests/oracles.py``).
 
 Rows are replayed along graph symmetries.  The relation set's
@@ -127,7 +127,7 @@ from operator import itemgetter
 from .graphs import (
     DirectedGraph, Path, SOURCE_APPEND, basis_index, extends, refine, shift_map, vertex_path,
 )
-from .hilbert import dirac, embedding_gram_residual
+from .hilbert import TruncatedTriple, dirac, embedding_gram_residual
 from .ncpoly import Coeff, Generator, IntTerms, IntWord, Word, comultiply
 from .perron import PerronData, cylinder_intersection_measure
 from .providers import RepresentationProvider
@@ -538,24 +538,27 @@ def _generators(perms: list[list[int]]) -> list[tuple[int, ...]] | None:
 
 
 def _certified(ctx: VerificationContext, provider: RepresentationProvider,
-               gram: tuple[float, ...], hats: list[list[tuple[float, ...]]]) -> bool:
+               triple: TruncatedTriple) -> bool:
     """Every summand of *provider* evaluates the level-n_cap matrix to a
-    permutation pi that keeps the float Gram diagonal and every float
-    projection: gram[pi j] == gram[j] and H[pi a][pi l] == H[a][l].
+    permutation pi that keeps the Gram diagonal and every level
+    projection exactly: gram[pi j] == gram[j] and
+    Xi[pi a][pi l] == Xi[a][l].
 
     The permutations that keep them form a group, so when the summands
     form a group (``_generators``), its generators are checked alone;
     otherwise every summand is.  On a one-element basis, which no
-    command builds, ``itemgetter`` returns a bare float, never equal to
+    command builds, ``itemgetter`` returns a bare entry, never equal to
     a tuple, so nothing is certified there."""
     perms = _summand_permutations(ctx, provider, ctx.n_cap)
     if perms is None:
         return False
+    gram = triple.gram
     for perm in _generators(perms) or perms:
         permute = itemgetter(*perm)
         if permute(gram) != gram:
             return False
-        if any(permute(hat[p]) != row for hat in hats for p, row in zip(perm, hat)):
+        if any(permute(xi[p]) != tuple(row)
+               for xi in triple.projections for p, row in zip(perm, xi)):
             return False
     return True
 
@@ -580,14 +583,14 @@ def check_dirac_commutation(ctx: VerificationContext,
 
     The numeric part is ``_certified``: a provider whose values are all
     0 or 1 and whose every summand evaluates the level-n_cap matrix to a
-    permutation pi of the basis, with the float Gram diagonal and every
-    float projection invariant under pi, has both residuals exactly 0.0,
-    since the float products with a permutation matrix are exact.  The
-    providers that ``verify`` and ``cuntz`` build are all such sums of
-    graph automorphisms, so the residuals are reported as 0.0.  Any
-    other provider fails the check as Unknown and is named in
-    ``detail["uncertified"]``; nothing measured its residuals, so both
-    read None (``null`` in the report).
+    permutation pi of the basis, with the Gram diagonal and every level
+    projection Xi_q exactly invariant under pi, is Gram-unitary and
+    commutes with every eigenprojection Xi_q - Xi_{q-1}, so both
+    residuals are exactly 0.  The providers that ``verify`` and
+    ``cuntz`` build are all such sums of graph automorphisms, so the
+    residuals are reported as 0.0.  Any other provider fails the check
+    as Unknown and is named in ``detail["uncertified"]``; nothing
+    measured its residuals, so both read None (``null`` in the report).
     """
     started = time.monotonic()
     n_cap = ctx.n_cap
@@ -603,10 +606,7 @@ def check_dirac_commutation(ctx: VerificationContext,
         trace.add(f"welldefined:{l}->{k}")
 
     triple = dirac(ctx.g, ctx.pf, n_cap)
-    gram = tuple(float(x) for x in triple.gram)
-    hats = [[tuple(float(x) for x in row) for row in m]
-            for m in (*triple.xi_hat, triple.constants_projection)]
-    uncertified = [p.name for p in ctx.providers if not _certified(ctx, p, gram, hats)]
+    uncertified = [p.name for p in ctx.providers if not _certified(ctx, p, triple)]
 
     passed = structural_ok and not uncertified
     detail = {"welldefined_passed": structural_ok}

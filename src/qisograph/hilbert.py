@@ -1,5 +1,5 @@
 """Finite-rank truncations of the path-space L^2, the representation of
-the graph algebra on them, embeddings, the eigenprojections of the
+the graph algebra on them, embeddings, the level projections of the
 truncated Dirac operator, and the heat-trace numerics.
 
 The degree-k cylinder indicators form a basis of the level-k space; the
@@ -31,7 +31,7 @@ from .graphs import (
     enumerate_paths, shift_map, vertex_path,
 )
 from .perron import PerronData, additivity_residual, cylinder_measure
-from .ratmat import Mat, rat_matmul, rat_max_abs, rat_sub, rat_zeros
+from .ratmat import Mat, rat_matmul, rat_max_abs, rat_zeros
 
 
 class TruncationOverflowError(ValueError):
@@ -227,35 +227,30 @@ def alpha_sequence(n_cap: int, eps: float) -> tuple[float, ...]:
 
 @dataclass
 class TruncatedTriple:
-    """What the Dirac commutation check reads of the truncated triple."""
+    """What the Dirac commutation check reads of the truncated triple:
+    the level-N Gram diagonal and the exact level projections."""
 
-    gram: tuple[Fraction, ...]             # the level-N Gram diagonal
-    xi_hat: list[Mat]                      # Xi-hat_{q,q-1}, q = 0..N, exact projections
-    constants_projection: Mat
+    gram: tuple[Fraction, ...]     # the level-N Gram diagonal
+    projections: list[Mat]         # Xi_{-1} (the constants), Xi_0, ..., Xi_N
 
 
 def dirac(g: DirectedGraph, pf: PerronData, n_cap: int) -> TruncatedTriple:
-    """Exact Gram-orthogonal eigenprojections of the truncated Dirac
-    operator: Xi-hat_q = Xi_q - Xi_{q-1}, with Xi_q the projection onto
-    level q (source-append embeddings) and Xi_{-1} onto the constants."""
+    """The exact Gram-orthogonal level projections of the truncated Dirac
+    operator: Xi_{-1} onto the constants and Xi_q onto level q
+    (source-append embeddings) for q = 0..N.  Its eigenprojections are
+    the differences Xi_q - Xi_{q-1}, so a basis permutation keeps each of
+    them exactly when it keeps each level projection."""
     gram = level_gram(g, pf, n_cap)
-    dim = len(gram)
-
-    ones = [[Fraction(1)] for _ in range(dim)]
-    constants = rat_matmul(ones, [list(gram)])   # u (Gu)^T, with u^T G u = 1
-
-    xi_hat = []
-    prev = constants
+    ones = [[Fraction(1)] for _ in gram]
+    projections = [rat_matmul(ones, [list(gram)])]   # u (Gu)^T, with u^T G u = 1
     for q in range(n_cap + 1):
         e = embed(g, q, n_cap).mat
         gq = level_gram(g, pf, q)
         # Xi_q = E G_q^{-1} E^T G_N with diagonal Gram blocks
         left = [[x and x / gq[j] for j, x in enumerate(row)] for row in e]
         right = [[x and x * gram[j] for j, x in enumerate(col)] for col in zip(*e)]
-        xi = rat_matmul(left, right)
-        xi_hat.append(rat_sub(xi, prev))
-        prev = xi
-    return TruncatedTriple(gram, xi_hat, constants)
+        projections.append(rat_matmul(left, right))
+    return TruncatedTriple(gram, projections)
 
 
 def theta_partial_sums(mults, t: float, eps: float, q_max: int) -> list[float]:

@@ -39,10 +39,6 @@ def rat_matmul(a: Mat, b: Mat) -> Mat:
     return out
 
 
-def rat_sub(a: Mat, b: Mat) -> Mat:
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
 def rat_max_abs(a: Mat) -> Fraction:
     return Fraction(max((abs(x) for row in a for x in row), default=0))
 

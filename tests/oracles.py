@@ -16,7 +16,7 @@ from qisograph.hilbert import LevelMap, level_gram
 from qisograph.ncpoly import Generator, IntWord, QKIND, UKIND, USTAR
 from qisograph.perron import cylinder_measure, perron
 from qisograph.providers import RepresentationProvider, classical_rep
-from qisograph.ratmat import rat_matmul, rat_max_abs, rat_nullspace, rat_sub, rat_zeros
+from qisograph.ratmat import rat_matmul, rat_max_abs, rat_nullspace, rat_zeros
 from qisograph.relations import qaut_relations
 
 
@@ -163,15 +163,16 @@ def gram_adjoint(g, pf, m: LevelMap) -> LevelMap:
     return LevelMap(m.target_level, m.source_level, m.half_power, out).normalized(pf)
 
 
-def level_projections(triple) -> list:
-    """Xi_q for q = 0..N, as running sums of the constants block and
-    Xi-hat_0..Xi-hat_q."""
-    out = []
-    total = triple.constants_projection
-    for hat in triple.xi_hat:
-        total = [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(total, hat)]
-        out.append(total)
-    return out
+def rat_sub(a, b):
+    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+
+
+def eigenprojections(triple) -> list:
+    """Xi-hat_q = Xi_q - Xi_{q-1} for q = 0..N, the truncated Dirac
+    operator's eigenprojections, as differences of consecutive level
+    projections (Xi_{-1} the constants)."""
+    xi = triple.projections
+    return [rat_sub(b, a) for a, b in zip(xi, xi[1:])]
 
 
 def projection_invariant_residual(triple) -> Fraction:
@@ -179,31 +180,32 @@ def projection_invariant_residual(triple) -> Fraction:
     Xi_N the identity; Xi-hat pairwise orthogonal.  All exact."""
     gram = triple.gram
     dim = len(gram)
-    xi = level_projections(triple)
+    xi = triple.projections
+    hats = eigenprojections(triple)
     worst = Fraction(0)
-    for p in xi + [triple.constants_projection]:
+    for p in xi:
         worst = max(worst, rat_max_abs(rat_sub(rat_matmul(p, p), p)))
         gp = [[gram[i] * p[i][j] for j in range(dim)] for i in range(dim)]
         ptg = [[p[j][i] * gram[j] for j in range(dim)] for i in range(dim)]
         worst = max(worst, rat_max_abs(rat_sub(gp, ptg)))
     for q in range(1, len(xi)):
         worst = max(worst, rat_max_abs(rat_sub(rat_matmul(xi[q - 1], xi[q]), xi[q - 1])))
-    for a in range(len(triple.xi_hat)):
-        for b in range(a + 1, len(triple.xi_hat)):
-            worst = max(worst, rat_max_abs(rat_matmul(triple.xi_hat[a], triple.xi_hat[b])))
+    for a in range(len(hats)):
+        for b in range(a + 1, len(hats)):
+            worst = max(worst, rat_max_abs(rat_matmul(hats[a], hats[b])))
     worst = max(worst, rat_max_abs(rat_sub(xi[-1], rat_identity(dim))))
     return worst
 
 
 def xi_hat_ranks(triple) -> list[int]:
-    return [rat_rank(m) for m in triple.xi_hat]
+    return [rat_rank(m) for m in eigenprojections(triple)]
 
 
 def dirac_matrix(triple, alpha) -> np.ndarray:
     """sum_q alpha_q Xi-hat_q as a float matrix."""
     n = len(triple.gram)
     d = np.zeros((n, n))
-    for q, m in enumerate(triple.xi_hat):
+    for q, m in enumerate(eigenprojections(triple)):
         d += alpha[q] * np.array([[float(x) for x in row] for row in m])
     return d
 
@@ -213,7 +215,8 @@ def dense_dirac_residuals(ctx, provider, triple=None) -> dict[str, float]:
     matrix under each one-dimensional summand of *provider*, entry
     [s, i, j] the value of the level table's rows[i][j] on summand s,
     and the largest 2-norm, by SVD, of U*GU - G and of UH - HU over the
-    summands and the projections H of *triple* (default
+    summands and, for H, the eigenprojections of *triple* and its
+    constants projection (default
     ``dirac(ctx.g, ctx.pf, ctx.n_cap)``).  The norm of a direct sum is
     its largest summand's."""
     from qisograph.hilbert import dirac
@@ -229,7 +232,7 @@ def dense_dirac_residuals(ctx, provider, triple=None) -> dict[str, float]:
 
     comm = max(norm(u @ hat - hat @ u)
                for hat in (np.array([[float(x) for x in row] for row in m])
-                           for m in (*triple.xi_hat, triple.constants_projection)))
+                           for m in (*eigenprojections(triple), triple.projections[0])))
     return {"commutator": comm,
             "gram_unitarity": norm(u.conj().transpose(0, 2, 1) @ gmat @ u - gmat)}
 

@@ -10,7 +10,7 @@ import pytest
 
 from qisograph.cli import (
     _FLAGS, COMMANDS, DIRAC_STACK_MAX, RunConfig, UsageError, _check_dirac_stack,
-    _check_measure_table, main,
+    _check_level_searches, _check_measure_table, _check_spectrum, main,
 )
 from qisograph.report import strip_wall_times
 
@@ -535,3 +535,44 @@ def test_measure_table_limit_admits_k3_to_depth_15_and_the_default(tmp_path):
         assert main(["spectral", "--graph", str(graph), "--out", str(out)]) == 0
         report = json.loads(out.read_text())
         assert report["checks"][1]["inputs"] == {"depth": 3}
+
+
+@pytest.mark.parametrize("argv, message", [
+    # k3's multiplicity 3 * 2^14999 has 4,516 digits, which json cannot write
+    (["spectral", "--graph", _graph("k3.g"), "--q-max", "15000"],
+     "the spectrum would hold a multiplicity of up to rho^15000 / min x = 4,516 digits, "
+     "above the limit of 4,300"),
+    (["spectral", "--graph", _graph("three_cycle.g"), "--q-max", "1000000"],
+     "the spectrum and heat-trace tables would hold 4,000,004 rows of 3 fields = "
+     "12,000,012 entries, above the limit of 4,194,304"),
+    (["verify", "--graph", _graph("three_cycle.g"), "--level", "2000"],
+     "the Dirac check would hold the level tables and well-definedness searches up to "
+     "level 2000 = 192,180,042,009 letters, above the limit of 16,777,216"),
+    (["verify", "--graph", _graph("three_cycle.g"), "--level", "89",
+      "--convention", "range-prepend"],
+     "level 89 = 17,277,579 letters, above the limit of 16,777,216; the range-prepend "
+     "control is admitted only where the default run is"),
+])
+def test_unbounded_spectrum_and_cycle_level_exit_2_up_front(argv, message, tmp_path, capsys):
+    out = tmp_path / "r.json"
+    started = time.monotonic()
+    assert main([*argv, "--out", str(out)]) == 2
+    assert time.monotonic() - started < 1.0
+    err = capsys.readouterr().err
+    assert message in err and len(err.splitlines()) == 1
+    assert not out.exists()
+
+
+def test_new_bounds_admit_up_to_their_limits():
+    from qisograph.graphs import parse_graph
+    from qisograph.hilbert import path_counts
+    from qisograph.perron import perron
+    k3, cycle = (parse_graph((GRAPHS / name).read_text()) for name in ("k3.g", "three_cycle.g"))
+    _check_level_searches(path_counts(cycle, 88))
+    with pytest.raises(UsageError, match="up to level 89 = "):
+        _check_level_searches(path_counts(cycle, 89))
+    for g, q_max, limit in ((k3, 14282, "digits"), (cycle, 349524, "entries")):
+        _check_spectrum(perron(g), RunConfig("g", q_max=q_max))
+        with pytest.raises(UsageError, match=limit):
+            _check_spectrum(perron(g), RunConfig("g", q_max=q_max + 1))
+

@@ -434,7 +434,7 @@ def test_function_summand_is_not_a_permutation(monkeypatch):
     triple = dirac(g, pf, ctx.n_cap)
     n = len(triple.gram)
     constant = [[Fraction(1, n)] * n for _ in range(n)]
-    flat = TruncatedTriple((Fraction(1),) * n, [constant] * len(triple.xi_hat), constant)
+    flat = TruncatedTriple((Fraction(1),) * n, [constant] * len(triple.projections))
     monkeypatch.setattr(corep, "dirac", lambda g, pf, n_cap: flat)
     res = check_dirac_commutation(ctx, _known_welldefined(ctx))
     assert _failed_uncertified(res, "collapse")
@@ -451,12 +451,12 @@ def test_invariance_miss_takes_the_dense_path(contexts, monkeypatch, part):
     from qisograph.hilbert import TruncatedTriple, dirac
     ctx = contexts["k3"]
     triple = dirac(ctx.g, ctx.pf, ctx.n_cap)
-    gram, xi_hat = list(triple.gram), [[list(row) for row in m] for m in triple.xi_hat]
+    gram, xi = list(triple.gram), [[list(row) for row in m] for m in triple.projections]
     if part == "gram":
         gram[0] *= 2
     else:
-        xi_hat[-1][0][1] += Fraction(1, 3)
-    skewed = TruncatedTriple(tuple(gram), xi_hat, triple.constants_projection)
+        xi[-1][0][1] += Fraction(1, 3)          # moves Xi_N and Xi-hat_N alike
+    skewed = TruncatedTriple(tuple(gram), xi)
     monkeypatch.setattr(corep, "dirac", lambda g, pf, n_cap: skewed)
     res = check_dirac_commutation(ctx, _known_welldefined(ctx))
     assert _failed_uncertified(res, ctx.providers[0].name)
@@ -464,14 +464,22 @@ def test_invariance_miss_takes_the_dense_path(contexts, monkeypatch, part):
     assert dense_dirac_residuals(ctx, ctx.providers[0], skewed)[key] > 1e-3
 
 
-def _float_triple(ctx):
-    """The Gram diagonal and the projections as ``check_dirac_commutation``
-    hands them to ``_certified``."""
-    from qisograph.hilbert import dirac
+def test_certificate_is_exact_below_float_resolution(contexts, monkeypatch):
+    """A projection entry moved by 10^-30, far below a float's
+    resolution, leaves the automorphisms no longer exact symmetries of
+    the triple: the provider is uncertified.  A float compare would
+    round the move away and certify it."""
+    from qisograph import corep
+    from qisograph.hilbert import TruncatedTriple, dirac
+    ctx = contexts["k3"]
     triple = dirac(ctx.g, ctx.pf, ctx.n_cap)
-    return (tuple(float(x) for x in triple.gram),
-            [[tuple(float(x) for x in row) for row in m]
-             for m in (*triple.xi_hat, triple.constants_projection)])
+    xi = [[list(row) for row in m] for m in triple.projections]
+    assert xi[1][0][0] != 0
+    xi[1][0][0] += Fraction(1, 10 ** 30)
+    assert float(xi[1][0][0]) == float(triple.projections[1][0][0])
+    monkeypatch.setattr(corep, "dirac", lambda g, pf, n_cap: TruncatedTriple(triple.gram, xi))
+    assert _failed_uncertified(check_dirac_commutation(ctx, _known_welldefined(ctx)),
+                               ctx.providers[0].name)
 
 
 def test_certificate_on_generators_matches_every_summand(contexts, graphs, monkeypatch):
@@ -482,6 +490,7 @@ def test_certificate_on_generators_matches_every_summand(contexts, graphs, monke
     from qisograph import corep
     from qisograph.cuntz import MAGIC, cuntz_setup, sn_plus_context
     from qisograph.graphs import parse_graph
+    from qisograph.hilbert import TruncatedTriple, dirac
     cases = _every_graph_context(contexts, graphs)
     loops5 = "graph cuntz5\nv w\n" + "".join(f"e l{i} w w\n" for i in range(1, 6))
     cases["loops5"] = sn_plus_context(cuntz_setup(parse_graph(loops5), MAGIC), 3)
@@ -491,12 +500,13 @@ def test_certificate_on_generators_matches_every_summand(contexts, graphs, monke
         perms = corep._summand_permutations(ctx, provider, ctx.n_cap)
         gens = grown(perms)
         assert gens is not None and len(gens) < max(len(perms), 2), name
-        gram, hats = _float_triple(ctx)
+        triple = dirac(ctx.g, ctx.pf, ctx.n_cap)
+        gram = triple.gram
+        doubled = TruncatedTriple((2 * gram[0],) + gram[1:], triple.projections)
         verdicts = []
         for generators in (grown, lambda perms: None):
             monkeypatch.setattr(corep, "_generators", generators)
-            verdicts.append([corep._certified(ctx, provider, g, hats)
-                             for g in (gram, (2 * gram[0],) + gram[1:])])
+            verdicts.append([corep._certified(ctx, provider, t) for t in (triple, doubled)])
         assert verdicts[0] == verdicts[1], name
         assert verdicts[0][0], name
 
@@ -508,16 +518,16 @@ def test_non_closed_summands_are_each_checked(contexts, monkeypatch):
     fails.  Checking only the generators grown before the group outgrew
     the summands, c alone, would pass it."""
     from qisograph import corep
+    from qisograph.hilbert import TruncatedTriple
     ident, c, c2, t = (0, 1, 2), (1, 2, 0), (2, 0, 1), (1, 0, 2)
     perms = [list(p) for p in (ident, c, c2, t)]
-    gram = (1.0, 1.0, 1.0)
-    hats = [[(0.0, 1.0, 2.0), (2.0, 0.0, 1.0), (1.0, 2.0, 0.0)]]
+    triple = TruncatedTriple((1, 1, 1), [[[0, 1, 2], [2, 0, 1], [1, 2, 0]]])
     ctx = contexts["k3"]
     monkeypatch.setattr(corep, "_summand_permutations", lambda ctx, provider, k: perms)
     assert corep._generators(perms) is None
-    assert not corep._certified(ctx, ctx.providers[0], gram, hats)
+    assert not corep._certified(ctx, ctx.providers[0], triple)
     monkeypatch.setattr(corep, "_generators", lambda perms: [c])
-    assert corep._certified(ctx, ctx.providers[0], gram, hats)
+    assert corep._certified(ctx, ctx.providers[0], triple)
 
 
 def test_dirac_commutation_fails_on_a_failing_one_step_pair(contexts, monkeypatch):

@@ -9,8 +9,8 @@ from hypothesis import given, settings, strategies as st
 
 from qisograph.graphs import edge_path
 from qisograph.hilbert import LevelMap, represent
-from qisograph.ratmat import rat_matmul, rat_max_abs, rat_sub
-from oracles import dense_matmul
+from qisograph.ratmat import rat_matmul, rat_max_abs
+from oracles import dense_matmul, rat_sub
 
 #: int and Fraction spellings of 0, 1, 2, -1, and 1/3
 ENTRIES = st.sampled_from([0, 1, 2, -1, Fraction(0), Fraction(1), Fraction(2), Fraction(-1),

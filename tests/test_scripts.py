@@ -2,7 +2,10 @@ import importlib.util
 import sys
 from pathlib import Path
 
-from qisograph.cli import _config_from_args, build_parser
+from qisograph.cli import _check_level_searches, _check_spectrum, _config_from_args, build_parser
+from qisograph.graphs import parse_graph
+from qisograph.hilbert import path_counts
+from qisograph.perron import perron
 
 ROOT = Path(__file__).resolve().parent.parent
 SCRIPTS = ROOT / "scripts"
@@ -26,23 +29,49 @@ def test_convention_experiment_runs(capsys):
     assert all("forced prepend -> Unknown" in line for line in forced)
 
 
-def test_script_and_benchmark_argvs_parse():
-    """Every command line that run_verification.py and the benchmark
-    workloads pass is accepted by the parser, and its run config by
-    ``RunConfig.validate``, so no bound refuses one of them."""
-    parser = build_parser()
-    argvs = [argv + [graph_file, "--out", "report.json"]
-             for _, argv, graph_files in _load(SCRIPTS / "run_verification.py").PIPELINES
-             for graph_file in graph_files]
+def _scripted_runs() -> list[tuple[list[str], str]]:
+    """(argv, graph text) of every run that run_verification.py, the
+    benchmark workloads and the golden cases make."""
+    from test_golden import GRAPHS, REPORTS, WRITTEN
+    runs = [(argv + [graph_file], (GRAPHS / graph_file).read_text())
+            for _, argv, graph_files in _load(SCRIPTS / "run_verification.py").PIPELINES
+            for graph_file in graph_files]
     workloads = _load(ROOT / "perfbench" / "workloads.py")
-    for workload in list(workloads.WORKLOADS.values()) + [workloads.SMOKE]:
-        argvs += [[inv.command, "--graph", f"{inv.graph}.g", *inv.extra, "--out", "report.json"]
-                  for inv in workload.invocations]
-    assert len(argvs) == 23
-    for argv in argvs:
+    runs += [([inv.command, *inv.extra, "--graph", inv.graph],
+              workloads.graph_text(ROOT, inv.graph, 0))
+             for workload in list(workloads.WORKLOADS.values()) + [workloads.SMOKE]
+             for inv in workload.invocations]
+    for case in REPORTS.values():
+        command, graph, *rest = case["argv"]
+        text = WRITTEN[graph] if graph in WRITTEN else (GRAPHS / graph).read_text()
+        runs.append(([command, *rest, "--graph", graph], text))
+    return runs
+
+
+def test_script_and_benchmark_argvs_parse():
+    """Every command line that run_verification.py, the benchmark
+    workloads and the golden cases pass is accepted by the parser, its
+    run config by ``RunConfig.validate`` and, on the graph it names, by
+    the up-front bound of its command that needs the graph: the spectrum
+    bound and verify's level-search bound.  So no bound refuses one of
+    them."""
+    parser = build_parser()
+    runs = _scripted_runs()
+    assert len(runs) == 15 + 8 + 24
+    guarded = 0
+    for argv, text in runs:
         args = parser.parse_args(argv)
         assert args.command == argv[0]
-        _config_from_args(args).validate()
+        config = _config_from_args(args)
+        config.validate()
+        if argv[0] == "spectral":
+            _check_spectrum(perron(parse_graph(text)), config)
+        elif argv[0] == "verify":
+            _check_level_searches(path_counts(parse_graph(text), config.n_cap))
+        else:
+            continue
+        guarded += 1
+    assert guarded == 8 + 6 + 13
 
 
 def test_traced_boundaries_exist():
