@@ -72,18 +72,20 @@ cannot certify that way fails the check as Unknown with null residuals;
 the dense evaluation that measures such a provider is a test oracle
 (``tests/oracles.py``).
 
-Rows are replayed along graph symmetries.  The relation set's
-symmetries (Aut(G) on the vertices for qaut, the edge-id permutations
-of the loop graph for magic) act on paths edge by edge
-(``path_maps``), and the level tables are equivariant: Q[sigma xi,
-sigma lam] is the image of Q[xi, lam] under the letter map
-q[a,b] -> q[sigma a, sigma b], since sigma commutes with the range and
-source maps, hence with the shift maps, and keeps x.  So the
-obligations of the implementation and KMS-invariance rows at
-(sigma lam, sigma eta) are the images of those at (lam, eta), term for
-term, and ``run_identity_suite`` computes such a row only when no row
-of its orbit has passed, emitting every later member as the passed
-result with its own inputs and wall time.  It replays only when:
+Obligations are replayed along graph symmetries, by one rule for every
+family.  The relation set's symmetries (Aut(G) on the vertices for
+qaut, the edge-id permutations of the loop graph for magic) act on
+paths edge by edge (``path_maps``, up to n_cap), and the level tables
+are equivariant: Q[sigma xi, sigma lam] is the image of Q[xi, lam]
+under the letter map q[a,b] -> q[sigma a, sigma b], since sigma commutes
+with the range and source maps, hence with the shift maps, and keeps x.
+So the obligations that a family tag and some paths fix are, at the
+image paths, their images term for term.  ``_Obligations.replay``
+builds such a group (an isometry obligation (lam, eta), a density
+obligation (lam, zeta), a KMS-invariance row (lam, mu), an
+``_intertwining`` call (kind, lam, eta)) only when no group of its
+key's orbit was proved on the context, and otherwise appends that
+group's trace events and largest provider norm.  It replays only when:
 
 1. ``Alphabet.transport`` is not empty: the letter maps carry the
    relation ideal onto itself, so a zero proof carries;
@@ -94,34 +96,35 @@ result with its own inputs and wall time.  It replays only when:
    value is the same.  ``classical_rep`` (Aut(G)) and
    ``loop_permutation_rep`` (every permutation) qualify; a point
    provider blocks replay;
-3. the row passed.  A failed search proves nothing, and the search is
-   not equivariant in failure (its candidate order reads letter order),
-   so every member of a failed row's orbit is computed.
+3. the group is proved.  A failed search proves nothing and is not
+   equivariant (its candidate order reads letter order), so a failed
+   group's orbit is built member by member.
 
-What carries, and why.  Per-term rule tags are sigma-invariant
-(``transport`` checks tags), so each image obligation has the image
-monomial fixed point and as many tags; its primitive form lies in the
-stored orbit of the representative's, so ``ProofStore.find`` replays
-the same winning tags.  Verdict, pass flag, reduction count and detail
-therefore carry, and no member would search or store a proof, so the
-proof store is that of a run computing every row.  Provider values are
-exact, so each summand's sum, Perron weights included, is the same in
-any term order.  One thing is checked, not proved: the trace digest
-hashes the tags in term order, which follows the xi and zeta basis
-loops of ``_intertwining`` and ``_weighted_products`` and so is permuted
-by sigma, and terms with different tag sequences do share obligations
-(162 of k3's 3,780 implementation obligations).  It is
-orbit-invariant on every bundled graph, K4, the undirected 8-cycle, K5
-minus a directed 5-cycle, 4 and 5 loops and relabelled copies
-(``tests/test_replay.py``), where stripped reports are identical with
-and without replay.  ``density`` stays computed: its digests differ
-inside orbits.
+What is proved.  Rule tags are sigma-invariant (``transport`` checks
+tags), so an image obligation has the image monomial fixed point and as
+many tags, and its primitive form lies in the stored orbit of the
+representative's, so ``ProofStore.find`` replays the same winning tags:
+verdicts and reduction counts carry, and the proof store is that of a
+run building every group.  Provider values are exact, so each summand's
+sum, Perron weights included, is the same in any term order.
+
+What is only checked.  The trace digest hashes the tags in term order,
+which follows basis loops that sigma permutes, and terms with different
+tag sequences share obligations (162 of k3's 3,780 implementation
+obligations).  Each group's event list is orbit-invariant on every
+bundled graph, K4, the undirected 8-cycle, K5 minus a directed 5-cycle,
+4 and 5 loops and relabelled copies, where stripped reports are
+identical with and without replay (``tests/test_replay.py``).  A single
+intertwining obligation's is not: on 4 loops, 48 differ from the
+orbit-mate they would be replayed from, so the implementation group is
+the whole call.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from functools import cached_property
 from operator import itemgetter
 
 from .graphs import (
@@ -193,9 +196,15 @@ class VerificationContext:
     n_cap: int
     _levels: dict[int, LevelCorep] = field(default_factory=dict, init=False,
                                            repr=False, compare=False)
+    _replayed: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         require_exact(self.pf)
+
+    @cached_property
+    def replay_maps(self) -> tuple[dict[Path, Path], ...]:
+        """The path maps obligations are replayed along (``_orbit_maps``)."""
+        return _orbit_maps(self)
 
     def level(self, k: int) -> LevelCorep:
         """The level-k corepresentation table, built on first use; a
@@ -226,33 +235,58 @@ def _add(ob: IntTerms, w: IntWord, c: Coeff):
 
 
 class _Obligations:
-    """One check's obligations: each dict, its zero coefficients
-    dropped, is reduced symbolically once and evaluated under the
-    context's providers unless nothing is left of it."""
+    """One check's obligations: each nonempty dict, zero coefficients
+    dropped, is reduced once (``unproved`` counts the failures) and
+    evaluated under the context's providers (``numeric``, the largest)."""
 
     def __init__(self, ctx: VerificationContext):
         self.ctx = ctx
         self.started = time.monotonic()
         self.trace = ReductionTrace()
-        self.verdicts = []
-        self.diffs = []
+        self.unproved = 0
+        self.numeric = 0
 
     def add(self, terms: IntTerms):
         terms = {w: c for w, c in terms.items() if c}
         if not terms:
             return
-        self.diffs.append(terms)
-        self.verdicts.append(is_zero(terms, self.ctx.rels, self.trace))
+        rels = self.ctx.rels
+        if is_zero(terms, rels, self.trace).kind != PROVED_ZERO:
+            self.unproved += 1
+        for provider in self.ctx.providers:
+            norm = provider.norm(terms, rels.alphabet.gens)
+            if norm > self.numeric:
+                self.numeric = norm
+
+    def replay(self, key: tuple, build):
+        """Run *build*, which adds one group of obligations, unless a
+        proved group is filed under *key* (a family tag and the paths
+        fixing the group) in the context's memo: then append its trace
+        events and provider norm.  A built group with no unproved
+        verdict is filed under each replay map's image of *key*."""
+        maps = self.ctx.replay_maps
+        if not maps:
+            build()
+            return
+        filed = self.ctx._replayed.get(key)
+        if filed is not None:
+            self.trace.events += filed[0]
+            self.numeric = max(self.numeric, filed[1])
+            return
+        unproved, at, before = self.unproved, len(self.trace.events), self.numeric
+        self.numeric = 0
+        build()
+        group = self.trace.events[at:], self.numeric
+        self.numeric = max(before, self.numeric)
+        if self.unproved == unproved:
+            for m in maps:
+                self.ctx._replayed[(key[0], *map(m.__getitem__, key[1:]))] = group
 
     def result(self, name: str, inputs: dict, extra_residuals: dict | None = None,
                structural_ok: bool = True, detail: dict | None = None) -> CheckResult:
-        all_proved = all(v.kind == PROVED_ZERO for v in self.verdicts)
-        gens = self.ctx.rels.alphabet.gens
-        numeric = max((provider.norm(terms, gens) for provider in self.ctx.providers
-                       for terms in self.diffs), default=0)
-        residuals = {"numeric": float(numeric)}
-        residuals.update(extra_residuals or {})
-        passed = all_proved and structural_ok and numeric == 0
+        all_proved = not self.unproved
+        residuals = {"numeric": float(self.numeric), **(extra_residuals or {})}
+        passed = all_proved and structural_ok and self.numeric == 0
         return CheckResult(name, inputs, passed, PROVED_ZERO if all_proved else UNKNOWN,
                            residuals, self.trace.count, self.trace.digest(),
                            (time.monotonic() - self.started) * 1000.0,
@@ -329,7 +363,7 @@ def check_isometry(ctx: VerificationContext, k: int) -> CheckResult:
     basis = ctx.level(k).basis
     for lam in basis:
         for eta in basis:
-            obs.add(isometry_obligation(ctx, lam, eta))
+            obs.replay(("isometry", lam, eta), lambda: obs.add(isometry_obligation(ctx, lam, eta)))
     return obs.result("isometry", {"k": k})
 
 
@@ -391,51 +425,48 @@ def check_density(ctx: VerificationContext, lam: Path) -> CheckResult:
     degree 1 or 2."""
     obs = _Obligations(ctx)
     table = ctx.level(lam.degree)
-    star = ctx.rels.alphabet.star
     at = table.index[lam]
-    mults = [star(w) for w in table.rows[at]]
-    for i, row in enumerate(table.rows):
+    mults = list(map(ctx.rels.alphabet.star, table.rows[at]))
+
+    def row_obligation(i: int):
         ob: IntTerms = {}
-        for w, mult in zip(row, mults):
+        for w, mult in zip(table.rows[i], mults):
             _add(ob, w + mult, 1)
         if i == at:
             _add(ob, (), -1)
         obs.add(ob)
+    for i, zeta in enumerate(table.basis):
+        obs.replay(("density", lam, zeta), lambda: row_obligation(i))
     return obs.result("density", {"lam": lam.label})
 
 
 # ---------------------------------------------------------------------------
 # implementation on the spectral data
 
-def _intertwining(obs: _Obligations, ctx: VerificationContext, lam: Path, eta: Path,
-                  kind: str, coeff, out_level: int):
+def _intertwining(obs: _Obligations, ctx: VerificationContext, kind: str, lam: Path,
+                  eta: Path):
     """(pi (x) .) alpha(T_lam) U(chi_eta) = U(pi(T_lam) chi_eta) on the
-    level-*out_level* basis, where T_xi is S_xi (*kind* "s") or S_xi*
-    ("s*"): it sends the basis path at position a to the one at b for
-    each (a, b) of shift_map(g, kind, xi, d(eta)) and kills every other,
-    and alpha(T_lam) = sum_xi T_xi (x) coeff(Q[xi, lam]), *coeff* a map
-    on words.  Obligations come in output basis order; an output that
-    no term lands on has none."""
-    m = eta.degree
-    table_lam, table_eta, table_out = (ctx.level(lam.degree), ctx.level(m),
-                                       ctx.level(out_level))
-    j, col = table_lam.index[lam], table_eta.index[eta]
-    eta_rows = table_eta.rows
-    diff: list[IntTerms | None] = [None] * len(table_out.rows)
+    level max(d(eta) - d(lam), 0) (*kind* "s*") or d(lam) + d(eta)
+    ("s"), where T_xi is S_xi* or S_xi: it sends the basis path at
+    position a to the one at b for each (a, b) of shift_map(g, kind, xi,
+    d(eta)) and kills every other, and alpha(T_lam) = sum_xi T_xi (x)
+    Q[xi, lam]*, or Q[xi, lam] for "s".  One obligation per output
+    position, in output basis order."""
+    n, m = lam.degree, eta.degree
+    star = ctx.rels.alphabet.star if kind == "s*" else None
+    table_lam, table_eta = ctx.level(n), ctx.level(m)
+    table_out = ctx.level(max(m - n, 0) if star else n + m)
+    j, col, eta_rows = table_lam.index[lam], table_eta.index[eta], table_eta.rows
+    diff: list[IntTerms] = [{} for _ in table_out.rows]
     for xi, row in zip(table_lam.basis, table_lam.rows):
-        c = coeff(row[j])
+        c = star(row[j]) if star else row[j]
         for zeta, out in shift_map(ctx.g, kind, xi, m):
-            ob = diff[out]
-            if ob is None:
-                ob = diff[out] = {}
-            _add(ob, c + eta_rows[zeta][col], 1)
+            _add(diff[out], c + eta_rows[zeta][col], 1)
     target = next((out for zeta, out in shift_map(ctx.g, kind, lam, m) if zeta == col), None)
     for ob, row in zip(diff, table_out.rows):
         if target is not None:
-            ob = {} if ob is None else ob
             _add(ob, row[target], -1)
-        if ob is not None:
-            obs.add(ob)
+        obs.add(ob)
 
 
 def check_implementation(ctx: VerificationContext, lam: Path, eta: Path) -> CheckResult:
@@ -444,22 +475,17 @@ def check_implementation(ctx: VerificationContext, lam: Path, eta: Path) -> Chec
     checked explicitly rather than trusted by symmetry."""
     obs = _Obligations(ctx)
     n, m = lam.degree, eta.degree
-    _intertwining(obs, ctx, lam, eta, "s*", ctx.rels.alphabet.star, max(m - n, 0))
     # the non-starred identity is asserted only when its image level
     # stays inside the truncation window
     non_starred = n + m <= ctx.n_cap
-    if non_starred:
-        _intertwining(obs, ctx, lam, eta, "s", lambda w: w, n + m)
-    return obs.result("implementation", _implementation_inputs(lam, eta),
-                      detail={"non_starred_checked": non_starred})
-
-
-def _implementation_inputs(lam: Path, eta: Path) -> dict:
-    if lam.degree >= eta.degree:
+    for kind in ("s*", "s") if non_starred else ("s*",):
+        obs.replay((kind, lam, eta), lambda: _intertwining(obs, ctx, kind, lam, eta))
+    if n >= m:
         case = "extends" if extends(lam, eta) else "incompatible-long"
     else:
         case = "prefix" if extends(eta, lam) else "incompatible-short"
-    return {"lam": lam.label, "eta": eta.label, "case": case}
+    return obs.result("implementation", {"lam": lam.label, "eta": eta.label, "case": case},
+                      detail={"non_starred_checked": non_starred})
 
 
 def check_kms_invariance(ctx: VerificationContext, lam: Path, mu: Path) -> CheckResult:
@@ -469,13 +495,10 @@ def check_kms_invariance(ctx: VerificationContext, lam: Path, mu: Path) -> Check
     obs = _Obligations(ctx)
     # different degrees: the state kills every term on both sides
     if lam.degree == mu.degree:
-        obs.add(_weighted_products(ctx, [(lam, mu)], star_first=False,
-                                   unit=ctx.pf.x[lam.source] if lam == mu else 0))
-    return obs.result("kms-invariance", _kms_inputs(lam, mu))
-
-
-def _kms_inputs(lam: Path, mu: Path) -> dict:
-    return {"lam": lam.label, "mu": mu.label}
+        unit = ctx.pf.x[lam.source] if lam == mu else 0
+        obs.replay(("kms-invariance", lam, mu), lambda: obs.add(
+            _weighted_products(ctx, [(lam, mu)], star_first=False, unit=unit)))
+    return obs.result("kms-invariance", {"lam": lam.label, "mu": mu.label})
 
 
 # ---------------------------------------------------------------------------
@@ -656,13 +679,13 @@ def path_maps(ctx: VerificationContext, degree: int) -> tuple[dict[Path, Path], 
 
 
 def _orbit_maps(ctx: VerificationContext) -> tuple[dict[Path, Path], ...]:
-    """The path maps ``run_identity_suite`` replays rows along, or none
-    when Aut is trivial or a replay condition fails: the letter maps
+    """The path maps up to n_cap that obligations are replayed along, or
+    none when Aut is trivial or a replay condition fails: the letter maps
     must carry the relation ideal onto itself (``Alphabet.transport`` is
     not empty), and every provider's summand permutations, read off the
     level-0 table (vertex-pair) or level-1 table (edge-index), must be
     carried onto themselves by pi -> sigma^-1 pi sigma."""
-    maps = path_maps(ctx, 2)
+    maps = path_maps(ctx, ctx.n_cap)
     if len(maps) < 2 or not ctx.rels.alphabet.transport:
         return ()
     k = 0 if ctx.scheme == VERTEX_PAIR else 1
@@ -680,33 +703,11 @@ def _orbit_maps(ctx: VerificationContext) -> tuple[dict[Path, Path], ...]:
     return maps
 
 
-def _replaying(ctx: VerificationContext, check, inputs, maps):
-    """*check* on (ctx, lam, eta), computed once per orbit of rows under
-    *maps*: a row with no stored result is computed, and one that
-    passes is stored under (m[lam], m[eta]) for every map m; a later
-    row with a stored result is that result with its own *inputs* and
-    wall time."""
-    known: dict[tuple[Path, Path], CheckResult] = {}
-
-    def row(lam: Path, eta: Path) -> CheckResult:
-        started = time.monotonic()
-        rep = known.get((lam, eta))
-        if rep is None:
-            rep = check(ctx, lam, eta)
-            if rep.passed:
-                for m in maps:
-                    known[m[lam], m[eta]] = rep
-            return rep
-        return replace(rep, inputs=inputs(lam, eta),
-                       wall_ms=(time.monotonic() - started) * 1000.0)
-    return row
-
-
 def run_identity_suite(ctx: VerificationContext, k_max: int) -> list[CheckResult]:
     """Every identity check at levels l < k <= k_max, truncation
-    ctx.n_cap; density runs on the vertex-pair scheme only.  The
-    implementation and KMS-invariance rows are replayed along the path
-    symmetries (see the module docstring)."""
+    ctx.n_cap; density runs on the vertex-pair scheme only.  Isometry,
+    density, implementation and KMS-invariance obligations are replayed
+    along the path symmetries (``_Obligations.replay``)."""
     results = []
     welldefined = {}
     for l, k in level_pairs(k_max):
@@ -723,23 +724,20 @@ def run_identity_suite(ctx: VerificationContext, k_max: int) -> list[CheckResult
     if ctx.scheme == VERTEX_PAIR:
         for lam in edges1 + paths2:
             results.append(check_density(ctx, lam))
-    maps = _orbit_maps(ctx)
-    implementation = _replaying(ctx, check_implementation, _implementation_inputs, maps)
     deg_cap = min(2, k_max)
     for dl in range(1, deg_cap + 1):
         for dm in range(1, deg_cap + 1):
             for lam in ctx.level(dl).basis:
                 for eta in ctx.level(dm).basis:
-                    results.append(implementation(lam, eta))
-    kms = _replaying(ctx, check_kms_invariance, _kms_inputs, maps)
+                    results.append(check_implementation(ctx, lam, eta))
     for v in ctx.g.vertices:
-        results.append(kms(vertex_path(v), vertex_path(v)))
+        results.append(check_kms_invariance(ctx, vertex_path(v), vertex_path(v)))
     for lam in edges1:
         for mu in edges1:
-            results.append(kms(lam, mu))
+            results.append(check_kms_invariance(ctx, lam, mu))
     for lam in paths2:
-        results.append(kms(lam, lam))
-    results.append(kms(paths2[0], paths2[-1]))
-    results.append(kms(edges1[0], paths2[0]))
+        results.append(check_kms_invariance(ctx, lam, lam))
+    results.append(check_kms_invariance(ctx, paths2[0], paths2[-1]))
+    results.append(check_kms_invariance(ctx, edges1[0], paths2[0]))
     results.append(check_dirac_commutation(ctx, welldefined=welldefined))
     return results

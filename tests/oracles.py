@@ -323,8 +323,8 @@ def all_pairs_transport(alpha) -> tuple[tuple[int, ...], ...]:
 
 
 def unreplayed_suite(ctx, k_max: int):
-    """``run_identity_suite`` with every row computed: with no path
-    maps, no orbit of rows has a second member to replay."""
+    """``run_identity_suite`` with every obligation group built: with no
+    path maps, no group is replayed."""
     with mock.patch.object(corep, "path_maps", lambda ctx, degree: ()):
         return corep.run_identity_suite(ctx, k_max)
 

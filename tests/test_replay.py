@@ -1,10 +1,11 @@
-"""Rows replayed along graph symmetries: the implementation and
-KMS-invariance rows of an orbit under the path maps take the result of
-the first row computed, and the suite's report and proof store are
-those of a run that computes every row."""
+"""Obligation groups replayed along graph symmetries: the isometry,
+density, KMS-invariance and implementation groups of an orbit under the
+path maps take the result of the first group proved, and the suite's
+report and proof store are those of a run that builds every group."""
 
 import random
 from dataclasses import replace
+from functools import partial
 from pathlib import Path as FsPath
 
 import pytest
@@ -14,7 +15,10 @@ from oracles import (
     unreplayed_suite,
 )
 from qisograph import corep
-from qisograph.corep import VerificationContext, _orbit_maps, path_maps, run_identity_suite
+from qisograph.corep import (
+    VerificationContext, _orbit_maps, check_density, check_isometry, check_kms_invariance,
+    path_maps, run_identity_suite,
+)
 from qisograph.graphs import Path
 from qisograph.ncpoly import Generator
 from qisograph.providers import permutation_diag_rep
@@ -67,17 +71,18 @@ def _context(name: str) -> VerificationContext:
 _BOTH_WAYS: dict = {}
 
 
-def _both_ways(name: str):
-    """(stripped rows, proof store) of the suite on *name*, replayed and
-    unreplayed, each on a fresh context; computed once per session."""
-    if name not in _BOTH_WAYS:
+def _both_ways(name: str, k_max: int = 2):
+    """(stripped rows, proof store) of the suite on *name* up to *k_max*,
+    replayed and unreplayed, each on a fresh context; computed once per
+    session."""
+    if (name, k_max) not in _BOTH_WAYS:
         out = []
         for suite in (run_identity_suite, unreplayed_suite):
             ctx = _context(name)
-            rows = stripped_rows(suite(ctx, k_max=2))
+            rows = stripped_rows(suite(ctx, k_max=k_max))
             out.append((rows, dict(ctx.rels.alphabet.proofs)))
-        _BOTH_WAYS[name] = out
-    return _BOTH_WAYS[name]
+        _BOTH_WAYS[name, k_max] = out
+    return _BOTH_WAYS[name, k_max]
 
 
 def _letter_map(alpha, sigma: dict[str, str]) -> list[int]:
@@ -108,8 +113,8 @@ def test_level_tables_are_equivariant_along_the_path_maps(name):
 
 @pytest.mark.parametrize("name", ["k3", "k4", "loops4"])
 def test_replay_leaves_the_proof_store_unchanged(name):
-    """Only a computed row searches or stores a proof: the store after
-    the replayed suite equals that of the suite computing every row."""
+    """Only a built group searches or stores a proof: the store after
+    the replayed suite equals that of the suite building every group."""
     (_, replayed), (_, unreplayed) = _both_ways(name)
     assert replayed and replayed == unreplayed
 
@@ -123,10 +128,18 @@ def test_replayed_suite_matches_the_unreplayed_one(name):
     assert replayed == unreplayed
 
 
+@pytest.mark.parametrize("name", ["k3", "three_cycle", "loops4"])
+def test_replay_keys_paths_up_to_the_truncation_level(name):
+    """At k_max = n_cap = 3 isometry keys degree-3 paths, so the path
+    maps reach n_cap, and the replayed suite still matches."""
+    (replayed, _), (unreplayed, _) = _both_ways(name, k_max=3)
+    assert replayed == unreplayed
+
+
 def test_replaying_along_a_non_automorphism_changes_the_report(monkeypatch):
     """The vertex swap (1 2) of asym4 is no automorphism.  Replaying
-    rows along it (edges sent to the edge with swapped ends where there
-    is one) emits rows the unreplayed suite reports otherwise."""
+    obligation groups along it (edges sent to the edge with swapped ends
+    where there is one) changes a row of every keyed family."""
     unreplayed = stripped_rows(unreplayed_suite(_context("asym4"), k_max=2))
     swap = {"1": "2", "2": "1", "3": "3", "4": "4"}
 
@@ -139,9 +152,79 @@ def test_replaying_along_a_non_automorphism_changes_the_report(monkeypatch):
 
     monkeypatch.setattr(corep, "path_maps", swapped_maps)
     replayed = stripped_rows(run_identity_suite(_context("asym4"), k_max=2))
-    assert replayed != unreplayed
-    assert {r["name"] for r, s in zip(replayed, unreplayed) if r != s} <= {
-        "implementation", "kms-invariance"}
+    assert {r["name"] for r, s in zip(replayed, unreplayed) if r != s} == {
+        "isometry", "density", "implementation", "kms-invariance"}
+
+
+def test_keying_each_intertwining_obligation_by_its_output_changes_the_report(monkeypatch):
+    """The implementation unit is one ``_intertwining`` call.  Replaying
+    each of its obligations alone instead, keyed by the call's key and
+    the obligation's output path, changes implementation rows of the
+    4-loop suite."""
+    (expected, _), _ = _both_ways("loops4")
+    replay = corep._Obligations.replay
+
+    def per_output(obs, key, build):
+        if key[0] not in ("s*", "s"):
+            return replay(obs, key, build)
+        kind, lam, eta = key
+        n, m = lam.degree, eta.degree
+        # one obligation per output position, in output basis order
+        outputs = iter(obs.ctx.level(max(m - n, 0) if kind == "s*" else n + m).basis)
+        add = obs.add
+        obs.add = lambda ob: replay(obs, (*key, next(outputs)), partial(add, ob))
+        build()
+        del obs.add
+
+    monkeypatch.setattr(corep._Obligations, "replay", per_output)
+    rows = stripped_rows(run_identity_suite(_context("loops4"), k_max=2))
+    assert {r["name"] for r, s in zip(rows, expected) if r != s} == {"implementation"}
+
+
+def test_failed_groups_are_not_filed():
+    """Five of K5 - C5's KMS-invariance rows (lam, lam) stay Unknown.
+    No key of their orbit is filed for replay, so each is built; the
+    keys of the rows that pass are filed."""
+    ctx = _context("k5-c5")
+    rows = {lam: check_kms_invariance(ctx, lam, lam) for lam in ctx.level(2).basis}
+    failed = [lam for lam, row in rows.items() if not row.passed]
+    assert len(failed) == 5
+    for lam, row in rows.items():
+        keys = {("kms-invariance", m[lam], m[lam]) for m in ctx.replay_maps}
+        if row.passed:
+            assert keys <= ctx._replayed.keys()
+        else:
+            assert not keys & ctx._replayed.keys(), lam.label
+
+
+def _orbits(maps, keys) -> int:
+    """The number of orbits of the path pairs *keys* under *maps*."""
+    return len({frozenset((m[a], m[b]) for m in maps) for a, b in keys})
+
+
+def test_isometry_and_density_search_once_per_orbit_on_k4(monkeypatch):
+    """Every K4 obligation is proved, so replay leaves isometry and
+    density at most one ``is_zero`` call per orbit of their keys."""
+    calls = [0]
+    original = corep.is_zero
+
+    def counting(*args):
+        calls[0] += 1
+        return original(*args)
+
+    monkeypatch.setattr(corep, "is_zero", counting)
+    ctx = _context("k4")
+    maps = ctx.replay_maps
+    assert len(maps) == 24
+    isometry = [(lam, eta) for k in range(3) for lam in ctx.level(k).basis
+                for eta in ctx.level(k).basis]
+    assert all(check_isometry(ctx, k).passed for k in range(3))
+    assert 0 < calls[0] <= _orbits(maps, isometry)
+    calls[0] = 0
+    rows = ctx.level(1).basis + ctx.level(2).basis
+    density = [(lam, zeta) for lam in rows for zeta in ctx.level(lam.degree).basis]
+    assert all(check_density(ctx, lam).passed for lam in rows)
+    assert 0 < calls[0] <= _orbits(maps, density)
 
 
 def test_replay_needs_graph_automorphisms_transport_and_closed_summands():
