@@ -62,12 +62,20 @@ on; only the negative control of well-definedness refines the argument
 on the other side.
 
 The Dirac check needs well-definedness for every pair l < k <= n_cap.
-Source-append refinement composes, so it runs only the one-step pairs
-(l, l+1) that the suite has not run.  Its numeric part reads each
-summand of a 0/1 provider off the bitmasks of the level-n_cap entry
-words: a permutation of the basis that keeps the exact Gram diagonal
-and level projections gives residuals of exactly 0, and when the
-summands form a group only its generators are compared.  A provider it
+Source-append refinement composes, so the one-step pairs (l, l+1)
+suffice, and each of them lifts from (0, 1) along the level tables:
+for l >= 1 the (l, l+1) obligation at (mu_1 mu', lam_1 lam') is the
+level-1 entry Q[mu_1,lam_1] times the (l-1, l) obligation at
+(mu', lam'), term for term and in the same term order (exactly for
+l >= 2 and in the edge-index scheme; at l = 1 in the vertex-pair
+scheme after the monomial pass, by q^2 = q), and the embedding's Gram
+residual depends on s(lam) alone.  So the check reads the suite's pass
+flags and runs the (0, 1) check only when they lack it; no search runs
+above the suite's levels.  Its numeric part reads each summand of a
+0/1 provider off the bitmasks of the level-n_cap entry words: a
+permutation of the basis that keeps the exact Gram diagonal and level
+projections gives residuals of exactly 0, and when the summands form a
+group only its generators are compared.  A provider it
 cannot certify that way fails the check as Unknown with null residuals;
 the dense evaluation that measures such a provider is a test oracle
 (``tests/oracles.py``).
@@ -194,8 +202,8 @@ class VerificationContext:
     scheme: str
     providers: list[RepresentationProvider]
     n_cap: int
-    _levels: dict[int, LevelCorep] = field(default_factory=dict, init=False,
-                                           repr=False, compare=False)
+    _levels: list[LevelCorep] = field(default_factory=list, init=False, repr=False,
+                                      compare=False)
     _replayed: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -207,27 +215,28 @@ class VerificationContext:
         return _orbit_maps(self)
 
     def level(self, k: int) -> LevelCorep:
-        """The level-k corepresentation table, built on first use; a
-        level k >= 2 is built from levels 1 and k - 1."""
-        table = self._levels.get(k)
-        if table is None:
-            index = basis_index(self.g, k)
+        """The level-k corepresentation table, built on first use with
+        every level below it, bottom-up; a level j >= 2 is built from
+        levels 1 and j - 1."""
+        levels = self._levels
+        for j in range(len(levels), k + 1):
+            index = basis_index(self.g, j)
             basis = tuple(index)
-            if k <= 1:
+            if j <= 1:
                 encode, kind = self.rels.alphabet.encode, self.rels.gen_kind
                 rows = tuple(tuple(encode(corep_entry_word(self.g, self.scheme, kind, eta, lam))
                                    for lam in basis) for eta in basis)
             else:
-                first, rest = self.level(1), self.level(k - 1)
+                first, rest = levels[1], levels[j - 1]
                 # each path e t as the positions (e, t): enumerate_paths lists
                 # the paths by first edge e, each with its tails t in the
-                # order of S_e on level k - 1
+                # order of S_e on level j - 1
                 parts = [(e, t) for e, edge in enumerate(first.basis)
-                         for t, _ in shift_map(self.g, "s", edge, k - 1)]
+                         for t, _ in shift_map(self.g, "s", edge, j - 1)]
                 rows = tuple(tuple(first.rows[a][e] + rest.rows[b][t] for e, t in parts)
                              for a, b in parts)
-            table = self._levels[k] = LevelCorep(basis, index, rows)
-        return table
+            levels.append(LevelCorep(basis, index, rows))
+        return levels[k]
 
 
 def _add(ob: IntTerms, w: IntWord, c: Coeff):
@@ -596,13 +605,27 @@ def check_dirac_commutation(ctx: VerificationContext,
 
     Source-append refinement composes, E_{l->k} = E_{k-1->k} ... E_{l->l+1},
     so U_k E_{l->k} = E_{l->k} U_l follows from the one-step pairs
-    (l, l+1), and so does the embedding's Gram isometry.  The structural
-    part is therefore the pass flags in *welldefined*, which maps (l, k)
-    to the result of a well-definedness check already run, for the pairs
-    with k <= n_cap (pairs above n_cap are ignored), ANDed with the
-    one-step pairs, of which only the ones missing from *welldefined*
-    are run, stopping at the first failure.  Each pair l < k <= n_cap
-    is one trace event, the pair accounted for.
+    (l, l+1), and so does the embedding's Gram isometry.  Every one-step
+    pair follows from (0, 1), since the level tables factor
+    (``VerificationContext.level``): Q_k[a b, e t] = Q_1[a,e] Q_{k-1}[b,t]
+    for k >= 2.  For l >= 1 the (l, l+1) obligation at
+    (mu_1 mu', lam_1 lam') is Q_1[mu_1,lam_1] times the (l-1, l) one at
+    (mu', lam'), term for term: its + term Q_l[mu_1 xi', lam_1 lam'],
+    with xi' the first l - 1 edges of mu', and its - terms
+    Q_{l+1}[mu_1 mu', lam_1 lam' e], over the edges e into s(lam') in
+    ``refine`` order, all factor through the first edges.  At l = 1 in
+    the vertex-pair scheme the lifted + term is Q_1[mu_1,lam_1]
+    q[s(mu_1),s(lam_1)], whose last two letters are equal, so the two
+    agree after the monomial pass (q^2 = q); in the edge-index scheme
+    level 0 is the empty word.  A multiple of a zero is zero in the
+    relation ideal and under every provider, and the Gram residual of
+    (l, l+1) at lam is rho^-l times that of (0, 1) at s(lam).  So the
+    structural part is the AND of the pass flags in *welldefined*, which
+    maps (l, k) to the result of a well-definedness check already run,
+    over the pairs with k <= n_cap (pairs above n_cap are ignored), and
+    of a check of (0, 1) run here only when *welldefined* lacks it and
+    n_cap >= 1.  Each pair l < k <= n_cap is one trace event, the pair
+    accounted for.
 
     The numeric part is ``_certified``: a provider whose values are all
     0 or 1 and whose every summand evaluates the level-n_cap matrix to a
@@ -617,15 +640,12 @@ def check_dirac_commutation(ctx: VerificationContext,
     """
     started = time.monotonic()
     n_cap = ctx.n_cap
+    flags = [passed for (_, k), passed in welldefined.items() if k <= n_cap]
+    if n_cap >= 1 and (0, 1) not in welldefined:
+        flags.append(check_welldefined(ctx, 0, 1).passed)
+    structural_ok = all(flags)
     trace = ReductionTrace()
-    structural_ok = True
     for l, k in level_pairs(n_cap):
-        if structural_ok:
-            passed = welldefined.get((l, k))
-            if passed is None and k == l + 1:
-                passed = check_welldefined(ctx, l, k).passed
-            if passed is not None:
-                structural_ok = passed
         trace.add(f"welldefined:{l}->{k}")
 
     triple = dirac(ctx.g, ctx.pf, n_cap)

@@ -257,15 +257,21 @@ def test_suite_checks_each_welldefined_pair_once(contexts, monkeypatch):
     monkeypatch.setattr(corep, "check_welldefined", counting)
     ctx = contexts["three-cycle"]
     results = run_identity_suite(ctx, k_max=2)
-    # the suite checks l < k <= 2; the Dirac check adds only the one-step
-    # pair (2, 3), since (0, 3) and (1, 3) compose from one-step pairs
-    assert sorted(calls) == [(0, 1), (0, 2), (1, 2), (2, 3)]
+    # the suite checks l < k <= 2; the Dirac check lifts the pairs up to
+    # n_cap = 3 from the suite's (0, 1) and runs none
+    assert calls == [(0, 1), (0, 2), (1, 2)]
     shared = results[-1]
     calls.clear()
     alone = check_dirac_commutation(ctx, {})
-    assert calls == [(0, 1), (1, 2), (2, 3)]
+    assert calls == [(0, 1)]                        # the one pair it lifts from
     assert (shared.reductions, shared.trace_digest, shared.detail) == \
         (alone.reductions, alone.trace_digest, alone.detail)
+    calls.clear()
+    check_dirac_commutation(ctx, {(0, 2): True, (1, 2): True})
+    assert calls == [(0, 1)]
+    calls.clear()
+    level0 = check_dirac_commutation(replace(ctx, n_cap=0), {})
+    assert calls == [] and level0.passed and level0.reductions == 0
 
 
 def test_dirac_commutation_uses_given_welldefined_flags(contexts, monkeypatch):
@@ -537,17 +543,22 @@ def test_dirac_commutation_fails_on_a_failing_one_step_pair(contexts, monkeypatc
     calls = []
     original = corep.check_welldefined
 
-    def failing_1_2(ctx, l, k, convention=SOURCE_APPEND):
+    def failing_0_1(ctx, l, k, convention=SOURCE_APPEND):
         calls.append((l, k))
         res = original(ctx, l, k, convention)
-        return replace(res, passed=False) if (l, k) == (1, 2) else res
+        return replace(res, passed=False) if (l, k) == (0, 1) else res
 
-    monkeypatch.setattr(corep, "check_welldefined", failing_1_2)
+    monkeypatch.setattr(corep, "check_welldefined", failing_0_1)
     res = check_dirac_commutation(ctx, {})
-    assert calls == [(0, 1), (1, 2)]                # stops at the first failure
+    assert calls == [(0, 1)]                        # every other pair lifts from it
     assert not res.passed and res.detail["welldefined_passed"] is False
     assert res.reductions == 6                      # every pair l < k <= 3
     assert res.trace_digest == passing.trace_digest
+    # a failing given one-step pair fails the check with nothing run
+    calls.clear()
+    res = check_dirac_commutation(ctx, {(0, 1): True, (1, 2): False})
+    assert calls == [] and not res.passed
+    assert (res.reductions, res.trace_digest) == (passing.reductions, passing.trace_digest)
 
 
 def test_dirac_commutation_ignores_known_pairs_above_n_cap(contexts, monkeypatch):
