@@ -53,8 +53,8 @@ EXIT_USAGE = 2
 #: and reads paths(n_cap)^2 summand bitmasks, one bit per summand, each
 #: bit counted as an entry, so K5 verify counts (120 + 5) x 320^2;
 #: spectral's Cuntz-Krieger check holds a paths(n_cap) x paths(n_cap - 1)
-#: map.  It also bounds the letters of verify's level tables and
-#: well-definedness searches
+#: map.  It also bounds the letters of verify's level tables, basis
+#: paths and well-definedness searches (``_check_level_searches``)
 DIRAC_STACK_MAX = 2 ** 24
 
 #: the most entries in a report table: path vertices (d + 1 per degree-d
@@ -162,18 +162,19 @@ def _check_spectrum(pf: PerronData, config: RunConfig):
                     digits, limit, "digits", "; Python writes no longer int in decimal")
 
 
-def _check_level_searches(counts: list[int], k_max: int, autos: int, note: str = ""):
+def _check_level_searches(counts: list[int], k_max: int, note: str = ""):
     """The level tables up to n_cap = len(counts) - 1, paths(k)^2
     vertex-pair entry words of 2k letters (one at k = 0); the basis
-    paths, held twice by the graph's memo, and the path map of each of
-    the *autos* automorphisms, paths(k) words of k edge ids each, counted
-    as letters; and the suite's well-definedness checks up to k_max,
-    counted as one-step checks (k - 1, k): paths(k) x (paths(k - 1) +
-    paths(k)) entry words, each keyed by the zero search at every letter
-    by its prefix and suffix, at most (2k)^2 letters a word.  On a
-    cycle, where paths(k) stays constant, the tables and paths alone
-    grow with the level."""
-    size = counts[0] ** 2 + sum(k * n * (2 * n + autos + 2) for k, n in enumerate(counts)) \
+    paths, held twice by the graph's memo, paths(k) words of k edge ids
+    each, counted as letters; and the suite's well-definedness checks up
+    to k_max, counted as one-step checks (k - 1, k): paths(k) x
+    (paths(k - 1) + paths(k)) entry words, each keyed by the zero search
+    at every letter by its prefix and suffix, at most (2k)^2 letters a
+    word.  The replay path maps hold only the images of the paths that
+    replay keys name, of degree at most max(k_max, 2), and are not
+    counted.  On a cycle, where paths(k) stays constant, the tables and
+    paths alone grow with the level."""
+    size = counts[0] ** 2 + sum(k * n * (2 * n + 2) for k, n in enumerate(counts)) \
         + sum((2 * k) ** 2 * counts[k] * (counts[k - 1] + counts[k]) for k in range(1, k_max + 1))
     _check_size("Dirac check", "the level tables, paths and well-definedness searches up to "
                 f"level {len(counts) - 1}", size, DIRAC_STACK_MAX, "letters", note)
@@ -319,7 +320,6 @@ def cmd_verify(config: RunConfig) -> SuiteReport:
     # the identity automorphism is a summand of every Aut(G) provider,
     # so this refuses a run too large for any Aut(G) before building it
     _check_dirac_stack(1, paths, config.n_cap, at_least=True, note=note)
-    autos = 1
     try:
         pf = perron(g)
         require_exact(pf)
@@ -329,7 +329,7 @@ def cmd_verify(config: RunConfig) -> SuiteReport:
             allowance = DIRAC_STACK_MAX // paths ** 2 - (config.n_cap + 2)
             autos = len(graph_automorphisms(g, allowance))
             _check_dirac_stack(autos, paths, config.n_cap, at_least=True, note=note)
-        _check_level_searches(counts, config.k_max, autos, note)
+        _check_level_searches(counts, config.k_max, note)
         if config.convention == "auto":
             convention, conv_residuals = select_convention(pf, g)
         else:

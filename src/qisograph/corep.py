@@ -83,7 +83,8 @@ the dense evaluation that measures such a provider is a test oracle
 Obligations are replayed along graph symmetries, by one rule for every
 family.  The relation set's symmetries (Aut(G) on the vertices for
 qaut, the edge-id permutations of the loop graph for magic) act on
-paths edge by edge (``path_maps``, up to n_cap), and the level tables
+paths edge by edge (``path_maps``, each image built on first lookup, so
+a map holds only the paths that replay keys name), and the level tables
 are equivariant: Q[sigma xi, sigma lam] is the image of Q[xi, lam]
 under the letter map q[a,b] -> q[sigma a, sigma b], since sigma commutes
 with the range and source maps, hence with the shift maps, and keeps x.
@@ -130,6 +131,7 @@ the whole call.
 
 from __future__ import annotations
 
+import hashlib
 import time
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -272,11 +274,8 @@ class _Obligations:
         proved group is filed under *key* (a family tag and the paths
         fixing the group) in the context's memo: then append its trace
         events and provider norm.  A built group with no unproved
-        verdict is filed under each replay map's image of *key*."""
-        maps = self.ctx.replay_maps
-        if not maps:
-            build()
-            return
+        verdict is filed under each replay map's image of *key*; with no
+        replay maps nothing is filed, and every group is built."""
         filed = self.ctx._replayed.get(key)
         if filed is not None:
             self.trace.events += filed[0]
@@ -288,7 +287,7 @@ class _Obligations:
         group = self.trace.events[at:], self.numeric
         self.numeric = max(before, self.numeric)
         if self.unproved == unproved:
-            for m in maps:
+            for m in self.ctx.replay_maps:
                 self.ctx._replayed[(key[0], *map(m.__getitem__, key[1:]))] = group
 
     def result(self, name: str, inputs: dict, extra_residuals: dict | None = None,
@@ -624,8 +623,10 @@ def check_dirac_commutation(ctx: VerificationContext,
     maps (l, k) to the result of a well-definedness check already run,
     over the pairs with k <= n_cap (pairs above n_cap are ignored), and
     of a check of (0, 1) run here only when *welldefined* lacks it and
-    n_cap >= 1.  Each pair l < k <= n_cap is one trace event, the pair
-    accounted for.
+    n_cap >= 1.  Each pair l < k <= n_cap counts as one reduction, the
+    pair accounted for, and the digest hashes the events
+    "welldefined:l->k" in suite order one level k at a time, holding no
+    list of them.
 
     The numeric part is ``_certified``: a provider whose values are all
     0 or 1 and whose every summand evaluates the level-n_cap matrix to a
@@ -644,9 +645,12 @@ def check_dirac_commutation(ctx: VerificationContext,
     if n_cap >= 1 and (0, 1) not in welldefined:
         flags.append(check_welldefined(ctx, 0, 1).passed)
     structural_ok = all(flags)
-    trace = ReductionTrace()
-    for l, k in level_pairs(n_cap):
-        trace.add(f"welldefined:{l}->{k}")
+    # the trace digest of the events "welldefined:l->k" in suite order,
+    # joined by newlines, hashed one level k at a time; the slice drops
+    # the newline before the first event
+    digest = hashlib.sha256()
+    for k in range(1, n_cap + 1):
+        digest.update("".join(f"\nwelldefined:{l}->{k}" for l in range(k))[k == 1:].encode())
 
     triple = dirac(ctx.g, ctx.pf, n_cap)
     uncertified = [p.name for p in ctx.providers if not _certified(ctx, p, triple)]
@@ -662,21 +666,34 @@ def check_dirac_commutation(ctx: VerificationContext,
     return CheckResult("dirac-commutation", {"n_cap": n_cap, "negative_control": False},
                        passed, PROVED_ZERO if passed else UNKNOWN,
                        {"commutator": residual, "gram_unitarity": residual},
-                       trace.count, trace.digest(),
+                       n_cap * (n_cap + 1) // 2, digest.hexdigest()[:16],
                        (time.monotonic() - started) * 1000.0, detail=detail)
 
 
 # ---------------------------------------------------------------------------
 # the full suite
 
-def path_maps(ctx: VerificationContext, degree: int) -> tuple[dict[Path, Path], ...]:
-    """The relation set's symmetries as maps of the paths of degree <=
-    *degree*, one per symmetry, edge by edge.  In the vertex-pair scheme
-    a symmetry sigma is a vertex map and sends an edge e to the edge
-    (sigma r(e), sigma s(e)); in the edge-index scheme, on a one-vertex
-    graph, it is the edge-id permutation.  Empty unless each is a graph
-    automorphism that keeps the Perron vector: no multiple edges
-    (vertex-pair), both maps bijections, x_{sigma v} = x_v."""
+class _PathMap(dict):
+    """A symmetry's map of paths, given by its vertex and edge maps: the
+    image of a path is built edge by edge on first lookup and kept, so
+    the map holds only the paths it was asked for."""
+
+    def __init__(self, vmap: dict[str, str], emap: dict[str, str]):
+        self.vmap, self.emap = vmap, emap
+
+    def __missing__(self, p: Path) -> Path:
+        return self.setdefault(p, Path(tuple(map(self.emap.__getitem__, p.edges)),
+                                       self.vmap[p.range], self.vmap[p.source]))
+
+
+def path_maps(ctx: VerificationContext) -> tuple[dict[Path, Path], ...]:
+    """The relation set's symmetries as maps of paths, one per symmetry,
+    edge by edge, each image built on first use (``_PathMap``).  In the
+    vertex-pair scheme a symmetry sigma is a vertex map and sends an edge
+    e to the edge (sigma r(e), sigma s(e)); in the edge-index scheme, on
+    a one-vertex graph, it is the edge-id permutation.  Empty unless each
+    is a graph automorphism that keeps the Perron vector: no multiple
+    edges (vertex-pair), both maps bijections, x_{sigma v} = x_v."""
     g, x = ctx.g, ctx.pf.x
     by_ends = {(e.range, e.source): e.id for e in g.edges}
     if (len(by_ends) < len(g.edges) if ctx.scheme == VERTEX_PAIR else len(g.vertices) > 1):
@@ -692,20 +709,19 @@ def path_maps(ctx: VerificationContext, degree: int) -> tuple[dict[Path, Path], 
                 or set(emap.values()) != set(g.edge_by_id)
                 or any(x[vmap[v]] != xv for v, xv in x.items())):
             return ()
-        maps.append({p: Path(tuple(map(emap.__getitem__, p.edges)), vmap[p.range],
-                             vmap[p.source])
-                     for d in range(degree + 1) for p in basis_index(g, d)})
+        maps.append(_PathMap(vmap, emap))
     return tuple(maps)
 
 
 def _orbit_maps(ctx: VerificationContext) -> tuple[dict[Path, Path], ...]:
-    """The path maps up to n_cap that obligations are replayed along, or
-    none when Aut is trivial or a replay condition fails: the letter maps
-    must carry the relation ideal onto itself (``Alphabet.transport`` is
-    not empty), and every provider's summand permutations, read off the
+    """The path maps that obligations are replayed along, or none when
+    Aut is trivial or a replay condition fails: the letter maps must
+    carry the relation ideal onto itself (``Alphabet.transport`` is not
+    empty), and every provider's summand permutations, read off the
     level-0 table (vertex-pair) or level-1 table (edge-index), must be
-    carried onto themselves by pi -> sigma^-1 pi sigma."""
-    maps = path_maps(ctx, ctx.n_cap)
+    carried onto themselves by pi -> sigma^-1 pi sigma.  The maps build
+    no image here beyond the paths of that level."""
+    maps = path_maps(ctx)
     if len(maps) < 2 or not ctx.rels.alphabet.transport:
         return ()
     k = 0 if ctx.scheme == VERTEX_PAIR else 1

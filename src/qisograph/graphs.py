@@ -279,14 +279,17 @@ def extends(longer: Path, shorter: Path) -> bool:
 
 
 def _paths_with_range(g: DirectedGraph, k: int, v: str) -> tuple[Path, ...]:
-    """Degree-k paths with range v, lexicographic in the edge-id word."""
-    key = ("paths", k, v)
-    paths = g.memo.get(key)
-    if paths is None:
-        paths = g.memo[key] = (vertex_path(v),) if k == 0 else tuple(
-            Path((e.id,) + tail.edges, v, tail.source)
-            for e in g.edges_into[v] for tail in _paths_with_range(g, k - 1, e.source))
-    return paths
+    """Degree-k paths with range v, lexicographic in the edge-id word.
+    The graph's memo holds them for every vertex at levels 0 to some
+    top; a missing level is built with every level between it and the
+    top, one level at a time for every vertex, without recursion."""
+    top = next((j for j in range(k, -1, -1) if ("paths", j, v) in g.memo), -1)
+    for j in range(top + 1, k + 1):
+        for u in g.vertices:
+            g.memo["paths", j, u] = (vertex_path(u),) if j == 0 else tuple(
+                Path((e.id,) + tail.edges, u, tail.source)
+                for e in g.edges_into[u] for tail in g.memo["paths", j - 1, e.source])
+    return g.memo["paths", k, v]
 
 
 def s_pairs(g: DirectedGraph, lam: Path, k: int) -> list[tuple[Path, Path]]:

@@ -547,10 +547,10 @@ def test_measure_table_limit_admits_k3_to_depth_15_and_the_default(tmp_path):
      "12,000,012 entries, above the limit of 4,194,304"),
     (["verify", "--graph", _graph("three_cycle.g"), "--level", "2000"],
      "the Dirac check would hold the level tables, paths and well-definedness searches up "
-     "to level 2000 = 66,033,369 letters, above the limit of 16,777,216"),
-    (["verify", "--graph", _graph("three_cycle.g"), "--level", "1008",
+     "to level 2000 = 48,024,369 letters, above the limit of 16,777,216"),
+    (["verify", "--graph", _graph("three_cycle.g"), "--level", "1182",
       "--convention", "range-prepend"],
-     "level 1008 = 16,782,057 letters, above the limit of 16,777,216; the range-prepend "
+     "level 1182 = 16,780,041 letters, above the limit of 16,777,216; the range-prepend "
      "control is admitted only where the default run is"),
 ])
 def test_unbounded_spectrum_and_cycle_level_exit_2_up_front(argv, message, tmp_path, capsys):
@@ -568,10 +568,10 @@ def test_new_bounds_admit_up_to_their_limits():
     from qisograph.hilbert import path_counts
     from qisograph.perron import perron
     k3, cycle = (parse_graph((GRAPHS / name).read_text()) for name in ("k3.g", "three_cycle.g"))
-    # the three-cycle's three automorphisms; --k 2 is the default
-    _check_level_searches(path_counts(cycle, 1007), 2, 3)
-    with pytest.raises(UsageError, match="up to level 1008 = "):
-        _check_level_searches(path_counts(cycle, 1008), 2, 3)
+    # --k 2 is the default
+    _check_level_searches(path_counts(cycle, 1181), 2)
+    with pytest.raises(UsageError, match="up to level 1182 = "):
+        _check_level_searches(path_counts(cycle, 1182), 2)
     for g, q_max, limit in ((k3, 14282, "digits"), (cycle, 349524, "entries")):
         _check_spectrum(perron(g), RunConfig("g", q_max=q_max))
         with pytest.raises(UsageError, match=limit):

@@ -1,3 +1,4 @@
+import sys
 from pathlib import Path
 
 import pytest
@@ -117,6 +118,31 @@ def test_enumerate_lexicographic(graphs):
     g = graphs["k3"]
     seqs = [p.edges for p in enumerate_paths(g, 3)]
     assert seqs == sorted(seqs)
+
+
+def test_cold_high_degree_paths_run_under_a_low_recursion_limit():
+    """The path lists are built bottom-up, one level at a time for every
+    vertex, so a cold call at a degree far above the recursion limit
+    runs, and on a fresh graph a cold call lists what a warm one does."""
+    cycle = parse_graph((GRAPH_DIR / "three_cycle.g").read_text())
+    frame, depth = sys._getframe(), 0
+    while frame:
+        frame, depth = frame.f_back, depth + 1
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 100)
+    try:
+        paths = enumerate_paths(cycle, 1000)
+    finally:
+        sys.setrecursionlimit(limit)
+    # the only paths run backwards round the cycle: a, then c, then b, ...
+    walk = "acb" * 334
+    assert [p.edges for p in paths] == [tuple(walk[i:i + 1000]) for i in (0, 2, 1)]
+    assert all(path_from_edges(cycle, p.edges) == p for p in paths)
+    text = (GRAPH_DIR / "k3.g").read_text()
+    cold, warm = parse_graph(text), parse_graph(text)
+    for k in range(5):
+        enumerate_paths(warm, k)
+    assert enumerate_paths(cold, 4) == enumerate_paths(warm, 4)
 
 
 def test_path_count_matches_adjacency_power(graphs):

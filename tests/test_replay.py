@@ -97,7 +97,7 @@ def test_level_tables_are_equivariant_along_the_path_maps(name):
     """rows[sigma xi][sigma lam] is the letter-map image of
     rows[xi][lam] at every level k <= n_cap, for every symmetry."""
     ctx = _context(name)
-    maps = path_maps(ctx, ctx.n_cap)
+    maps = path_maps(ctx)
     assert len(maps) == len(ctx.rels.symmetries) > 1
     alpha = ctx.rels.alphabet
     for sigma, m in zip(ctx.rels.symmetries, maps):
@@ -131,9 +131,23 @@ def test_replayed_suite_matches_the_unreplayed_one(name):
 @pytest.mark.parametrize("name", ["k3", "three_cycle", "loops4"])
 def test_replay_keys_paths_up_to_the_truncation_level(name):
     """At k_max = n_cap = 3 isometry keys degree-3 paths, so the path
-    maps reach n_cap, and the replayed suite still matches."""
+    maps build images at n_cap, and the replayed suite still matches."""
     (replayed, _), (unreplayed, _) = _both_ways(name, k_max=3)
     assert replayed == unreplayed
+
+
+def test_path_maps_build_images_on_demand():
+    """A path map builds an image on first lookup only: reading the
+    replay maps at n_cap 40 builds no path list of degree 40, and the
+    maps hold the images of the level-0 paths they were read at."""
+    ctx = suite_context((GRAPHS / "three_cycle.g").read_text(), False, n_cap=40)
+    maps = _orbit_maps(ctx)
+    assert len(maps) == 3 and ("basis index", 40) not in ctx.g.memo
+    vertices = ctx.level(0).basis
+    assert all(m.keys() == set(vertices) for m in maps)
+    cycle = Path(("a", "c", "b"), "2", "2")
+    assert [m[cycle] for m in maps] == [cycle, Path(("b", "a", "c"), "3", "3"),
+                                        Path(("c", "b", "a"), "1", "1")]
 
 
 def test_replaying_along_a_non_automorphism_changes_the_report(monkeypatch):
@@ -143,12 +157,11 @@ def test_replaying_along_a_non_automorphism_changes_the_report(monkeypatch):
     unreplayed = stripped_rows(unreplayed_suite(_context("asym4"), k_max=2))
     swap = {"1": "2", "2": "1", "3": "3", "4": "4"}
 
-    def swapped_maps(ctx, degree):
+    def swapped_maps(ctx):
         by_ends = {(e.range, e.source): e.id for e in ctx.g.edges}
         edge = {e.id: by_ends.get((swap[e.range], swap[e.source]), e.id) for e in ctx.g.edges}
-        identity = {p: p for d in range(degree + 1) for p in ctx.level(d).basis}
-        return identity, {p: Path(tuple(edge[e] for e in p.edges), swap[p.range], swap[p.source])
-                          for p in identity}
+        fixed = dict(zip(ctx.g.edge_by_id, ctx.g.edge_by_id))
+        return (corep._PathMap(dict(zip(swap, swap)), fixed), corep._PathMap(swap, edge))
 
     monkeypatch.setattr(corep, "path_maps", swapped_maps)
     replayed = stripped_rows(run_identity_suite(_context("asym4"), k_max=2))
@@ -233,7 +246,7 @@ def test_replay_needs_graph_automorphisms_transport_and_closed_summands():
     provider whose summands conjugation does not keep."""
     ctx = _context("asym4")
     swap = {"1": "2", "2": "1", "3": "3", "4": "4"}
-    assert path_maps(replace(ctx, rels=replace(ctx.rels, symmetries=(swap,))), 2) == ()
+    assert path_maps(replace(ctx, rels=replace(ctx.rels, symmetries=(swap,)))) == ()
     assert _orbit_maps(ctx) == ()                       # Aut(asym4) is trivial
 
     def k3(**changes):

@@ -3,7 +3,7 @@ import sys
 from pathlib import Path
 
 from qisograph.cli import _check_level_searches, _check_spectrum, _config_from_args, build_parser
-from qisograph.graphs import graph_automorphisms, parse_graph
+from qisograph.graphs import parse_graph
 from qisograph.hilbert import path_counts
 from qisograph.perron import perron
 
@@ -67,9 +67,7 @@ def test_script_and_benchmark_argvs_parse():
         if argv[0] == "spectral":
             _check_spectrum(perron(parse_graph(text)), config)
         elif argv[0] == "verify":
-            g = parse_graph(text)
-            _check_level_searches(path_counts(g, config.n_cap), config.k_max,
-                                  len(graph_automorphisms(g)))
+            _check_level_searches(path_counts(parse_graph(text), config.n_cap), config.k_max)
         else:
             continue
         guarded += 1
